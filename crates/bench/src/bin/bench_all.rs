@@ -161,10 +161,11 @@ fn main() {
         }
     }
     println!(
-        "bench_all: {} runs ({}) across {} worker thread(s)",
+        "bench_all: {} runs ({}) across {} worker thread(s), sha256 backend {}",
         points.len(),
         if quick { "--quick" } else { "full" },
-        pool.threads()
+        pool.threads(),
+        predis_crypto::sha256::backend()
     );
 
     let started = Instant::now();

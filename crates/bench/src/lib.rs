@@ -4,6 +4,8 @@
 //! the Criterion benches under `benches/` run scaled-down versions of the
 //! same experiments so `cargo bench` exercises every harness.
 
+#![deny(unsafe_code)]
+
 use predis_telemetry::RunReport;
 
 pub mod artifact;

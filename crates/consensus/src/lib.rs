@@ -20,6 +20,7 @@
 //! integration tests and the `predis` facade crate for full wiring).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod byzantine;
 pub mod client;

@@ -5,7 +5,7 @@
 //! all of them run over the same simulated wire with the same size
 //! accounting.
 
-use predis_crypto::Hash;
+use predis_crypto::{Hash, Sha256};
 use predis_sim::Payload;
 use predis_types::{
     ChainId, ConflictProof, Height, ProposalPayload, SeqNum, SizedBundle, SizedPayload,
@@ -84,18 +84,16 @@ pub struct MicroBlock {
 }
 
 impl MicroBlock {
-    /// The microblock's digest.
+    /// The microblock's digest, streamed field by field.
     pub fn digest(&self) -> Hash {
-        let mut parts: Vec<Vec<u8>> = vec![
-            b"micro".to_vec(),
-            self.producer.0.to_be_bytes().to_vec(),
-            self.seq.to_be_bytes().to_vec(),
-        ];
+        let mut h = Sha256::new();
+        h.update(b"micro");
+        h.update(&self.producer.0.to_be_bytes());
+        h.update(&self.seq.to_be_bytes());
         for tx in &self.txs {
-            parts.push(tx.hash().as_bytes().to_vec());
+            h.update(tx.hash().as_bytes());
         }
-        let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-        Hash::digest_parts(&refs)
+        Hash(h.finalize())
     }
 }
 

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{sha256, sha256_64, Sha256};
 
 /// A 32-byte SHA-256 digest.
 ///
@@ -39,9 +39,13 @@ impl Hash {
         Hash(h.finalize())
     }
 
-    /// Combines two digests (used for Merkle interior nodes).
+    /// Combines two digests (used for Merkle interior nodes): the digest of
+    /// `left ‖ right`, hashed as the one-data-block shape it always is.
     pub fn combine(left: Hash, right: Hash) -> Hash {
-        Hash::digest_parts(&[&left.0, &right.0])
+        let mut block = [0u8; 64];
+        block[..32].copy_from_slice(&left.0);
+        block[32..].copy_from_slice(&right.0);
+        Hash(sha256_64(&block))
     }
 
     /// The digest truncated to a `u64` (handy as a deterministic map key).

@@ -2,10 +2,11 @@
 //!
 //! Cryptographic primitives for the Predis + Multi-Zone data flow framework:
 //!
-//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256;
+//! * [`sha256`] — a from-scratch FIPS 180-4 SHA-256 (SHA-NI where the CPU
+//!   has it, portable code elsewhere);
 //! * [`struct@Hash`] — the 32-byte digest newtype the whole framework keys on;
-//! * [`MerkleTree`]/[`MerkleProof`] — transaction roots and stripe proofs
-//!   (the paper's Fig. 1 bundle header fields);
+//! * [`MerkleTree`]/[`MerkleProof`]/[`merkle_root`] — transaction roots and
+//!   stripe proofs (the paper's Fig. 1 bundle header fields);
 //! * [`Keypair`]/[`Signature`] — *simulated* signatures (keyed-hash tags);
 //!   see the `sig` module docs for the substitution rationale.
 //!
@@ -22,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod hash;
 pub mod merkle;
@@ -29,6 +31,6 @@ pub mod sha256;
 pub mod sig;
 
 pub use hash::Hash;
-pub use merkle::{MerkleProof, MerkleTree};
+pub use merkle::{merkle_root, MerkleProof, MerkleRoot, MerkleTree};
 pub use sha256::Sha256;
 pub use sig::{Keypair, Signature, SignerId, SIGNATURE_WIRE_SIZE};

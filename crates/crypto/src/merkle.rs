@@ -41,6 +41,60 @@ pub struct MerkleProof {
     pub siblings: Vec<Hash>,
 }
 
+/// What [`merkle_root`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MerkleRoot {
+    /// The root digest ([`Hash::ZERO`] for no leaves).
+    pub root: Hash,
+    /// True if some layer combined two *equal* siblings that were both
+    /// present (not the odd-layer duplicate). With Bitcoin-style
+    /// duplication `[a, b, c]` and `[a, b, c, c]` share a root
+    /// (CVE-2012-2459), so a verifier of a list whose entries must be
+    /// distinct rejects on this flag; a list that may legitimately repeat
+    /// an entry ignores it.
+    pub mutated: bool,
+}
+
+/// The root of the [`MerkleTree`] over `leaves`, folded in place: each
+/// layer overwrites the front of the slice, so nothing is allocated. Same
+/// odd-layer duplication, hence byte-identical to
+/// `MerkleTree::from_leaves(leaves.to_vec()).root()`. The slice is scratch
+/// afterwards.
+///
+/// # Examples
+///
+/// ```
+/// use predis_crypto::{merkle_root, Hash, MerkleTree};
+///
+/// let leaves: Vec<Hash> = (0..5u8).map(|i| Hash::digest(&[i])).collect();
+/// let folded = merkle_root(&mut leaves.clone());
+/// assert_eq!(folded.root, MerkleTree::from_leaves(leaves).root());
+/// assert!(!folded.mutated);
+/// ```
+pub fn merkle_root(leaves: &mut [Hash]) -> MerkleRoot {
+    let mut mutated = false;
+    let mut len = leaves.len();
+    while len > 1 {
+        let parents = len.div_ceil(2);
+        for i in 0..parents {
+            let left = leaves[2 * i];
+            let right = match leaves[..len].get(2 * i + 1) {
+                Some(&right) => {
+                    mutated |= right == left;
+                    right
+                }
+                None => left,
+            };
+            leaves[i] = Hash::combine(left, right);
+        }
+        len = parents;
+    }
+    MerkleRoot {
+        root: leaves.first().copied().unwrap_or(Hash::ZERO),
+        mutated,
+    }
+}
+
 impl MerkleTree {
     /// Builds a tree over the given leaves.
     pub fn from_leaves(leaves: Vec<Hash>) -> MerkleTree {
@@ -103,17 +157,22 @@ impl MerkleTree {
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        let leaves = items
+        let mut leaves: Vec<Hash> = items
             .into_iter()
             .map(|b| Hash::digest(b.as_ref()))
             .collect();
-        MerkleTree::from_leaves(leaves).root()
+        merkle_root(&mut leaves).root
     }
 }
 
 impl MerkleProof {
-    /// Checks that `leaf` is at `self.index` under `root`.
+    /// Checks that `leaf` is at `self.index` under `root`. An index with
+    /// bits above the proof's depth names no leaf of that tree and fails.
     pub fn verify(&self, root: Hash, leaf: Hash) -> bool {
+        let depth = self.siblings.len();
+        if depth < usize::BITS as usize && self.index >> depth != 0 {
+            return false;
+        }
         let mut acc = leaf;
         let mut idx = self.index;
         for sibling in &self.siblings {
@@ -182,6 +241,13 @@ mod tests {
         let mut wrong_index = p.clone();
         wrong_index.index = 3;
         assert!(!wrong_index.verify(t.root(), l[2]));
+        // Index bits above the proof depth used to be ignored: 10 and 18
+        // walk the same left/right path as 2 in an 8-leaf tree.
+        for aliased in [2 + 8, 2 + 16, 2 + (1 << 40)] {
+            let mut alias = p.clone();
+            alias.index = aliased;
+            assert!(!alias.verify(t.root(), l[2]), "index {aliased}");
+        }
     }
 
     #[test]
@@ -209,6 +275,26 @@ mod tests {
         let r = MerkleTree::root_of([b"a".as_slice(), b"b".as_slice()]);
         let expected = Hash::combine(Hash::digest(b"a"), Hash::digest(b"b"));
         assert_eq!(r, expected);
+    }
+
+    #[test]
+    fn in_place_root_flags_equal_present_siblings_only() {
+        let l = leaves(3);
+        let honest = merkle_root(&mut l.clone());
+        // The odd-layer duplicate of a lone last leaf is not a mutation...
+        assert!(!honest.mutated);
+        // ...but the same leaf present twice is, and shares the root.
+        let mut dup = vec![l[0], l[1], l[2], l[2]];
+        let forged = merkle_root(&mut dup);
+        assert_eq!(forged.root, honest.root);
+        assert!(forged.mutated);
+        // Equal siblings in an interior layer count too.
+        let mut interior = vec![l[0], l[1], l[0], l[1]];
+        assert!(merkle_root(&mut interior).mutated);
+        // Equal leaves that are not siblings are not flagged.
+        let mut apart = vec![l[0], l[1], l[1], l[0]];
+        assert!(!merkle_root(&mut apart).mutated);
+        assert_eq!(merkle_root(&mut []).root, Hash::ZERO);
     }
 
     #[test]

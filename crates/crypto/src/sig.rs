@@ -65,7 +65,11 @@ impl Keypair {
     /// Derives the keypair for a node identity (deterministic: every run of
     /// the simulation agrees on the key material).
     pub fn for_node(id: SignerId) -> Keypair {
-        let secret = Hash::digest_parts(&[b"predis-sim-secret-key", &id.0.to_be_bytes()]);
+        const TAG: &[u8; 21] = b"predis-sim-secret-key";
+        let mut msg = [0u8; TAG.len() + 4];
+        msg[..TAG.len()].copy_from_slice(TAG);
+        msg[TAG.len()..].copy_from_slice(&id.0.to_be_bytes());
+        let secret = Hash::digest(&msg);
         Keypair { id, secret }
     }
 
@@ -78,7 +82,8 @@ impl Keypair {
     pub fn sign(&self, message: Hash) -> Signature {
         Signature {
             signer: self.id,
-            tag: Hash::digest_parts(&[self.secret.as_bytes(), message.as_bytes()]),
+            // secret ‖ message is exactly one block: the `combine` shape.
+            tag: Hash::combine(self.secret, message),
         }
     }
 }

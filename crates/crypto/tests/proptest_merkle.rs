@@ -1,6 +1,6 @@
 //! Property tests for Merkle trees and the hash/signature substrate.
 
-use predis_crypto::{Hash, Keypair, MerkleTree, SignerId};
+use predis_crypto::{merkle_root, Hash, Keypair, MerkleTree, SignerId};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,6 +24,11 @@ proptest! {
         }
         // A foreign leaf value must fail.
         prop_assert!(!proof.verify(tree.root(), Hash::digest(b"foreign")));
+        // An index that differs only above the proof's depth walks the same
+        // path but names no leaf of this tree.
+        let mut aliased = proof.clone();
+        aliased.index = i + ((1 + (probe >> 32) as usize % 7) << proof.siblings.len());
+        prop_assert!(!aliased.verify(tree.root(), leaves[i]));
     }
 
     /// The root is a commitment: any permutation or truncation of a
@@ -41,6 +46,17 @@ proptest! {
         prop_assert_ne!(MerkleTree::from_leaves(swapped).root(), root);
         let truncated = leaves[..n - 1].to_vec();
         prop_assert_ne!(MerkleTree::from_leaves(truncated).root(), root);
+    }
+
+    /// An interior node is the digest of the concatenation — the fixed
+    /// 64-byte shape and the general path agree.
+    #[test]
+    fn combine_is_digest_of_concatenation(l in any::<[u8; 32]>(), r in any::<[u8; 32]>()) {
+        let mut both = [0u8; 64];
+        both[..32].copy_from_slice(&l);
+        both[32..].copy_from_slice(&r);
+        prop_assert_eq!(Hash::combine(Hash(l), Hash(r)), Hash::digest(&both));
+        prop_assert_eq!(Hash::combine(Hash(l), Hash(r)), Hash::digest_parts(&[&l, &r]));
     }
 
     /// Signatures bind signer and message.
@@ -66,5 +82,21 @@ proptest! {
         h.update(&data[..split]);
         h.update(&data[split..]);
         prop_assert_eq!(Hash(h.finalize()), Hash::digest(&data));
+    }
+}
+
+/// The in-place fold is the tree's root for every shape of odd and even
+/// layers up to one past a power of two, and leaves nothing flagged when
+/// the leaves are distinct.
+#[test]
+fn in_place_root_equals_tree_root() {
+    let leaves: Vec<Hash> = (0..257u64)
+        .map(|i| Hash::digest(&i.to_be_bytes()))
+        .collect();
+    for n in 0..=leaves.len() {
+        let folded = merkle_root(&mut leaves[..n].to_vec());
+        let tree = MerkleTree::from_leaves(leaves[..n].to_vec());
+        assert_eq!(folded.root, tree.root(), "n={n}");
+        assert!(!folded.mutated, "n={n}");
     }
 }

@@ -4,7 +4,7 @@
 //! consensus or full — maintains one [`Mempool`]; consensus nodes
 //! additionally use it to build and validate Predis blocks.
 
-use predis_crypto::{Hash, Keypair, MerkleTree, Signature};
+use predis_crypto::{merkle_root, Hash, Keypair, Signature};
 use predis_types::{
     quorum_cut_height, Bundle, ChainId, ConflictProof, Height, PredisBlock, SizedBundle, TipList,
     Transaction, View,
@@ -410,7 +410,9 @@ impl Mempool {
                 leaves.push(bundle.header.tx_root);
             }
         }
-        MerkleTree::from_leaves(leaves).root()
+        // Equal leaves are legitimate here (two empty bundles both carry
+        // `tx_root == Hash::ZERO`), so `mutated` is not consulted.
+        merkle_root(&mut leaves).root
     }
 
     /// Validates a received Predis block against `expected_base` (§III-B

@@ -29,6 +29,8 @@
 //! assert_eq!(squares[7], 49);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

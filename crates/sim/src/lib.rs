@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod actor;
 pub mod engine;

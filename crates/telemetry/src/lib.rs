@@ -25,6 +25,7 @@
 //! the boundary.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod counters;
 pub mod hist;

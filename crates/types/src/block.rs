@@ -248,6 +248,61 @@ mod tests {
         }
     }
 
+    /// Digest bytes are protocol: every trace fingerprint hangs off them.
+    /// These constants were produced by the pre-SHA-NI scalar code; a hashing
+    /// "optimisation" that moves one fails here, not 97 fingerprints later.
+    /// (`tests/crypto.rs` at the workspace root pins the same values through
+    /// the public facade.)
+    #[test]
+    fn golden_bundle_and_block_digests() {
+        fn hex(h: Hash) -> String {
+            h.0.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let txs: Vec<Transaction> = (0..50u64)
+            .map(|i| Transaction::new(TxId(1000 + i), ClientId((i % 4) as u32), 0))
+            .collect();
+        let bundle = Bundle::build(
+            ChainId(3),
+            Height(7),
+            Hash::digest(b"golden-parent"),
+            TipList::from((1..=8u64).map(Height).collect::<Vec<_>>()),
+            txs,
+            Hash::digest(b"golden-stripes"),
+            &Keypair::for_node(SignerId(3)),
+        );
+        assert!(bundle.verify());
+        assert_eq!(
+            hex(bundle.header.tx_root),
+            "5eb74220ab3f4b57bb5fd16e0039d1b236583be87ea777fa1a21be9a35572aaa"
+        );
+        assert_eq!(
+            hex(bundle.hash()),
+            "38a6f5e71fa6405ffba168f37cb545819178d3e8efc4fb4301367342c896ddff"
+        );
+        assert_eq!(
+            hex(bundle.header.signature.tag),
+            "a7596c865601c54a34240f6451f49a4ecdb081eb868f9519421766ac46aa75c7"
+        );
+        let block = PredisBlock {
+            parent: Hash::digest(b"golden-block-parent"),
+            view: View(3),
+            base: vec![Height(4), Height(5), Height(3), Height(3)],
+            cut: vec![Height(5), Height(5), Height(4), Height(4)],
+            headers: vec![
+                Some(bundle.hash()),
+                None,
+                Some(Hash::digest(b"h2")),
+                Some(Hash::digest(b"h3")),
+            ],
+            tx_root: bundle.header.tx_root,
+            signature: Signature::default(),
+        };
+        assert_eq!(
+            hex(block.digest()),
+            "8a691dfad57eef8658a705b97d8630f55af6f8f0f2623d7079c67d90e29059fc"
+        );
+    }
+
     #[test]
     fn sign_verify_roundtrip() {
         let mut b = block();

@@ -7,7 +7,7 @@
 //! stripe Merkle root (for Multi-Zone erasure dissemination), and the
 //! producer's signature.
 
-use predis_crypto::{Hash, Keypair, MerkleTree, Sha256, Signature, SignerId};
+use predis_crypto::{merkle_root, Hash, Keypair, Sha256, Signature, SignerId};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ChainId, Height};
@@ -122,7 +122,7 @@ impl Bundle {
             SignerId(chain.0),
             "bundle must be signed by its producing chain's key"
         );
-        let tx_root = MerkleTree::from_leaves(tx_leaves(&txs)).root();
+        let tx_root = merkle_root(&mut tx_leaves(&txs)).root;
         let mut header = BundleHeader {
             chain,
             height,
@@ -138,9 +138,17 @@ impl Bundle {
 
     /// Checks the producer signature and that the body matches the header's
     /// transaction root (§III-A validity checks 2 and signature).
+    ///
+    /// A body whose Merkle fold combines two equal siblings is rejected
+    /// even when the root matches: odd layers duplicate their last node, so
+    /// `[.., t]` and `[.., t, t]` share a root, and transaction ids are
+    /// unique — such a body is never what the producer signed.
     pub fn verify(&self) -> bool {
-        self.header.verify_signature()
-            && MerkleTree::from_leaves(tx_leaves(&self.txs)).root() == self.header.tx_root
+        if !self.header.verify_signature() {
+            return false;
+        }
+        let body = merkle_root(&mut tx_leaves(&self.txs));
+        !body.mutated && body.root == self.header.tx_root
     }
 
     /// Total bytes of transaction payloads.
@@ -249,6 +257,44 @@ mod tests {
         let mut truncated = good.clone();
         truncated.txs.pop();
         assert!(!truncated.verify());
+    }
+
+    #[test]
+    fn duplicated_tail_body_fails_verification() {
+        // Odd-layer duplication gives [t1,t2,t3] and [t1,t2,t3,t3] the same
+        // root (CVE-2012-2459): without the equal-sibling check a relayer
+        // could commit t3 twice under the producer's valid signature.
+        let good = Bundle::build(
+            ChainId(0),
+            Height(1),
+            Hash::ZERO,
+            TipList::new(4),
+            txs(3, 0),
+            Hash::ZERO,
+            &key(0),
+        );
+        assert!(good.verify());
+        let mut forged = good.clone();
+        forged.txs.push(good.txs[2]);
+        assert_eq!(
+            merkle_root(&mut tx_leaves(&forged.txs)).root,
+            good.header.tx_root,
+            "the attack shape: same root, longer body"
+        );
+        assert!(!forged.verify());
+        // The same one layer up: [t1..t6] vs [t1..t6, t5, t6].
+        let good6 = Bundle::build(
+            ChainId(0),
+            Height(1),
+            Hash::ZERO,
+            TipList::new(4),
+            txs(6, 0),
+            Hash::ZERO,
+            &key(0),
+        );
+        let mut forged6 = good6.clone();
+        forged6.txs.extend_from_slice(&good6.txs[4..]);
+        assert!(good6.verify() && !forged6.verify());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod block;
 pub mod bundle;

@@ -62,13 +62,17 @@ impl Transaction {
     }
 
     /// The transaction digest (identity only: id + client + size).
+    ///
+    /// The 18-byte preimage is assembled on the stack: one SHA-256 block,
+    /// one compression — this is the Merkle leaf every bundle build and
+    /// verify computes per transaction.
     pub fn hash(&self) -> Hash {
-        Hash::digest_parts(&[
-            b"tx",
-            &self.id.0.to_be_bytes(),
-            &self.client.0.to_be_bytes(),
-            &self.size.to_be_bytes(),
-        ])
+        let mut preimage = [0u8; 18];
+        preimage[..2].copy_from_slice(b"tx");
+        preimage[2..10].copy_from_slice(&self.id.0.to_be_bytes());
+        preimage[10..14].copy_from_slice(&self.client.0.to_be_bytes());
+        preimage[14..].copy_from_slice(&self.size.to_be_bytes());
+        Hash::digest(&preimage)
     }
 }
 
@@ -112,6 +116,20 @@ mod tests {
         assert_eq!(
             Transaction::with_size(TxId(0), ClientId(0), 0, 256).wire_size(),
             256
+        );
+    }
+
+    #[test]
+    fn hash_preimage_layout_is_pinned() {
+        let tx = Transaction::with_size(TxId(0x0102_0304_0506_0708), ClientId(0x0a0b_0c0d), 0, 77);
+        assert_eq!(
+            tx.hash(),
+            Hash::digest_parts(&[
+                b"tx",
+                &tx.id.0.to_be_bytes(),
+                &tx.client.0.to_be_bytes(),
+                &tx.size.to_be_bytes(),
+            ])
         );
     }
 

@@ -5,6 +5,8 @@
 //! exists to tie the workspace's examples, integration tests, and command
 //! line together.
 
+#![deny(unsafe_code)]
+
 pub mod cli;
 
 pub use predis::*;
