@@ -16,7 +16,9 @@ use std::path::Path;
 
 use predis_telemetry::Json;
 
-use crate::sweep::{Runner, SweepOutcome, SweepPoint};
+use predis::experiments::World;
+
+use crate::sweep::{SweepOutcome, SweepPoint};
 
 /// Version of the artifact schema; part of the default file name so stale
 /// baselines fail loudly instead of comparing apples to oranges.
@@ -34,15 +36,13 @@ use crate::sweep::{Runner, SweepOutcome, SweepPoint};
 /// fixed-stride policy while dispatching the identical event stream.
 pub const BENCH_SCHEMA_VERSION: u64 = 10;
 
-/// Oldest schema version [`BenchArtifact::from_json`] still reads. Version 2
-/// artifacts lack the `payload_clones` field, versions before 5 lack the
-/// nested `perf` block, versions before 6 lack the `fingerprint` field,
-/// versions before 7 lack the `engine` block (threads / per-partition event
-/// counts), versions before 8 lack the `mem` block (peak actor footprint),
-/// and versions before 10 lack `engine.windows` (barrier count). Missing
-/// fields default on read (0 / empty / 1 thread), so an old baseline still
-/// diffs against a new run.
-pub const BENCH_SCHEMA_MIN_SUPPORTED: u64 = 2;
+/// Oldest schema version [`BenchArtifact::from_json`] still reads: the
+/// current one and its predecessor. A version 9 artifact lacks
+/// `engine.windows` (read as 0); every other field is required, and a
+/// missing one is an error naming the run and the field — never a default,
+/// which would let a truncated artifact slip through
+/// [`BenchArtifact::identical_modulo_wall`].
+pub const BENCH_SCHEMA_MIN_SUPPORTED: u64 = 9;
 
 /// The default artifact file name, `BENCH_10.json`.
 pub fn bench_file_name() -> String {
@@ -87,7 +87,7 @@ pub struct BenchEntry {
     /// streaming digest of the canonical event stream, rendered as 32 hex
     /// chars. Strictly stronger than metric equality — two runs can commit
     /// the same totals through different event interleavings, but they
-    /// cannot share a fingerprint. Empty for pre-v6 artifacts.
+    /// cannot share a fingerprint..
     pub fingerprint: String,
     /// Engine event throughput, events per wall-clock second. Derived from
     /// `events_processed / wall_ms`, so it is machine-dependent and excluded
@@ -106,13 +106,13 @@ pub struct BenchEntry {
     pub partition_events: Vec<u64>,
     /// Lockstep window barriers the parallel engine crossed over the run
     /// (`engine.windows` meta; 0 when the run executed sequentially or the
-    /// artifact predates schema 10). Execution-strategy telemetry like
+    /// artifact is schema 9). Execution-strategy telemetry like
     /// `threads` — the adaptive window policy's whole point is to shrink
     /// this number without changing the event stream — so it is excluded
     /// from [`BenchArtifact::identical_modulo_wall`].
     pub windows: u64,
     /// Peak Σ `Actor::approx_bytes` over all live actors
-    /// (`mem.resident_bytes` meta; 0 for pre-v8 artifacts). A footprint
+    /// (`mem.resident_bytes` meta). A footprint
     /// *estimate* — capacities, not live bytes — so it is excluded from
     /// [`BenchArtifact::identical_modulo_wall`] like the `engine` block,
     /// but it gates memory regressions in [`BenchArtifact::diff`].
@@ -137,37 +137,37 @@ impl BenchEntry {
     pub fn from_outcome(point: &SweepPoint, outcome: &SweepOutcome) -> BenchEntry {
         let report = &outcome.report;
         let bytes = report.counter_total("net.bytes");
-        let (tps, p50_ms, p99_ms) = match &point.runner {
-            Runner::Throughput(_) => (
+        // Client latency from the histogram when present (ns -> ms), else 0.
+        let client_latency = || {
+            report
+                .histogram("client_latency")
+                .map(|h| (h.summary.p50 as f64 / 1e6, h.summary.p99 as f64 / 1e6))
+                .unwrap_or((0.0, 0.0))
+        };
+        let (tps, p50_ms, p99_ms) = match &point.runner.world {
+            // Scenario runs assert their own liveness/safety checks
+            // in-runner; a dissemination-world scenario legitimately
+            // commits no client transactions, so nothing is required
+            // here — absent numbers record as 0.
+            _ if point.is_scenario() => {
+                let (p50, p99) = client_latency();
+                (report.metric("throughput_tps").unwrap_or(0.0), p50, p99)
+            }
+            World::Consensus(_) => (
                 report.require_metric("throughput_tps"),
                 report.require_metric("p50_latency_ms"),
                 report.require_metric("p99_latency_ms"),
             ),
-            Runner::Topology(_) | Runner::MegaScale(_) => {
-                // Figs. 7/9 measure capacity, not client latency; take the
-                // client-latency histogram when present (ns -> ms), else 0.
-                let (p50, p99) = report
-                    .histogram("client_latency")
-                    .map(|h| (h.summary.p50 as f64 / 1e6, h.summary.p99 as f64 / 1e6))
-                    .unwrap_or((0.0, 0.0));
+            // Figs. 7/9 measure capacity, not client latency.
+            World::Flow(_) | World::MegaScale(_) => {
+                let (p50, p99) = client_latency();
                 (report.require_metric("throughput_tps"), p50, p99)
             }
-            Runner::Propagation(..) => (
+            World::Net(..) => (
                 0.0,
                 report.require_metric("to_50_ms"),
                 report.require_metric("to_100_ms"),
             ),
-            Runner::Scenario(_) => {
-                // Scenario runs assert their own liveness/safety checks
-                // in-runner; a dissemination-world scenario legitimately
-                // commits no client transactions, so nothing is required
-                // here — absent numbers record as 0.
-                let (p50, p99) = report
-                    .histogram("client_latency")
-                    .map(|h| (h.summary.p50 as f64 / 1e6, h.summary.p99 as f64 / 1e6))
-                    .unwrap_or((0.0, 0.0));
-                (report.metric("throughput_tps").unwrap_or(0.0), p50, p99)
-            }
         };
         let events_processed = report.metric("engine.events_processed").unwrap_or(0.0) as u64;
         let events_per_sec = if outcome.wall_ms > 0 {
@@ -323,16 +323,17 @@ impl BenchArtifact {
             return Err("artifact missing runs object".into());
         };
         for (name, run) in pairs {
-            let num = |k: &str| {
-                run.get(k)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("run `{name}` missing `{k}`"))
+            // `key` is a field of the run, or `block.field` one level down.
+            let field = |key: &str| {
+                let found = match key.split_once('.') {
+                    Some((block, k)) => run.get(block).and_then(|b| b.get(k)),
+                    None => run.get(key),
+                };
+                found.ok_or_else(|| format!("run `{name}` missing `{key}`"))
             };
-            let int = |k: &str| {
-                run.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("run `{name}` missing `{k}`"))
-            };
+            let malformed = |key: &str| format!("run `{name}`: `{key}` has the wrong type");
+            let num = |key: &str| field(key)?.as_f64().ok_or_else(|| malformed(key));
+            let int = |key: &str| field(key)?.as_u64().ok_or_else(|| malformed(key));
             artifact.runs.insert(
                 name.clone(),
                 BenchEntry {
@@ -340,55 +341,30 @@ impl BenchArtifact {
                     p50_ms: num("p50_latency_ms")?,
                     p99_ms: num("p99_latency_ms")?,
                     bytes: int("bytes")?,
-                    // Absent before schema 3.
-                    payload_clones: int("payload_clones").unwrap_or(0),
-                    // Absent before schema 6.
-                    fingerprint: run
-                        .get("fingerprint")
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
+                    payload_clones: int("payload_clones")?,
+                    fingerprint: field("fingerprint")?
+                        .as_str()
+                        .ok_or_else(|| malformed("fingerprint"))?
                         .to_string(),
-                    // The `perf` block is absent before schema 5.
-                    events_processed: run
-                        .get("perf")
-                        .and_then(|p| p.get("events_processed"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    events_per_sec: run
-                        .get("perf")
-                        .and_then(|p| p.get("events_per_sec"))
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
-                    // The `engine` block is absent before schema 7; such
-                    // runs were always sequential.
-                    threads: run
-                        .get("engine")
-                        .and_then(|p| p.get("threads"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(1),
-                    partition_events: run
-                        .get("engine")
-                        .and_then(|p| p.get("partition_events"))
-                        .and_then(Json::as_arr)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                        .unwrap_or_default(),
-                    // `engine.windows` is absent before schema 10.
-                    windows: run
-                        .get("engine")
-                        .and_then(|p| p.get("windows"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    // The `mem` block is absent before schema 8.
-                    mem_resident_bytes: run
-                        .get("mem")
-                        .and_then(|p| p.get("resident_bytes"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                    mem_bytes_per_node: run
-                        .get("mem")
-                        .and_then(|p| p.get("bytes_per_node"))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
+                    events_processed: int("perf.events_processed")?,
+                    events_per_sec: num("perf.events_per_sec")?,
+                    threads: int("engine.threads")?,
+                    partition_events: field("engine.partition_events")?
+                        .as_arr()
+                        .ok_or_else(|| malformed("engine.partition_events"))?
+                        .iter()
+                        .map(|n| {
+                            n.as_u64()
+                                .ok_or_else(|| malformed("engine.partition_events"))
+                        })
+                        .collect::<Result<_, _>>()?,
+                    windows: if version >= 10 {
+                        int("engine.windows")?
+                    } else {
+                        0
+                    },
+                    mem_resident_bytes: int("mem.resident_bytes")?,
+                    mem_bytes_per_node: int("mem.bytes_per_node")?,
                     wall_ms: int("wall_ms")?,
                 },
             );
@@ -544,11 +520,6 @@ impl BenchArtifact {
     /// wall-derived `events_per_sec`) may differ. Returns one message per
     /// mismatching *field*, naming the run, the field, both values, and the
     /// relative delta — so a CI log is actionable without re-running.
-    ///
-    /// `events_processed` and `fingerprint` are only compared when both
-    /// artifacts carry them (non-zero / non-empty): older artifacts predate
-    /// these fields and deserialize them as 0 / `""`, which must not read as
-    /// a determinism break when diffing against an old checked-in baseline.
     pub fn identical_modulo_wall(&self, other: &BenchArtifact) -> Vec<String> {
         let mut mismatches = Vec::new();
         let rel = |a: f64, b: f64| {
@@ -580,6 +551,7 @@ impl BenchArtifact {
                     let ints = [
                         ("bytes", a.bytes, b.bytes),
                         ("payload_clones", a.payload_clones, b.payload_clones),
+                        ("events_processed", a.events_processed, b.events_processed),
                     ];
                     for (key, av, bv) in ints {
                         if av != bv {
@@ -589,21 +561,7 @@ impl BenchArtifact {
                             ));
                         }
                     }
-                    if a.events_processed != 0
-                        && b.events_processed != 0
-                        && a.events_processed != b.events_processed
-                    {
-                        mismatches.push(format!(
-                            "{name}: events_processed {} vs {} ({})",
-                            a.events_processed,
-                            b.events_processed,
-                            rel(a.events_processed as f64, b.events_processed as f64)
-                        ));
-                    }
-                    if !a.fingerprint.is_empty()
-                        && !b.fingerprint.is_empty()
-                        && a.fingerprint != b.fingerprint
-                    {
+                    if a.fingerprint != b.fingerprint {
                         mismatches.push(format!(
                             "{name}: trace fingerprint {} vs {} — the engines dispatched \
                              different event streams; re-run both with PREDIS_TRACE_DIR set \
@@ -669,50 +627,45 @@ mod tests {
     }
 
     #[test]
-    fn v2_artifact_reads_with_defaulted_clones() {
+    fn previous_schema_reads_without_the_barrier_count() {
         let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
         let text = a
             .to_json()
             .replace(
                 &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
-                "\"schema_version\": 2",
+                "\"schema_version\": 9",
             )
-            .replace("\"payload_clones\": 42,", "");
+            .replace(",\n        \"windows\": 120", "");
+        assert!(!text.contains("windows"), "{text}");
         let back = BenchArtifact::from_json(&text).unwrap();
-        assert_eq!(back.runs["a"].payload_clones, 0);
-        assert_eq!(back.runs["a"].bytes, 1_000);
+        assert_eq!(back.runs["a"].windows, 0);
+        assert_eq!(back.runs["a"].threads, 2);
     }
 
+    /// A current-schema artifact that lost a field is an error naming the
+    /// run and the field — not a default that the determinism gate then
+    /// skips over.
     #[test]
-    fn v3_artifact_reads_with_defaulted_perf() {
-        // A literal pre-v5 artifact: no `perf` block at all.
-        let text = r#"{
-            "schema_version": 3,
-            "runs": {
-                "a": {
-                    "tps": 10000.0,
-                    "p50_latency_ms": 50.0,
-                    "p99_latency_ms": 100.0,
-                    "bytes": 1000,
-                    "payload_clones": 42,
-                    "wall_ms": 7
-                }
-            }
-        }"#;
-        let back = BenchArtifact::from_json(text).unwrap();
-        assert_eq!(back.runs["a"].events_processed, 0);
-        assert_eq!(back.runs["a"].events_per_sec, 0.0);
-        assert_eq!(back.runs["a"].payload_clones, 42);
-        // Pre-v6 artifacts carry no fingerprint; it defaults to empty.
-        assert_eq!(back.runs["a"].fingerprint, "");
-        // Pre-v7 artifacts carry no engine block; they were sequential.
-        assert_eq!(back.runs["a"].threads, 1);
-        assert!(back.runs["a"].partition_events.is_empty());
-        // Pre-v10 artifacts carry no barrier count; it defaults to 0.
-        assert_eq!(back.runs["a"].windows, 0);
-        // Pre-v8 artifacts carry no mem block; the footprint defaults to 0.
-        assert_eq!(back.runs["a"].mem_resident_bytes, 0);
-        assert_eq!(back.runs["a"].mem_bytes_per_node, 0);
+    fn a_missing_field_is_a_located_error() {
+        let text = artifact(&[("fig4_pbft", entry(10_000.0, 100.0, 1))]).to_json();
+        for (cut, key) in [
+            (
+                "\"fingerprint\": \"00112233445566778899aabbccddeeff\",",
+                "fingerprint",
+            ),
+            ("\"payload_clones\": 42,", "payload_clones"),
+            ("\"events_processed\": 9000,", "perf.events_processed"),
+            ("\"resident_bytes\": 1000000,", "mem.resident_bytes"),
+            (",\n        \"windows\": 120", "engine.windows"),
+        ] {
+            let broken = text.replace(cut, "");
+            assert_ne!(broken, text, "fixture lacks {cut}");
+            let err = BenchArtifact::from_json(&broken).unwrap_err();
+            assert!(
+                err.contains("run `fig4_pbft`") && err.contains(&format!("`{key}`")),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -744,7 +697,7 @@ mod tests {
             "{lines:?}"
         );
         // +10% stays informationally silent; a baseline without mem data
-        // (pre-v8) never trips the gate.
+        // never trips the gate.
         let mut mild = base.clone();
         mild.runs
             .get_mut("fig9_z10_fulls500")
@@ -904,7 +857,7 @@ mod tests {
     }
 
     #[test]
-    fn identical_modulo_wall_compares_fingerprints_when_both_present() {
+    fn identical_modulo_wall_compares_fingerprints() {
         let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
         let mut b = artifact(&[("a", entry(10_000.0, 100.0, 9))]);
         b.runs.get_mut("a").unwrap().fingerprint = "ffffffffffffffffffffffffffffffff".into();
@@ -912,8 +865,5 @@ mod tests {
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("trace fingerprint"), "{msgs:?}");
         assert!(msgs[0].contains("trace_diff"), "{msgs:?}");
-        // A pre-v6 side (empty fingerprint) is not a mismatch.
-        b.runs.get_mut("a").unwrap().fingerprint = String::new();
-        assert!(a.identical_modulo_wall(&b).is_empty());
     }
 }

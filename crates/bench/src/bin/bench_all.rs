@@ -30,9 +30,10 @@
 
 use std::time::Instant;
 
+use predis::experiments::World;
 use predis_bench::{
     bench_file_name, f0, f1, print_table, report_with_perf, suite, suite_dir, sweep, BenchArtifact,
-    Runner, SweepOutcome, SweepPoint, MEM_BYTES_PER_NODE_BUDGET,
+    SweepOutcome, SweepPoint, MEM_BYTES_PER_NODE_BUDGET,
 };
 use predis_parallel::Pool;
 
@@ -43,7 +44,7 @@ use predis_parallel::Pool;
 /// multiplier of 2 absorbs rare legitimate extra materializations
 /// (conflict-proof gossip, catch-up state transfer).
 fn check_payload_clones(point: &SweepPoint, outcome: &SweepOutcome) -> Result<(), String> {
-    if !matches!(point.runner, Runner::Throughput(_)) {
+    if point.is_scenario() || !matches!(point.runner.world, World::Consensus(_)) {
         return Ok(()); // propagation runs share via `Shared`, not counted
     }
     let report = &outcome.report;
@@ -82,7 +83,7 @@ fn check_payload_clones(point: &SweepPoint, outcome: &SweepOutcome) -> Result<()
 /// real structural regression (a per-node map came back, or block state
 /// stopped being retired), not runner noise.
 fn check_mem_budget(point: &SweepPoint, outcome: &SweepOutcome) -> Result<(), String> {
-    if !matches!(point.runner, Runner::MegaScale(_)) {
+    if point.is_scenario() || !matches!(point.runner.world, World::MegaScale(_)) {
         return Ok(()); // the budget is calibrated for the fig9 node mix
     }
     if point.name.starts_with("fig9_crowd") {

@@ -9,7 +9,7 @@
 //! Usage: `cargo run -p predis-bench --release --bin fig_scenarios [--quick] [--trace]`
 
 use predis::experiments::ScenarioSetup;
-use predis_bench::sweep::{Runner, SweepPoint};
+use predis_bench::sweep::SweepPoint;
 use predis_bench::{emit_showcases, f0, fig_opts, metric_or_nan, print_table, run_figure, suite};
 
 fn main() {
@@ -20,12 +20,7 @@ fn main() {
     let points: Vec<SweepPoint> = suite::scenario_points(opts.quick)
         .into_iter()
         .map(|point| {
-            let Runner::Scenario(scenario) = &point.runner else {
-                panic!(
-                    "{}: scenario suite produced a non-scenario point",
-                    point.name
-                );
-            };
+            let scenario = &point.runner;
             let text = scenario.to_json();
             let parsed = ScenarioSetup::from_json(&text)
                 .unwrap_or_else(|e| panic!("{}: config re-parse failed: {e}", point.name));
@@ -35,7 +30,7 @@ fn main() {
                 point.name
             );
             SweepPoint {
-                runner: Runner::Scenario(parsed),
+                runner: parsed,
                 ..point
             }
         })

@@ -17,7 +17,7 @@ pub use artifact::{
     bench_file_name, BenchArtifact, BenchEntry, BENCH_SCHEMA_VERSION, MEM_BYTES_PER_NODE_BUDGET,
     MEM_REGRESSION_PCT,
 };
-pub use sweep::{sweep, Runner, SweepOutcome, SweepPoint};
+pub use sweep::{sweep, SweepOutcome, SweepPoint};
 pub use trace::{
     export_chrome_trace, first_divergence, parse_timelines_jsonl, read_trace, BundleRow,
     Divergence, ExportStats, TraceRecord,

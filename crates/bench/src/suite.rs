@@ -529,7 +529,7 @@ pub fn scenario_points(quick: bool) -> Vec<SweepPoint> {
         // drive re-fetch so dissemination still completes every block.
         ScenarioSetup {
             name: "churn_storm".into(),
-            world: World::Zone(zone(103)),
+            world: zone(103).world(),
             injections: vec![Injection::ChurnStorm {
                 nodes: vec![4, 5],
                 first_ms: 2_500,
@@ -545,7 +545,7 @@ pub fn scenario_points(quick: bool) -> Vec<SweepPoint> {
         // silent provider and reroute/pull; all blocks still complete.
         ScenarioSetup {
             name: "byz_withhold".into(),
-            world: World::Zone(zone(104)),
+            world: zone(104).world(),
             injections: vec![Injection::ByzantineRelayers {
                 count: 2,
                 fault: StripeFault::Withhold,
@@ -559,7 +559,7 @@ pub fn scenario_points(quick: bool) -> Vec<SweepPoint> {
         // every block.
         ScenarioSetup {
             name: "byz_corrupt".into(),
-            world: World::Zone(zone(105)),
+            world: zone(105).world(),
             injections: vec![Injection::ByzantineRelayers {
                 count: 2,
                 fault: StripeFault::Corrupt,
@@ -632,7 +632,8 @@ pub fn scenario_points(quick: bool) -> Vec<SweepPoint> {
             let name = format!("scenario_{}", scenario.name);
             let world = match &scenario.world {
                 World::Consensus(_) => "consensus",
-                World::Zone(_) => "zone",
+                World::Flow(_) => "flow",
+                World::Net(..) => "zone",
                 World::MegaScale(_) => "megascale",
             };
             let mut point = SweepPoint::scenario(name, scenario.clone())
@@ -711,7 +712,6 @@ mod tests {
 
     #[test]
     fn scenario_plane_is_config_driven_and_checked() {
-        use crate::sweep::Runner;
         for quick in [true, false] {
             let points = scenario_points(quick);
             assert!(
@@ -720,9 +720,8 @@ mod tests {
                 points.len()
             );
             for p in &points {
-                let Runner::Scenario(scenario) = &p.runner else {
-                    panic!("{} is not a scenario point", p.name);
-                };
+                let scenario = &p.runner;
+                assert!(p.is_scenario(), "{} is not a scenario point", p.name);
                 assert!(
                     !scenario.checks.is_empty(),
                     "{} has no liveness/safety check",

@@ -3,7 +3,8 @@
 //! Every figure of the paper is a grid of *independent* simulation runs:
 //! each grid point owns its seed, its `Sim`, and its `Metrics` sink, and
 //! shares no mutable state with any other point. A [`SweepPoint`] captures
-//! one such run as plain data (the setup struct plus display metadata);
+//! one such run as plain data (a `ScenarioSetup` — the world, and for
+//! scenario-plane points its injections and checks — plus display metadata);
 //! [`sweep`] fans a slice of points across a [`Pool`] and returns one
 //! [`SweepOutcome`] per point, in input order.
 //!
@@ -17,24 +18,10 @@ use std::time::Instant;
 
 use predis::experiments::{
     MegaScaleSetup, PropagationSetup, ScenarioSetup, ThroughputSetup, Topology, TopologySetup,
+    World,
 };
 use predis_parallel::Pool;
 use predis_telemetry::RunReport;
-
-/// The experiment family a grid point belongs to, with its full setup.
-#[derive(Debug, Clone)]
-pub enum Runner {
-    /// A consensus throughput/latency run (Figs. 4–6, ablations).
-    Throughput(ThroughputSetup),
-    /// A combined consensus + dissemination run (Fig. 7).
-    Topology(TopologySetup),
-    /// A pure block-propagation run (Fig. 8).
-    Propagation(PropagationSetup, Topology),
-    /// A mega-scale Multi-Zone dissemination run (Fig. 9).
-    MegaScale(MegaScaleSetup),
-    /// A config-driven fault/adversary scenario (the scenario plane).
-    Scenario(ScenarioSetup),
-}
 
 /// One independent grid point of a figure.
 #[derive(Debug, Clone)]
@@ -49,31 +36,36 @@ pub struct SweepPoint {
     pub labels: Vec<String>,
     /// Whether the figure binary prints this point's full report.
     pub showcase: bool,
-    /// The experiment to run.
-    pub runner: Runner,
+    /// The experiment to run: a world, plus — for a scenario-plane point,
+    /// which is the kind with a scenario name — injections and checks.
+    pub runner: ScenarioSetup,
 }
 
 impl SweepPoint {
-    /// A throughput grid point.
-    pub fn throughput(name: impl Into<String>, setup: ThroughputSetup) -> SweepPoint {
+    /// A scenario-plane grid point.
+    pub fn scenario(name: impl Into<String>, setup: ScenarioSetup) -> SweepPoint {
         SweepPoint {
             name: name.into(),
             section: 0,
             labels: Vec::new(),
             showcase: false,
-            runner: Runner::Throughput(setup),
+            runner: setup,
         }
+    }
+
+    /// A grid point that runs `world` as it is.
+    pub fn world(name: impl Into<String>, world: World) -> SweepPoint {
+        SweepPoint::scenario(name, ScenarioSetup::plain(world))
+    }
+
+    /// A throughput (Figs. 4–6, ablations) grid point.
+    pub fn throughput(name: impl Into<String>, setup: ThroughputSetup) -> SweepPoint {
+        SweepPoint::world(name, World::Consensus(setup))
     }
 
     /// A topology (Fig. 7) grid point.
     pub fn topology(name: impl Into<String>, setup: TopologySetup) -> SweepPoint {
-        SweepPoint {
-            name: name.into(),
-            section: 0,
-            labels: Vec::new(),
-            showcase: false,
-            runner: Runner::Topology(setup),
-        }
+        SweepPoint::world(name, World::Flow(setup))
     }
 
     /// A propagation (Fig. 8) grid point.
@@ -82,35 +74,18 @@ impl SweepPoint {
         setup: PropagationSetup,
         topology: Topology,
     ) -> SweepPoint {
-        SweepPoint {
-            name: name.into(),
-            section: 0,
-            labels: Vec::new(),
-            showcase: false,
-            runner: Runner::Propagation(setup, topology),
-        }
+        SweepPoint::world(name, World::Net(setup, topology))
     }
 
     /// A mega-scale (Fig. 9) grid point.
     pub fn megascale(name: impl Into<String>, setup: MegaScaleSetup) -> SweepPoint {
-        SweepPoint {
-            name: name.into(),
-            section: 0,
-            labels: Vec::new(),
-            showcase: false,
-            runner: Runner::MegaScale(setup),
-        }
+        SweepPoint::world(name, World::MegaScale(setup))
     }
 
-    /// A scenario-plane grid point.
-    pub fn scenario(name: impl Into<String>, setup: ScenarioSetup) -> SweepPoint {
-        SweepPoint {
-            name: name.into(),
-            section: 0,
-            labels: Vec::new(),
-            showcase: false,
-            runner: Runner::Scenario(setup),
-        }
+    /// True for a scenario-plane point (its runner carries a scenario name),
+    /// false for a plain figure point.
+    pub fn is_scenario(&self) -> bool {
+        !self.runner.name.is_empty()
     }
 
     /// Assigns the point to a table section.
@@ -136,22 +111,7 @@ impl SweepPoint {
     /// The simulation is constructed, run, and torn down entirely within
     /// this call, so concurrent `run`s share nothing.
     pub fn run(&self) -> RunReport {
-        match &self.runner {
-            Runner::Throughput(setup) => setup.run_report(&self.name),
-            Runner::Topology(setup) => {
-                let (result, sim) = setup.run_with_sim_named(&self.name);
-                setup.report(&result, &sim, &self.name)
-            }
-            Runner::Propagation(setup, topology) => {
-                let (result, sim) = setup.run_with_sim_named(topology, &self.name);
-                setup.report(&result, &sim, &self.name)
-            }
-            Runner::MegaScale(setup) => {
-                let (result, sim) = setup.run_with_sim_named(&self.name);
-                setup.report(&result, &sim, &self.name)
-            }
-            Runner::Scenario(setup) => setup.run_report(&self.name),
-        }
+        self.runner.run_report(&self.name)
     }
 }
 

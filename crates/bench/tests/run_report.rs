@@ -3,11 +3,11 @@
 //! stage percentiles and labeled counters, and the report written to disk
 //! must read back identical.
 
-use predis::experiments::{FaultSpec, NetEnv, Protocol, ThroughputSetup};
+use predis::experiments::{FaultSpec, NetEnv, Protocol, ThroughputSetup, World};
 use predis_telemetry::{Labels, RunReport, Stage};
 
 fn small_run() -> RunReport {
-    ThroughputSetup {
+    World::Consensus(ThroughputSetup {
         protocol: Protocol::PPbft,
         n_c: 4,
         clients: 4,
@@ -17,7 +17,7 @@ fn small_run() -> RunReport {
         warmup_secs: 1,
         seed: 99,
         ..Default::default()
-    }
+    })
     .run_report("itest_ppbft")
 }
 
@@ -26,7 +26,7 @@ fn small_run() -> RunReport {
 /// *omitted* from the report, and reading them through `require_metric`
 /// must fail loudly rather than NaN-propagate.
 fn idle_run() -> RunReport {
-    ThroughputSetup {
+    World::Consensus(ThroughputSetup {
         protocol: Protocol::PPbft,
         n_c: 4,
         clients: 4,
@@ -41,7 +41,7 @@ fn idle_run() -> RunReport {
             ..FaultSpec::none()
         },
         ..Default::default()
-    }
+    })
     .run_report("itest_idle")
 }
 

@@ -20,10 +20,11 @@ use predis_consensus::{ClientSwarm, ConsMsg, ConsensusConfig, FlashCrowd, PbftNo
 use predis_multizone::{MultiZoneNode, NetMsg, SubCap, ZoneConfig, ZoneSource};
 use predis_sim::prelude::*;
 use predis_telemetry::RunReport;
-use predis_types::{payload_stats, ClientId};
+use predis_types::ClientId;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::topology::FlowConsensusNode;
+use crate::experiments::world::{validate_committee, validate_window, Setup};
 use crate::msg::FlowMsg;
 
 /// Parameters of one Fig. 9 run.
@@ -133,57 +134,51 @@ impl MegaScaleSetup {
         self.zones * self.zone_size
     }
 
+    /// Nodes of the built world: the committee, the full nodes in
+    /// zone-contiguous id blocks, then one client swarm per zone.
+    pub fn node_count(&self) -> usize {
+        self.n_c + self.full_nodes() + self.zones
+    }
+
     /// Builds, runs, and summarizes the experiment.
     pub fn run(&self) -> MegaScaleResult {
-        let (result, _) = self.run_with_sim_named("");
-        result
+        Setup::run_with_sim_named(self, "").0
     }
 
-    /// Snapshots a finished Fig. 9 simulation into a [`RunReport`].
-    pub fn report(&self, result: &MegaScaleResult, sim: &Sim<FlowMsg>, name: &str) -> RunReport {
-        let mut report = sim.metrics().run_report(name);
-        report.meta.insert("n_c".into(), self.n_c.to_string());
-        report.meta.insert("zones".into(), self.zones.to_string());
-        report
-            .meta
-            .insert("zone_size".into(), self.zone_size.to_string());
-        report
-            .meta
-            .insert("full_nodes".into(), result.full_nodes.to_string());
-        report.meta.insert(
-            "users".into(),
-            (self.users_per_zone * self.zones as u64).to_string(),
-        );
-        report.meta.insert("seed".into(), self.seed.to_string());
-        if result.throughput_tps.is_finite() {
-            report.set_metric("throughput_tps", result.throughput_tps);
-        }
-        report.set_metric(
-            "consensus_upload_bytes",
-            result.consensus_upload_bytes as f64,
-        );
-        let stats = payload_stats::snapshot();
-        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
-        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
-        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
-        report.set_metric("engine.events_processed", sim.events_processed() as f64);
-        sim.stamp_observability(&mut report);
-        report
-    }
-
-    /// Like [`MegaScaleSetup::run`] but also returns the finished
-    /// simulation, applying the observability environment for a run named
-    /// `name` first (pass `""` to skip the env switches).
+    /// [`Setup::run_with_sim_named`], callable without the trait in scope.
+    /// With `duration_secs: 0` it builds the world and stops at time zero.
     pub fn run_with_sim_named(&self, name: &str) -> (MegaScaleResult, Sim<FlowMsg>) {
-        payload_stats::reset();
+        Setup::run_with_sim_named(self, name)
+    }
+
+    /// [`Setup::report`], callable without the trait in scope.
+    pub fn report(&self, result: &MegaScaleResult, sim: &Sim<FlowMsg>, name: &str) -> RunReport {
+        Setup::report(self, result, sim, name)
+    }
+
+    /// Rejects parameters the build cannot wire: an empty committee, zero
+    /// bandwidth, zero zones, or a warm-up that swallows the run.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_committee(self.n_c, self.mbps)?;
+        if self.zones < 1 {
+            return Err("zones must be at least 1".into());
+        }
+        validate_window(self.warmup_secs, self.duration_secs)
+    }
+}
+
+impl Setup for MegaScaleSetup {
+    type Msg = FlowMsg;
+    type Result = MegaScaleResult;
+
+    fn build(&self) -> Sim<FlowMsg> {
         let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
         let mut sim: Sim<FlowMsg> = Sim::new(self.seed, network);
         let link = LinkConfig::paper_default().with_mbps(self.mbps);
-        let full_nodes = self.full_nodes();
+        let first_swarm = self.n_c + self.full_nodes();
         let cons: Vec<NodeId> = (0..self.n_c as u32).map(NodeId).collect();
         // One swarm actor per zone stands in for that zone's user base.
-        let swarm_ids: Vec<NodeId> = ((self.n_c + full_nodes) as u32
-            ..(self.n_c + full_nodes + self.zones) as u32)
+        let swarm_ids: Vec<NodeId> = (first_swarm as u32..self.node_count() as u32)
             .map(NodeId)
             .collect();
         let roster = Roster::new(cons.clone(), swarm_ids.clone());
@@ -198,16 +193,11 @@ impl MegaScaleSetup {
         }
         .paced_production(self.n_c, self.tx_size, self.mbps * 1_000_000);
         let zcfg = ZoneConfig {
-            n_c: self.n_c,
-            f: roster.f(),
-            max_children: 24,
-            alive_interval: SimDuration::from_millis(250),
-            digest_interval: SimDuration::from_secs(1),
-            consensus: cons.clone(),
             // The fig9 consensus duty streams bundles but never sends
             // block announcements, so full nodes must retire decoded
             // blocks on their own or grow O(blocks) in-flight state.
             retire_unannounced: true,
+            ..ZoneConfig::paper(cons.clone())
         };
 
         // Consensus nodes, always with the Multi-Zone stripe-serving duty.
@@ -287,32 +277,45 @@ impl MegaScaleSetup {
 
         // Partition affinity: consensus + swarms on one worker, each zone
         // on its own — only stripe serving crosses partitions.
-        let mut affinity: Vec<Vec<NodeId>> = Vec::with_capacity(self.zones + 1);
-        let mut core_group = cons.clone();
-        core_group.extend(swarm_ids.iter().copied());
-        affinity.push(core_group);
+        let mut core_group = cons;
+        core_group.extend(swarm_ids);
+        let mut affinity = vec![core_group];
         affinity.extend(zone_members.iter().map(|m| m.to_vec()));
         sim.set_partition_hint(affinity);
+        sim
+    }
 
-        if !name.is_empty() {
-            sim.apply_observability_env(name);
-        }
-        sim.run_until(SimTime::from_secs(self.duration_secs));
-        sim.finish_observability();
+    fn horizon(&self) -> SimTime {
+        SimTime::from_secs(self.duration_secs)
+    }
+
+    fn result(&self, sim: &Sim<FlowMsg>) -> MegaScaleResult {
         let from = SimTime::from_secs(self.warmup_secs);
-        let to = SimTime::from_secs(self.duration_secs);
-        let consensus_upload_bytes = cons.iter().map(|&n| sim.network().bytes_sent(n)).sum();
-        let actors = self.n_c + full_nodes + self.zones;
         let peak = sim.peak_actor_bytes();
-        (
-            MegaScaleResult {
-                throughput_tps: sim.metrics().throughput_tps(from, to),
-                consensus_upload_bytes,
-                full_nodes,
-                peak_actor_bytes: peak,
-                bytes_per_node: peak / actors as u64,
-            },
-            sim,
-        )
+        MegaScaleResult {
+            throughput_tps: sim.metrics().throughput_tps(from, self.horizon()),
+            consensus_upload_bytes: (0..self.n_c as u32)
+                .map(|n| sim.network().bytes_sent(NodeId(n)))
+                .sum(),
+            full_nodes: self.full_nodes(),
+            peak_actor_bytes: peak,
+            bytes_per_node: peak / self.node_count() as u64,
+        }
+    }
+
+    fn headline(&self, result: &MegaScaleResult, report: &mut RunReport) {
+        report.set_meta("n_c", self.n_c);
+        report.set_meta("zones", self.zones);
+        report.set_meta("zone_size", self.zone_size);
+        report.set_meta("full_nodes", result.full_nodes);
+        report.set_meta("users", self.users_per_zone * self.zones as u64);
+        report.set_meta("seed", self.seed);
+        if result.throughput_tps.is_finite() {
+            report.set_metric("throughput_tps", result.throughput_tps);
+        }
+        report.set_metric(
+            "consensus_upload_bytes",
+            result.consensus_upload_bytes as f64,
+        );
     }
 }

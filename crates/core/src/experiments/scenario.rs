@@ -1,9 +1,11 @@
 //! The scenario plane: a config-driven fault & adversary DSL.
 //!
-//! A [`ScenarioSetup`] is plain data — a world to build, a list of
-//! [`Injection`]s to compile onto it, and a list of [`Check`]s to assert
-//! after the run. Nothing in a scenario is hand-wired code: the `scenarios`
-//! bench suite and the `fig_scenarios` binary drive every scenario from the
+//! A [`ScenarioSetup`] is plain data — a [`World`] to build, a list of
+//! [`Injection`]s to apply to the built world before it starts, and a list
+//! of [`Check`]s to assert after the run. A plain suite point is the same
+//! thing with no injections and no checks ([`ScenarioSetup::plain`]), so
+//! every run in the repo goes through [`ScenarioSetup::run_report`].
+//! Nothing in a scenario is hand-wired code: the `scenarios` bench suite and the `fig_scenarios` binary drive every scenario from the
 //! same serialized structs (see [`ScenarioSetup::to_json`] /
 //! [`ScenarioSetup::from_json`]), so adding a scenario is adding data, not
 //! adding a runner.
@@ -31,37 +33,22 @@
 //! Checks are evaluated on the run's deterministic metrics, so a check that
 //! passes once passes at every thread count or it is an engine bug.
 
-use predis_multizone::{MultiZoneNode, NetMsg, StripeFault, SyntheticLoad, ZoneConfig, ZoneSource};
+use predis_multizone::{MultiZoneNode, NetMsg, PropagationSetup, StripeFault, Topology};
 use predis_sim::prelude::*;
 use predis_sim::{FaultPlan, Metrics};
 use predis_telemetry::{Json, RunReport};
-use predis_types::payload_stats;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::megascale::MegaScaleSetup;
-use crate::experiments::throughput::ThroughputSetup;
+use crate::experiments::throughput::{NetEnv, Protocol, ThroughputSetup};
+use crate::experiments::world::{Setup, World};
 
-/// The world a scenario runs in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum World {
-    /// A consensus committee with open-loop clients
-    /// ([`ThroughputSetup`]): node ids `0..n_c` are replicas, clients
-    /// follow.
-    Consensus(ThroughputSetup),
-    /// A Multi-Zone dissemination network with announcements *on*
-    /// ([`ZoneWorld`]): node ids `0..n_c` are stripe sources, full nodes
-    /// follow in zone round-robin order.
-    Zone(ZoneWorld),
-    /// The mega-scale Fig. 9 world ([`MegaScaleSetup`]).
-    MegaScale(MegaScaleSetup),
-}
-
-/// A self-contained Multi-Zone world for dissemination scenarios.
-///
-/// Unlike the Fig. 8 propagation experiment this world always announces
-/// blocks (`ZoneSource` carries a [`SyntheticLoad`]), so full nodes can
-/// detect overdue blocks and re-fetch — the recovery paths the Byzantine
-/// and churn scenarios exercise.
+/// The scenario file's shape of a Multi-Zone dissemination world: a LAN
+/// [`PropagationSetup`] with scattered zones under
+/// [`Topology::MultiZone`], which is what [`ZoneWorld::world`] compiles it
+/// to. Sources announce every block, so full nodes can detect overdue
+/// blocks and re-fetch — the recovery paths the Byzantine and churn
+/// scenarios exercise.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ZoneWorld {
     /// Consensus committee size (= stripe sources).
@@ -97,6 +84,27 @@ impl Default for ZoneWorld {
             max_children: 24,
             seed: 13,
         }
+    }
+}
+
+impl ZoneWorld {
+    /// The [`World::Net`] this shape describes.
+    pub fn world(&self) -> World {
+        World::Net(
+            PropagationSetup {
+                n_c: self.n_c,
+                full_nodes: self.full_nodes,
+                block_bytes: self.block_bytes,
+                interval: SimDuration::from_millis(self.interval_ms),
+                blocks: self.blocks,
+                mbps: self.mbps,
+                latency: LatencyModel::lan(),
+                max_children: self.max_children,
+                locality_zones: false,
+                seed: self.seed,
+            },
+            Topology::MultiZone { zones: self.zones },
+        )
     }
 }
 
@@ -148,7 +156,9 @@ pub enum Injection {
         /// Jitter bound, ms.
         max_ms: u64,
     },
-    /// Throttle one node's uplink to `mbps` (slow leader / straggler).
+    /// Throttle one node's uplink to `mbps` (slow leader / straggler). In
+    /// a [`World::Consensus`] the node must be a replica, whose bundle
+    /// production is paced by the same uplink.
     Straggler {
         /// The throttled node.
         node: u32,
@@ -156,7 +166,8 @@ pub enum Injection {
         mbps: u64,
     },
     /// The first `count` full nodes become Byzantine relayers with the
-    /// given stripe fault (withhold or corrupt). Zone world only.
+    /// given stripe fault (withhold or corrupt). Multi-Zone [`World::Net`]
+    /// only.
     ByzantineRelayers {
         /// How many full nodes turn Byzantine.
         count: u32,
@@ -164,13 +175,13 @@ pub enum Injection {
         fault: StripeFault,
     },
     /// Committee members `producers` run the §III-E forking attacker
-    /// (two conflicting bundles per height). Consensus world only.
+    /// (two conflicting bundles per height). [`World::Consensus`] only.
     EquivocationStorm {
         /// Equivocating committee indices.
         producers: Vec<u32>,
     },
     /// The per-zone client swarms ramp to `peak_mult` times their base
-    /// rate starting at `at_secs`. MegaScale world only.
+    /// rate starting at `at_secs`. [`World::MegaScale`] only.
     FlashCrowd {
         /// Ramp start, simulated seconds.
         at_secs: u64,
@@ -231,7 +242,8 @@ pub enum Check {
 /// checks that must hold afterwards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSetup {
-    /// Short scenario name, used in check-failure panics and report meta.
+    /// Short scenario name, used in check-failure panics and report meta
+    /// (empty for a plain world, which stamps no `scenario.*` keys).
     pub name: String,
     /// The world to build.
     pub world: World,
@@ -242,279 +254,209 @@ pub struct ScenarioSetup {
 }
 
 impl ScenarioSetup {
-    /// Builds the world, compiles and applies every injection, runs to the
-    /// world's horizon, evaluates every check, and snapshots a
-    /// [`RunReport`] named `run_name`.
+    /// `world` as it is: no name, no injections, no checks — what a plain
+    /// suite point runs.
+    pub fn plain(world: World) -> ScenarioSetup {
+        ScenarioSetup {
+            name: String::new(),
+            world,
+            injections: Vec::new(),
+            checks: Vec::new(),
+        }
+    }
+
+    /// Checks the world's parameters, that the world supports every
+    /// injection, and that a straggler is a node the world has.
+    /// [`ScenarioSetup::from_json`] calls this, so a parsed scenario cannot
+    /// fail while it is being wired.
+    pub fn validate(&self) -> Result<(), String> {
+        let at = |what: String| format!("scenario `{}`: {what}", self.name);
+        self.world
+            .validate()
+            .map_err(|e| at(format!("world: {e}")))?;
+        for (i, inj) in self.injections.iter().enumerate() {
+            let supported = match inj {
+                Injection::EquivocationStorm { .. } => matches!(self.world, World::Consensus(_)),
+                Injection::FlashCrowd { .. } => matches!(self.world, World::MegaScale(_)),
+                Injection::ByzantineRelayers { .. } => {
+                    matches!(self.world, World::Net(_, Topology::MultiZone { .. }))
+                }
+                _ => true,
+            };
+            if !supported {
+                return Err(at(format!(
+                    "injections[{i}]: {inj:?} is not supported by this world"
+                )));
+            }
+            if let Injection::Straggler { node, mbps } = inj {
+                // A consensus straggler is a replica: its production pacing
+                // follows its uplink (see `lowered_world`).
+                let nodes = match &self.world {
+                    World::Consensus(s) => s.n_c,
+                    other => other.node_count(),
+                };
+                if *node as usize >= nodes {
+                    return Err(at(format!(
+                        "injections[{i}].node: {node} is outside the {nodes} nodes"
+                    )));
+                }
+                if *mbps == 0 {
+                    return Err(at(format!("injections[{i}].mbps: must be positive")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds the world, applies every injection, runs to the world's
+    /// horizon, evaluates every check, and snapshots a [`RunReport`] named
+    /// `run_name`. The `scenario` meta and `scenario.checks_passed` metric
+    /// are stamped when the scenario has a name.
     ///
     /// # Panics
     ///
-    /// Panics if an injection is not supported by the world (see each
-    /// [`Injection`] variant) or if any [`Check`] fails.
+    /// Panics if any [`Check`] fails, or on a hand-built scenario that
+    /// [`ScenarioSetup::validate`] would have rejected.
     pub fn run_report(&self, run_name: &str) -> RunReport {
-        let mut report = match &self.world {
-            World::Consensus(setup) => self.run_consensus(setup.clone(), run_name),
-            World::Zone(world) => self.run_zone(world, run_name),
-            World::MegaScale(setup) => self.run_megascale(setup.clone(), run_name),
+        let mut report = match &self.lowered_world() {
+            World::Consensus(s) => self.drive(s, run_name),
+            World::Flow(s) => self.drive(s, run_name),
+            World::Net(s, topology) => self.drive(&(s, topology), run_name),
+            World::MegaScale(s) => self.drive(s, run_name),
         };
-        report.meta.insert("scenario".into(), self.name.clone());
-        report.set_metric("scenario.checks_passed", self.checks.len() as f64);
+        if !self.name.is_empty() {
+            report.set_meta("scenario", &self.name);
+            report.set_metric("scenario.checks_passed", self.checks.len() as f64);
+        }
         report
     }
 
-    fn unsupported(&self, inj: &Injection) -> ! {
-        panic!(
-            "scenario `{}`: injection {inj:?} is not supported by this world",
-            self.name
-        );
+    /// The one build → inject → run → report → check path.
+    fn drive<S: Setup>(&self, setup: &S, run_name: &str) -> RunReport {
+        let mut sim = setup.build();
+        self.inject(&mut sim);
+        sim.run_named(run_name, setup.horizon());
+        let report = setup.report(&setup.result(&sim), &sim, run_name);
+        self.eval_checks(sim.metrics(), &report, setup.horizon(), run_name);
+        report
     }
 
-    /// Crash/link injections shared by the Consensus and Zone worlds.
-    fn fault_plan_of(&self, inj: &Injection, plan: &mut FaultPlan) -> bool {
-        match inj {
-            Injection::Outage {
-                nodes,
-                from_ms,
-                until_ms,
-            } => {
-                for &n in nodes {
-                    plan.crash_for(
-                        NodeId(n),
+    /// The world with the injections its setup has a field for folded in:
+    /// a consensus straggler also paces its bundle production by its uplink
+    /// (Eq. 1's `x_i`), equivocators are replicas of another kind, and the
+    /// flash crowd is the swarms' own ramp.
+    fn lowered_world(&self) -> World {
+        let mut world = self.world.clone();
+        for inj in &self.injections {
+            match (&mut world, inj) {
+                (World::Consensus(s), Injection::Straggler { node, mbps }) => {
+                    if s.per_node_mbps.is_empty() {
+                        s.per_node_mbps = vec![s.mbps; s.n_c];
+                    }
+                    s.per_node_mbps[*node as usize] = *mbps;
+                }
+                (World::Consensus(s), Injection::EquivocationStorm { producers }) => {
+                    s.faults
+                        .equivocators
+                        .extend(producers.iter().map(|&p| p as usize));
+                }
+                (
+                    World::MegaScale(s),
+                    Injection::FlashCrowd {
+                        at_secs,
+                        ramp_secs,
+                        peak_mult,
+                    },
+                ) => {
+                    s.crowd_at_secs = *at_secs;
+                    s.crowd_ramp_secs = *ramp_secs;
+                    s.crowd_peak_mult = *peak_mult;
+                }
+                _ => {}
+            }
+        }
+        world
+    }
+
+    /// Applies the engine-level injections to the built world: crash and
+    /// link windows as a [`FaultPlan`], jitter and straggler uplinks on the
+    /// network, Byzantine relayers on the first `count` full nodes
+    /// (round-robin membership spreads them across zones).
+    fn inject<M: Payload>(&self, sim: &mut Sim<M>) {
+        let mut plan = FaultPlan::none();
+        for inj in &self.injections {
+            match inj {
+                Injection::Outage {
+                    nodes,
+                    from_ms,
+                    until_ms,
+                } => {
+                    for &n in nodes {
+                        plan.crash_for(
+                            NodeId(n),
+                            SimTime::from_millis(*from_ms),
+                            SimTime::from_millis(*until_ms),
+                        );
+                    }
+                }
+                Injection::ChurnStorm {
+                    nodes,
+                    first_ms,
+                    down_ms,
+                    up_ms,
+                    cycles,
+                } => {
+                    for &n in nodes {
+                        for k in 0..*cycles as u64 {
+                            let at = first_ms + k * (down_ms + up_ms);
+                            plan.crash_for(
+                                NodeId(n),
+                                SimTime::from_millis(at),
+                                SimTime::from_millis(at + down_ms),
+                            );
+                        }
+                    }
+                }
+                Injection::Partition {
+                    a,
+                    b,
+                    from_ms,
+                    until_ms,
+                } => {
+                    let a: Vec<NodeId> = a.iter().map(|&n| NodeId(n)).collect();
+                    let b: Vec<NodeId> = b.iter().map(|&n| NodeId(n)).collect();
+                    plan.partition(
+                        &a,
+                        &b,
                         SimTime::from_millis(*from_ms),
                         SimTime::from_millis(*until_ms),
                     );
                 }
-                true
-            }
-            Injection::ChurnStorm {
-                nodes,
-                first_ms,
-                down_ms,
-                up_ms,
-                cycles,
-            } => {
-                for &n in nodes {
-                    for k in 0..*cycles as u64 {
-                        let at = first_ms + k * (down_ms + up_ms);
-                        plan.crash_for(
-                            NodeId(n),
-                            SimTime::from_millis(at),
-                            SimTime::from_millis(at + down_ms),
-                        );
-                    }
-                }
-                true
-            }
-            Injection::Partition {
-                a,
-                b,
-                from_ms,
-                until_ms,
-            } => {
-                let a: Vec<NodeId> = a.iter().map(|&n| NodeId(n)).collect();
-                let b: Vec<NodeId> = b.iter().map(|&n| NodeId(n)).collect();
-                plan.partition(
-                    &a,
-                    &b,
-                    SimTime::from_millis(*from_ms),
-                    SimTime::from_millis(*until_ms),
-                );
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn run_consensus(&self, mut setup: ThroughputSetup, run_name: &str) -> RunReport {
-        let mut plan = FaultPlan::none();
-        for inj in &self.injections {
-            if self.fault_plan_of(inj, &mut plan) {
-                continue;
-            }
-            match inj {
-                Injection::Jitter { max_ms } => setup.jitter_ms = *max_ms,
+                Injection::Jitter { max_ms } => sim
+                    .network_mut()
+                    .set_jitter(SimDuration::from_millis(*max_ms)),
                 Injection::Straggler { node, mbps } => {
-                    if setup.per_node_mbps.is_empty() {
-                        setup.per_node_mbps = vec![setup.mbps; setup.n_c];
+                    sim.network_mut().set_upload_mbps(NodeId(*node), *mbps)
+                }
+                Injection::ByzantineRelayers { count, fault } => {
+                    let mut left = *count;
+                    for id in 0..sim.node_count() as u32 {
+                        if left == 0 {
+                            break;
+                        }
+                        if let Some(full) =
+                            sim.actor_as_mut::<ActorOf<MultiZoneNode, NetMsg>>(NodeId(id))
+                        {
+                            full.core_mut().set_stripe_fault(*fault);
+                            left -= 1;
+                        }
                     }
-                    setup.per_node_mbps[*node as usize] = *mbps;
                 }
-                Injection::EquivocationStorm { producers } => {
-                    setup
-                        .faults
-                        .equivocators
-                        .extend(producers.iter().map(|&p| p as usize));
-                }
-                other => self.unsupported(other),
+                // Folded into the setup by `lowered_world`.
+                Injection::EquivocationStorm { .. } | Injection::FlashCrowd { .. } => {}
             }
-        }
-        let mut sim = setup.build_sim_named(run_name);
-        sim.set_faults(plan);
-        let horizon = SimTime::from_secs(setup.duration_secs);
-        sim.run_until(horizon);
-        sim.finish_observability();
-        let report = setup.report(&sim, run_name);
-        self.eval_checks(sim.metrics(), &report, horizon, run_name);
-        report
-    }
-
-    fn run_megascale(&self, mut setup: MegaScaleSetup, run_name: &str) -> RunReport {
-        for inj in &self.injections {
-            match inj {
-                Injection::FlashCrowd {
-                    at_secs,
-                    ramp_secs,
-                    peak_mult,
-                } => {
-                    setup.crowd_at_secs = *at_secs;
-                    setup.crowd_ramp_secs = *ramp_secs;
-                    setup.crowd_peak_mult = *peak_mult;
-                }
-                other => self.unsupported(other),
-            }
-        }
-        let (result, sim) = setup.run_with_sim_named(run_name);
-        let report = setup.report(&result, &sim, run_name);
-        let horizon = SimTime::from_secs(setup.duration_secs);
-        self.eval_checks(sim.metrics(), &report, horizon, run_name);
-        report
-    }
-
-    fn run_zone(&self, world: &ZoneWorld, run_name: &str) -> RunReport {
-        let mut plan = FaultPlan::none();
-        let mut jitter_ms = 0u64;
-        let mut byz: Option<(u32, StripeFault)> = None;
-        let mut slow: Vec<(u32, u64)> = Vec::new();
-        for inj in &self.injections {
-            if self.fault_plan_of(inj, &mut plan) {
-                continue;
-            }
-            match inj {
-                Injection::Jitter { max_ms } => jitter_ms = *max_ms,
-                Injection::Straggler { node, mbps } => slow.push((*node, *mbps)),
-                Injection::ByzantineRelayers { count, fault } => byz = Some((*count, *fault)),
-                other => self.unsupported(other),
-            }
-        }
-
-        payload_stats::reset();
-        let network = Network::new(LatencyModel::lan(), SimDuration::from_millis(jitter_ms));
-        let mut sim: Sim<NetMsg> = Sim::new(world.seed, network);
-        let link = LinkConfig::paper_default().with_mbps(world.mbps);
-        let interval = SimDuration::from_millis(world.interval_ms);
-        let bundles = (world.block_bytes / 25_600).clamp(1, 160) as u32;
-        let mut load = SyntheticLoad::for_block_size(world.block_bytes, bundles, interval);
-        load.blocks = world.blocks;
-        let warmup = load.start_at;
-        let cons: Vec<NodeId> = (0..world.n_c as u32).map(NodeId).collect();
-        let fulls: Vec<NodeId> = (world.n_c as u32..(world.n_c + world.full_nodes) as u32)
-            .map(NodeId)
-            .collect();
-        let zcfg = ZoneConfig {
-            n_c: world.n_c,
-            f: (world.n_c - 1) / 3,
-            max_children: world.max_children,
-            alive_interval: SimDuration::from_millis(250),
-            digest_interval: SimDuration::from_secs(1),
-            consensus: cons.clone(),
-            retire_unannounced: false,
-        };
-        let node_link = |id: u32| {
-            let mbps = slow
-                .iter()
-                .find(|&&(n, _)| n == id)
-                .map(|&(_, m)| m)
-                .unwrap_or(world.mbps);
-            link.with_mbps(mbps)
-        };
-        for i in 0..world.n_c {
-            sim.add_node(
-                node_link(i as u32),
-                Box::new(ActorOf::<_, NetMsg>::new(ZoneSource::new(
-                    i as u32,
-                    zcfg.clone(),
-                    Some(load.clone()),
-                ))),
-                SimTime::ZERO,
-            );
-        }
-        // Zone membership: round-robin, joins staggered so subscription
-        // trees build deterministically. The first `count` full nodes turn
-        // Byzantine; round-robin membership spreads them across zones.
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); world.zones];
-        for (j, &fnode) in fulls.iter().enumerate() {
-            members[j % world.zones].push(fnode);
-        }
-        for (j, &fnode) in fulls.iter().enumerate() {
-            let zone = j % world.zones;
-            let mates: Vec<NodeId> = members[zone]
-                .iter()
-                .copied()
-                .filter(|n| *n != fnode)
-                .collect();
-            let backups: Vec<NodeId> = members[(zone + 1) % world.zones]
-                .iter()
-                .copied()
-                .take(2)
-                .collect();
-            let mut node = MultiZoneNode::new(zcfg.clone(), j as u64, mates).with_backups(backups);
-            if let Some((count, fault)) = byz {
-                if (j as u32) < count {
-                    node = node.with_stripe_fault(fault);
-                }
-            }
-            sim.add_node(
-                node_link(fnode.0),
-                Box::new(ActorOf::<_, NetMsg>::new(node)),
-                SimTime::from_millis(10 * j as u64),
-            );
-        }
-        let mut affinity: Vec<Vec<NodeId>> = vec![cons];
-        affinity.extend(members.into_iter().filter(|m| !m.is_empty()));
-        sim.set_partition_hint(affinity);
-
-        let horizon =
-            SimTime::ZERO + warmup + interval * (world.blocks + 3) + SimDuration::from_secs(30);
-        if !run_name.is_empty() {
-            sim.apply_observability_env(run_name);
         }
         sim.set_faults(plan);
-        sim.run_until(horizon);
-        sim.finish_observability();
-
-        // Per-block full-coverage propagation, as in the Fig. 8 runner.
-        let tick = interval / load.bundles_per_block as u64;
-        let mut complete = 0u64;
-        let mut to_100_sum = 0f64;
-        for block in 0..world.blocks {
-            let origin = SimTime::ZERO + warmup + interval * (block + 1) - tick;
-            if let Some(d) =
-                sim.metrics()
-                    .propagation_to_fraction(block, origin, world.full_nodes, 1.0)
-            {
-                complete += 1;
-                to_100_sum += d.as_millis_f64();
-            }
-        }
-        let mut report = sim.metrics().run_report(run_name);
-        report.meta.insert("n_c".into(), world.n_c.to_string());
-        report.meta.insert("zones".into(), world.zones.to_string());
-        report
-            .meta
-            .insert("full_nodes".into(), world.full_nodes.to_string());
-        report.meta.insert("seed".into(), world.seed.to_string());
-        report.set_metric("complete_blocks", complete as f64);
-        report.set_metric("produced_blocks", world.blocks as f64);
-        if complete > 0 {
-            report.set_metric("to_100_ms", to_100_sum / complete as f64);
-        }
-        let stats = payload_stats::snapshot();
-        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
-        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
-        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
-        report.set_metric("engine.events_processed", sim.events_processed() as f64);
-        sim.stamp_observability(&mut report);
-        self.eval_checks(sim.metrics(), &report, horizon, run_name);
-        report
     }
 
     fn eval_checks(&self, metrics: &Metrics, report: &RunReport, horizon: SimTime, run_name: &str) {
@@ -577,437 +519,290 @@ impl ScenarioSetup {
 }
 
 // ---------------------------------------------------------------------------
-// JSON round trip. serde in this tree is derive-only (no live serializer),
-// so the DSL carries its own explicit, schema-stable encoding on top of
-// `predis_telemetry::Json` — which is also what makes scenarios loadable
-// from config files.
+// The scenario file format. serde in this tree is derive-only (no live
+// serializer), so the DSL carries its own schema-stable encoding on top of
+// `predis_telemetry::Json`. Every record lists its fields once, below; the
+// encoder and the decoder are both generated from that list, so the two
+// cannot drift.
 // ---------------------------------------------------------------------------
 
-fn ids(v: &[u32]) -> Json {
-    Json::Arr(v.iter().map(|&n| Json::U64(n as u64)).collect())
+/// A value with a shape in the scenario file.
+trait Shape: Sized {
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Result<Self, String>;
 }
 
-fn ids_back(v: &Json, key: &str) -> Result<Vec<u32>, String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .map(|a| {
-            a.iter()
-                .filter_map(Json::as_u64)
-                .map(|n| n as u32)
-                .collect()
-        })
-        .ok_or_else(|| format!("injection missing `{key}` id array"))
+/// Member `key` of object `o`, decoded.
+fn member<T: Shape>(o: &Json, key: &str) -> Result<T, String> {
+    let v = o.get(key).ok_or_else(|| format!("missing `{key}`"))?;
+    T::from_json(v).map_err(|e| format!("`{key}`: {e}"))
 }
 
-fn obj1(kind: &str, body: Vec<(String, Json)>) -> Json {
-    Json::Obj(vec![(kind.to_string(), Json::Obj(body))])
+fn obj1(tag: &str, body: Json) -> Json {
+    Json::Obj(vec![(tag.to_string(), body)])
 }
 
-fn u64_of(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing `{key}`"))
+macro_rules! int_shapes {
+    ($($ty:ty),+) => {$(
+        impl Shape for $ty {
+            fn to_json(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| format!("not a {}", stringify!($ty)))
+            }
+        }
+    )+};
+}
+int_shapes!(u64, u32, usize);
+
+impl Shape for f64 {
+    fn to_json(&self) -> Json {
+        Json::F64(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "not a number".to_string())
+    }
 }
 
-fn f64_of(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing `{key}`"))
+impl Shape for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("not a bool".into()),
+        }
+    }
 }
 
-fn str_of<'j>(v: &'j Json, key: &str) -> Result<&'j str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing `{key}`"))
+impl Shape for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(String::from)
+            .ok_or_else(|| "not a string".to_string())
+    }
+}
+
+impl<T: Shape> Shape for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        (items.iter().enumerate())
+            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// A field-less enum as one of the listed strings.
+macro_rules! named {
+    ($ty:ident { $($variant:ident => $name:literal),+ }) => {
+        impl Shape for $ty {
+            fn to_json(&self) -> Json {
+                Json::Str(match self { $($ty::$variant => $name),+ }.into())
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                match v.as_str() {
+                    $(Some($name) => Ok($ty::$variant),)+
+                    _ => Err(format!("unknown {} {v:?}", stringify!($ty))),
+                }
+            }
+        }
+    };
+}
+
+/// A struct as an object of the listed fields, keyed by field name; fields
+/// the file does not carry take their `Default`.
+macro_rules! record {
+    ($ty:ident { $($field:ident),+ }) => {
+        impl Shape for $ty {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![$((stringify!($field).into(), self.$field.to_json())),+])
+            }
+            #[allow(clippy::needless_update)]
+            fn from_json(v: &Json) -> Result<Self, String> {
+                Ok($ty {
+                    $($field: member(v, stringify!($field))?,)+
+                    ..Default::default()
+                })
+            }
+        }
+    };
+}
+
+/// An enum as `{ "<tag>": { <fields> } }`, one tag per variant.
+macro_rules! tagged {
+    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)? }) => {
+        impl Shape for $ty {
+            fn to_json(&self) -> Json {
+                match self {
+                    $($ty::$variant { $($field),* } => obj1(
+                        $tag,
+                        Json::Obj(vec![$((stringify!($field).into(), $field.to_json())),*]),
+                    ),)+
+                }
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                $(if let Some(_body) = v.get($tag) {
+                    return Ok($ty::$variant { $($field: member(_body, stringify!($field))?),* });
+                })+
+                Err(format!("unknown {} {v:?}", stringify!($ty)))
+            }
+        }
+    };
+}
+
+named!(StripeFault { Withhold => "withhold", Corrupt => "corrupt" });
+named!(NetEnv { Lan => "lan", Wan => "wan" });
+named!(Protocol {
+    Pbft => "PBFT",
+    PPbft => "P-PBFT",
+    HotStuff => "HotStuff",
+    PHs => "P-HS",
+    Narwhal => "Narwhal",
+    Stratus => "Stratus"
+});
+
+record!(ThroughputSetup {
+    protocol,
+    n_c,
+    clients,
+    offered_tps,
+    tx_size,
+    bundle_size,
+    batch_size,
+    env,
+    jitter_ms,
+    mbps,
+    duration_secs,
+    warmup_secs,
+    seed,
+    pipeline
+});
+record!(ZoneWorld {
+    n_c,
+    zones,
+    full_nodes,
+    block_bytes,
+    blocks,
+    interval_ms,
+    mbps,
+    max_children,
+    seed
+});
+record!(MegaScaleSetup {
+    n_c,
+    zones,
+    zone_size,
+    users_per_zone,
+    per_user_tps,
+    poisson,
+    tx_size,
+    bundle_txs,
+    mbps,
+    duration_secs,
+    warmup_secs,
+    seed
+});
+
+tagged!(Injection {
+    "outage" => Outage { nodes, from_ms, until_ms },
+    "churn_storm" => ChurnStorm { nodes, first_ms, down_ms, up_ms, cycles },
+    "partition" => Partition { a, b, from_ms, until_ms },
+    "jitter" => Jitter { max_ms },
+    "straggler" => Straggler { node, mbps },
+    "byzantine_relayers" => ByzantineRelayers { count, fault },
+    "equivocation_storm" => EquivocationStorm { producers },
+    "flash_crowd" => FlashCrowd { at_secs, ramp_secs, peak_mult },
+});
+
+tagged!(Check {
+    "min_throughput_tps" => MinThroughputTps { tps },
+    "throughput_resumes_after" => ThroughputResumesAfter { after_ms, min_tps },
+    "min_committed_txs" => MinCommittedTxs { txs },
+    "min_complete_blocks" => MinCompleteBlocks { blocks },
+    "counter_at_least" => CounterAtLeast { counter, min },
+    "counter_zero" => CounterZero { counter },
+    "ban_list_engaged" => BanListEngaged {},
+});
+
+impl Shape for World {
+    /// Panics on a world the file format has no shape for.
+    fn to_json(&self) -> Json {
+        match self {
+            World::Consensus(s) => obj1("consensus", s.to_json()),
+            World::Net(p, Topology::MultiZone { zones }) => {
+                let shape = ZoneWorld {
+                    n_c: p.n_c,
+                    zones: *zones,
+                    full_nodes: p.full_nodes,
+                    block_bytes: p.block_bytes,
+                    blocks: p.blocks,
+                    interval_ms: p.interval.as_millis(),
+                    mbps: p.mbps,
+                    max_children: p.max_children,
+                    seed: p.seed,
+                };
+                obj1("zone", shape.to_json())
+            }
+            World::MegaScale(s) => obj1("megascale", s.to_json()),
+            other => panic!("{other:?} has no scenario-file shape"),
+        }
+    }
+
+    fn from_json(v: &Json) -> Result<Self, String> {
+        if let Some(s) = v.get("consensus") {
+            return Ok(World::Consensus(Shape::from_json(s)?));
+        }
+        if let Some(w) = v.get("zone") {
+            return Ok(ZoneWorld::from_json(w)?.world());
+        }
+        if let Some(s) = v.get("megascale") {
+            return Ok(World::MegaScale(Shape::from_json(s)?));
+        }
+        Err("world must be one of `consensus`, `zone`, `megascale`".into())
+    }
 }
 
 impl ScenarioSetup {
     /// Serializes the scenario to deterministic pretty-printed JSON.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a world the file format has no shape for: it encodes
+    /// `consensus`, `zone` ([`ZoneWorld`]) and `megascale` worlds.
     pub fn to_json(&self) -> String {
         Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("world".into(), world_json(&self.world)),
-            (
-                "injections".into(),
-                Json::Arr(self.injections.iter().map(injection_json).collect()),
-            ),
-            (
-                "checks".into(),
-                Json::Arr(self.checks.iter().map(check_json).collect()),
-            ),
+            ("name".into(), self.name.to_json()),
+            ("world".into(), self.world.to_json()),
+            ("injections".into(), self.injections.to_json()),
+            ("checks".into(), self.checks.to_json()),
         ])
         .to_pretty_string()
     }
 
     /// Parses a scenario written by [`ScenarioSetup::to_json`] (or by
-    /// hand — the encoding is the DSL's config-file format).
+    /// hand — the encoding is the DSL's config-file format) and
+    /// [`ScenarioSetup::validate`]s it.
     pub fn from_json(text: &str) -> Result<ScenarioSetup, String> {
         let v = Json::parse(text)?;
-        let world = v.get("world").ok_or("scenario missing `world`")?;
-        let injections = v
-            .get("injections")
-            .and_then(Json::as_arr)
-            .ok_or("scenario missing `injections` array")?;
-        let checks = v
-            .get("checks")
-            .and_then(Json::as_arr)
-            .ok_or("scenario missing `checks` array")?;
-        Ok(ScenarioSetup {
-            name: str_of(&v, "name")?.to_string(),
-            world: world_back(world)?,
-            injections: injections
-                .iter()
-                .map(injection_back)
-                .collect::<Result<_, _>>()?,
-            checks: checks.iter().map(check_back).collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-fn world_json(world: &World) -> Json {
-    match world {
-        World::Consensus(s) => obj1(
-            "consensus",
-            vec![
-                ("protocol".into(), Json::Str(s.protocol.name().into())),
-                ("n_c".into(), Json::U64(s.n_c as u64)),
-                ("clients".into(), Json::U64(s.clients as u64)),
-                ("offered_tps".into(), Json::F64(s.offered_tps)),
-                ("tx_size".into(), Json::U64(s.tx_size as u64)),
-                ("bundle_size".into(), Json::U64(s.bundle_size as u64)),
-                ("batch_size".into(), Json::U64(s.batch_size as u64)),
-                (
-                    "env".into(),
-                    Json::Str(format!("{:?}", s.env).to_lowercase()),
-                ),
-                ("jitter_ms".into(), Json::U64(s.jitter_ms)),
-                ("mbps".into(), Json::U64(s.mbps)),
-                ("duration_secs".into(), Json::U64(s.duration_secs)),
-                ("warmup_secs".into(), Json::U64(s.warmup_secs)),
-                ("seed".into(), Json::U64(s.seed)),
-                ("pipeline".into(), Json::U64(s.pipeline as u64)),
-            ],
-        ),
-        World::Zone(w) => obj1(
-            "zone",
-            vec![
-                ("n_c".into(), Json::U64(w.n_c as u64)),
-                ("zones".into(), Json::U64(w.zones as u64)),
-                ("full_nodes".into(), Json::U64(w.full_nodes as u64)),
-                ("block_bytes".into(), Json::U64(w.block_bytes)),
-                ("blocks".into(), Json::U64(w.blocks)),
-                ("interval_ms".into(), Json::U64(w.interval_ms)),
-                ("mbps".into(), Json::U64(w.mbps)),
-                ("max_children".into(), Json::U64(w.max_children as u64)),
-                ("seed".into(), Json::U64(w.seed)),
-            ],
-        ),
-        World::MegaScale(s) => obj1(
-            "megascale",
-            vec![
-                ("n_c".into(), Json::U64(s.n_c as u64)),
-                ("zones".into(), Json::U64(s.zones as u64)),
-                ("zone_size".into(), Json::U64(s.zone_size as u64)),
-                ("users_per_zone".into(), Json::U64(s.users_per_zone)),
-                ("per_user_tps".into(), Json::F64(s.per_user_tps)),
-                ("poisson".into(), Json::Bool(s.poisson)),
-                ("tx_size".into(), Json::U64(s.tx_size as u64)),
-                ("bundle_txs".into(), Json::U64(s.bundle_txs as u64)),
-                ("mbps".into(), Json::U64(s.mbps)),
-                ("duration_secs".into(), Json::U64(s.duration_secs)),
-                ("warmup_secs".into(), Json::U64(s.warmup_secs)),
-                ("seed".into(), Json::U64(s.seed)),
-            ],
-        ),
-    }
-}
-
-fn world_back(v: &Json) -> Result<World, String> {
-    if let Some(s) = v.get("consensus") {
-        use crate::experiments::throughput::{NetEnv, Protocol};
-        let protocol = match str_of(s, "protocol")? {
-            "PBFT" => Protocol::Pbft,
-            "P-PBFT" => Protocol::PPbft,
-            "HotStuff" => Protocol::HotStuff,
-            "P-HS" => Protocol::PHs,
-            "Narwhal" => Protocol::Narwhal,
-            "Stratus" => Protocol::Stratus,
-            other => return Err(format!("unknown protocol `{other}`")),
+        let scenario = ScenarioSetup {
+            name: member(&v, "name")?,
+            world: member(&v, "world")?,
+            injections: member(&v, "injections")?,
+            checks: member(&v, "checks")?,
         };
-        let env = match str_of(s, "env")? {
-            "lan" => NetEnv::Lan,
-            "wan" => NetEnv::Wan,
-            other => return Err(format!("unknown env `{other}`")),
-        };
-        return Ok(World::Consensus(ThroughputSetup {
-            protocol,
-            n_c: u64_of(s, "n_c")? as usize,
-            clients: u64_of(s, "clients")? as usize,
-            offered_tps: f64_of(s, "offered_tps")?,
-            tx_size: u64_of(s, "tx_size")? as usize,
-            bundle_size: u64_of(s, "bundle_size")? as usize,
-            batch_size: u64_of(s, "batch_size")? as usize,
-            env,
-            jitter_ms: u64_of(s, "jitter_ms")?,
-            mbps: u64_of(s, "mbps")?,
-            duration_secs: u64_of(s, "duration_secs")?,
-            warmup_secs: u64_of(s, "warmup_secs")?,
-            seed: u64_of(s, "seed")?,
-            pipeline: u64_of(s, "pipeline")? as usize,
-            ..Default::default()
-        }));
+        scenario.validate()?;
+        Ok(scenario)
     }
-    if let Some(w) = v.get("zone") {
-        return Ok(World::Zone(ZoneWorld {
-            n_c: u64_of(w, "n_c")? as usize,
-            zones: u64_of(w, "zones")? as usize,
-            full_nodes: u64_of(w, "full_nodes")? as usize,
-            block_bytes: u64_of(w, "block_bytes")?,
-            blocks: u64_of(w, "blocks")?,
-            interval_ms: u64_of(w, "interval_ms")?,
-            mbps: u64_of(w, "mbps")?,
-            max_children: u64_of(w, "max_children")? as usize,
-            seed: u64_of(w, "seed")?,
-        }));
-    }
-    if let Some(s) = v.get("megascale") {
-        let poisson = matches!(s.get("poisson"), Some(Json::Bool(true)));
-        return Ok(World::MegaScale(MegaScaleSetup {
-            n_c: u64_of(s, "n_c")? as usize,
-            zones: u64_of(s, "zones")? as usize,
-            zone_size: u64_of(s, "zone_size")? as usize,
-            users_per_zone: u64_of(s, "users_per_zone")?,
-            per_user_tps: f64_of(s, "per_user_tps")?,
-            poisson,
-            tx_size: u64_of(s, "tx_size")? as usize,
-            bundle_txs: u64_of(s, "bundle_txs")? as usize,
-            mbps: u64_of(s, "mbps")?,
-            duration_secs: u64_of(s, "duration_secs")?,
-            warmup_secs: u64_of(s, "warmup_secs")?,
-            seed: u64_of(s, "seed")?,
-            ..Default::default()
-        }));
-    }
-    Err("world must be one of `consensus`, `zone`, `megascale`".into())
-}
-
-fn injection_json(inj: &Injection) -> Json {
-    match inj {
-        Injection::Outage {
-            nodes,
-            from_ms,
-            until_ms,
-        } => obj1(
-            "outage",
-            vec![
-                ("nodes".into(), ids(nodes)),
-                ("from_ms".into(), Json::U64(*from_ms)),
-                ("until_ms".into(), Json::U64(*until_ms)),
-            ],
-        ),
-        Injection::ChurnStorm {
-            nodes,
-            first_ms,
-            down_ms,
-            up_ms,
-            cycles,
-        } => obj1(
-            "churn_storm",
-            vec![
-                ("nodes".into(), ids(nodes)),
-                ("first_ms".into(), Json::U64(*first_ms)),
-                ("down_ms".into(), Json::U64(*down_ms)),
-                ("up_ms".into(), Json::U64(*up_ms)),
-                ("cycles".into(), Json::U64(*cycles as u64)),
-            ],
-        ),
-        Injection::Partition {
-            a,
-            b,
-            from_ms,
-            until_ms,
-        } => obj1(
-            "partition",
-            vec![
-                ("a".into(), ids(a)),
-                ("b".into(), ids(b)),
-                ("from_ms".into(), Json::U64(*from_ms)),
-                ("until_ms".into(), Json::U64(*until_ms)),
-            ],
-        ),
-        Injection::Jitter { max_ms } => obj1("jitter", vec![("max_ms".into(), Json::U64(*max_ms))]),
-        Injection::Straggler { node, mbps } => obj1(
-            "straggler",
-            vec![
-                ("node".into(), Json::U64(*node as u64)),
-                ("mbps".into(), Json::U64(*mbps)),
-            ],
-        ),
-        Injection::ByzantineRelayers { count, fault } => obj1(
-            "byzantine_relayers",
-            vec![
-                ("count".into(), Json::U64(*count as u64)),
-                (
-                    "fault".into(),
-                    Json::Str(match fault {
-                        StripeFault::Withhold => "withhold".into(),
-                        StripeFault::Corrupt => "corrupt".into(),
-                    }),
-                ),
-            ],
-        ),
-        Injection::EquivocationStorm { producers } => obj1(
-            "equivocation_storm",
-            vec![("producers".into(), ids(producers))],
-        ),
-        Injection::FlashCrowd {
-            at_secs,
-            ramp_secs,
-            peak_mult,
-        } => obj1(
-            "flash_crowd",
-            vec![
-                ("at_secs".into(), Json::U64(*at_secs)),
-                ("ramp_secs".into(), Json::U64(*ramp_secs)),
-                ("peak_mult".into(), Json::F64(*peak_mult)),
-            ],
-        ),
-    }
-}
-
-fn injection_back(v: &Json) -> Result<Injection, String> {
-    if let Some(o) = v.get("outage") {
-        return Ok(Injection::Outage {
-            nodes: ids_back(o, "nodes")?,
-            from_ms: u64_of(o, "from_ms")?,
-            until_ms: u64_of(o, "until_ms")?,
-        });
-    }
-    if let Some(o) = v.get("churn_storm") {
-        return Ok(Injection::ChurnStorm {
-            nodes: ids_back(o, "nodes")?,
-            first_ms: u64_of(o, "first_ms")?,
-            down_ms: u64_of(o, "down_ms")?,
-            up_ms: u64_of(o, "up_ms")?,
-            cycles: u64_of(o, "cycles")? as u32,
-        });
-    }
-    if let Some(o) = v.get("partition") {
-        return Ok(Injection::Partition {
-            a: ids_back(o, "a")?,
-            b: ids_back(o, "b")?,
-            from_ms: u64_of(o, "from_ms")?,
-            until_ms: u64_of(o, "until_ms")?,
-        });
-    }
-    if let Some(o) = v.get("jitter") {
-        return Ok(Injection::Jitter {
-            max_ms: u64_of(o, "max_ms")?,
-        });
-    }
-    if let Some(o) = v.get("straggler") {
-        return Ok(Injection::Straggler {
-            node: u64_of(o, "node")? as u32,
-            mbps: u64_of(o, "mbps")?,
-        });
-    }
-    if let Some(o) = v.get("byzantine_relayers") {
-        let fault = match str_of(o, "fault")? {
-            "withhold" => StripeFault::Withhold,
-            "corrupt" => StripeFault::Corrupt,
-            other => return Err(format!("unknown stripe fault `{other}`")),
-        };
-        return Ok(Injection::ByzantineRelayers {
-            count: u64_of(o, "count")? as u32,
-            fault,
-        });
-    }
-    if let Some(o) = v.get("equivocation_storm") {
-        return Ok(Injection::EquivocationStorm {
-            producers: ids_back(o, "producers")?,
-        });
-    }
-    if let Some(o) = v.get("flash_crowd") {
-        return Ok(Injection::FlashCrowd {
-            at_secs: u64_of(o, "at_secs")?,
-            ramp_secs: u64_of(o, "ramp_secs")?,
-            peak_mult: f64_of(o, "peak_mult")?,
-        });
-    }
-    Err(format!("unknown injection {v:?}"))
-}
-
-fn check_json(check: &Check) -> Json {
-    match check {
-        Check::MinThroughputTps { tps } => {
-            obj1("min_throughput_tps", vec![("tps".into(), Json::F64(*tps))])
-        }
-        Check::ThroughputResumesAfter { after_ms, min_tps } => obj1(
-            "throughput_resumes_after",
-            vec![
-                ("after_ms".into(), Json::U64(*after_ms)),
-                ("min_tps".into(), Json::F64(*min_tps)),
-            ],
-        ),
-        Check::MinCommittedTxs { txs } => {
-            obj1("min_committed_txs", vec![("txs".into(), Json::U64(*txs))])
-        }
-        Check::MinCompleteBlocks { blocks } => obj1(
-            "min_complete_blocks",
-            vec![("blocks".into(), Json::U64(*blocks))],
-        ),
-        Check::CounterAtLeast { counter, min } => obj1(
-            "counter_at_least",
-            vec![
-                ("counter".into(), Json::Str(counter.clone())),
-                ("min".into(), Json::U64(*min)),
-            ],
-        ),
-        Check::CounterZero { counter } => obj1(
-            "counter_zero",
-            vec![("counter".into(), Json::Str(counter.clone()))],
-        ),
-        Check::BanListEngaged => obj1("ban_list_engaged", vec![]),
-    }
-}
-
-fn check_back(v: &Json) -> Result<Check, String> {
-    if let Some(o) = v.get("min_throughput_tps") {
-        return Ok(Check::MinThroughputTps {
-            tps: f64_of(o, "tps")?,
-        });
-    }
-    if let Some(o) = v.get("throughput_resumes_after") {
-        return Ok(Check::ThroughputResumesAfter {
-            after_ms: u64_of(o, "after_ms")?,
-            min_tps: f64_of(o, "min_tps")?,
-        });
-    }
-    if let Some(o) = v.get("min_committed_txs") {
-        return Ok(Check::MinCommittedTxs {
-            txs: u64_of(o, "txs")?,
-        });
-    }
-    if let Some(o) = v.get("min_complete_blocks") {
-        return Ok(Check::MinCompleteBlocks {
-            blocks: u64_of(o, "blocks")?,
-        });
-    }
-    if let Some(o) = v.get("counter_at_least") {
-        return Ok(Check::CounterAtLeast {
-            counter: str_of(o, "counter")?.to_string(),
-            min: u64_of(o, "min")?,
-        });
-    }
-    if let Some(o) = v.get("counter_zero") {
-        return Ok(Check::CounterZero {
-            counter: str_of(o, "counter")?.to_string(),
-        });
-    }
-    if v.get("ban_list_engaged").is_some() {
-        return Ok(Check::BanListEngaged);
-    }
-    Err(format!("unknown check {v:?}"))
 }
 
 #[cfg(test)]
@@ -1046,16 +841,7 @@ mod tests {
                 },
                 Injection::Jitter { max_ms: 10 },
                 Injection::Straggler { node: 0, mbps: 25 },
-                Injection::ByzantineRelayers {
-                    count: 2,
-                    fault: StripeFault::Corrupt,
-                },
                 Injection::EquivocationStorm { producers: vec![3] },
-                Injection::FlashCrowd {
-                    at_secs: 4,
-                    ramp_secs: 2,
-                    peak_mult: 2.5,
-                },
             ],
             checks: vec![
                 Check::MinThroughputTps { tps: 100.0 },
@@ -1078,7 +864,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_covers_every_variant() {
+    fn json_round_trip_covers_every_check_and_consensus_injection() {
         let scenario = every_variant_scenario();
         let text = scenario.to_json();
         let back = ScenarioSetup::from_json(&text).expect("parse");
@@ -1088,18 +874,31 @@ mod tests {
 
     #[test]
     fn zone_and_megascale_worlds_round_trip() {
-        for world in [
-            World::Zone(ZoneWorld::default()),
-            World::MegaScale(MegaScaleSetup {
-                zones: 3,
-                zone_size: 10,
-                ..Default::default()
-            }),
+        for (world, injection) in [
+            (
+                ZoneWorld::default().world(),
+                Injection::ByzantineRelayers {
+                    count: 2,
+                    fault: StripeFault::Corrupt,
+                },
+            ),
+            (
+                World::MegaScale(MegaScaleSetup {
+                    zones: 3,
+                    zone_size: 10,
+                    ..Default::default()
+                }),
+                Injection::FlashCrowd {
+                    at_secs: 4,
+                    ramp_secs: 2,
+                    peak_mult: 2.5,
+                },
+            ),
         ] {
             let scenario = ScenarioSetup {
                 name: "w".into(),
                 world,
-                injections: vec![],
+                injections: vec![injection],
                 checks: vec![],
             };
             let back = ScenarioSetup::from_json(&scenario.to_json()).expect("parse");
@@ -1156,19 +955,65 @@ mod tests {
         .run_report("scenario_unit_fails");
     }
 
+    /// Each defect a scenario file can carry is rejected when parsed, with
+    /// an error naming the scenario and the offending injection or field.
     #[test]
-    #[should_panic(expected = "not supported by this world")]
-    fn unsupported_injection_is_rejected() {
-        ScenarioSetup {
+    fn from_json_rejects_what_the_world_cannot_run() {
+        let scenario = |world: World, injections: Vec<Injection>| ScenarioSetup {
             name: "unit_bad".into(),
-            world: World::Consensus(tiny_consensus(2)),
-            injections: vec![Injection::ByzantineRelayers {
-                count: 1,
-                fault: StripeFault::Withhold,
-            }],
+            world,
+            injections,
             checks: vec![],
+        };
+        let cases = [
+            (
+                scenario(
+                    World::Consensus(tiny_consensus(2)),
+                    vec![
+                        Injection::Jitter { max_ms: 1 },
+                        Injection::ByzantineRelayers {
+                            count: 1,
+                            fault: StripeFault::Withhold,
+                        },
+                    ],
+                ),
+                "injections[1]: ByzantineRelayers",
+            ),
+            (
+                scenario(
+                    ZoneWorld {
+                        zones: 0,
+                        ..Default::default()
+                    }
+                    .world(),
+                    vec![],
+                ),
+                "world: zones must be at least 1",
+            ),
+            (
+                scenario(
+                    ZoneWorld {
+                        n_c: 0,
+                        ..Default::default()
+                    }
+                    .world(),
+                    vec![],
+                ),
+                "world: n_c must be at least 1",
+            ),
+            (
+                scenario(
+                    World::Consensus(tiny_consensus(2)),
+                    vec![Injection::Straggler { node: 4, mbps: 10 }],
+                ),
+                "injections[0].node: 4 is outside the 4 nodes",
+            ),
+        ];
+        for (bad, want) in cases {
+            let err = ScenarioSetup::from_json(&bad.to_json()).expect_err(want);
+            assert!(err.starts_with("scenario `unit_bad`: "), "{err}");
+            assert!(err.contains(want), "{err}");
         }
-        .run_report("scenario_unit_bad");
     }
 
     #[test]

@@ -12,8 +12,10 @@ use predis_consensus::{
 use predis_sim::prelude::*;
 use predis_sim::RunSummary;
 use predis_telemetry::RunReport;
-use predis_types::{payload_stats, ClientId};
+use predis_types::ClientId;
 use serde::{Deserialize, Serialize};
+
+use crate::experiments::world::{validate_committee, validate_window, Setup};
 
 /// The protocols of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,101 +187,62 @@ impl Default for ThroughputSetup {
 impl ThroughputSetup {
     /// Builds, runs, and summarizes the experiment.
     pub fn run(&self) -> RunSummary {
-        let sim = self.run_sim();
-        self.summarize(&sim)
+        Setup::run_with_sim_named(self, "").0
     }
 
     /// Builds and runs the experiment, returning the raw simulation for
     /// deeper inspection.
     pub fn run_sim(&self) -> Sim<ConsMsg> {
-        self.run_sim_named("")
+        Setup::run_with_sim_named(self, "").1
     }
 
-    /// Like [`ThroughputSetup::run_sim`], but applies the observability
-    /// environment (`PREDIS_PROFILE`, `PREDIS_TRACE_DIR`) for a run named
-    /// `name` before running. Pass `""` to skip the env switches.
-    pub fn run_sim_named(&self, name: &str) -> Sim<ConsMsg> {
-        let mut sim = self.build_sim_named(name);
-        sim.run_until(SimTime::from_secs(self.duration_secs));
-        sim.finish_observability();
-        sim
-    }
-
-    /// Builds the fully wired simulation without running it, so callers
-    /// (the scenario runner) can install a [`predis_sim::FaultPlan`] or
-    /// other engine-level configuration between construction and
-    /// `run_until`. [`ThroughputSetup::run_sim_named`] is exactly this plus
-    /// the run to `duration_secs` and the observability flush.
+    /// [`Setup::build`] plus the observability switches for a run named
+    /// `name` (`""` skips them) — the entry point the repo benchmark drives
+    /// in its own time slices.
     pub fn build_sim_named(&self, name: &str) -> Sim<ConsMsg> {
-        // Pool workers are reused between grid points; zero the thread-local
-        // payload counters so this run's report sees only its own clones.
-        payload_stats::reset();
-        let network = Network::new(self.env.latency(), SimDuration::from_millis(self.jitter_ms));
-        let mut sim: Sim<ConsMsg> = Sim::new(self.seed, network);
-        // Entry-replica submission spreads clients over the committee, so
-        // every replica needs at least one client to have bundles to pack.
-        let n_clients = self.clients.max(self.n_c);
-        let cons: Vec<NodeId> = (0..self.n_c as u32).map(NodeId).collect();
-        let clients: Vec<NodeId> = (self.n_c as u32..(self.n_c + n_clients) as u32)
-            .map(NodeId)
-            .collect();
-        let roster = Roster::new(cons, clients);
-        let mut cfg = ConsensusConfig {
-            bundle_size: self.bundle_size,
-            batch_size: self.batch_size,
-            pipeline: self.pipeline,
-            ..ConsensusConfig::default()
-        }
-        .paced_production(self.n_c, self.tx_size, self.mbps * 1_000_000);
-        // Record metrics at the first honest replica.
-        cfg.metrics_replica = (0..self.n_c)
-            .find(|&i| !self.faults.is_faulty(i))
-            .expect("at least one honest replica");
-
-        let region_of = |i: usize| match self.env {
-            NetEnv::Lan => Region(0),
-            NetEnv::Wan => Region((i % 4) as u8),
-        };
-        let link = LinkConfig::paper_default().with_mbps(self.mbps);
-        for me in 0..self.n_c {
-            let mbps = if self.per_node_mbps.is_empty() {
-                self.mbps
-            } else {
-                self.per_node_mbps[me % self.per_node_mbps.len()]
-            };
-            // Production pacing follows the node's own uplink (Eq. 1's x_i).
-            let mut node_cfg = cfg.clone();
-            if mbps != self.mbps {
-                node_cfg = node_cfg.paced_production(self.n_c, self.tx_size, mbps * 1_000_000);
-            }
-            let actor = self.build_replica(me, &roster, &node_cfg);
-            sim.add_node(
-                link.with_mbps(mbps).in_region(region_of(me)),
-                actor,
-                SimTime::ZERO,
-            );
-        }
-        let per_client = self.offered_tps / n_clients as f64;
-        for c in 0..n_clients {
-            let mut client = ClientCore::new(
-                ClientId(c as u32),
-                roster.clone(),
-                per_client,
-                self.tx_size as u32,
-            );
-            if self.protocol.clients_broadcast() {
-                client = client.broadcast_submissions();
-            }
-            sim.add_node(
-                link.in_region(region_of(self.n_c + c)),
-                Box::new(ActorOf::<_, ConsMsg>::new(client)),
-                SimTime::ZERO,
-            );
-        }
+        let mut sim = self.build();
         if !name.is_empty() {
             sim.apply_observability_env(name);
         }
         sim
+    }
+
+    /// Snapshots a finished simulation into a [`RunReport`] named `name`:
+    /// [`Setup::report`] over the summary [`Setup::result`] reads off `sim`.
+    pub fn report(&self, sim: &Sim<ConsMsg>, name: &str) -> RunReport {
+        Setup::report(self, &self.result(sim), sim, name)
+    }
+
+    /// Nodes of the built world: the committee, then the clients.
+    /// Entry-replica submission spreads clients over the committee, so every
+    /// replica gets at least one client to have bundles to pack.
+    pub fn node_count(&self) -> usize {
+        self.n_c + self.clients.max(self.n_c)
+    }
+
+    /// Rejects parameters the build cannot wire: an empty committee, zero
+    /// bandwidth, a fault index outside the committee, no honest replica
+    /// left to record metrics at, or a warm-up that swallows the run.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_committee(self.n_c, self.mbps)?;
+        if self.per_node_mbps.contains(&0) {
+            return Err("per_node_mbps entries must be positive".into());
+        }
+        let f = &self.faults;
+        let mut faulty = f.silent.iter().chain(&f.selective).chain(&f.equivocators);
+        if let Some(i) = faulty.find(|&&i| i >= self.n_c) {
+            return Err(format!(
+                "faults name replica {i}, outside n_c = {}",
+                self.n_c
+            ));
+        }
+        if (0..self.n_c).all(|i| f.is_faulty(i)) {
+            return Err(format!(
+                "faults leave no honest replica among n_c = {}",
+                self.n_c
+            ));
+        }
+        validate_window(self.warmup_secs, self.duration_secs)
     }
 
     fn build_replica(
@@ -349,39 +312,100 @@ impl ThroughputSetup {
             ))),
         }
     }
+}
 
-    /// Builds, runs, and reports the experiment as a full telemetry
-    /// snapshot: the [`RunSummary`] numbers as top-level metrics plus every
-    /// counter, latency histogram, and bundle-lifecycle stage breakdown the
-    /// run recorded.
-    ///
-    /// Summary values that the run could not measure (e.g. latency when
-    /// nothing committed) are *omitted* from the report rather than stored
-    /// as `NaN`. Consumers that cannot tolerate a missing key must read it
-    /// through [`RunReport::require_metric`], which fails loudly with the
-    /// run name and the keys that are present — the benchmark artifact
-    /// pipeline does exactly that instead of NaN-propagating.
-    pub fn run_report(&self, name: &str) -> RunReport {
-        let sim = self.run_sim_named(name);
-        self.report(&sim, name)
+impl Setup for ThroughputSetup {
+    type Msg = ConsMsg;
+    type Result = RunSummary;
+
+    fn build(&self) -> Sim<ConsMsg> {
+        let network = Network::new(self.env.latency(), SimDuration::from_millis(self.jitter_ms));
+        let mut sim: Sim<ConsMsg> = Sim::new(self.seed, network);
+        let n_clients = self.node_count() - self.n_c;
+        let cons: Vec<NodeId> = (0..self.n_c as u32).map(NodeId).collect();
+        let clients: Vec<NodeId> = (self.n_c as u32..self.node_count() as u32)
+            .map(NodeId)
+            .collect();
+        let roster = Roster::new(cons, clients);
+        let mut cfg = ConsensusConfig {
+            bundle_size: self.bundle_size,
+            batch_size: self.batch_size,
+            pipeline: self.pipeline,
+            ..ConsensusConfig::default()
+        }
+        .paced_production(self.n_c, self.tx_size, self.mbps * 1_000_000);
+        // Record metrics at the first honest replica.
+        cfg.metrics_replica = (0..self.n_c)
+            .find(|&i| !self.faults.is_faulty(i))
+            .expect("at least one honest replica (see ThroughputSetup::validate)");
+
+        let region_of = |i: usize| match self.env {
+            NetEnv::Lan => Region(0),
+            NetEnv::Wan => Region((i % 4) as u8),
+        };
+        let link = LinkConfig::paper_default().with_mbps(self.mbps);
+        for me in 0..self.n_c {
+            let mbps = if self.per_node_mbps.is_empty() {
+                self.mbps
+            } else {
+                self.per_node_mbps[me % self.per_node_mbps.len()]
+            };
+            // Production pacing follows the node's own uplink (Eq. 1's x_i).
+            let mut node_cfg = cfg.clone();
+            if mbps != self.mbps {
+                node_cfg = node_cfg.paced_production(self.n_c, self.tx_size, mbps * 1_000_000);
+            }
+            let actor = self.build_replica(me, &roster, &node_cfg);
+            sim.add_node(
+                link.with_mbps(mbps).in_region(region_of(me)),
+                actor,
+                SimTime::ZERO,
+            );
+        }
+        let per_client = self.offered_tps / n_clients as f64;
+        for c in 0..n_clients {
+            let mut client = ClientCore::new(
+                ClientId(c as u32),
+                roster.clone(),
+                per_client,
+                self.tx_size as u32,
+            );
+            if self.protocol.clients_broadcast() {
+                client = client.broadcast_submissions();
+            }
+            sim.add_node(
+                link.in_region(region_of(self.n_c + c)),
+                Box::new(ActorOf::<_, ConsMsg>::new(client)),
+                SimTime::ZERO,
+            );
+        }
+        sim
     }
 
-    /// Snapshots a finished simulation into a [`RunReport`] named `name`.
-    /// See [`ThroughputSetup::run_report`] for the missing-metric contract.
-    pub fn report(&self, sim: &Sim<ConsMsg>, name: &str) -> RunReport {
-        let summary = self.summarize(sim);
-        let mut report = sim.metrics().run_report(name);
-        report
-            .meta
-            .insert("protocol".into(), self.protocol.name().into());
-        report.meta.insert("n_c".into(), self.n_c.to_string());
-        report
-            .meta
-            .insert("env".into(), format!("{:?}", self.env).to_lowercase());
-        report.meta.insert("seed".into(), self.seed.to_string());
-        report
-            .meta
-            .insert("offered_tps".into(), format!("{:.0}", self.offered_tps));
+    fn horizon(&self) -> SimTime {
+        SimTime::from_secs(self.duration_secs)
+    }
+
+    fn result(&self, sim: &Sim<ConsMsg>) -> RunSummary {
+        let from = SimTime::from_secs(self.warmup_secs);
+        let to = self.horizon();
+        let metrics = sim.metrics();
+        let ms = |d: Option<SimDuration>| d.map_or(f64::NAN, |d| d.as_millis_f64());
+        RunSummary {
+            throughput_tps: metrics.throughput_tps(from, to),
+            mean_latency_ms: ms(metrics.latency_mean(CLIENT_LATENCY)),
+            p50_latency_ms: ms(metrics.latency_percentile(CLIENT_LATENCY, 0.5)),
+            p99_latency_ms: ms(metrics.latency_percentile(CLIENT_LATENCY, 0.99)),
+            committed_txs: metrics.committed_txs_in(from, to),
+        }
+    }
+
+    fn headline(&self, summary: &RunSummary, report: &mut RunReport) {
+        report.set_meta("protocol", self.protocol.name());
+        report.set_meta("n_c", self.n_c);
+        report.set_meta("env", format!("{:?}", self.env).to_lowercase());
+        report.set_meta("seed", self.seed);
+        report.set_meta("offered_tps", format!("{:.0}", self.offered_tps));
         let mut put = |k: &str, v: f64| {
             if v.is_finite() {
                 report.set_metric(k, v);
@@ -392,27 +416,5 @@ impl ThroughputSetup {
         put("p50_latency_ms", summary.p50_latency_ms);
         put("p99_latency_ms", summary.p99_latency_ms);
         put("committed_txs", summary.committed_txs as f64);
-        let stats = payload_stats::snapshot();
-        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
-        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
-        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
-        report.set_metric("engine.events_processed", sim.events_processed() as f64);
-        sim.stamp_observability(&mut report);
-        report
-    }
-
-    /// Summarizes a finished simulation over the stable window.
-    pub fn summarize(&self, sim: &Sim<ConsMsg>) -> RunSummary {
-        let from = SimTime::from_secs(self.warmup_secs);
-        let to = SimTime::from_secs(self.duration_secs);
-        let metrics = sim.metrics();
-        let ms = |d: Option<SimDuration>| d.map_or(f64::NAN, |d| d.as_millis_f64());
-        RunSummary {
-            throughput_tps: metrics.throughput_tps(from, to),
-            mean_latency_ms: ms(metrics.latency_mean(CLIENT_LATENCY)),
-            p50_latency_ms: ms(metrics.latency_percentile(CLIENT_LATENCY, 0.5)),
-            p99_latency_ms: ms(metrics.latency_percentile(CLIENT_LATENCY, 0.99)),
-            committed_txs: metrics.committed_txs_in(from, to),
-        }
     }
 }

@@ -6,12 +6,15 @@
 
 use predis_consensus::planes::PredisPlane;
 use predis_consensus::{ClientCore, ConsMsg, ConsensusConfig, PbftNode, Roster};
-use predis_multizone::{BlockSink, BundleId, MultiZoneNode, NetMsg, ZoneConfig, ZoneSource};
+use predis_multizone::{
+    round_robin, BlockSink, BundleId, MultiZoneNode, NetMsg, ZoneConfig, ZoneSource,
+};
 use predis_sim::prelude::*;
 use predis_telemetry::RunReport;
-use predis_types::{payload_stats, ClientId, SizedBundle, WireSize};
+use predis_types::{ClientId, SizedBundle, WireSize};
 use serde::{Deserialize, Serialize};
 
+use crate::experiments::world::{validate_committee, validate_window, Setup};
 use crate::msg::FlowMsg;
 
 /// Which dissemination duty the consensus nodes carry (Fig. 7 compares
@@ -231,63 +234,49 @@ pub struct TopologyResult {
 impl TopologySetup {
     /// Builds, runs, and summarizes the experiment.
     pub fn run(&self) -> TopologyResult {
-        let (result, _) = self.run_with_sim();
-        result
+        Setup::run_with_sim_named(self, "").0
     }
 
-    /// Snapshots a finished Fig. 7 simulation into a [`RunReport`] carrying
-    /// the headline result plus all recorded counters, histograms, and
-    /// bundle-lifecycle stages.
-    pub fn report(&self, result: &TopologyResult, sim: &Sim<FlowMsg>, name: &str) -> RunReport {
-        let mut report = sim.metrics().run_report(name);
-        report
-            .meta
-            .insert("mode".into(), format!("{:?}", self.mode));
-        report.meta.insert("n_c".into(), self.n_c.to_string());
-        report
-            .meta
-            .insert("full_nodes".into(), self.full_nodes.to_string());
-        report.meta.insert("seed".into(), self.seed.to_string());
-        if result.throughput_tps.is_finite() {
-            report.set_metric("throughput_tps", result.throughput_tps);
-        }
-        report.set_metric(
-            "consensus_upload_bytes",
-            result.consensus_upload_bytes as f64,
-        );
-        let stats = payload_stats::snapshot();
-        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
-        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
-        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
-        report.set_metric("engine.events_processed", sim.events_processed() as f64);
-        sim.stamp_observability(&mut report);
-        report
-    }
-
-    /// Like [`TopologySetup::run`] but also returns the finished simulation
-    /// for inspection.
-    pub fn run_with_sim(&self) -> (TopologyResult, Sim<FlowMsg>) {
-        self.run_with_sim_named("")
-    }
-
-    /// Like [`TopologySetup::run_with_sim`], but applies the observability
-    /// environment (`PREDIS_PROFILE`, `PREDIS_TRACE_DIR`) for a run named
-    /// `name` before running. Pass `""` to skip the env switches.
+    /// [`Setup::run_with_sim_named`], callable without the trait in scope.
+    /// With `duration_secs: 0` it builds the world and stops at time zero.
     pub fn run_with_sim_named(&self, name: &str) -> (TopologyResult, Sim<FlowMsg>) {
-        // Pool workers are reused between grid points; zero the thread-local
-        // payload counters so this run's report sees only its own clones.
-        payload_stats::reset();
+        Setup::run_with_sim_named(self, name)
+    }
+
+    /// [`Setup::report`], callable without the trait in scope.
+    pub fn report(&self, result: &TopologyResult, sim: &Sim<FlowMsg>, name: &str) -> RunReport {
+        Setup::report(self, result, sim, name)
+    }
+
+    /// Nodes of the built world: the committee, the full nodes, then the
+    /// clients (entry-replica submission: at least one client per replica).
+    pub fn node_count(&self) -> usize {
+        self.n_c + self.full_nodes + self.clients.max(self.n_c)
+    }
+
+    /// Rejects parameters the build cannot wire: an empty committee, zero
+    /// bandwidth, zero zones, or a warm-up that swallows the run.
+    pub fn validate(&self) -> Result<(), String> {
+        validate_committee(self.n_c, self.mbps)?;
+        if self.mode == (DistMode::MultiZone { zones: 0 }) {
+            return Err("mode: zones must be at least 1".into());
+        }
+        validate_window(self.warmup_secs, self.duration_secs)
+    }
+}
+
+impl Setup for TopologySetup {
+    type Msg = FlowMsg;
+    type Result = TopologyResult;
+
+    fn build(&self) -> Sim<FlowMsg> {
         let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
         let mut sim: Sim<FlowMsg> = Sim::new(self.seed, network);
         let link = LinkConfig::paper_default().with_mbps(self.mbps);
+        let first_client = self.n_c + self.full_nodes;
         let cons: Vec<NodeId> = (0..self.n_c as u32).map(NodeId).collect();
-        let fulls: Vec<NodeId> = (self.n_c as u32..(self.n_c + self.full_nodes) as u32)
-            .map(NodeId)
-            .collect();
-        // Entry-replica submission: every replica needs at least one client.
-        let n_clients = self.clients.max(self.n_c);
-        let client_ids: Vec<NodeId> = ((self.n_c + self.full_nodes) as u32
-            ..(self.n_c + self.full_nodes + n_clients) as u32)
+        let fulls: Vec<NodeId> = (self.n_c as u32..first_client as u32).map(NodeId).collect();
+        let client_ids: Vec<NodeId> = (first_client as u32..self.node_count() as u32)
             .map(NodeId)
             .collect();
         let roster = Roster::new(cons.clone(), client_ids.clone());
@@ -296,17 +285,21 @@ impl TopologySetup {
             self.tx_size,
             self.mbps * 1_000_000,
         );
-        let zcfg = ZoneConfig {
-            n_c: self.n_c,
-            f: roster.f(),
-            max_children: 24,
-            alive_interval: SimDuration::from_millis(250),
-            digest_interval: SimDuration::from_secs(1),
-            consensus: cons.clone(),
-            retire_unannounced: false,
-        };
+        let zcfg = ZoneConfig::paper(cons.clone());
+        // The full nodes each consensus node serves (star) or each zone's
+        // members (Multi-Zone): node construction and the partition hint
+        // both read them.
+        let groups = round_robin(
+            &fulls,
+            match self.mode {
+                DistMode::Star => self.n_c,
+                DistMode::MultiZone { zones } => zones,
+            },
+        );
 
-        // Consensus nodes with their dissemination duty.
+        // Consensus nodes with their dissemination duty (`groups` is indexed
+        // by consensus node only under the star duty).
+        #[allow(clippy::needless_range_loop)]
         for me in 0..self.n_c {
             let shell = PbftNode::new(
                 me,
@@ -315,15 +308,7 @@ impl TopologySetup {
                 PredisPlane::new(me, roster.clone(), cfg.clone()),
             );
             let node = match self.mode {
-                DistMode::Star => {
-                    let assigned: Vec<NodeId> = fulls
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| j % self.n_c == me)
-                        .map(|(_, &n)| n)
-                        .collect();
-                    FlowConsensusNode::star(shell, assigned)
-                }
+                DistMode::Star => FlowConsensusNode::star(shell, groups[me].clone()),
                 DistMode::MultiZone { .. } => {
                     FlowConsensusNode::zone(shell, ZoneSource::new(me as u32, zcfg.clone(), None))
                 }
@@ -332,23 +317,17 @@ impl TopologySetup {
         }
 
         // Full nodes.
-        match self.mode {
-            DistMode::Star => {
-                for _ in &fulls {
+        for (j, &fnode) in fulls.iter().enumerate() {
+            match self.mode {
+                DistMode::Star => {
                     sim.add_node(
                         link,
                         Box::new(ActorOf::<_, NetMsg>::new(BlockSink::new())),
                         SimTime::ZERO,
                     );
                 }
-            }
-            DistMode::MultiZone { zones } => {
-                let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); zones];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    members[j % zones].push(fnode);
-                }
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    let mates: Vec<NodeId> = members[j % zones]
+                DistMode::MultiZone { zones } => {
+                    let mates: Vec<NodeId> = groups[j % zones]
                         .iter()
                         .copied()
                         .filter(|n| *n != fnode)
@@ -367,8 +346,8 @@ impl TopologySetup {
         }
 
         // Clients.
-        let per_client = self.gen_tps / n_clients as f64;
-        for c in 0..n_clients {
+        let per_client = self.gen_tps / client_ids.len() as f64;
+        for c in 0..client_ids.len() {
             let client = ClientCore::new(
                 ClientId(c as u32),
                 roster.clone(),
@@ -386,52 +365,40 @@ impl TopologySetup {
         // dissemination topology: traffic is densest inside a zone (or a
         // star's assigned set) and between clients and consensus, so those
         // stay on one worker and only stripe/block dissemination crosses
-        // partitions.
-        let mut affinity: Vec<Vec<NodeId>> = Vec::new();
-        let mut core_group = cons.clone();
-        core_group.extend(client_ids.iter().copied());
-        match self.mode {
-            DistMode::MultiZone { zones } => {
-                affinity.push(core_group);
-                let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); zones];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    members[j % zones].push(fnode);
-                }
-                affinity.extend(members.into_iter().filter(|m| !m.is_empty()));
-            }
-            DistMode::Star => {
-                // Each star: the consensus node plus the full nodes it
-                // serves; clients ride with the consensus they submit to.
-                affinity.push(core_group);
-                for me in 0..self.n_c {
-                    let star: Vec<NodeId> = fulls
-                        .iter()
-                        .enumerate()
-                        .filter(|(j, _)| j % self.n_c == me)
-                        .map(|(_, &n)| n)
-                        .collect();
-                    if !star.is_empty() {
-                        affinity.push(star);
-                    }
-                }
-            }
-        }
+        // partitions. Clients ride with the consensus they submit to.
+        let mut core_group = cons;
+        core_group.extend(client_ids);
+        let mut affinity = vec![core_group];
+        affinity.extend(groups.into_iter().filter(|g| !g.is_empty()));
         sim.set_partition_hint(affinity);
+        sim
+    }
 
-        if !name.is_empty() {
-            sim.apply_observability_env(name);
-        }
-        sim.run_until(SimTime::from_secs(self.duration_secs));
-        sim.finish_observability();
+    fn horizon(&self) -> SimTime {
+        SimTime::from_secs(self.duration_secs)
+    }
+
+    fn result(&self, sim: &Sim<FlowMsg>) -> TopologyResult {
         let from = SimTime::from_secs(self.warmup_secs);
-        let to = SimTime::from_secs(self.duration_secs);
-        let consensus_upload_bytes = cons.iter().map(|&n| sim.network().bytes_sent(n)).sum();
-        (
-            TopologyResult {
-                throughput_tps: sim.metrics().throughput_tps(from, to),
-                consensus_upload_bytes,
-            },
-            sim,
-        )
+        TopologyResult {
+            throughput_tps: sim.metrics().throughput_tps(from, self.horizon()),
+            consensus_upload_bytes: (0..self.n_c as u32)
+                .map(|n| sim.network().bytes_sent(NodeId(n)))
+                .sum(),
+        }
+    }
+
+    fn headline(&self, result: &TopologyResult, report: &mut RunReport) {
+        report.set_meta("mode", format!("{:?}", self.mode));
+        report.set_meta("n_c", self.n_c);
+        report.set_meta("full_nodes", self.full_nodes);
+        report.set_meta("seed", self.seed);
+        if result.throughput_tps.is_finite() {
+            report.set_metric("throughput_tps", result.throughput_tps);
+        }
+        report.set_metric(
+            "consensus_upload_bytes",
+            result.consensus_upload_bytes as f64,
+        );
     }
 }

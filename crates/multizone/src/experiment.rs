@@ -5,7 +5,6 @@
 
 use predis_sim::prelude::*;
 use predis_sim::RunReport;
-use predis_types::payload_stats;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -34,8 +33,21 @@ pub enum Topology {
     },
 }
 
+/// Deals `nodes` into `n` groups round-robin by index — a star's assignment
+/// sets, a Multi-Zone deployment's zone memberships (join order = index
+/// order). No groups for `n == 0`.
+pub fn round_robin(nodes: &[NodeId], n: usize) -> Vec<Vec<NodeId>> {
+    let mut groups = vec![Vec::new(); n];
+    if n > 0 {
+        for (j, &node) in nodes.iter().enumerate() {
+            groups[j % n].push(node);
+        }
+    }
+    groups
+}
+
 /// Parameters of a propagation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PropagationSetup {
     /// Number of consensus nodes (the paper's Fig. 8 uses 8).
     pub n_c: usize,
@@ -106,22 +118,47 @@ impl PropagationSetup {
 
     /// Builds and runs the experiment, returning per-fraction latencies.
     pub fn run(&self, topology: &Topology) -> PropagationResult {
-        self.run_with_sim(topology).0
+        let mut sim = self.build(topology);
+        sim.run_named("", self.horizon());
+        self.result(&sim)
     }
 
-    /// Snapshots a finished propagation run into a [`RunReport`] carrying
-    /// the per-fraction latencies plus every counter, histogram, and
-    /// stripe-lifecycle stage the run recorded.
-    pub fn report(&self, result: &PropagationResult, sim: &Sim<NetMsg>, name: &str) -> RunReport {
-        let mut report = sim.metrics().run_report(name);
-        report.meta.insert("n_c".into(), self.n_c.to_string());
-        report
-            .meta
-            .insert("full_nodes".into(), self.full_nodes.to_string());
-        report
-            .meta
-            .insert("block_bytes".into(), self.block_bytes.to_string());
-        report.meta.insert("seed".into(), self.seed.to_string());
+    /// Nodes of the built world: the block sources, then the full nodes.
+    pub fn node_count(&self) -> usize {
+        self.n_c + self.full_nodes
+    }
+
+    /// Rejects parameters [`PropagationSetup::build`] cannot wire: no block
+    /// source, zero bandwidth, or zero zones.
+    pub fn validate(&self, topology: &Topology) -> Result<(), String> {
+        if self.n_c < 1 {
+            return Err("n_c must be at least 1".into());
+        }
+        if self.mbps == 0 {
+            return Err("mbps must be positive".into());
+        }
+        if *topology == (Topology::MultiZone { zones: 0 }) {
+            return Err("zones must be at least 1".into());
+        }
+        Ok(())
+    }
+
+    /// How far a run goes: the load's start, every block interval plus
+    /// three, and a 30 s drain.
+    pub fn horizon(&self) -> SimTime {
+        SimTime::ZERO
+            + self.load().start_at
+            + self.interval * (self.blocks + 3)
+            + SimDuration::from_secs(30)
+    }
+
+    /// Adds the run parameters and the per-fraction latencies of `result`
+    /// to `report` (unmeasured fractions are omitted, not stored as `NaN`).
+    pub fn headline(&self, result: &PropagationResult, report: &mut RunReport) {
+        report.set_meta("n_c", self.n_c);
+        report.set_meta("full_nodes", self.full_nodes);
+        report.set_meta("block_bytes", self.block_bytes);
+        report.set_meta("seed", self.seed);
         let mut put = |k: &str, v: f64| {
             if v.is_finite() {
                 report.set_metric(k, v);
@@ -132,32 +169,10 @@ impl PropagationSetup {
         put("to_100_ms", result.to_100_ms);
         put("complete_blocks", result.complete_blocks as f64);
         put("produced_blocks", result.produced_blocks as f64);
-        let stats = payload_stats::snapshot();
-        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
-        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
-        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
-        report.set_metric("engine.events_processed", sim.events_processed() as f64);
-        sim.stamp_observability(&mut report);
-        report
     }
 
-    /// Like [`PropagationSetup::run`] but also returns the finished
-    /// simulation for inspection (metrics, telemetry reports).
-    pub fn run_with_sim(&self, topology: &Topology) -> (PropagationResult, Sim<NetMsg>) {
-        self.run_with_sim_named(topology, "")
-    }
-
-    /// Like [`PropagationSetup::run_with_sim`], but applies the
-    /// observability environment (`PREDIS_PROFILE`, `PREDIS_TRACE_DIR`) for
-    /// a run named `name` before running. Pass `""` to skip the switches.
-    pub fn run_with_sim_named(
-        &self,
-        topology: &Topology,
-        name: &str,
-    ) -> (PropagationResult, Sim<NetMsg>) {
-        // Pool workers are reused between grid points; zero the thread-local
-        // payload counters so this run's report sees only its own clones.
-        payload_stats::reset();
+    /// Wires the network for `topology` without running it.
+    pub fn build(&self, topology: &Topology) -> Sim<NetMsg> {
         let network = Network::new(self.latency.clone(), SimDuration::from_nanos(0));
         let mut sim: Sim<NetMsg> = Sim::new(self.seed, network);
         let mut rng = SmallRng::seed_from_u64(self.seed ^ 0xfeed_beef);
@@ -166,23 +181,30 @@ impl PropagationSetup {
             LatencyModel::Uniform(_) => Region(0),
             LatencyModel::Regional { matrix } => Region((i % matrix.len()) as u8),
         };
-        let total = self.n_c + self.full_nodes;
+        let total = self.node_count();
         let cons: Vec<NodeId> = (0..self.n_c as u32).map(NodeId).collect();
         let fulls: Vec<NodeId> = (self.n_c as u32..total as u32).map(NodeId).collect();
         let load = self.load();
-        let warmup = load.start_at;
+        // Star assignment sets or zone memberships: node construction and
+        // the partition hint both read them.
+        let groups = round_robin(
+            &fulls,
+            match topology {
+                Topology::Star => self.n_c,
+                Topology::MultiZone { zones } => *zones,
+                Topology::Random { .. } => 0,
+            },
+        );
 
         match topology {
             Topology::Star => {
-                // Full nodes assigned round-robin to consensus nodes.
-                let mut assigned: Vec<Vec<NodeId>> = vec![Vec::new(); self.n_c];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    assigned[j % self.n_c].push(fnode);
-                }
-                for (i, a) in assigned.into_iter().enumerate() {
+                for (i, assigned) in groups.iter().enumerate() {
                     sim.add_node(
                         link.in_region(regionize(i)),
-                        Box::new(ActorOf::<_, NetMsg>::new(StarSource::new(a, load.clone()))),
+                        Box::new(ActorOf::<_, NetMsg>::new(StarSource::new(
+                            assigned.clone(),
+                            load.clone(),
+                        ))),
                         SimTime::ZERO,
                     );
                 }
@@ -237,13 +259,8 @@ impl PropagationSetup {
             }
             Topology::MultiZone { zones } => {
                 let zcfg = ZoneConfig {
-                    n_c: self.n_c,
-                    f: (self.n_c - 1) / 3,
                     max_children: self.max_children,
-                    alive_interval: SimDuration::from_millis(250),
-                    digest_interval: SimDuration::from_secs(1),
-                    consensus: cons.clone(),
-                    retire_unannounced: false,
+                    ..ZoneConfig::paper(cons.clone())
                 };
                 for i in 0..self.n_c {
                     sim.add_node(
@@ -256,23 +273,19 @@ impl PropagationSetup {
                         SimTime::ZERO,
                     );
                 }
-                // Zone membership: round-robin; join order = index order,
-                // staggered so subscription trees build deterministically.
-                let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); *zones];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    members[j % zones].push(fnode);
-                }
+                // Join order = index order, staggered so subscription trees
+                // build deterministically.
                 let regions = self.latency.region_count();
                 for (j, &fnode) in fulls.iter().enumerate() {
                     let zone = j % zones;
-                    let mates: Vec<NodeId> = members[zone]
+                    let mates: Vec<NodeId> = groups[zone]
                         .iter()
                         .copied()
                         .filter(|n| *n != fnode)
                         .collect();
                     // Backup connections: two nodes of the next zone.
                     let next_zone = (zone + 1) % zones;
-                    let backups: Vec<NodeId> = members[next_zone].iter().copied().take(2).collect();
+                    let backups: Vec<NodeId> = groups[next_zone].iter().copied().take(2).collect();
                     let node =
                         MultiZoneNode::new(zcfg.clone(), j as u64, mates).with_backups(backups);
                     // Locality-based division puts a whole zone in one
@@ -302,44 +315,24 @@ impl PropagationSetup {
         // group so the dense intra-zone forwarding never crosses a worker
         // boundary. The random graph has no exploitable cut — leave it to
         // the planner's default.
-        let mut affinity: Vec<Vec<NodeId>> = vec![cons.clone()];
-        match topology {
-            Topology::Star => {
-                let mut assigned: Vec<Vec<NodeId>> = vec![Vec::new(); self.n_c];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    assigned[j % self.n_c].push(fnode);
-                }
-                affinity.extend(assigned.into_iter().filter(|a| !a.is_empty()));
-            }
-            Topology::MultiZone { zones } => {
-                let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); *zones];
-                for (j, &fnode) in fulls.iter().enumerate() {
-                    members[j % zones].push(fnode);
-                }
-                affinity.extend(members.into_iter().filter(|m| !m.is_empty()));
-            }
-            Topology::Random { .. } => affinity = Vec::new(),
-        }
-        if !affinity.is_empty() {
+        if !groups.is_empty() {
+            let mut affinity = vec![cons];
+            affinity.extend(groups.into_iter().filter(|g| !g.is_empty()));
             sim.set_partition_hint(affinity);
         }
+        sim
+    }
 
-        let horizon =
-            SimTime::ZERO + warmup + self.interval * (self.blocks + 3) + SimDuration::from_secs(30);
-        if !name.is_empty() {
-            sim.apply_observability_env(name);
-        }
-        sim.run_until(horizon);
-        sim.finish_observability();
-
-        // Collect per-block fraction latencies, relative to each block's
-        // announcement time (the last bundle tick of the block).
-        let tick = self.interval / self.load().bundles_per_block as u64;
+    /// Reads the per-block fraction latencies off a finished run, relative
+    /// to each block's announcement time (the last bundle tick of the block).
+    pub fn result(&self, sim: &Sim<NetMsg>) -> PropagationResult {
+        let load = self.load();
+        let tick = self.interval / load.bundles_per_block as u64;
         let mut sums = [0f64; 3];
         let mut counts = [0u64; 3];
         let mut complete = 0;
         for block in 0..self.blocks {
-            let origin = SimTime::ZERO + warmup + self.interval * (block + 1) - tick;
+            let origin = SimTime::ZERO + load.start_at + self.interval * (block + 1) - tick;
             for (slot, frac) in [(0usize, 0.5f64), (1, 0.9), (2, 1.0)] {
                 if let Some(d) =
                     sim.metrics()
@@ -360,15 +353,12 @@ impl PropagationSetup {
                 sums[i] / counts[i] as f64
             }
         };
-        (
-            PropagationResult {
-                to_50_ms: mean(0),
-                to_90_ms: mean(1),
-                to_100_ms: mean(2),
-                complete_blocks: complete,
-                produced_blocks: self.blocks,
-            },
-            sim,
-        )
+        PropagationResult {
+            to_50_ms: mean(0),
+            to_90_ms: mean(1),
+            to_100_ms: mean(2),
+            complete_blocks: complete,
+            produced_blocks: self.blocks,
+        }
     }
 }

@@ -55,6 +55,21 @@ pub struct ZoneConfig {
 }
 
 impl ZoneConfig {
+    /// The paper's deployment for the given consensus nodes: `f = (n_c − 1)
+    /// / 3`, 24 subscribers per node, 250 ms relayer heartbeats, 1 s backup
+    /// digests, blocks retired on announcement.
+    pub fn paper(consensus: Vec<NodeId>) -> ZoneConfig {
+        ZoneConfig {
+            n_c: consensus.len(),
+            f: (consensus.len() - 1) / 3,
+            max_children: 24,
+            alive_interval: SimDuration::from_millis(250),
+            digest_interval: SimDuration::from_secs(1),
+            consensus,
+            retire_unannounced: false,
+        }
+    }
+
     /// Stripes needed to reconstruct a bundle.
     pub fn k(&self) -> usize {
         self.n_c - self.f
@@ -595,8 +610,14 @@ impl MultiZoneNode {
     /// Makes this node a Byzantine relayer: it participates normally as a
     /// subscriber but attacks its own children with the given fault.
     pub fn with_stripe_fault(mut self, fault: StripeFault) -> MultiZoneNode {
-        self.byz = Some(fault);
+        self.set_stripe_fault(fault);
         self
+    }
+
+    /// [`MultiZoneNode::with_stripe_fault`] on a node already wired into a
+    /// simulation that has not started.
+    pub fn set_stripe_fault(&mut self, fault: StripeFault) {
+        self.byz = Some(fault);
     }
 
     /// True if this node currently relays at least one stripe.
@@ -1684,15 +1705,7 @@ mod tests {
     use predis_sim::prelude::*;
 
     fn zcfg(consensus: Vec<NodeId>) -> ZoneConfig {
-        ZoneConfig {
-            n_c: consensus.len(),
-            f: (consensus.len() - 1) / 3,
-            max_children: 24,
-            alive_interval: SimDuration::from_millis(250),
-            digest_interval: SimDuration::from_secs(1),
-            consensus,
-            retire_unannounced: false,
-        }
+        ZoneConfig::paper(consensus)
     }
 
     #[test]

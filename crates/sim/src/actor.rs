@@ -409,6 +409,12 @@ impl<C, T> ActorOf<C, T> {
         &self.core
     }
 
+    /// Write access to the wrapped core (for configuring a built world
+    /// before it starts).
+    pub fn core_mut(&mut self) -> &mut C {
+        &mut self.core
+    }
+
     /// Consumes the wrapper, returning the core.
     pub fn into_inner(self) -> C {
         self.core

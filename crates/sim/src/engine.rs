@@ -22,6 +22,7 @@ use crate::actor::{Actor, Context, NodeId, Op};
 use crate::faults::FaultPlan;
 use crate::metrics::{CounterHandle, Labels, Metrics};
 use crate::net::{LinkConfig, Network};
+#[cfg(test)]
 use crate::parallel::WindowPolicy;
 use crate::profile::{
     short_type_name, DispatchProfile, BUCKET_DELIVER, BUCKET_OTHER, BUCKET_START, BUCKET_TIMER,
@@ -30,6 +31,7 @@ use crate::queue::{Event, EventKind, EventQueue, TimerSlots};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CanonEvent, Trace, TraceCapture, TraceDigest, TraceEvent, TraceKind};
 use predis_telemetry::RunReport;
+use predis_types::payload_stats;
 
 /// Handles for the global network counters, interned at construction.
 #[derive(Debug, Clone, Copy)]
@@ -109,9 +111,9 @@ pub struct Sim<M> {
     /// cumulative over the run. Zero when every `run_until` ran
     /// sequentially.
     pub(crate) windows: u64,
-    /// How the parallel engine advances window boundaries (adaptive
-    /// per-pair lookahead by default; fixed global-min stride for
-    /// differential testing).
+    /// Lets a differential test run the parallel engine on the original
+    /// fixed global-min window stride.
+    #[cfg(test)]
     pub(crate) window_policy: WindowPolicy,
     /// Peak of Σ [`Actor::approx_bytes`] over all live actors, sampled at
     /// the end of every `run_until` call. Powers the `mem.*` report metrics
@@ -134,6 +136,10 @@ impl<M: Payload> Sim<M> {
     }
 
     fn with_queue(seed: u64, mut network: Network, queue: EventQueue<M>) -> Self {
+        // A new simulation opens a new accounting epoch for this thread's
+        // payload counters (pool workers are reused between grid points),
+        // so [`Sim::report`] sees only this run's clones.
+        payload_stats::reset();
         // Seed the per-link counter-keyed random streams (jitter, fault
         // omission) from the simulation seed, decorrelated from the node
         // and engine RNG streams.
@@ -176,7 +182,8 @@ impl<M: Payload> Sim<M> {
             threads_used: 1,
             partition_events: Vec::new(),
             windows: 0,
-            window_policy: window_policy_from_env(),
+            #[cfg(test)]
+            window_policy: WindowPolicy::default(),
             peak_actor_bytes: 0,
         }
     }
@@ -291,6 +298,31 @@ impl<M: Payload> Sim<M> {
         }
     }
 
+    /// The one run protocol: applies the observability environment for a
+    /// run named `name` (skipped when `name` is empty), runs to `until`, and
+    /// flushes any capture.
+    pub fn run_named(&mut self, name: &str, until: SimTime) {
+        if !name.is_empty() {
+            self.apply_observability_env(name);
+        }
+        self.run_until(until);
+        self.finish_observability();
+    }
+
+    /// The part of a [`RunReport`] every experiment shares: the metrics
+    /// snapshot, this run's payload-clone counters, the event count, and the
+    /// forensic stamps of [`Sim::stamp_observability`].
+    pub fn report(&self, name: &str) -> RunReport {
+        let mut report = self.metrics.run_report(name);
+        let stats = payload_stats::snapshot();
+        report.set_metric("msg.payload_clones", stats.payload_clones as f64);
+        report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
+        report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
+        report.set_metric("engine.events_processed", self.events_processed as f64);
+        self.stamp_observability(&mut report);
+        report
+    }
+
     /// Stamps the run's forensic identity onto a report: the
     /// `trace.fingerprint` meta key (always), the parallel-engine shape
     /// (`engine.threads`, and `engine.partition_events` when a windowed
@@ -350,17 +382,6 @@ impl<M: Payload> Sim<M> {
     /// bit-identical either way.
     pub fn set_sim_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Selects how the parallel engine advances lookahead windows (default
-    /// [`WindowPolicy::Adaptive`]; construction reads
-    /// `PREDIS_WINDOW_POLICY=fixed` to start on [`WindowPolicy::FixedMinL`]).
-    /// `FixedMinL` reproduces the fixed global-minimum stride and exists
-    /// for differential tests and barrier-count comparisons — compare the
-    /// `engine.windows` meta of two otherwise-identical runs; both policies
-    /// produce bit-identical event streams.
-    pub fn set_window_policy(&mut self, policy: WindowPolicy) {
-        self.window_policy = policy;
     }
 
     /// Lookahead windows (barrier merges) the parallel engine has executed
@@ -485,11 +506,24 @@ impl<M: Payload> Sim<M> {
         &self.network
     }
 
+    /// Mutable access to the network model, for re-rating links or setting
+    /// jitter on a built world before it starts.
+    pub fn network_mut(&mut self) -> &mut Network {
+        &mut self.network
+    }
+
     /// Downcasts the actor at `node` to a concrete type for post-run
     /// inspection; `None` if the type does not match or the node was removed.
     pub fn actor_as<A: 'static>(&self, node: NodeId) -> Option<&A> {
         let actor = self.actors.get(node.index())?.as_deref()?;
         (actor as &dyn Any).downcast_ref::<A>()
+    }
+
+    /// The mutable twin of [`Sim::actor_as`], for configuring an actor of a
+    /// built world before it starts.
+    pub fn actor_as_mut<A: 'static>(&mut self, node: NodeId) -> Option<&mut A> {
+        let actor = self.actors.get_mut(node.index())?.as_deref_mut()?;
+        (actor as &mut dyn Any).downcast_mut::<A>()
     }
 
     /// Injects a message from the outside world (no bandwidth accounting on
@@ -928,17 +962,6 @@ fn sim_threads_from_env() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// The construction-time window policy: `PREDIS_WINDOW_POLICY=fixed` (or
-/// `fixed_min_l`) selects the legacy fixed-stride windows, anything else the
-/// adaptive default. A diagnostic knob for barrier-count comparisons — the
-/// event stream is bit-identical under both (see [`Sim::set_window_policy`]).
-fn window_policy_from_env() -> WindowPolicy {
-    match std::env::var("PREDIS_WINDOW_POLICY").as_deref() {
-        Ok("fixed") | Ok("fixed_min_l") => WindowPolicy::FixedMinL,
-        _ => WindowPolicy::Adaptive,
-    }
 }
 
 /// The profiler bucket an event kind is charged to.

@@ -72,7 +72,6 @@ pub use metrics::{
     Stage,
 };
 pub use net::{LatencyModel, LinkConfig, Network, Region, Scheduled};
-pub use parallel::WindowPolicy;
 pub use profile::{DispatchProfile, PROFILE_EVENTS};
 pub use time::{SimDuration, SimTime};
 pub use trace::{CanonEvent, Trace, TraceCapture, TraceDigest, TraceEvent, TraceKind, CANON_KINDS};

@@ -34,7 +34,7 @@ pub const CN_REGION_LATENCY_MS: [[u64; 4]; 4] = [
 pub const CN_REGION_NAMES: [&str; 4] = ["Ulanqab", "Shanghai", "Chengdu", "Shenzhen"];
 
 /// How pairwise propagation latency is derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LatencyModel {
     /// Every pair of distinct nodes has the same one-way latency
     /// (the paper's LAN emulation: `tc` with 25 ms).
@@ -284,6 +284,17 @@ impl Network {
     /// The propagation-jitter bound (zero disables jitter draws entirely).
     pub fn jitter(&self) -> SimDuration {
         self.jitter
+    }
+
+    /// Sets the propagation-jitter bound of an already wired network.
+    pub fn set_jitter(&mut self, jitter: SimDuration) {
+        self.jitter = jitter;
+    }
+
+    /// Re-rates `node`'s upload link to `mbps` megabits per second.
+    pub fn set_upload_mbps(&mut self, node: NodeId, mbps: u64) {
+        assert!(mbps > 0, "upload bandwidth must be positive");
+        self.links[node.index()].config.upload_bps = mbps * 1_000_000;
     }
 
     /// Copies `node`'s mutable link state (busy-until, bytes-sent, draw

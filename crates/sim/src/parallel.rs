@@ -21,22 +21,20 @@
 //!    the window) to their owners' wheels, batched per destination, and
 //!    picks the next window.
 //!
-//! Window boundaries come from a [`WindowPolicy`]. The default **adaptive**
-//! policy closes each window at `min over partitions p with pending events
-//! of (p's exact next event time + p's minimum outgoing cross-partition
+//! Each window closes at `min over partitions p with pending events of
+//! (p's exact next event time + p's minimum outgoing cross-partition
 //! latency) − 1` — a per-partition-pair lookahead matrix plus a
 //! next-event-time bound. Sparse or bursty topologies therefore run long
 //! windows with few barriers: an idle stretch is crossed in one hop to the
 //! true next event ([`TimerWheel::earliest_event_time`]), not crawled
-//! through in fixed strides from a coarse wheel-bucket bound. The
-//! **fixed-min-L** policy reproduces the original single global
-//! `L = min cross-partition latency` stride for differential tests and
-//! barrier-count comparisons.
+//! through in fixed strides from a coarse wheel-bucket bound. The original
+//! single global `L = min cross-partition latency` stride survives in test
+//! builds only, as the differential oracle of a proptest below.
 //!
 //! Because everything order-sensitive — sequencing, digest, trace, RNG
 //! draws — is either partition-local or replayed at the barrier in merged
 //! order, the result is **bit-identical** to the sequential engine for any
-//! thread count and either policy. Randomized network jitter and fault
+//! thread count. Randomized network jitter and fault
 //! omission hold too: their draws come from per-link counter-keyed streams
 //! (`hash(stream_seed, link, draw_index)`), each link is drawn only by the
 //! partition that owns its sender, and a partition dispatches its nodes'
@@ -76,29 +74,21 @@ use predis_types::payload_stats;
 /// window began.
 const PROVISIONAL_BASE: u64 = 1 << 63;
 
-/// How the lockstep driver picks each window's shared pop horizon.
-///
-/// Both policies produce the exact same event stream (the conservative
-/// guarantee — no cross-partition arrival inside a window — holds for
-/// either); they differ only in how many barriers it takes to get there.
+/// How the lockstep driver picks each window's shared pop horizon — a
+/// choice only tests have: release builds always run
+/// [`adaptive_pop_horizon`]. Both policies produce the exact same event
+/// stream (the conservative guarantee — no cross-partition arrival inside a
+/// window — holds for either); they differ only in how many barriers it
+/// takes to get there.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowPolicy {
-    /// Close each window at the latest provably-safe instant:
-    /// `min over partitions p with pending events of (p's exact next event
-    /// time + p's minimum outgoing cross-partition latency) − 1`.
-    ///
-    /// No message sent from `p` during the window can land at or before
-    /// that instant, and the bound is tight: one nanosecond later could
-    /// admit one. Because the per-partition term uses the *exact* next
-    /// event time (`TimerWheel::earliest_event_time`), an idle stretch is
-    /// crossed in a single window regardless of length — barrier counts
-    /// track event density, not the latency floor.
+pub(crate) enum WindowPolicy {
+    /// [`adaptive_pop_horizon`].
     #[default]
     Adaptive,
     /// The original fixed stride: every window is exactly
     /// `L = min cross-partition latency` long, starting from the earliest
-    /// pending wheel lower bound. Kept as the differential baseline for
-    /// barrier-count comparisons; strictly never fewer barriers than
+    /// pending wheel lower bound. Strictly never fewer barriers than
     /// [`WindowPolicy::Adaptive`].
     FixedMinL,
 }
@@ -465,6 +455,7 @@ struct Plan {
     out_min: Vec<SimDuration>,
     /// Global minimum of the matrix: the fixed window stride of
     /// [`WindowPolicy::FixedMinL`].
+    #[cfg(test)]
     l_min: SimDuration,
 }
 
@@ -596,20 +587,35 @@ fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
         local,
         parts,
         out_min,
+        #[cfg(test)]
         l_min,
     })
 }
 
-/// The window end clipped to the run horizon, *exclusive* of the window end
-/// itself: `pop_next` is inclusive, so the last nanosecond of every window
-/// belongs to the next one — which is exactly where a cross-partition send
-/// emitted at the window's first instant can land.
-fn pop_horizon_for(w_start: SimTime, lookahead: SimDuration, horizon: SimTime) -> SimTime {
-    let w_end = w_start + lookahead;
-    SimTime::from_nanos(w_end.as_nanos() - 1).min(horizon)
+/// The [`WindowPolicy::FixedMinL`] pop horizon: one `l_min` stride from the
+/// previous window's end, or from the earliest pending wheel lower bound
+/// when every wheel is idle past it. The window end is *exclusive*:
+/// `pop_next` is inclusive, so the last nanosecond of every window belongs
+/// to the next one — which is exactly where a cross-partition send emitted
+/// at the window's first instant can land.
+#[cfg(test)]
+fn fixed_pop_horizon<M>(
+    shards: &[Shard<M>],
+    l_min: SimDuration,
+    horizon: SimTime,
+    prev_end: &mut SimTime,
+) -> Option<SimTime> {
+    let lb = shards
+        .iter()
+        .filter_map(|s| s.wheel.earliest_lower_bound())
+        .min()
+        .filter(|&lb| lb <= horizon)?;
+    let w_start = lb.max(*prev_end);
+    *prev_end = w_start + l_min;
+    Some(SimTime::from_nanos(prev_end.as_nanos() - 1).min(horizon))
 }
 
-/// The [`WindowPolicy::Adaptive`] pop horizon:
+/// The pop horizon of the next window, the latest provably-safe instant:
 /// `min over partitions p with pending events of (p's exact next event time
 /// + out_min[p]) − 1`, clipped to the run horizon.
 ///
@@ -665,8 +671,6 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
     let Some(plan) = plan_partitions(sim) else {
         return false;
     };
-    let l_min = plan.l_min;
-    let policy = sim.window_policy;
     let nparts = plan.parts.len();
     let total = sim.actors.len();
 
@@ -738,20 +742,19 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
         winners: Vec::new(),
         routes: (0..nparts).map(|_| Vec::new()).collect(),
     };
-    // FixedMinL stride state; unused (and untouched) under Adaptive.
-    let mut w_start = SimTime::ZERO;
-    let first_pop = match policy {
-        WindowPolicy::Adaptive => adaptive_pop_horizon(&shards, &plan.out_min, horizon),
-        WindowPolicy::FixedMinL => shards
-            .iter()
-            .filter_map(|s| s.wheel.earliest_lower_bound())
-            .min()
-            .filter(|&t| t <= horizon)
-            .map(|first| {
-                w_start = first;
-                pop_horizon_for(first, l_min, horizon)
-            }),
+    #[cfg(test)]
+    let mut fixed_prev_end =
+        (sim.window_policy == WindowPolicy::FixedMinL).then_some(SimTime::ZERO);
+    // Mutable only for the oracle's stride state.
+    #[cfg_attr(not(test), allow(unused_mut))]
+    let mut next_pop_horizon = |shards: &[Shard<M>]| {
+        #[cfg(test)]
+        if let Some(prev_end) = &mut fixed_prev_end {
+            return fixed_pop_horizon(shards, plan.l_min, horizon, prev_end);
+        }
+        adaptive_pop_horizon(shards, &plan.out_min, horizon)
     };
+    let first_pop = next_pop_horizon(&shards);
     let (mut shards, harvests) = if let Some(mut pop_horizon) = first_pop {
         for shard in shards.iter_mut() {
             shard.pop_horizon = pop_horizon;
@@ -764,23 +767,9 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
                 if pop_horizon == horizon {
                     return false;
                 }
-                let next = match policy {
-                    WindowPolicy::Adaptive => adaptive_pop_horizon(shards, &plan.out_min, horizon),
-                    WindowPolicy::FixedMinL => shards
-                        .iter()
-                        .filter_map(|s| s.wheel.earliest_lower_bound())
-                        .min()
-                        .filter(|&lb| lb <= horizon)
-                        .map(|lb| {
-                            // Advance one stride, or jump straight to the
-                            // next busy stretch when every wheel is idle
-                            // past the window end.
-                            let w_end = w_start + l_min;
-                            w_start = lb.max(w_end);
-                            pop_horizon_for(w_start, l_min, horizon)
-                        }),
+                let Some(next) = next_pop_horizon(shards) else {
+                    return false;
                 };
-                let Some(next) = next else { return false };
                 pop_horizon = next;
                 for shard in shards.iter_mut() {
                     shard.pop_horizon = pop_horizon;
@@ -1457,7 +1446,7 @@ mod tests {
         ) {
             let run = |policy: WindowPolicy| {
                 let mut sim = chaos_sim(seed, nodes, crash_node, regional, 0, false, threads);
-                sim.set_window_policy(policy);
+                sim.window_policy = policy;
                 sim.run_until(SimTime::from_secs(4));
                 sim
             };

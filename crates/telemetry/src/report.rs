@@ -113,6 +113,11 @@ impl RunReport {
         self
     }
 
+    /// Sets a free-form metadata pair in place.
+    pub fn set_meta(&mut self, key: &str, value: impl ToString) {
+        self.meta.insert(key.into(), value.to_string());
+    }
+
     /// Adds a derived scalar metric.
     pub fn set_metric(&mut self, key: impl Into<String>, value: f64) {
         self.metrics.insert(key.into(), value);

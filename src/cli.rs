@@ -235,12 +235,7 @@ fn cmd_throughput(flags: &Flags) -> Result<String, CliError> {
         pipeline: flags.num("pipeline", 8usize)?,
         ..Default::default()
     };
-    if setup.n_c < 1 {
-        return err("--nc must be at least 1");
-    }
-    if setup.warmup_secs >= setup.duration_secs {
-        return err("--warmup must be smaller than --secs");
-    }
+    setup.validate().map_err(CliError)?;
     let s = setup.run();
     Ok(format!(
         "{} n_c={} {:?} offered={:.0} tx/s\n\
@@ -279,6 +274,7 @@ fn cmd_propagation(flags: &Flags) -> Result<String, CliError> {
     if setup.blocks == 0 {
         return err("--blocks must be positive");
     }
+    setup.validate(&topology).map_err(CliError)?;
     let r = setup.run(&topology);
     Ok(format!(
         "{topology:?}, {block_mb} MB blocks, {} full nodes\n\
@@ -304,6 +300,7 @@ fn cmd_topology(flags: &Flags) -> Result<String, CliError> {
         warmup_secs: flags.num("warmup", 5u64)?,
         seed: flags.num("seed", 1u64)?,
     };
+    setup.validate().map_err(CliError)?;
     let r = setup.run();
     Ok(format!(
         "{mode:?}, {} full nodes, n_c={}\n\
@@ -335,6 +332,7 @@ fn cmd_series(flags: &Flags) -> Result<String, CliError> {
         seed: flags.num("seed", 1u64)?,
         ..Default::default()
     };
+    setup.validate().map_err(CliError)?;
     let sim = setup.run_sim();
     let until = SimTime::from_secs(secs);
     let series = sim.metrics().throughput_series(bucket, until);
@@ -390,7 +388,7 @@ fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
         "protocol", "tps", "mean_ms", "p50_ms", "p99_ms"
     );
     for protocol in protocols {
-        let s = ThroughputSetup {
+        let setup = ThroughputSetup {
             protocol,
             n_c: flags.num("nc", 4usize)?,
             offered_tps: flags.num("load", 20_000.0f64)?,
@@ -399,8 +397,9 @@ fn cmd_compare(flags: &Flags) -> Result<String, CliError> {
             warmup_secs: secs / 3,
             seed: flags.num("seed", 1u64)?,
             ..Default::default()
-        }
-        .run();
+        };
+        setup.validate().map_err(CliError)?;
+        let s = setup.run();
         out.push_str(&format!(
             "{:>10} {:>10.0} {:>10.1} {:>10.1} {:>10.1}
 ",
@@ -517,6 +516,21 @@ mod tests {
     fn throughput_validation() {
         assert!(run(&args("throughput --warmup 20 --secs 10")).is_err());
         assert!(run(&args("throughput --protocol bogus")).is_err());
+    }
+
+    /// Out-of-range flags come back as errors naming the setup field, not
+    /// as panics from inside the build.
+    #[test]
+    fn unwirable_flags_are_errors_not_panics() {
+        for (line, field) in [
+            ("throughput --nc 4 --silent 0,1,2,3", "no honest replica"),
+            ("topology --nc 0", "n_c"),
+            ("propagation --topology star --nc 0", "n_c"),
+            ("throughput --mbps 0", "mbps"),
+        ] {
+            let e = run(&args(line)).expect_err(line);
+            assert!(e.0.contains(field), "`{line}`: {e}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use predis::consensus::planes::PredisPlane;
 use predis::consensus::{ConsMsg, HotStuffNode, PbftNode};
-use predis::experiments::{NetEnv, Protocol, ThroughputSetup};
+use predis::experiments::{NetEnv, Protocol, Setup, ThroughputSetup};
 use predis::sim::prelude::*;
 use predis::types::ChainId;
 
@@ -22,7 +22,7 @@ fn pbft_state_stays_bounded_over_a_long_run() {
         ..Default::default()
     };
     let sim = setup.run_sim();
-    let summary = setup.summarize(&sim);
+    let summary = setup.result(&sim);
     assert!(summary.throughput_tps > 7_000.0);
     for me in 0..4u32 {
         let node = sim
@@ -69,7 +69,7 @@ fn hotstuff_block_tree_stays_bounded() {
         ..Default::default()
     };
     let sim = setup.run_sim();
-    let summary = setup.summarize(&sim);
+    let summary = setup.result(&sim);
     assert!(summary.throughput_tps > 7_000.0);
     for me in 0..4u32 {
         let node = sim
