@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use predis_consensus::planes::PredisPlane;
 use predis_consensus::{ClientSwarm, ConsMsg, ConsensusConfig, FlashCrowd, PbftNode, Roster};
-use predis_multizone::{MultiZoneNode, NetMsg, SubCap, ZoneConfig, ZoneSource};
+use predis_multizone::{validate_stripes, MultiZoneNode, NetMsg, SubCap, ZoneConfig, ZoneSource};
 use predis_sim::prelude::*;
 use predis_telemetry::RunReport;
 use predis_types::ClientId;
@@ -156,10 +156,12 @@ impl MegaScaleSetup {
         Setup::report(self, result, sim, name)
     }
 
-    /// Rejects parameters the build cannot wire: an empty committee, zero
-    /// bandwidth, zero zones, or a warm-up that swallows the run.
+    /// Rejects parameters the build cannot wire: an empty committee, more
+    /// stripes than a stripe mask holds, zero bandwidth, zero zones, or a
+    /// warm-up that swallows the run.
     pub fn validate(&self) -> Result<(), String> {
         validate_committee(self.n_c, self.mbps)?;
+        validate_stripes(self.n_c)?;
         if self.zones < 1 {
             return Err("zones must be at least 1".into());
         }

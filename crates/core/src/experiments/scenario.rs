@@ -1003,6 +1003,27 @@ mod tests {
             ),
             (
                 scenario(
+                    ZoneWorld {
+                        n_c: 65,
+                        ..Default::default()
+                    }
+                    .world(),
+                    vec![],
+                ),
+                "world: n_c (65) must be at most 64",
+            ),
+            (
+                scenario(
+                    World::MegaScale(MegaScaleSetup {
+                        n_c: 65,
+                        ..Default::default()
+                    }),
+                    vec![],
+                ),
+                "world: n_c (65) must be at most 64",
+            ),
+            (
+                scenario(
                     World::Consensus(tiny_consensus(2)),
                     vec![Injection::Straggler { node: 4, mbps: 10 }],
                 ),

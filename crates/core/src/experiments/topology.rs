@@ -7,7 +7,8 @@
 use predis_consensus::planes::PredisPlane;
 use predis_consensus::{ClientCore, ConsMsg, ConsensusConfig, PbftNode, Roster};
 use predis_multizone::{
-    round_robin, BlockSink, BundleId, MultiZoneNode, NetMsg, ZoneConfig, ZoneSource,
+    round_robin, validate_stripes, BlockSink, BundleId, MultiZoneNode, NetMsg, ZoneConfig,
+    ZoneSource,
 };
 use predis_sim::prelude::*;
 use predis_telemetry::RunReport;
@@ -255,11 +256,15 @@ impl TopologySetup {
     }
 
     /// Rejects parameters the build cannot wire: an empty committee, zero
-    /// bandwidth, zero zones, or a warm-up that swallows the run.
+    /// bandwidth, zero zones, more Multi-Zone stripes than a stripe mask
+    /// holds, or a warm-up that swallows the run.
     pub fn validate(&self) -> Result<(), String> {
         validate_committee(self.n_c, self.mbps)?;
-        if self.mode == (DistMode::MultiZone { zones: 0 }) {
-            return Err("mode: zones must be at least 1".into());
+        if let DistMode::MultiZone { zones } = self.mode {
+            if zones == 0 {
+                return Err("mode: zones must be at least 1".into());
+            }
+            validate_stripes(self.n_c)?;
         }
         validate_window(self.warmup_secs, self.duration_secs)
     }

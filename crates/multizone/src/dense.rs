@@ -5,24 +5,26 @@
 //! per-entry overhead of those maps dominates resident memory. The
 //! containers here replace them with flat arrays and interned handles
 //! while preserving the *exact* iteration orders of the maps they
-//! replace (ascending stripe / ascending `NodeId` / ascending block),
-//! because iteration order decides message emission order and therefore
-//! the run's trace fingerprint:
+//! replace (ascending stripe / ascending `NodeId` / ascending pending
+//! block), because iteration order decides message emission order and
+//! therefore the run's trace fingerprint:
 //!
 //! * [`StripeTable`] — stripe-keyed map as a fixed `n_stripes` array.
-//! * [`StripeSet`] — stripe set as one `u64` bitmask (`n_c ≤ 64`).
+//! * [`StripeSet`] — stripe set as one `u64` bitmask (`n_c ≤`
+//!   [`MAX_STRIPES`]).
 //! * [`PeerMap`] — `NodeId`-keyed map with interned dense handles (the
 //!   counter-interning trick applied to actors): each peer is assigned a
 //!   small index on first contact, values live in a dense vector, and a
 //!   sorted handle list keeps `BTreeMap`-compatible ascending iteration.
-//! * [`U64Set`] / [`U64Map`] — sorted-vector set/map for sparse `u64`
-//!   keys (block numbers are *hashes* in the fig7 consensus world, so
-//!   they cannot index an array directly): 8 bytes per entry instead of
-//!   a tree node per entry.
-//! * [`BlockTable`] — a compact slot ring for per-bundle in-flight state
-//!   (stripes held, decoded/whole bits, pull attempts, announcement
-//!   metadata). Slots are recycled when a block completes, so steady
-//!   state holds only the blocks actually in flight.
+//! * [`U64Set`] — sorted-vector set of block ids, for the small sets
+//!   read in ascending order (completed, announced, pulled): 8 bytes per
+//!   entry instead of a tree node per entry.
+//! * [`BlockTable`] — everything else a node knows per block (stripes
+//!   held, decoded bits, pull attempts, announcement, size) in one
+//!   open-addressed table of inline [`BlockEntry`]s. Block ids are bundle
+//!   *digests* in the consensus-duty worlds, so the table is keyed by
+//!   hash, not position: O(1) per stripe at any size, and no allocation
+//!   per single-bundle block.
 //!
 //! Every container reports [`approx_bytes`](StripeTable::approx_bytes)
 //! so the engine's `mem.*` accounting can gate the footprint.
@@ -129,11 +131,16 @@ impl<T: Copy> StripeTable<T> {
 // StripeSet
 // ---------------------------------------------------------------------
 
+/// The most stripes (= consensus nodes) a Multi-Zone world can have:
+/// [`StripeSet`] and the per-bundle stripe masks of [`BlockEntry`] are one
+/// `u64` each. The setups' `validate` reject a larger `n_c`.
+pub const MAX_STRIPES: usize = 64;
+
 /// A set of stripe indices as a single `u64` bitmask.
 ///
 /// Iteration is ascending, matching the `BTreeSet<u32>` it replaces.
-/// Requires `n_c ≤ 64` (asserted at node construction); out-of-range
-/// inserts are ignored.
+/// Requires `n_c ≤` [`MAX_STRIPES`] (asserted at node construction);
+/// out-of-range inserts are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StripeSet(u64);
 
@@ -153,7 +160,7 @@ impl StripeSet {
 
     /// Inserts `stripe`; true if it was not present.
     pub fn insert(&mut self, stripe: u32) -> bool {
-        if stripe >= 64 {
+        if stripe as usize >= MAX_STRIPES {
             return false;
         }
         let mask = 1u64 << stripe;
@@ -164,7 +171,7 @@ impl StripeSet {
 
     /// Removes `stripe`; true if it was present.
     pub fn remove(&mut self, stripe: u32) -> bool {
-        if stripe >= 64 {
+        if stripe as usize >= MAX_STRIPES {
             return false;
         }
         let mask = 1u64 << stripe;
@@ -175,7 +182,7 @@ impl StripeSet {
 
     /// Membership test.
     pub fn contains(self, stripe: u32) -> bool {
-        stripe < 64 && self.0 >> stripe & 1 == 1
+        (stripe as usize) < MAX_STRIPES && self.0 >> stripe & 1 == 1
     }
 
     /// Number of stripes in the set.
@@ -341,7 +348,7 @@ impl<V> PeerMap<V> {
 }
 
 // ---------------------------------------------------------------------
-// U64Set / U64Map
+// U64Set
 // ---------------------------------------------------------------------
 
 /// A sorted-vector set of `u64` keys (8 bytes per entry).
@@ -399,173 +406,135 @@ impl U64Set {
     }
 }
 
-/// A sorted-vector map from `u64` keys to values.
-///
-/// Iteration is ascending by key, matching the maps it replaces.
-#[derive(Debug, Clone, Default)]
-pub struct U64Map<V> {
-    keys: Vec<u64>,
-    vals: Vec<V>,
-}
-
-impl<V> U64Map<V> {
-    /// An empty map.
-    pub fn new() -> U64Map<V> {
-        U64Map {
-            keys: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
-    /// Inserts, returning the previous value for `key`.
-    pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        match self.keys.binary_search(&key) {
-            Ok(pos) => Some(std::mem::replace(&mut self.vals[pos], value)),
-            Err(pos) => {
-                self.keys.insert(pos, key);
-                self.vals.insert(pos, value);
-                None
-            }
-        }
-    }
-
-    /// The value for `key`, if any.
-    pub fn get(&self, key: u64) -> Option<&V> {
-        let pos = self.keys.binary_search(&key).ok()?;
-        Some(&self.vals[pos])
-    }
-
-    /// The value for `key`, inserting `default` first when absent.
-    pub fn entry_or(&mut self, key: u64, default: V) -> &mut V {
-        let pos = match self.keys.binary_search(&key) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                self.keys.insert(pos, key);
-                self.vals.insert(pos, default);
-                pos
-            }
-        };
-        &mut self.vals[pos]
-    }
-
-    /// Removes and returns the value for `key`.
-    pub fn remove(&mut self, key: u64) -> Option<V> {
-        let pos = self.keys.binary_search(&key).ok()?;
-        self.keys.remove(pos);
-        Some(self.vals.remove(pos))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Entries in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.keys.iter().copied().zip(self.vals.iter())
-    }
-
-    /// Releases capacity slack left over from a transient burst.
-    pub fn shrink_to_fit(&mut self) {
-        self.keys.shrink_to_fit();
-        self.vals.shrink_to_fit();
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn approx_bytes(&self) -> usize {
-        self.keys.capacity() * 8 + self.vals.capacity() * std::mem::size_of::<V>()
-    }
-}
-
 // ---------------------------------------------------------------------
-// BlockTable / BlockSlot
+// BlockTable / BlockEntry
 // ---------------------------------------------------------------------
 
-/// Per-block in-flight bundle state: which stripes of each bundle are
-/// held, which bundles decoded / held whole, recovery pull attempts, and
-/// the block announcement (bundle count + arrival time) once seen.
-///
-/// One `BlockSlot` replaces what used to be entries in five separate
-/// maps (`stripes_have`, `decoded`, `whole_bundles`, `pull_attempts`,
-/// `pending_blocks` + `ann_seen_at`).
+const OCCUPIED: u8 = 1;
+/// Announced and incomplete: `bundles` and `at` describe the announcement.
+const PENDING: u8 = 1 << 1;
+/// Reconstructed: only `size` and `hint` are kept, to serve pulls.
+const DONE: u8 = 1 << 2;
+const HINT: u8 = 1 << 3;
+const DECODED0: u8 = 1 << 4;
+
+/// Everything a full node knows about one block, in 56 bytes: stripes
+/// held, decoded bit and pull attempts of bundle 0, the announcement
+/// (bundle count + arrival time) once seen, and the decoded size and
+/// bundle-size hint that outlive completion. Blocks of the consensus duty
+/// are one bundle each, so only the synthetic multi-bundle loads ever
+/// allocate the spill.
+#[derive(Debug, Clone)]
+pub struct BlockEntry {
+    key: u64,
+    /// Stripes held of bundle 0.
+    stripes: u64,
+    size: u64,
+    /// The announcement's arrival while pending, else the first data
+    /// arrival (`SimTime::MAX`: none yet). One field serves both because a
+    /// block never stops being pending except by leaving, the expiry sweep
+    /// reads it on unannounced blocks only and recovery on pending ones.
+    at: SimTime,
+    bundles: u32,
+    hint: u32,
+    /// Pull attempts of bundle 0 (saturating).
+    pulls: u8,
+    flags: u8,
+    /// Bundles `1..`.
+    spill: Option<Box<Spill>>,
+}
+
+/// Per-bundle state of bundles `1..`, indexed by `idx - 1`.
 #[derive(Debug, Clone, Default)]
-pub struct BlockSlot {
-    bundles: Option<u32>,
-    ann_at: Option<SimTime>,
-    /// When the first stripe (or pulled bundle) of the block arrived —
-    /// the age reference for expiring never-announced slots.
-    touched: Option<SimTime>,
-    /// Per bundle index: bitmask of stripes held (`n_c ≤ 64`).
-    stripe_words: Vec<u64>,
-    /// Bitset over bundle indices: bundle decoded.
+struct Spill {
+    stripes: Vec<u64>,
+    /// Bitset: bundle decoded (and from then on held whole, servable).
     decoded: Vec<u64>,
-    /// Bitset over bundle indices: bundle held whole (servable).
-    whole: Vec<u64>,
-    /// Per bundle index: recovery pull attempts (saturating).
     pulls: Vec<u8>,
 }
 
-fn bit_get(words: &[u64], idx: u32) -> bool {
-    words
-        .get(idx as usize / 64)
-        .is_some_and(|w| w >> (idx % 64) & 1 == 1)
+/// `v[i]`, growing `v` by exactly what is missing: `resize` alone reserves
+/// amortized (min capacity 4), and with many blocks live at once the slack
+/// is what the memory gate ends up measuring.
+fn slot_at<T: Copy + Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.reserve_exact(i + 1 - v.len());
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
 }
 
-fn bit_set(words: &mut Vec<u64>, idx: u32) -> bool {
-    let word = idx as usize / 64;
-    if words.len() <= word {
-        // Exact growth: `resize` alone reserves amortized (min capacity
-        // 4), and with thousands of single-bundle slots live at once the
-        // slack is what the memory gate ends up measuring.
-        words.reserve_exact(word + 1 - words.len());
-        words.resize(word + 1, 0);
-    }
-    let mask = 1u64 << (idx % 64);
-    let fresh = words[word] & mask == 0;
-    words[word] |= mask;
+fn bit_get(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+fn bit_set(words: &mut Vec<u64>, i: usize) -> bool {
+    let word = slot_at(words, i / 64);
+    let fresh = *word >> (i % 64) & 1 == 0;
+    *word |= 1 << (i % 64);
     fresh
 }
 
-impl BlockSlot {
+impl BlockEntry {
+    const EMPTY: BlockEntry = BlockEntry {
+        key: 0,
+        stripes: 0,
+        size: 0,
+        at: SimTime::MAX,
+        bundles: 0,
+        hint: 0,
+        pulls: 0,
+        flags: 0,
+        spill: None,
+    };
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    fn spill_mut(&mut self) -> &mut Spill {
+        self.spill.get_or_insert_with(Box::default)
+    }
+
     /// The announced bundle count, if the block is pending.
     pub fn pending(&self) -> Option<u32> {
-        self.bundles
+        self.has(PENDING).then_some(self.bundles)
     }
 
     /// When the announcement arrived, if pending.
     pub fn ann_at(&self) -> Option<SimTime> {
-        self.ann_at
+        self.has(PENDING).then_some(self.at)
     }
 
-    /// Records the first data arrival for the block (later calls are
-    /// no-ops).
+    /// Whether the block was reconstructed (only its size and hint remain).
+    pub fn is_done(&self) -> bool {
+        self.has(DONE)
+    }
+
+    /// Records the first data arrival for the block (later calls, and
+    /// calls on an announced block, are no-ops).
     pub fn note_touch(&mut self, at: SimTime) {
-        self.touched.get_or_insert(at);
+        if !self.has(PENDING) && self.at == SimTime::MAX {
+            self.at = at;
+        }
     }
 
-    /// When the block's first data arrived, if any did.
+    /// When the first data of a still unannounced block arrived — the age
+    /// reference for expiring never-announced blocks.
     pub fn first_touch(&self) -> Option<SimTime> {
-        self.touched
+        (!self.has(PENDING) && self.at != SimTime::MAX).then_some(self.at)
     }
 
     /// Records one stripe of bundle `idx`. Returns `None` on a
     /// duplicate, else the number of distinct stripes now held.
     pub fn add_stripe(&mut self, idx: u32, stripe: u32) -> Option<u32> {
-        if stripe >= 64 {
+        if stripe as usize >= MAX_STRIPES {
             return None;
         }
-        let i = idx as usize;
-        if self.stripe_words.len() <= i {
-            self.stripe_words
-                .reserve_exact(i + 1 - self.stripe_words.len());
-            self.stripe_words.resize(i + 1, 0);
-        }
-        let word = &mut self.stripe_words[i];
+        let word = match idx {
+            0 => &mut self.stripes,
+            _ => slot_at(&mut self.spill_mut().stripes, idx as usize - 1),
+        };
         let mask = 1u64 << stripe;
         if *word & mask != 0 {
             return None;
@@ -576,22 +545,22 @@ impl BlockSlot {
 
     /// Marks bundle `idx` decoded; true if newly set.
     pub fn mark_decoded(&mut self, idx: u32) -> bool {
-        bit_set(&mut self.decoded, idx)
+        if idx > 0 {
+            return bit_set(&mut self.spill_mut().decoded, idx as usize - 1);
+        }
+        let fresh = !self.has(DECODED0);
+        self.flags |= DECODED0;
+        fresh
     }
 
-    /// Whether bundle `idx` is decoded.
+    /// Whether bundle `idx` is decoded: reconstructed from `k` stripes or
+    /// pulled whole, and servable to pulls either way.
     pub fn is_decoded(&self, idx: u32) -> bool {
-        bit_get(&self.decoded, idx)
-    }
-
-    /// Marks bundle `idx` held whole.
-    pub fn mark_whole(&mut self, idx: u32) {
-        bit_set(&mut self.whole, idx);
-    }
-
-    /// Whether bundle `idx` is held whole.
-    pub fn is_whole(&self, idx: u32) -> bool {
-        bit_get(&self.whole, idx)
+        match (idx, &self.spill) {
+            (0, _) => self.has(DECODED0),
+            (_, Some(spill)) => bit_get(&spill.decoded, idx as usize - 1),
+            (_, None) => false,
+        }
     }
 
     /// Whether every bundle that has received at least one stripe is
@@ -599,165 +568,285 @@ impl BlockSlot {
     /// count, so "all bundles seen so far" is the strongest completion
     /// signal available (the ann-less retirement condition).
     pub fn all_decoded(&self) -> bool {
-        self.stripe_words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w == 0 || bit_get(&self.decoded, i as u32))
+        (self.stripes == 0 || self.has(DECODED0))
+            && self.spill.as_ref().is_none_or(|spill| {
+                let mut words = spill.stripes.iter().enumerate();
+                words.all(|(i, &w)| w == 0 || bit_get(&spill.decoded, i))
+            })
     }
 
     /// Whether every bundle seen holds all `n_c` stripes. Once true, the
     /// stripe plane has nothing further to deliver for this block —
-    /// retiring the slot earlier (at `k` of `n_c` stripes) would let the
-    /// remaining stripes resurrect it as a new, never-decodable slot.
+    /// retiring it earlier (at `k` of `n_c` stripes) would let the
+    /// remaining stripes resurrect it as a new, never-decodable block.
     pub fn holds_all_stripes(&self, n_c: u32) -> bool {
-        !self.stripe_words.is_empty() && self.stripe_words.iter().all(|w| w.count_ones() >= n_c)
+        let spilled = self.spill.iter().flat_map(|spill| &spill.stripes);
+        std::iter::once(&self.stripes)
+            .chain(spilled)
+            .all(|w| w.count_ones() >= n_c)
     }
 
     /// Increments bundle `idx`'s pull-attempt counter, returning the new
     /// value (saturating at 255 — only the `≤ 2` threshold matters).
     pub fn bump_pull(&mut self, idx: u32) -> u32 {
-        let i = idx as usize;
-        if self.pulls.len() <= i {
-            self.pulls.reserve_exact(i + 1 - self.pulls.len());
-            self.pulls.resize(i + 1, 0);
-        }
-        self.pulls[i] = self.pulls[i].saturating_add(1);
-        self.pulls[i] as u32
+        let pulls = match idx {
+            0 => &mut self.pulls,
+            _ => slot_at(&mut self.spill_mut().pulls, idx as usize - 1),
+        };
+        *pulls = pulls.saturating_add(1);
+        *pulls as u32
     }
 
-    fn reset(&mut self) {
-        // Fresh vectors, not `clear()`: a recycled slot keeping its peak
-        // capacity would pin the startup-chaos footprint forever, and
-        // `approx_bytes` (the memory gate's input) counts capacity.
-        *self = BlockSlot::default();
+    /// Decoded payload bytes accounted to the block so far.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Accounts `bytes` more decoded payload to the block.
+    pub fn add_size(&mut self, bytes: u64) {
+        self.size += bytes;
+    }
+
+    /// Replaces the accounted size (a block received whole).
+    pub fn set_size(&mut self, bytes: u64) {
+        self.size = bytes;
+    }
+
+    /// The bundle payload size learned from the first decode, if any.
+    pub fn hint(&self) -> Option<u32> {
+        self.has(HINT).then_some(self.hint)
+    }
+
+    /// Records the bundle payload size; only the first call sticks.
+    pub fn note_hint(&mut self, bundle_bytes: u32) {
+        if !self.has(HINT) {
+            self.flags |= HINT;
+            self.hint = bundle_bytes;
+        }
     }
 
     fn heap_bytes(&self) -> usize {
-        self.stripe_words.capacity() * 8
-            + self.decoded.capacity() * 8
-            + self.whole.capacity() * 8
-            + self.pulls.capacity()
+        self.spill.as_ref().map_or(0, |spill| {
+            std::mem::size_of::<Spill>()
+                + (spill.stripes.capacity() + spill.decoded.capacity()) * 8
+                + spill.pulls.capacity()
+        })
     }
 }
 
-/// The slot ring: block number → recycled [`BlockSlot`].
+/// Slots needed to hold `len` entries at a load of at most 7/8 with one
+/// slot always empty (probes stop at an empty slot).
+fn fit(len: usize) -> usize {
+    match len {
+        0 => 0,
+        _ => len + len / 7 + 1,
+    }
+}
+
+/// Block id → [`BlockEntry`], one open-addressed array of inline entries.
 ///
-/// Slots are created on first touch, retired (cleared and returned to a
-/// free list) when the block completes, so live size tracks the blocks
-/// actually in flight. Iteration over pending blocks is ascending by
-/// block number, matching the `BTreeMap` recovery order it replaces.
+/// Block ids are bundle *digests* under the consensus duty (one block per
+/// bundle, uniformly random keys) and small counters under the synthetic
+/// loads, so the home slot is a Fibonacci-mixed multiply-shift of the id:
+/// lookup and insert are O(1) for both, with linear probing and
+/// backward-shift deletion (no tombstones). Capacity is not a power of
+/// two — the multiply-shift maps onto any length — so the table grows by
+/// half, not double: from 8 blocks up a tracked block never costs more
+/// than 96 bytes, and 64 after [`BlockTable::compact`].
+///
+/// Table order is hash order. The two places order is observable are
+/// served separately: pending blocks are also kept in a small ascending
+/// key list (recovery pulls walk it; empty in worlds without
+/// announcements), and callers of [`BlockTable::iter`] sort.
 #[derive(Debug, Clone, Default)]
 pub struct BlockTable {
-    index: U64Map<u32>,
-    slots: Vec<BlockSlot>,
-    free: Vec<u32>,
-    pending: usize,
+    slots: Box<[BlockEntry]>,
+    /// Occupied slots, done blocks included.
+    len: usize,
+    done: usize,
+    /// Ids of the pending blocks, ascending.
+    pending: Vec<u64>,
 }
 
 impl BlockTable {
-    /// An empty table.
+    /// An empty table (owns no allocation until the first block).
     pub fn new() -> BlockTable {
         BlockTable::default()
     }
 
-    /// The slot for `block`, if tracked.
-    pub fn get(&self, block: u64) -> Option<&BlockSlot> {
-        let &h = self.index.get(block)?;
-        Some(&self.slots[h as usize])
+    fn home(&self, block: u64) -> usize {
+        let mixed = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((mixed as u128 * self.slots.len() as u128) >> 64) as usize
     }
 
-    /// The slot for `block`, creating it (from the free list if
-    /// possible) when absent.
-    pub fn slot_mut(&mut self, block: u64) -> &mut BlockSlot {
-        let h = match self.index.get(block) {
-            Some(&h) => h,
-            None => {
-                let h = match self.free.pop() {
-                    Some(h) => h,
-                    None => {
-                        self.slots.push(BlockSlot::default());
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(block, h);
-                h
-            }
-        };
-        &mut self.slots[h as usize]
-    }
-
-    /// Marks `block` pending with `bundles` bundles, announced at `at`.
-    pub fn set_pending(&mut self, block: u64, bundles: u32, at: SimTime) {
-        let slot = self.slot_mut(block);
-        let was_pending = slot.bundles.is_some();
-        slot.bundles = Some(bundles);
-        slot.ann_at = Some(at);
-        if !was_pending {
-            self.pending += 1;
+    /// The slot probed after `i`.
+    fn after(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
         }
     }
 
-    /// Drops every trace of `block`, recycling its slot.
-    pub fn retire(&mut self, block: u64) {
-        if let Some(h) = self.index.remove(block) {
-            let slot = &mut self.slots[h as usize];
-            if slot.bundles.is_some() {
-                self.pending -= 1;
+    /// The slot holding `block`, or else the empty slot it would go to.
+    fn probe(&self, block: u64) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
+        let mut i = self.home(block);
+        loop {
+            let entry = &self.slots[i];
+            if !entry.has(OCCUPIED) {
+                return Err(i);
             }
-            slot.reset();
-            self.free.push(h);
+            if entry.key == block {
+                return Ok(i);
+            }
+            i = self.after(i);
+        }
+    }
+
+    fn rehash(&mut self, slots: usize) {
+        let fresh = vec![BlockEntry::EMPTY; slots].into_boxed_slice();
+        let old = std::mem::replace(&mut self.slots, fresh);
+        for entry in old.into_vec().into_iter().filter(|e| e.has(OCCUPIED)) {
+            let i = self.probe(entry.key).expect_err("keys are unique");
+            self.slots[i] = entry;
+        }
+    }
+
+    /// The entry for `block`, if any (tracked or done).
+    pub fn get(&self, block: u64) -> Option<&BlockEntry> {
+        self.probe(block).ok().map(|i| &self.slots[i])
+    }
+
+    /// The entry for `block`, created when absent.
+    pub fn entry(&mut self, block: u64) -> &mut BlockEntry {
+        let i = match self.probe(block) {
+            Ok(i) => i,
+            Err(mut i) => {
+                if fit(self.len + 1) > self.slots.len() {
+                    self.rehash(fit((self.len + self.len / 2).max(self.len + 1)));
+                    i = self.probe(block).expect_err("block is absent");
+                }
+                self.slots[i] = BlockEntry {
+                    key: block,
+                    flags: OCCUPIED,
+                    ..BlockEntry::EMPTY
+                };
+                self.len += 1;
+                i
+            }
+        };
+        &mut self.slots[i]
+    }
+
+    /// Marks `block` pending with `bundles` bundles, announced at `at`
+    /// (ignored once the block is done).
+    pub fn set_pending(&mut self, block: u64, bundles: u32, at: SimTime) {
+        let entry = self.entry(block);
+        if entry.is_done() {
+            return;
+        }
+        entry.flags |= PENDING;
+        entry.bundles = bundles;
+        entry.at = at;
+        if let Err(pos) = self.pending.binary_search(&block) {
+            self.pending.insert(pos, block);
+        }
+    }
+
+    fn unpend(&mut self, block: u64) {
+        if let Ok(pos) = self.pending.binary_search(&block) {
+            self.pending.remove(pos);
+        }
+    }
+
+    /// Marks `block` done, dropping its in-flight state but keeping its
+    /// size and hint; false if it already was.
+    pub fn complete(&mut self, block: u64) -> bool {
+        let entry = self.entry(block);
+        if entry.is_done() {
+            return false;
+        }
+        *entry = BlockEntry {
+            key: block,
+            size: entry.size,
+            hint: entry.hint,
+            flags: OCCUPIED | DONE | (entry.flags & HINT),
+            ..BlockEntry::EMPTY
+        };
+        self.done += 1;
+        self.unpend(block);
+        true
+    }
+
+    /// Drops every trace of `block`.
+    pub fn retire(&mut self, block: u64) {
+        let Ok(mut hole) = self.probe(block) else {
+            return;
+        };
+        let gone = std::mem::replace(&mut self.slots[hole], BlockEntry::EMPTY);
+        self.len -= 1;
+        self.done -= usize::from(gone.is_done());
+        self.unpend(block);
+        // Close the hole: an entry further down its probe run moves up
+        // unless that would place it before its home slot.
+        let mut next = hole;
+        loop {
+            next = self.after(next);
+            if !self.slots[next].has(OCCUPIED) {
+                return;
+            }
+            let home = self.home(self.slots[next].key);
+            let stays = if hole <= next {
+                hole < home && home <= next
+            } else {
+                hole < home || home <= next
+            };
+            if !stays {
+                self.slots.swap(hole, next);
+                hole = next;
+            }
         }
     }
 
     /// Number of pending (announced, incomplete) blocks.
     pub fn pending_count(&self) -> usize {
-        self.pending
+        self.pending.len()
     }
 
     /// Number of tracked blocks (pending or merely receiving stripes).
     pub fn live_len(&self) -> usize {
-        self.index.len()
+        self.len - self.done
     }
 
-    /// Every tracked block (pending or not) in ascending block order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &BlockSlot)> + '_ {
-        self.index
-            .iter()
-            .map(move |(block, &h)| (block, &self.slots[h as usize]))
+    /// Every tracked block, in table (hash) order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &BlockEntry)> + '_ {
+        let tracked = |e: &&BlockEntry| e.flags & (OCCUPIED | DONE) == OCCUPIED;
+        self.slots.iter().filter(tracked).map(|e| (e.key, e))
     }
 
     /// Pending blocks in ascending block order.
-    pub fn pending_iter(&self) -> impl Iterator<Item = (u64, &BlockSlot)> + '_ {
-        self.index.iter().filter_map(move |(block, &h)| {
-            let slot = &self.slots[h as usize];
-            slot.bundles.is_some().then_some((block, slot))
-        })
+    pub fn pending_iter(&self) -> impl Iterator<Item = (u64, &BlockEntry)> + '_ {
+        self.pending
+            .iter()
+            .filter_map(|&block| Some((block, self.get(block)?)))
     }
 
-    /// Rebuilds the table densely, dropping free-list slack and index
-    /// capacity left over from a transient burst (ascending block order —
-    /// and with it iteration determinism — is preserved).
-    pub fn shrink_to_fit(&mut self) {
-        if self.free.is_empty() && self.slots.capacity() == self.slots.len() {
-            return;
+    /// Releases what a transient burst left behind: rebuilds the table at
+    /// the exact fit once it holds more slots than growth would give it.
+    pub fn compact(&mut self) {
+        if self.slots.len() > fit(self.len + self.len / 2) {
+            self.rehash(fit(self.len));
         }
-        let mut slots = Vec::with_capacity(self.index.len());
-        let mut index = U64Map::new();
-        for (block, &h) in self.index.iter() {
-            index.insert(block, slots.len() as u32);
-            slots.push(std::mem::take(&mut self.slots[h as usize]));
-        }
-        self.slots = slots;
-        self.index = index;
-        self.free = Vec::new();
     }
 
     /// Approximate heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.index.approx_bytes()
-            + self.slots.capacity() * std::mem::size_of::<BlockSlot>()
-            + self.slots.iter().map(BlockSlot::heap_bytes).sum::<usize>()
-            + self.free.capacity() * 4
+        self.slots.len() * std::mem::size_of::<BlockEntry>()
+            + self.slots.iter().map(BlockEntry::heap_bytes).sum::<usize>()
+            + self.pending.capacity() * 8
     }
 }
 
@@ -896,58 +985,130 @@ mod tests {
     }
 
     #[test]
-    fn u64_set_and_map_stay_sorted() {
+    fn u64_set_stays_sorted() {
         let mut s = U64Set::new();
         assert!(s.insert(7));
         assert!(s.insert(3));
         assert!(!s.insert(7));
         assert_eq!(s.as_slice(), &[3, 7]);
         assert!(s.contains(3) && !s.contains(4));
-
-        let mut m: U64Map<u64> = U64Map::new();
-        m.insert(10, 1);
-        *m.entry_or(4, 0) += 5;
-        *m.entry_or(4, 0) += 5;
-        assert_eq!(m.get(4), Some(&10));
-        assert_eq!(
-            m.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>(),
-            vec![(4, 10), (10, 1)]
-        );
-        assert_eq!(m.remove(10), Some(1));
-        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn block_table_tracks_and_retires() {
         let mut t = BlockTable::new();
-        assert_eq!(t.slot_mut(5).add_stripe(0, 2), Some(1));
-        assert_eq!(t.slot_mut(5).add_stripe(0, 2), None);
-        assert_eq!(t.slot_mut(5).add_stripe(0, 4), Some(2));
+        assert_eq!(t.entry(5).add_stripe(0, 2), Some(1));
+        assert_eq!(t.entry(5).add_stripe(0, 2), None);
+        assert_eq!(t.entry(5).add_stripe(0, 4), Some(2));
+        assert_eq!(t.entry(5).add_stripe(0, MAX_STRIPES as u32), None);
         t.set_pending(5, 2, SimTime::ZERO);
         assert_eq!(t.pending_count(), 1);
-        assert!(t.slot_mut(5).mark_decoded(0));
-        assert!(!t.slot_mut(5).mark_decoded(0));
-        t.slot_mut(5).mark_whole(0);
-        assert!(t.get(5).unwrap().is_whole(0));
+        assert!(t.entry(5).mark_decoded(0));
+        assert!(!t.entry(5).mark_decoded(0));
+        assert!(t.get(5).unwrap().is_decoded(0));
         assert!(!t.get(5).unwrap().is_decoded(1));
         // Bundle 0 (the only one with stripes) is decoded.
         assert!(t.get(5).unwrap().all_decoded());
-        assert_eq!(t.slot_mut(5).add_stripe(1, 0), Some(1));
+        assert_eq!(t.entry(5).add_stripe(1, 0), Some(1));
         assert!(!t.get(5).unwrap().all_decoded());
-        assert_eq!(t.slot_mut(5).bump_pull(1), 1);
-        assert_eq!(t.slot_mut(5).bump_pull(1), 2);
-        // A second block, then retire the first: its slot is recycled.
+        assert_eq!(t.entry(5).bump_pull(1), 1);
+        assert_eq!(t.entry(5).bump_pull(1), 2);
+        // A second block, then retire the first: nothing of it is left.
         t.set_pending(9, 1, SimTime::ZERO);
         t.retire(5);
         assert_eq!(t.pending_count(), 1);
         assert_eq!(t.live_len(), 1);
         assert!(t.get(5).is_none());
-        let slot = t.slot_mut(5);
-        assert!(slot.pending().is_none());
+        let slot = t.entry(5);
+        assert!(slot.pending().is_none() && !slot.is_decoded(0));
         assert_eq!(t.live_len(), 2);
         // Pending iteration is ascending by block.
         let blocks: Vec<u64> = t.pending_iter().map(|(b, _)| b).collect();
         assert_eq!(blocks, vec![9]);
+        // A done block stops being tracked but keeps its size and hint.
+        t.entry(9).add_size(700);
+        t.entry(9).note_hint(70);
+        t.entry(9).note_hint(80);
+        assert!(t.complete(9) && !t.complete(9));
+        assert_eq!((t.pending_count(), t.live_len()), (0, 1));
+        let done = t.get(9).unwrap();
+        assert!(done.is_done() && done.first_touch().is_none());
+        assert_eq!((done.size(), done.hint()), (700, Some(70)));
+        t.set_pending(9, 3, SimTime::ZERO);
+        assert_eq!(t.pending_count(), 0);
+    }
+
+    /// What the table replaced cost ~270 B per tracked single-bundle
+    /// block, three heap words of it in allocations of the block's own.
+    #[test]
+    fn single_bundle_block_costs_at_most_96_bytes_and_no_allocation() {
+        assert!(std::mem::size_of::<BlockEntry>() <= 56);
+        for keys in [sequential as fn(u64) -> u64, digest] {
+            let mut t = BlockTable::new();
+            for n in 1..=20_000u64 {
+                let slot = t.entry(keys(n));
+                slot.note_touch(SimTime::from_millis(n));
+                for stripe in 0..4 {
+                    slot.add_stripe(0, stripe);
+                }
+                slot.mark_decoded(0);
+                slot.add_size(25_600);
+                slot.note_hint(25_600);
+                assert_eq!(slot.heap_bytes(), 0);
+                if n >= 8 {
+                    assert!(t.approx_bytes() <= 96 * n as usize, "{n} blocks");
+                }
+            }
+            // Compaction brings a drained table back to the exact fit.
+            for n in 1_000..=20_000 {
+                t.retire(keys(n));
+            }
+            t.compact();
+            assert!(t.approx_bytes() <= 66 * t.live_len());
+            for n in 1..1_000 {
+                t.retire(keys(n));
+            }
+            t.compact();
+            assert_eq!(t.approx_bytes(), 0);
+        }
+    }
+
+    fn sequential(n: u64) -> u64 {
+        n
+    }
+
+    /// Ids as the consensus duty mints them: `bundle.hash().to_u64()`.
+    fn digest(n: u64) -> u64 {
+        predis_crypto::Hash::digest(&n.to_le_bytes()).to_u64()
+    }
+
+    /// The sorted vectors this table replaced paid O(n) per first stripe
+    /// of a bundle; here the slots a lookup inspects do not grow with the
+    /// number of tracked blocks.
+    #[test]
+    fn probe_length_does_not_grow_with_table_size() {
+        for keys in [sequential as fn(u64) -> u64, digest] {
+            for n in [16u64, 4_096, 65_536] {
+                let mut t = BlockTable::new();
+                for i in 0..n {
+                    t.entry(keys(i));
+                    // Churn, as the retire-on-decode worlds produce it.
+                    if i % 3 == 2 {
+                        t.retire(keys(i - 1));
+                    }
+                }
+                let slots = t.slots.len();
+                let probes = |block: u64| {
+                    let at = t.probe(block).expect("tracked");
+                    (at + slots - t.home(block)) % slots + 1
+                };
+                let tracked: Vec<u64> = t.iter().map(|(block, _)| block).collect();
+                let total: usize = tracked.iter().map(|&b| probes(b)).sum();
+                let worst = tracked.iter().map(|&b| probes(b)).max().unwrap();
+                assert!(total <= 5 * tracked.len(), "{n}: mean {total}/{n}");
+                assert!(worst <= 128, "{n}: worst {worst}");
+            }
+        }
     }
 
     #[test]

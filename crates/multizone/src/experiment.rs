@@ -9,6 +9,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::dense::MAX_STRIPES;
 use crate::msg::NetMsg;
 use crate::random::{FegConfig, FegNode, RandomSource};
 use crate::star::{BlockSink, StarSource};
@@ -31,6 +32,17 @@ pub enum Topology {
         /// Number of zones.
         zones: usize,
     },
+}
+
+/// The committee-size rule of every world whose full nodes run Multi-Zone:
+/// one stripe per consensus node, and a stripe mask holds [`MAX_STRIPES`].
+pub fn validate_stripes(n_c: usize) -> Result<(), String> {
+    if n_c > MAX_STRIPES {
+        return Err(format!(
+            "n_c ({n_c}) must be at most {MAX_STRIPES} under Multi-Zone: stripe masks are one word"
+        ));
+    }
+    Ok(())
 }
 
 /// Deals `nodes` into `n` groups round-robin by index — a star's assignment
@@ -129,7 +141,8 @@ impl PropagationSetup {
     }
 
     /// Rejects parameters [`PropagationSetup::build`] cannot wire: no block
-    /// source, zero bandwidth, or zero zones.
+    /// source, zero bandwidth, zero zones, or more Multi-Zone stripes than
+    /// a stripe mask holds.
     pub fn validate(&self, topology: &Topology) -> Result<(), String> {
         if self.n_c < 1 {
             return Err("n_c must be at least 1".into());
@@ -137,8 +150,11 @@ impl PropagationSetup {
         if self.mbps == 0 {
             return Err("mbps must be positive".into());
         }
-        if *topology == (Topology::MultiZone { zones: 0 }) {
-            return Err("zones must be at least 1".into());
+        if let Topology::MultiZone { zones } = topology {
+            if *zones == 0 {
+                return Err("zones must be at least 1".into());
+            }
+            validate_stripes(self.n_c)?;
         }
         Ok(())
     }

@@ -34,7 +34,9 @@ pub mod random;
 pub mod star;
 pub mod zone;
 
-pub use experiment::{round_robin, PropagationResult, PropagationSetup, Topology};
+pub use experiment::{
+    round_robin, validate_stripes, PropagationResult, PropagationSetup, Topology,
+};
 pub use msg::{net_timers, BundleId, NetMsg, RelayerInfo};
 pub use random::{FegConfig, FegNode, RandomSource};
 pub use star::{BlockSink, StarSource};

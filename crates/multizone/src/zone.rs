@@ -11,7 +11,7 @@
 //!
 //! Per-node state lives in the dense containers of [`crate::dense`]
 //! (fixed stripe arrays, interned peer handles, one shared roster per
-//! zone, a recycled block-slot table) rather than per-node `BTreeMap`s,
+//! zone, one keyed per-block table) rather than per-node `BTreeMap`s,
 //! so 10^5 simulated full nodes fit in a few GB. Every container
 //! preserves the iteration order of the map it replaced, keeping message
 //! emission — and therefore run fingerprints — bit-identical.
@@ -24,7 +24,7 @@ use predis_types::Shared;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::dense::{BlockTable, PeerMap, StripeSet, StripeTable, U64Map, U64Set, ZoneRoster};
+use crate::dense::{BlockTable, PeerMap, StripeSet, StripeTable, U64Set, ZoneRoster, MAX_STRIPES};
 use crate::msg::{net_timers, BundleId, NetMsg, RelayerInfo};
 
 /// Static parameters of a Multi-Zone deployment.
@@ -498,19 +498,16 @@ pub struct MultiZoneNode {
     zone_relayers: PeerMap<RelayerState>,
 
     // ---- data state ----
-    /// Per-block in-flight bundle state: stripes held, decoded/whole
-    /// bits, pull attempts, announcement metadata. Slots are recycled on
-    /// completion.
-    inflight: BlockTable,
+    /// Everything known per block: stripes held, decoded bits, pull
+    /// attempts, announcement metadata while in flight; the size and the
+    /// bundle payload size (for serving pulls) also once done.
+    blocks: BlockTable,
+    /// The done blocks in ascending order (backup digests read its tail).
     completed: U64Set,
-    block_sizes: U64Map<u64>,
     ann_forwarded: U64Set,
     pulled: U64Set,
     /// stripe -> last time data arrived on it.
     last_data: StripeTable<SimTime>,
-    /// Per-block bundle payload size (learned from stripes), for serving
-    /// bundle pulls. Survives completion by design.
-    bundle_bytes_hint: U64Map<u32>,
     /// Last heartbeat (or any message) per child, for §IV-E disconnects.
     child_last_seen: PeerMap<SimTime>,
     /// Ring of recently retired blocks (ann-less worlds only): absorbs
@@ -558,8 +555,8 @@ impl MultiZoneNode {
 
     fn with_roster(cfg: ZoneConfig, join_seq: u64, roster: ZoneRoster) -> MultiZoneNode {
         assert!(
-            cfg.n_c <= 64,
-            "Multi-Zone supports at most 64 stripes (n_c = {})",
+            cfg.n_c <= MAX_STRIPES,
+            "Multi-Zone supports at most {MAX_STRIPES} stripes (n_c = {})",
             cfg.n_c
         );
         let n_c = cfg.n_c;
@@ -577,13 +574,11 @@ impl MultiZoneNode {
             children: vec![Vec::new(); n_c].into_boxed_slice(),
             relaying: StripeSet::EMPTY,
             zone_relayers: PeerMap::new(),
-            inflight: BlockTable::new(),
+            blocks: BlockTable::new(),
             completed: U64Set::new(),
-            block_sizes: U64Map::new(),
             ann_forwarded: U64Set::new(),
             pulled: U64Set::new(),
             last_data: StripeTable::new(n_c),
-            bundle_bytes_hint: U64Map::new(),
             child_last_seen: PeerMap::new(),
             retired_ring: std::collections::VecDeque::new(),
             stripe_send_h: Vec::new(),
@@ -642,14 +637,14 @@ impl MultiZoneNode {
 
     /// Blocks announced but not yet reconstructed.
     pub fn pending_block_count(&self) -> usize {
-        self.inflight.pending_count()
+        self.blocks.pending_count()
     }
 
     /// Blocks with any in-flight tracking state (pending or merely
     /// receiving stripes) — bounded in steady state because completed
     /// blocks retire their slots.
     pub fn inflight_blocks(&self) -> usize {
-        self.inflight.live_len()
+        self.blocks.live_len()
     }
 
     /// Approximate resident footprint (for `mem.*` accounting).
@@ -669,12 +664,10 @@ impl MultiZoneNode {
                 .sum::<usize>()
             + self.zone_relayers.approx_bytes()
             + self.child_last_seen.approx_bytes()
-            + self.inflight.approx_bytes()
+            + self.blocks.approx_bytes()
             + self.completed.approx_bytes()
-            + self.block_sizes.approx_bytes()
             + self.ann_forwarded.approx_bytes()
             + self.pulled.approx_bytes()
-            + self.bundle_bytes_hint.approx_bytes()
             + self.retired_ring.capacity() * 8
             + self.stripe_send_h.capacity() * std::mem::size_of::<CounterHandle>()
     }
@@ -698,12 +691,10 @@ impl MultiZoneNode {
             ),
             ("zone_relayers", self.zone_relayers.approx_bytes()),
             ("child_last_seen", self.child_last_seen.approx_bytes()),
-            ("inflight", self.inflight.approx_bytes()),
+            ("blocks", self.blocks.approx_bytes()),
             ("completed", self.completed.approx_bytes()),
-            ("block_sizes", self.block_sizes.approx_bytes()),
             ("ann_forwarded", self.ann_forwarded.approx_bytes()),
             ("pulled", self.pulled.approx_bytes()),
-            ("bundle_bytes_hint", self.bundle_bytes_hint.approx_bytes()),
             ("retired_ring", self.retired_ring.capacity() * 8),
             ("stripe_send_h", self.stripe_send_h.capacity() * 8),
         ]
@@ -727,7 +718,7 @@ impl MultiZoneNode {
 
     /// Diagnostic: per pending block, how many bundles are still missing.
     pub fn missing_summary(&self) -> Vec<(u64, u32, u32)> {
-        self.inflight
+        self.blocks
             .pending_iter()
             .map(|(block, slot)| {
                 let bundles = slot.pending().unwrap_or(0);
@@ -876,7 +867,10 @@ impl MultiZoneNode {
         ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
         block: u64,
     ) {
-        let Some(slot) = self.inflight.get(block) else {
+        if self.blocks.pending_count() == 0 {
+            return;
+        }
+        let Some(slot) = self.blocks.get(block) else {
             return;
         };
         let Some(bundles) = slot.pending() else {
@@ -898,9 +892,6 @@ impl MultiZoneNode {
             );
         }
         self.mark_complete(ctx, block);
-        // Free the block's in-flight bookkeeping (the byte hint stays so
-        // bundle pulls can still be served).
-        self.inflight.retire(block);
     }
 
     fn mark_complete<M: Codec<NetMsg>>(
@@ -908,9 +899,12 @@ impl MultiZoneNode {
         ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
         block: u64,
     ) {
-        if !self.completed.insert(block) {
+        // Frees the block's in-flight bookkeeping; its size and byte hint
+        // stay so pulls can still be served.
+        if !self.blocks.complete(block) {
             return;
         }
+        self.completed.insert(block);
         self.completed_blocks += 1;
         let now = ctx.now();
         ctx.metrics().mark_arrival(block, now);
@@ -975,14 +969,12 @@ impl MultiZoneNode {
             self.announce_alive(ctx);
         }
         // Retry unfinished acquisitions (pending subs may have been lost).
-        let retry: Vec<u32> = self
-            .desired
-            .iter()
-            .filter(|&s| !self.upstream.contains(s))
-            .collect();
+        // `acquire` changes neither `desired` nor `upstream`.
         self.pending_sub.clear();
-        for s in retry {
-            self.acquire(ctx, s);
+        for s in self.desired.iter() {
+            if !self.upstream.contains(s) {
+                self.acquire(ctx, s);
+            }
         }
         // §IV-E: if the zone has fewer than n_c relayers, a non-relayer
         // volunteers (randomized to avoid a thundering herd): first for a
@@ -1036,23 +1028,23 @@ impl MultiZoneNode {
         // silent stripe means its subscription path lost the source
         // (churn, or a cycle that predates the subscribe-time guard).
         let silence = self.cfg.alive_interval * 4;
-        let reroute_silent = self.inflight.pending_count() > 0
+        let reroute_silent = self.blocks.pending_count() > 0
             || (self.cfg.retire_unannounced
                 && self
                     .last_data
                     .values()
                     .any(|t| now.saturating_since(t) <= silence));
         if reroute_silent {
-            let dead: Vec<(u32, NodeId)> = self
-                .upstream
-                .iter()
-                .filter(|&(st, _)| {
-                    self.last_data
-                        .get(st)
-                        .is_none_or(|t| now.saturating_since(t) > silence)
-                })
-                .collect();
-            for (st, old) in dead {
+            // Rerouting one stripe touches only that stripe's routing
+            // entries, so the walk needs no snapshot of the dead ones.
+            for st in 0..self.cfg.n_c as u32 {
+                let Some(old) = self.upstream.get(st) else {
+                    continue;
+                };
+                let fresh = |t| now.saturating_since(t) <= silence;
+                if self.last_data.get(st).is_some_and(fresh) {
+                    continue;
+                }
                 self.switching.insert(st, old);
                 self.upstream.remove(st);
                 self.relaying.remove(st);
@@ -1066,7 +1058,7 @@ impl MultiZoneNode {
         // pull the missing bundles from random zone members.
         let overdue = self.cfg.alive_interval * 2;
         let mut wanted: Vec<BundleId> = Vec::new();
-        for (block, slot) in self.inflight.pending_iter() {
+        for (block, slot) in self.blocks.pending_iter() {
             let bundles = slot.pending().unwrap_or(0);
             let seen = slot.ann_at().unwrap_or(now);
             if now.saturating_since(seen) < overdue {
@@ -1083,7 +1075,7 @@ impl MultiZoneNode {
         }
         if !wanted.is_empty() {
             for b in wanted {
-                let attempts = self.inflight.slot_mut(b.block).bump_pull(b.idx);
+                let attempts = self.blocks.entry(b.block).bump_pull(b.idx);
                 // First tries stay zone-local; if the zone itself lost the
                 // bundle (e.g. relayer churn mid-stream), go to the source.
                 let peer = if attempts <= 2 && self.roster.peer_count() > 0 {
@@ -1109,30 +1101,27 @@ impl MultiZoneNode {
         // instead of O(blocks ever streamed).
         if self.cfg.retire_unannounced {
             let expiry = self.cfg.alive_interval * 2;
-            let stale: Vec<u64> = self
-                .inflight
+            let mut stale: Vec<u64> = self
+                .blocks
                 .iter()
                 .filter(|(_, slot)| {
-                    slot.pending().is_none()
-                        && slot
-                            .first_touch()
-                            .is_some_and(|t| now.saturating_since(t) >= expiry)
+                    slot.first_touch()
+                        .is_some_and(|t| now.saturating_since(t) >= expiry)
                 })
                 .map(|(block, _)| block)
                 .collect();
+            // The table iterates in hash order; retirement order decides
+            // which blocks the retired ring still remembers.
+            stale.sort_unstable();
             for block in stale {
-                self.inflight.retire(block);
-                self.block_sizes.remove(block);
-                self.bundle_bytes_hint.remove(block);
+                self.blocks.retire(block);
                 self.note_retired(block);
             }
             // `approx_bytes` counts *capacity*, and the startup burst
             // (before the subscription tree settles) pins each node's
-            // vectors at their worst-case size. Compact once per sweep so
-            // steady-state residency reflects steady-state load.
-            self.inflight.shrink_to_fit();
-            self.block_sizes.shrink_to_fit();
-            self.bundle_bytes_hint.shrink_to_fit();
+            // table at its worst-case size. Compact so steady-state
+            // residency reflects steady-state load.
+            self.blocks.compact();
         }
         let interval = self.cfg.alive_interval;
         ctx.set_timer(interval, TimerTag::of_kind(net_timers::ZONE_MAINTAIN));
@@ -1224,16 +1213,18 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 }
                 let now = ctx.now();
                 self.last_data.insert(stripe, now);
-                if self.completed.contains(bundle.block) {
-                    return;
-                }
                 if self.cfg.retire_unannounced && self.retired_ring.contains(&bundle.block) {
                     // A retired block held all stripes, so this can only
                     // be a duplicate (switch-overlap delivery) — relaying
                     // it would cascade the duplicate down the tree.
                     return;
                 }
-                let slot = self.inflight.slot_mut(bundle.block);
+                // The one table probe of the stripe path: everything below
+                // works on this entry (a done block always has one).
+                let slot = self.blocks.entry(bundle.block);
+                if slot.is_done() {
+                    return;
+                }
                 slot.note_touch(now);
                 let Some(have_count) = slot.add_stripe(bundle.idx, stripe) else {
                     return; // duplicate
@@ -1278,23 +1269,18 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                         }
                     }
                 }
-                if have_count as usize >= k as usize {
-                    let slot = self.inflight.slot_mut(bundle.block);
-                    if slot.mark_decoded(bundle.idx) {
-                        slot.mark_whole(bundle.idx);
-                        let me = ctx.node().index() as u64;
-                        ctx.metrics().incr_cached(
-                            &mut self.rs_decodes_c,
-                            "zone.rs_decodes",
-                            Labels::node(me),
-                            1,
-                        );
-                        *self.block_sizes.entry_or(bundle.block, 0) += bytes as u64 * k as u64;
-                        if self.bundle_bytes_hint.get(bundle.block).is_none() {
-                            self.bundle_bytes_hint.insert(bundle.block, bytes * k);
-                        }
-                        self.try_complete(ctx, bundle.block);
-                    }
+                let announced = slot.pending().is_some();
+                let decoded = have_count >= k && slot.mark_decoded(bundle.idx);
+                if decoded {
+                    slot.add_size(bytes as u64 * k as u64);
+                    slot.note_hint(bytes * k);
+                    let me = ctx.node().index() as u64;
+                    ctx.metrics().incr_cached(
+                        &mut self.rs_decodes_c,
+                        "zone.rs_decodes",
+                        Labels::node(me),
+                        1,
+                    );
                 }
                 // Ann-less steady state (opt-in): no announcement will
                 // ever arrive to drive `try_complete`, so once every
@@ -1304,16 +1290,15 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 // size bookkeeping. Deliberately no events, counters, or
                 // `completed` insert: per-block tombstones would
                 // themselves grow O(blocks).
-                if self.cfg.retire_unannounced
-                    && self.inflight.get(bundle.block).is_some_and(|s| {
-                        s.pending().is_none()
-                            && s.all_decoded()
-                            && s.holds_all_stripes(self.cfg.n_c as u32)
-                    })
-                {
-                    self.inflight.retire(bundle.block);
-                    self.block_sizes.remove(bundle.block);
-                    self.bundle_bytes_hint.remove(bundle.block);
+                let spent = self.cfg.retire_unannounced
+                    && !announced
+                    && slot.all_decoded()
+                    && slot.holds_all_stripes(self.cfg.n_c as u32);
+                if decoded && announced {
+                    self.try_complete(ctx, bundle.block);
+                }
+                if spent {
+                    self.blocks.retire(bundle.block);
                     self.note_retired(bundle.block);
                 }
             }
@@ -1331,19 +1316,14 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                         wire,
                     },
                 );
-                if !self.completed.contains(block) {
-                    let now = ctx.now();
-                    self.inflight.set_pending(block, bundles, now);
-                    self.try_complete(ctx, block);
-                }
+                // Both are no-ops on a block that is already done.
+                let now = ctx.now();
+                self.blocks.set_pending(block, bundles, now);
+                self.try_complete(ctx, block);
             }
             NetMsg::FullBlock { block, bytes } => {
-                self.block_sizes.insert(block, bytes);
+                self.blocks.entry(block).set_size(bytes);
                 self.mark_complete(ctx, block);
-                // Retire the whole in-flight slot (not just the pending
-                // mark): completion makes stripe/pull bookkeeping for the
-                // block dead weight.
-                self.inflight.retire(block);
             }
             NetMsg::GetRelayers => {
                 let mut relayers: Vec<RelayerInfo> = self
@@ -1544,26 +1524,23 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
             }
             NetMsg::Digest { blocks } => {
                 for &block in blocks.iter() {
-                    let pending = self
-                        .inflight
-                        .get(block)
-                        .is_some_and(|slot| slot.pending().is_some());
-                    if !self.completed.contains(block) && !pending && self.pulled.insert(block) {
+                    let slot = self.blocks.get(block);
+                    let known = slot.is_some_and(|s| s.is_done() || s.pending().is_some());
+                    if !known && self.pulled.insert(block) {
                         ctx.send(from, NetMsg::Pull { block });
                     }
                 }
             }
-            NetMsg::Pull { block } if self.completed.contains(block) => {
-                let bytes = self.block_sizes.get(block).copied().unwrap_or(0);
-                ctx.send(from, NetMsg::FullBlock { block, bytes });
+            NetMsg::Pull { block } => {
+                if let Some(slot) = self.blocks.get(block).filter(|s| s.is_done()) {
+                    let bytes = slot.size();
+                    ctx.send(from, NetMsg::FullBlock { block, bytes });
+                }
             }
             NetMsg::BundlePull { bundle } => {
                 ctx.metrics().incr("zone.bundle_pulls_received", 1);
-                let have = self
-                    .inflight
-                    .get(bundle.block)
-                    .is_some_and(|slot| slot.is_whole(bundle.idx))
-                    || self.completed.contains(bundle.block);
+                let slot = self.blocks.get(bundle.block);
+                let have = slot.is_some_and(|s| s.is_done() || s.is_decoded(bundle.idx));
                 #[cfg(feature = "pull-debug")]
                 if !have {
                     eprintln!(
@@ -1572,30 +1549,25 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                         ctx.node(),
                         bundle,
                         self.completed.as_slice(),
-                        self.inflight.live_len()
+                        self.blocks.live_len()
                     );
                 }
                 if have {
                     ctx.metrics().incr("zone.bundle_pulls_served", 1);
-                    let bytes = self
-                        .bundle_bytes_hint
-                        .get(bundle.block)
-                        .copied()
-                        .unwrap_or(25_600);
+                    let bytes = slot.and_then(|s| s.hint()).unwrap_or(25_600);
                     ctx.send(from, NetMsg::FullBundle { bundle, bytes });
                 }
             }
             NetMsg::FullBundle { bundle, bytes } => {
                 ctx.metrics().incr("zone.full_bundles_received", 1);
-                if self.completed.contains(bundle.block) {
+                let now = ctx.now();
+                let slot = self.blocks.entry(bundle.block);
+                if slot.is_done() {
                     return;
                 }
-                let now = ctx.now();
-                let slot = self.inflight.slot_mut(bundle.block);
                 slot.note_touch(now);
                 if slot.mark_decoded(bundle.idx) {
-                    slot.mark_whole(bundle.idx);
-                    *self.block_sizes.entry_or(bundle.block, 0) += bytes as u64;
+                    slot.add_size(bytes as u64);
                     self.try_complete(ctx, bundle.block);
                 }
             }
