@@ -102,9 +102,8 @@ impl EquivocatingProducer {
             fork_a.shared(),
             fork_b.shared()
         ));
-        let peers = self.roster.peers_of(self.me);
-        let half = peers.len() / 2;
-        for (i, peer) in peers.into_iter().enumerate() {
+        let half = (self.roster.n() - 1) / 2;
+        for (i, peer) in self.roster.peers_of(self.me).enumerate() {
             let bundle = if i < half { &fork_a } else { &fork_b };
             ctx.send(peer, ConsMsg::Bundle(bundle.clone()));
         }

@@ -236,7 +236,7 @@ impl ProtocolCore<ConsMsg> for ClientCore {
         for _ in 0..n {
             let tx = self.fresh_tx(now_nanos);
             if self.broadcast {
-                let all = self.roster.consensus.clone();
+                let all = self.roster.consensus.iter().copied();
                 ctx.multicast(all, ConsMsg::Submit(tx));
             } else {
                 ctx.send(entry, ConsMsg::Submit(tx));

@@ -18,9 +18,17 @@ impl Roster {
     ///
     /// # Panics
     ///
-    /// Panics if there are no consensus nodes.
+    /// Panics if there are no consensus nodes, or more than
+    /// [`VoteSet::CAPACITY`]: every vote tally in the crate is one mask over
+    /// committee indices. Experiment setups reject such an `n_c` with a
+    /// located error before any roster is built.
     pub fn new(consensus: Vec<NodeId>, clients: Vec<NodeId>) -> Roster {
         assert!(!consensus.is_empty(), "need at least one consensus node");
+        assert!(
+            consensus.len() <= VoteSet::CAPACITY,
+            "a committee holds at most {} nodes",
+            VoteSet::CAPACITY
+        );
         Roster { consensus, clients }
     }
 
@@ -49,14 +57,13 @@ impl Roster {
         self.consensus[index % self.n()]
     }
 
-    /// All committee members except `index`.
-    pub fn peers_of(&self, index: usize) -> Vec<NodeId> {
+    /// All committee members except `index`, in committee order.
+    pub fn peers_of(&self, index: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.consensus
             .iter()
             .enumerate()
-            .filter(|&(i, _)| i != index)
+            .filter(move |&(i, _)| i != index)
             .map(|(_, &n)| n)
-            .collect()
     }
 
     /// The leader of a view/round under round-robin rotation.
@@ -73,6 +80,62 @@ impl Roster {
     /// The simulator node of a client.
     pub fn client_node(&self, client: ClientId) -> NodeId {
         self.clients[client.0 as usize]
+    }
+}
+
+/// Who has voted: a set of committee indices in one word.
+///
+/// Every tally on the ordering path (PBFT prepares, commits and view-change
+/// votes, HotStuff votes and new-views, microblock acks) is a set of
+/// committee members, and a committee holds at most [`VoteSet::CAPACITY`]
+/// ([`Roster::new`] asserts it), so membership is a bit and a quorum test a
+/// population count.
+///
+/// # Examples
+///
+/// ```
+/// use predis_consensus::VoteSet;
+///
+/// let mut prepares = VoteSet::default();
+/// assert!(prepares.insert(2));
+/// assert!(!prepares.insert(2)); // a duplicate vote counts once
+/// assert!(prepares.insert(5));
+/// assert_eq!(prepares.len(), 2);
+/// assert!(prepares.contains(5) && !prepares.contains(0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VoteSet(u64);
+
+impl VoteSet {
+    /// The largest committee a set can tally.
+    pub const CAPACITY: usize = u64::BITS as usize;
+
+    /// Records a vote by committee member `index`; `true` if it is new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`VoteSet::CAPACITY`].
+    pub fn insert(&mut self, index: usize) -> bool {
+        assert!(index < Self::CAPACITY, "committee index out of range");
+        let bit = 1u64 << index;
+        let fresh = self.0 & bit == 0;
+        self.0 |= bit;
+        fresh
+    }
+
+    /// True if member `index` has voted.
+    pub fn contains(&self, index: usize) -> bool {
+        index < Self::CAPACITY && self.0 & (1u64 << index) != 0
+    }
+
+    /// How many members have voted.
+    pub fn len(&self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True if nobody has voted.
+    pub fn is_empty(&self) -> bool {
+        self.0 == 0
     }
 }
 
@@ -204,9 +267,17 @@ mod tests {
     #[test]
     fn peers_excludes_self() {
         let r = roster(4, 0);
-        assert_eq!(r.peers_of(1), vec![NodeId(0), NodeId(2), NodeId(3)]);
+        let peers: Vec<NodeId> = r.peers_of(1).collect();
+        assert_eq!(peers, vec![NodeId(0), NodeId(2), NodeId(3)]);
         assert_eq!(r.index_of(NodeId(2)), Some(2));
         assert_eq!(r.index_of(NodeId(9)), None);
+    }
+
+    #[test]
+    fn rosters_stop_at_the_mask_width() {
+        assert_eq!(roster(VoteSet::CAPACITY, 0).n(), 64);
+        let too_wide = std::panic::catch_unwind(|| roster(VoteSet::CAPACITY + 1, 0));
+        assert!(too_wide.is_err(), "a 65-node committee must not build");
     }
 
     #[test]

@@ -8,17 +8,15 @@
 //! [`crate::planes::MicroPlane`] it is the Narwhal-lite / Stratus-lite
 //! baseline of Fig. 5.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use predis_crypto::Hash;
 use predis_sim::{Codec, NarrowContext, NodeId, ProtocolCore, TimerTag};
-use predis_types::{ProposalPayload, SizedPayload, View};
+use predis_types::{IdMap, IdSet, ProposalPayload, SeqNum, SizedPayload, Transaction, View};
 
-use predis_types::{SeqNum, Transaction};
-
-use crate::config::{timers, ConsensusConfig, Roster};
+use crate::config::{timers, ConsensusConfig, Roster, VoteSet};
 use crate::msg::{ConsMsg, HsBlockMsg, Qc};
-use crate::pbft::deliver_commit;
+use crate::pbft::{catch_up_txs, deliver_commit, kept_for_catch_up};
 use crate::plane::{DataPlane, ProposalCheck};
 
 /// A stored block with its local voting status.
@@ -31,7 +29,8 @@ struct BlockEntry {
     deferred: bool,
     executed: bool,
     /// Executed transactions, retained (within the GC window) for serving
-    /// crash-recovery state transfer.
+    /// crash-recovery state transfer — unless they are the payload's own
+    /// batch, which is served from the payload.
     kept_txs: Option<Vec<Transaction>>,
 }
 
@@ -65,10 +64,10 @@ pub struct HotStuffNode<P> {
     generic_qc: Qc,
     locked_qc: Qc,
     last_voted: View,
-    blocks: HashMap<Hash, BlockEntry>,
-    votes: HashMap<(Hash, View), HashSet<usize>>,
-    newviews: HashMap<View, HashSet<usize>>,
-    proposed_rounds: HashSet<View>,
+    blocks: IdMap<Hash, BlockEntry>,
+    votes: IdMap<(Hash, View), VoteSet>,
+    newviews: IdMap<View, VoteSet>,
+    proposed_rounds: IdSet<View>,
     /// Blocks committed by the 3-chain rule, awaiting execution in order.
     exec_queue: VecDeque<Hash>,
     /// Executed blocks in order (drives garbage collection and serves
@@ -79,7 +78,9 @@ pub struct HotStuffNode<P> {
     exec_base: u64,
     /// A catch-up request is in flight.
     syncing: bool,
-    committed_set: HashSet<Hash>,
+    committed_set: IdSet<Hash>,
+    /// `deliver_commit`'s reusable sort buffer.
+    reply_scratch: Vec<(u32, u32)>,
     /// Byzantine mute mode: never proposes or votes.
     mute: bool,
     /// Deferred votes: blocks whose payload validation is pending data.
@@ -107,15 +108,16 @@ impl<P: DataPlane> HotStuffNode<P> {
             generic_qc: Qc::GENESIS,
             locked_qc: Qc::GENESIS,
             last_voted: View(0),
-            blocks: HashMap::new(),
-            votes: HashMap::new(),
-            newviews: HashMap::new(),
-            proposed_rounds: HashSet::new(),
+            blocks: IdMap::default(),
+            votes: IdMap::default(),
+            newviews: IdMap::default(),
+            proposed_rounds: IdSet::default(),
             exec_queue: VecDeque::new(),
             exec_order: VecDeque::new(),
             exec_base: 0,
             syncing: false,
-            committed_set: HashSet::new(),
+            committed_set: IdSet::default(),
+            reply_scratch: Vec::new(),
             mute: false,
             pending_votes: Vec::new(),
             executed_txs: 0,
@@ -423,11 +425,18 @@ impl<P: DataPlane> HotStuffNode<P> {
             let Some(txs) = self.plane.commit(ctx, parent, h, &msg.payload) else {
                 break; // stalled on missing data; retried on plane progress
             };
-            {
-                let entry = self.blocks.get_mut(&h).expect("exists");
-                entry.executed = true;
-                entry.kept_txs = Some(txs.clone());
-            }
+            self.executed_txs += txs.len() as u64;
+            deliver_commit(
+                ctx,
+                self.me,
+                &self.roster,
+                &self.cfg,
+                &txs,
+                &mut self.reply_scratch,
+            );
+            let entry = self.blocks.get_mut(&h).expect("exists");
+            entry.executed = true;
+            entry.kept_txs = kept_for_catch_up(txs);
             self.exec_queue.pop_front();
             self.executed_blocks += 1;
             self.exec_order.push_back(h);
@@ -441,9 +450,7 @@ impl<P: DataPlane> HotStuffNode<P> {
                 self.committed_set.remove(&old);
                 self.votes.retain(|(b, _), _| *b != old);
             }
-            self.executed_txs += txs.len() as u64;
             ctx.metrics().incr("hs.blocks_executed", 1);
-            deliver_commit(ctx, self.me, &self.roster, &self.cfg, &txs);
         }
     }
 
@@ -518,7 +525,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                     slots.push((
                         SeqNum(idx),
                         entry.msg.payload.clone(),
-                        entry.kept_txs.clone().unwrap_or_default(),
+                        catch_up_txs(&entry.kept_txs, &entry.msg.payload),
                     ));
                     idx += 1;
                 }
@@ -556,7 +563,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                 self.newviews.entry(round).or_default().insert(sender);
                 if round > self.round {
                     // Adopt the round once a quorum is moving.
-                    let votes = self.newviews.get(&round).map_or(0, HashSet::len);
+                    let votes = self.newviews.get(&round).map_or(0, VoteSet::len);
                     if votes >= self.roster.quorum() {
                         self.advance_round(ctx, round);
                     }
@@ -599,7 +606,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                             qc: self.generic_qc,
                         },
                     );
-                    let votes = self.newviews.get(&next).map_or(0, HashSet::len);
+                    let votes = self.newviews.get(&next).map_or(0, VoteSet::len);
                     if votes >= self.roster.quorum() {
                         self.advance_round(ctx, next);
                         self.try_propose(ctx);

@@ -33,7 +33,7 @@ pub mod planes;
 
 pub use byzantine::{EquivocatingProducer, SilentNode};
 pub use client::{ClientCore, ClientSwarm, FlashCrowd, OpenLoop, CLIENT_LATENCY};
-pub use config::{timers, ConsensusConfig, Roster};
+pub use config::{timers, ConsensusConfig, Roster, VoteSet};
 pub use hotstuff::HotStuffNode;
 pub use msg::{ConsMsg, HsBlockMsg, MicroBlock, Qc};
 pub use pbft::PbftNode;

@@ -13,6 +13,8 @@
 //!   Stratus-style (PAB, `f + 1` acks) certified microblocks with
 //!   digest-list proposals.
 
+use std::borrow::Cow;
+
 use predis_crypto::Hash;
 use predis_sim::{Codec, NarrowContext, NodeId, TimerTag};
 use predis_types::{ProposalPayload, Transaction, View};
@@ -116,13 +118,18 @@ pub trait DataPlane: std::fmt::Debug + Send + 'static {
     /// Executes a committed proposal, returning its transactions — or
     /// `None` if data is still missing (the shell will retry after the
     /// plane reports progress).
-    fn commit<M: Codec<ConsMsg>>(
+    ///
+    /// A plane whose proposals carry their transactions returns them
+    /// borrowed, and only ever the payload's whole `Batch` list (or the
+    /// empty slice): the shells keep no second copy of a borrowed result
+    /// and serve catch-up from the payload itself.
+    fn commit<'p, M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
-        payload: &ProposalPayload,
-    ) -> Option<Vec<Transaction>>;
+        payload: &'p ProposalPayload,
+    ) -> Option<Cow<'p, [Transaction]>>;
 
     /// Applies a proposal received via crash-recovery state transfer: the
     /// transactions were already executed by the quorum and arrive with the

@@ -1,13 +1,25 @@
 //! The vanilla data plane: transactions travel inside proposals.
 
-use std::collections::{HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use predis_crypto::Hash;
 use predis_sim::{Codec, NarrowContext, NodeId, TimerTag};
-use predis_types::{ProposalPayload, Transaction, TxId, View};
+use predis_types::{IdMap, ProposalPayload, Transaction, TxId, View};
 
 use crate::msg::ConsMsg;
 use crate::plane::{DataPlane, PlaneOutcome, ProposalCheck};
+
+/// What the plane knows about a transaction it has seen in a proposal.
+/// Absent from the table: never proposed anywhere (it may sit in `queue`).
+/// The order is the only way a transaction moves: `Executed` is final.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TxState {
+    /// Seen in someone's proposal — do not re-propose.
+    Proposed,
+    /// Executed — never re-propose, re-execute or re-count.
+    Executed,
+}
 
 /// Baseline PBFT/HotStuff content strategy: the leader packs up to
 /// `batch_size` pending transactions straight into the proposal, so the
@@ -21,11 +33,12 @@ use crate::plane::{DataPlane, PlaneOutcome, ProposalCheck};
 #[derive(Debug)]
 pub struct BatchPlane {
     batch_size: usize,
+    /// Submitted and, at the head, not yet proposed anywhere. Only a leader
+    /// pops it to propose; everyone drops known heads when a block commits.
     queue: VecDeque<Transaction>,
-    /// Transactions seen in someone's proposal — do not re-propose.
-    in_flight: HashSet<TxId>,
-    /// Transactions already executed — never re-execute or re-count.
-    executed: HashSet<TxId>,
+    /// One entry per transaction ever seen in a proposal, probed once per
+    /// `Submit`. Grows with the run: an executed id must be refused forever.
+    txs: IdMap<TxId, TxState>,
 }
 
 impl BatchPlane {
@@ -39,19 +52,33 @@ impl BatchPlane {
         BatchPlane {
             batch_size,
             queue: VecDeque::new(),
-            in_flight: HashSet::new(),
-            executed: HashSet::new(),
+            txs: IdMap::default(),
         }
     }
 
-    /// Pending (not yet proposed anywhere) transactions.
+    /// Queued submissions: everything behind the first transaction no
+    /// proposal has carried yet, so on a healthy replica at most what is in
+    /// flight.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
     fn note_proposed(&mut self, txs: &[Transaction]) {
         for tx in txs {
-            self.in_flight.insert(tx.id);
+            self.txs.entry(tx.id).or_insert(TxState::Proposed);
+        }
+    }
+
+    /// Drops queued transactions some proposal already carried, up to the
+    /// first one none has. A non-leader never pops its queue to propose, so
+    /// without this it would hold every submission of the run and report
+    /// pending work (the shell's leader-suspicion trigger) forever.
+    fn drop_known_heads(&mut self) {
+        while let Some(tx) = self.queue.front() {
+            if !self.txs.contains_key(&tx.id) {
+                break;
+            }
+            self.queue.pop_front();
         }
     }
 }
@@ -71,7 +98,7 @@ impl DataPlane for BatchPlane {
     ) -> PlaneOutcome {
         match msg {
             ConsMsg::Submit(tx) => {
-                if !self.in_flight.contains(&tx.id) && !self.executed.contains(&tx.id) {
+                if !self.txs.contains_key(&tx.id) {
                     self.queue.push_back(*tx);
                 }
                 PlaneOutcome::CONSUMED
@@ -94,12 +121,12 @@ impl DataPlane for BatchPlane {
         _parent: Hash,
         _view: View,
     ) -> Option<ProposalPayload> {
-        let mut txs = Vec::new();
+        let mut txs = Vec::with_capacity(self.queue.len().min(self.batch_size));
         while txs.len() < self.batch_size {
             let Some(tx) = self.queue.pop_front() else {
                 break;
             };
-            if self.in_flight.contains(&tx.id) || self.executed.contains(&tx.id) {
+            if self.txs.contains_key(&tx.id) {
                 continue;
             }
             txs.push(tx);
@@ -144,30 +171,39 @@ impl DataPlane for BatchPlane {
         // Remember the ids so this replica's own future leadership neither
         // re-proposes nor double-counts them.
         for tx in &txs {
-            self.executed.insert(tx.id);
+            self.txs.insert(tx.id, TxState::Executed);
         }
+        self.drop_known_heads();
         txs
     }
 
-    fn commit<M: Codec<ConsMsg>>(
+    fn commit<'p, M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
-        payload: &ProposalPayload,
-    ) -> Option<Vec<Transaction>> {
-        match payload {
-            ProposalPayload::Batch(txs) => {
-                let fresh: Vec<Transaction> = txs
-                    .iter()
-                    .filter(|tx| self.executed.insert(tx.id))
-                    .copied()
-                    .collect();
-                ctx.metrics().incr("batch.txs_executed", fresh.len() as u64);
-                Some(fresh)
+        payload: &'p ProposalPayload,
+    ) -> Option<Cow<'p, [Transaction]>> {
+        let ProposalPayload::Batch(txs) = payload else {
+            return Some(Cow::Borrowed(&[]));
+        };
+        // The whole batch is fresh unless a rotated leader re-proposed
+        // something (or a batch repeats an id): only then is a filtered
+        // copy made, starting at the first transaction already executed.
+        let mut filtered: Option<Vec<Transaction>> = None;
+        for (i, tx) in txs.iter().enumerate() {
+            let fresh = self.txs.insert(tx.id, TxState::Executed) != Some(TxState::Executed);
+            match (&mut filtered, fresh) {
+                (None, false) => filtered = Some(txs[..i].to_vec()),
+                (Some(kept), true) => kept.push(*tx),
+                _ => {}
             }
-            _ => Some(Vec::new()),
         }
+        self.drop_known_heads();
+        let executed = filtered.map_or(Cow::Borrowed(&txs[..]), Cow::Owned);
+        ctx.metrics()
+            .incr("batch.txs_executed", executed.len() as u64);
+        Some(executed)
     }
 }
 
@@ -227,15 +263,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 2, "tx 1 must be proposed exactly once");
-    }
-
-    #[test]
-    fn commit_filters_duplicates() {
-        // Direct (non-simulated) check of executed-set dedup logic.
-        let mut plane = BatchPlane::new(10);
-        assert!(plane.executed.insert(TxId(5)));
-        assert!(!plane.executed.insert(TxId(5)));
-        assert_eq!(plane.pending(), 0);
     }
 
     #[derive(Debug)]

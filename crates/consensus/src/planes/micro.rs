@@ -14,14 +14,17 @@
 //! overheads Predis eliminates (tip lists piggyback on bundles; proposals
 //! are constant-size).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 
 use predis_crypto::Hash;
 use predis_mempool::TxPool;
 use predis_sim::{Codec, Labels, NarrowContext, NodeId, SimTime, TimerTag};
-use predis_types::{ChainId, MicroRef, ProposalPayload, SizedPayload, Transaction, View};
+use predis_types::{
+    ChainId, IdMap, IdSet, MicroRef, ProposalPayload, SizedPayload, Transaction, View,
+};
 
-use crate::config::{timers, ConsensusConfig, Roster};
+use crate::config::{timers, ConsensusConfig, Roster, VoteSet};
 use crate::msg::{ConsMsg, MicroBlock};
 use crate::plane::{DataPlane, PlaneOutcome, ProposalCheck};
 
@@ -56,19 +59,19 @@ pub struct MicroPlane {
     next_seq: u64,
     /// Microblock bodies by digest; shared handles, so storing a delivered
     /// body or re-serving it to a requester never copies the transactions.
-    store: HashMap<Hash, SizedPayload<MicroBlock>>,
+    store: IdMap<Hash, SizedPayload<MicroBlock>>,
     /// Acks collected for microblocks this node produced.
-    acks: HashMap<Hash, HashSet<usize>>,
+    acks: IdMap<Hash, VoteSet>,
     /// Digests known to be certified (proposable / votable).
-    certified: HashSet<Hash>,
+    certified: IdSet<Hash>,
     /// Certified digests not yet proposed or executed, in arrival order.
     proposable: VecDeque<MicroRef>,
     /// Digests already included in an executed proposal.
-    executed: HashSet<Hash>,
+    executed: IdSet<Hash>,
     /// Digests this node itself already put into a proposal.
-    proposed: HashSet<Hash>,
+    proposed: IdSet<Hash>,
     last_produced: SimTime,
-    requested: HashSet<Hash>,
+    requested: IdSet<Hash>,
 }
 
 impl MicroPlane {
@@ -86,14 +89,14 @@ impl MicroPlane {
             ack_quorum,
             txpool: TxPool::new(),
             next_seq: 0,
-            store: HashMap::new(),
-            acks: HashMap::new(),
-            certified: HashSet::new(),
+            store: IdMap::default(),
+            acks: IdMap::default(),
+            certified: IdSet::default(),
             proposable: VecDeque::new(),
-            executed: HashSet::new(),
-            proposed: HashSet::new(),
+            executed: IdSet::default(),
+            proposed: IdSet::default(),
             last_produced: SimTime::ZERO,
-            requested: HashSet::new(),
+            requested: IdSet::default(),
             roster,
             cfg,
         }
@@ -341,36 +344,41 @@ impl DataPlane for MicroPlane {
         txs
     }
 
-    fn commit<M: Codec<ConsMsg>>(
+    fn commit<'p, M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
-        payload: &ProposalPayload,
-    ) -> Option<Vec<Transaction>> {
+        payload: &'p ProposalPayload,
+    ) -> Option<Cow<'p, [Transaction]>> {
         let ProposalPayload::Digests(refs) = payload else {
-            return Some(Vec::new());
+            return Some(Cow::Borrowed(&[]));
         };
-        // First pass: every body must be present.
+        // First pass: every body must be present (and sizes the result: the
+        // shell keeps it for a retention window, slack included).
         let mut stalled = false;
+        let mut count = 0;
         for r in refs {
             if self.executed.contains(&r.digest) {
                 continue;
             }
-            if !self.store.contains_key(&r.digest) {
-                stalled = true;
-                if self.requested.insert(r.digest) {
-                    ctx.send(
-                        self.roster.consensus_node(r.producer.index()),
-                        ConsMsg::MicroRequest { digest: r.digest },
-                    );
+            match self.store.get(&r.digest) {
+                Some(m) => count += m.txs.len(),
+                None => {
+                    stalled = true;
+                    if self.requested.insert(r.digest) {
+                        ctx.send(
+                            self.roster.consensus_node(r.producer.index()),
+                            ConsMsg::MicroRequest { digest: r.digest },
+                        );
+                    }
                 }
             }
         }
         if stalled {
             return None;
         }
-        let mut txs = Vec::new();
+        let mut txs = Vec::with_capacity(count);
         for r in refs {
             if !self.executed.insert(r.digest) {
                 continue; // already executed in an earlier proposal
@@ -380,7 +388,7 @@ impl DataPlane for MicroPlane {
             }
         }
         ctx.metrics().incr("micro.blocks_executed", 1);
-        Some(txs)
+        Some(Cow::Owned(txs))
     }
 }
 

@@ -5,12 +5,15 @@
 //! mempool. Proposals are constant-size Predis blocks; voters validate them
 //! against their own mempool, fetching missing bundles when needed.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeSet, VecDeque};
 
 use predis_crypto::{Hash, Keypair, SignerId};
 use predis_mempool::{BlockValidationError, BundleProducer, InsertOutcome, Mempool, TxPool};
 use predis_sim::{BundleKey, Codec, Labels, NarrowContext, NodeId, SimTime, Stage, TimerTag};
-use predis_types::{ChainId, Height, ProposalPayload, SizedBundle, Transaction, View};
+use predis_types::{
+    ChainId, Height, IdMap, IdSet, ProposalPayload, SizedBundle, Transaction, TxId, View,
+};
 use rand::seq::SliceRandom;
 
 use crate::config::{timers, ConsensusConfig, Roster};
@@ -31,8 +34,8 @@ pub struct PredisPlane {
     /// proposal's payload digest, so children can be validated against the
     /// right base even before their parent commits (pipelining). Bounded:
     /// insertion order is tracked and old entries are evicted.
-    cuts: HashMap<Hash, Vec<Height>>,
-    cut_order: std::collections::VecDeque<Hash>,
+    cuts: IdMap<Hash, Vec<Height>>,
+    cut_order: VecDeque<Hash>,
     last_produced: SimTime,
     /// Ordered so retry iteration (and message emission) is deterministic.
     outstanding: BTreeSet<(ChainId, Height)>,
@@ -44,7 +47,7 @@ pub struct PredisPlane {
     /// transactions hashing into its partition and drops duplicates.
     partitioning: bool,
     /// Transactions already packed (dedup when partitioning is on).
-    packed: HashSet<predis_types::TxId>,
+    packed: IdSet<TxId>,
     /// Bundles this node produced, drained by composed actors that also run
     /// a dissemination layer (Multi-Zone). Shared handles: the mempool and
     /// the multicast hold the same allocations.
@@ -68,13 +71,13 @@ impl PredisPlane {
             producer: BundleProducer::new(ChainId(me as u32), key, cfg.bundle_size),
             mempool: Mempool::new(n, f, Some(ChainId(me as u32))),
             txpool: TxPool::new(),
-            cuts: HashMap::new(),
-            cut_order: std::collections::VecDeque::new(),
+            cuts: IdMap::default(),
+            cut_order: VecDeque::new(),
             last_produced: SimTime::ZERO,
             outstanding: BTreeSet::new(),
             selective_subset: None,
             partitioning: false,
-            packed: HashSet::new(),
+            packed: IdSet::default(),
             produced: Vec::new(),
             roster,
             cfg,
@@ -177,23 +180,22 @@ impl PredisPlane {
         self.mempool
             .insert_bundle(bundle.clone())
             .expect("own bundle is valid");
-        let peers = self.roster.peers_of(self.me);
-        let targets: Vec<NodeId> = match self.selective_subset {
-            Some(k) => {
-                let mut p = peers;
-                p.shuffle(ctx.rng());
-                p.truncate(k);
-                p
-            }
-            None => peers,
-        };
         let key = BundleKey {
             producer: bundle.header.chain.index() as u64,
             chain: bundle.header.chain.index() as u64,
             height: bundle.header.height.0,
         };
         let is_heartbeat = bundle.txs.is_empty();
-        ctx.multicast(targets, ConsMsg::Bundle(bundle.clone()));
+        let msg = ConsMsg::Bundle(bundle.clone());
+        match self.selective_subset {
+            Some(k) => {
+                let mut targets: Vec<NodeId> = self.roster.peers_of(self.me).collect();
+                targets.shuffle(ctx.rng());
+                targets.truncate(k);
+                ctx.multicast(targets, msg);
+            }
+            None => ctx.multicast(self.roster.peers_of(self.me), msg),
+        }
         let now = ctx.now();
         ctx.metrics().incr("predis.bundles_produced", 1);
         if is_heartbeat {
@@ -510,21 +512,21 @@ impl DataPlane for PredisPlane {
         txs
     }
 
-    fn commit<M: Codec<ConsMsg>>(
+    fn commit<'p, M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
-        payload: &ProposalPayload,
-    ) -> Option<Vec<Transaction>> {
+        payload: &'p ProposalPayload,
+    ) -> Option<Cow<'p, [Transaction]>> {
         let block = match payload {
             ProposalPayload::Predis(block) => block,
             ProposalPayload::Batch(txs) if txs.is_empty() => {
                 let base = self.base_for(parent);
                 self.remember_cut(id, base);
-                return Some(Vec::new());
+                return Some(Cow::Borrowed(&[]));
             }
-            _ => return Some(Vec::new()),
+            _ => return Some(Cow::Borrowed(&[])),
         };
         match self.mempool.extract_txs(block) {
             Some(txs) => {
@@ -534,7 +536,7 @@ impl DataPlane for PredisPlane {
                 self.mempool.commit_cut(&block.cut);
                 Self::mark_cut_stages(ctx, &prev, &block.cut, Stage::Committed);
                 ctx.metrics().incr("predis.blocks_executed", 1);
-                Some(txs)
+                Some(Cow::Owned(txs))
             }
             None => {
                 // Fetch whatever is missing, stall execution.

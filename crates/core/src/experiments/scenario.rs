@@ -1014,6 +1014,16 @@ mod tests {
             ),
             (
                 scenario(
+                    World::Consensus(ThroughputSetup {
+                        n_c: 65,
+                        ..tiny_consensus(2)
+                    }),
+                    vec![],
+                ),
+                "world: n_c (65) must be at most 64",
+            ),
+            (
+                scenario(
                     World::MegaScale(MegaScaleSetup {
                         n_c: 65,
                         ..Default::default()

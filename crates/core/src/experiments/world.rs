@@ -7,6 +7,7 @@
 //! attach in [`crate::experiments::ScenarioSetup::run_report`], which holds
 //! the only per-world dispatch of a run.
 
+use predis_consensus::VoteSet;
 use predis_multizone::{NetMsg, PropagationResult, PropagationSetup, Topology};
 use predis_sim::{Payload, RunReport, Sim, SimTime};
 use serde::{Deserialize, Serialize};
@@ -123,10 +124,18 @@ impl World {
     }
 }
 
-/// The consensus committee and bandwidth rules every setup shares.
+/// The consensus committee and bandwidth rules every setup shares. The
+/// committee bound is the width of the shells' vote masks
+/// ([`VoteSet::CAPACITY`]): a wider roster would not build.
 pub(crate) fn validate_committee(n_c: usize, mbps: u64) -> Result<(), String> {
     if n_c < 1 {
         return Err("n_c must be at least 1".into());
+    }
+    if n_c > VoteSet::CAPACITY {
+        return Err(format!(
+            "n_c ({n_c}) must be at most {}: vote tallies are one word",
+            VoteSet::CAPACITY
+        ));
     }
     if mbps == 0 {
         return Err("mbps must be positive".into());
@@ -142,4 +151,37 @@ pub(crate) fn validate_window(warmup_secs: u64, duration_secs: u64) -> Result<()
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::DistMode;
+
+    #[test]
+    fn committees_stop_at_the_vote_mask_width() {
+        let worlds = |n_c: usize| {
+            [
+                World::Consensus(ThroughputSetup {
+                    n_c,
+                    ..Default::default()
+                }),
+                World::Flow(TopologySetup {
+                    n_c,
+                    mode: DistMode::Star,
+                    ..Default::default()
+                }),
+            ]
+        };
+        for world in worlds(VoteSet::CAPACITY) {
+            assert_eq!(world.validate(), Ok(()));
+        }
+        for world in worlds(VoteSet::CAPACITY + 1) {
+            let err = world.validate().expect_err("65 replicas");
+            assert_eq!(
+                err,
+                "n_c (65) must be at most 64: vote tallies are one word"
+            );
+        }
+    }
 }

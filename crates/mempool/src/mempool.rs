@@ -475,11 +475,10 @@ impl Mempool {
     /// The transactions a valid block confirms, in canonical order.
     /// Returns `None` if bundles are missing locally.
     pub fn extract_txs(&self, block: &PredisBlock) -> Option<Vec<Transaction>> {
-        let mut txs = Vec::new();
+        // Sized exactly: consensus shells keep the list (for catch-up) for
+        // a retention window, slack included.
+        let mut txs = Vec::with_capacity(self.count_txs(block)? as usize);
         for (i, chain) in self.chains.iter().enumerate() {
-            if !chain.holds_range(block.base[i], block.cut[i]) {
-                return None;
-            }
             for bundle in chain.range(block.base[i], block.cut[i]) {
                 txs.extend_from_slice(&bundle.txs);
             }

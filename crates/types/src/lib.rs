@@ -29,6 +29,7 @@
 
 pub mod block;
 pub mod bundle;
+pub mod idhash;
 pub mod ids;
 pub mod shared;
 pub mod tip_list;
@@ -37,6 +38,7 @@ pub mod wire;
 
 pub use block::{MicroRef, PredisBlock, ProposalPayload};
 pub use bundle::{Bundle, BundleHeader, ConflictProof};
+pub use idhash::{IdBuildHasher, IdHasher, IdMap, IdSet};
 pub use ids::{ChainId, ClientId, Height, SeqNum, TxId, View};
 pub use shared::{payload_stats, Shared, SizedBundle, SizedPayload};
 pub use tip_list::{quorum_cut_height, TipList};

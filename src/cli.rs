@@ -526,6 +526,11 @@ mod tests {
             ("throughput --nc 4 --silent 0,1,2,3", "no honest replica"),
             ("topology --nc 0", "n_c"),
             ("propagation --topology star --nc 0", "n_c"),
+            ("throughput --nc 65", "n_c (65) must be at most 64"),
+            (
+                "topology --mode star --nc 65",
+                "n_c (65) must be at most 64",
+            ),
             ("topology --mode multizone:12 --nc 65", "n_c (65)"),
             ("propagation --topology multizone:12 --nc 65", "n_c (65)"),
             ("throughput --mbps 0", "mbps"),

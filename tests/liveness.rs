@@ -216,9 +216,9 @@ impl predis::sim::Actor<ConsMsg> for EquivocatingPbftLeader {
                 0,
             )])
         };
-        let peers = self.roster.peers_of(0);
-        for (i, &peer) in peers.iter().enumerate() {
-            let payload = if i < peers.len() / 2 { mk(1) } else { mk(2) };
+        let half = (self.roster.n() - 1) / 2;
+        for (i, peer) in self.roster.peers_of(0).enumerate() {
+            let payload = if i < half { mk(1) } else { mk(2) };
             ctx.send(
                 peer,
                 ConsMsg::PrePrepare {
