@@ -1,59 +1,38 @@
-//! The merged benchmark artifact (`BENCH_<schema>.json`) and its diff.
+//! The identity artifact (`BENCH_<schema>.json`) and its one comparison.
 //!
 //! `bench_all` folds every sweep point's [`predis_telemetry::RunReport`]
-//! into one
-//! [`BenchArtifact`]: a map from run name to the handful of headline
-//! numbers CI gates on. `compare_bench` reads two artifacts back and
-//! reports regressions (or, in `--identical` mode, any non-wall-clock
-//! difference — the determinism gate).
-//!
-//! Every field except `wall_ms` is a pure function of the run's setup, so
-//! two artifacts produced from the same tree must match exactly modulo
-//! `wall_ms`.
+//! into one [`BenchArtifact`]: a map from run name to the run's identity —
+//! the paper's quantities, the event count and the trace fingerprint — plus
+//! its memory footprint and how the engine executed it. Every field is a
+//! pure function of the tree and the engine's thread count, so two passes
+//! of one tree write byte-identical files; `compare_bench` answers "same
+//! behaviour?" with [`BenchArtifact::compare`]. How fast the tree runs is
+//! not recorded here: that is the repo benchmark's question (`benchmark/`).
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use predis_telemetry::Json;
+use predis_telemetry::{Json, RunReport};
 
 use predis::experiments::World;
 
 use crate::sweep::{SweepOutcome, SweepPoint};
 
-/// Version of the artifact schema; part of the default file name so stale
-/// baselines fail loudly instead of comparing apples to oranges.
-///
-/// Version 9 adds no per-run fields; it marks the arrival of the scenario
-/// plane (`scenario_*` runs), whose entries may legitimately measure no
-/// client latency (p50/p99 = 0) — see [`BenchArtifact::diff`]'s
-/// zero-baseline rules.
-///
-/// Version 10 adds `engine.windows`: the number of lockstep window barriers
-/// the parallel engine crossed (0 when the run was sequential). Like the
-/// rest of the `engine` block it records *how* the run executed, not what
-/// it computed, so it is excluded from determinism comparisons — the
-/// adaptive window policy legitimately crosses far fewer barriers than the
-/// fixed-stride policy while dispatching the identical event stream.
-pub const BENCH_SCHEMA_VERSION: u64 = 10;
+/// Version of the artifact schema; part of the default file name, and the
+/// only version [`BenchArtifact::from_json`] reads, so a stale baseline
+/// fails loudly instead of comparing apples to oranges.
+pub const BENCH_SCHEMA_VERSION: u64 = 17;
 
-/// Oldest schema version [`BenchArtifact::from_json`] still reads: the
-/// current one and its predecessor. A version 9 artifact lacks
-/// `engine.windows` (read as 0); every other field is required, and a
-/// missing one is an error naming the run and the field — never a default,
-/// which would let a truncated artifact slip through
-/// [`BenchArtifact::identical_modulo_wall`].
-pub const BENCH_SCHEMA_MIN_SUPPORTED: u64 = 9;
-
-/// The default artifact file name, `BENCH_10.json`.
+/// The default artifact file name, `BENCH_17.json`.
 pub fn bench_file_name() -> String {
     format!("BENCH_{BENCH_SCHEMA_VERSION}.json")
 }
 
 /// How much `mem.bytes_per_node` may grow over the baseline before
-/// [`BenchArtifact::diff`] flags a memory regression. Fixed (not the CLI
-/// threshold): allocator capacity rounding gives the estimate a little
-/// step-function noise, but a >20% jump means a container stopped being
-/// retired or a per-node map came back.
+/// [`BenchArtifact::compare`] reports it. The estimate sums container
+/// capacities, which a behaviour-preserving refactor may move a little; a
+/// jump of more than 20% means a container stopped being retired or a
+/// per-node map came back.
 pub const MEM_REGRESSION_PCT: f64 = 20.0;
 
 /// Absolute per-node memory budget for mega-scale (fig9) runs, bytes.
@@ -63,7 +42,7 @@ pub const MEM_REGRESSION_PCT: f64 = 20.0;
 /// zone roster) has to stay under 4 KiB.
 pub const MEM_BYTES_PER_NODE_BUDGET: u64 = 4_096;
 
-/// Headline numbers of one benchmark run.
+/// One benchmark run: its identity, its footprint, and how it executed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Sustained throughput, tx/s (0.0 for pure propagation runs).
@@ -76,67 +55,66 @@ pub struct BenchEntry {
     /// Total bytes the simulated network carried.
     pub bytes: u64,
     /// Payload materializations (`msg.payload_clones`): deep constructions
-    /// of shared payloads during the run. Deterministic, and O(1) per
-    /// produced bundle/proposal — fan-out adds zero (the zero-copy gate).
+    /// of shared payloads during the run. O(1) per produced
+    /// bundle/proposal — fan-out adds zero (the zero-copy gate).
     pub payload_clones: u64,
     /// Simulation events the engine dispatched (`engine.events_processed`).
-    /// Deterministic: a pure function of the workload, so it participates
-    /// in [`BenchArtifact::identical_modulo_wall`].
     pub events_processed: u64,
     /// The run's trace fingerprint (`trace.fingerprint` meta): a 128-bit
     /// streaming digest of the canonical event stream, rendered as 32 hex
     /// chars. Strictly stronger than metric equality — two runs can commit
     /// the same totals through different event interleavings, but they
-    /// cannot share a fingerprint..
+    /// cannot share a fingerprint.
     pub fingerprint: String,
-    /// Engine event throughput, events per wall-clock second. Derived from
-    /// `events_processed / wall_ms`, so it is machine-dependent and excluded
-    /// from determinism comparisons; CI's perf-smoke gate reads it.
-    pub events_per_sec: f64,
-    /// Worker threads the engine actually used for the run's last session
-    /// (`engine.threads` meta; 1 = sequential). An execution-strategy knob,
-    /// not a workload property, so it is excluded from
-    /// [`BenchArtifact::identical_modulo_wall`] — the determinism gate
-    /// compares runs *across* thread counts.
+    /// Peak Σ `Actor::approx_bytes` over all live actors
+    /// (`mem.resident_bytes` meta): capacities, not live bytes.
+    pub mem_resident_bytes: u64,
+    /// `mem.resident_bytes / node count` (`mem.bytes_per_node` meta) — the
+    /// number the mega-scale (fig9) absolute budget and the
+    /// [`MEM_REGRESSION_PCT`] bound read.
+    pub mem_bytes_per_node: u64,
+    /// Worker threads the engine used for the run's last session
+    /// (`engine.threads` meta; 1 = sequential). With `partition_events` and
+    /// `windows` it records *how* the run executed, not what it computed:
+    /// [`BenchArtifact::compare`] ignores the three, and CI's thread matrix
+    /// reads them to prove the parallel engine engaged.
     pub threads: u64,
     /// Events dispatched per partition in the last parallel session
     /// (`engine.partition_events` meta; empty when the run was sequential).
-    /// Load-balance diagnostics only — excluded from determinism
-    /// comparisons for the same reason as `threads`.
     pub partition_events: Vec<u64>,
     /// Lockstep window barriers the parallel engine crossed over the run
-    /// (`engine.windows` meta; 0 when the run executed sequentially or the
-    /// artifact is schema 9). Execution-strategy telemetry like
-    /// `threads` — the adaptive window policy's whole point is to shrink
-    /// this number without changing the event stream — so it is excluded
-    /// from [`BenchArtifact::identical_modulo_wall`].
+    /// (`engine.windows` meta; 0 when the run executed sequentially).
     pub windows: u64,
-    /// Peak Σ `Actor::approx_bytes` over all live actors
-    /// (`mem.resident_bytes` meta). A footprint
-    /// *estimate* — capacities, not live bytes — so it is excluded from
-    /// [`BenchArtifact::identical_modulo_wall`] like the `engine` block,
-    /// but it gates memory regressions in [`BenchArtifact::diff`].
-    pub mem_resident_bytes: u64,
-    /// `mem.resident_bytes / node count` (`mem.bytes_per_node` meta) — the
-    /// number the mega-scale (fig9) absolute budget and the >20% memory
-    /// regression gate read.
-    pub mem_bytes_per_node: u64,
-    /// Wall-clock milliseconds the run took (machine-dependent; excluded
-    /// from determinism and regression comparisons).
-    pub wall_ms: u64,
+}
+
+/// A meta value every run report carries; its absence is a located panic,
+/// like [`RunReport::require_metric`]'s.
+fn require_meta<'a>(report: &'a RunReport, key: &str) -> &'a str {
+    report
+        .meta
+        .get(key)
+        .unwrap_or_else(|| panic!("run report `{}` has no meta `{key}`", report.name))
+}
+
+/// An optional numeric meta value (0 when the run did not record it).
+fn meta_u64(report: &RunReport, key: &str) -> u64 {
+    report
+        .meta
+        .get(key)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
 }
 
 impl BenchEntry {
-    /// Extracts the headline numbers from one finished sweep point.
+    /// Extracts the entry of one finished sweep point from its report.
     ///
-    /// Uses [`predis_telemetry::RunReport::require_metric`] for every
-    /// number the runner kind is expected to have measured, so a run that
-    /// silently failed to commit (or to complete a block) aborts the
-    /// artifact build with the run's name and its available metrics rather
-    /// than writing NaN into the baseline.
-    pub fn from_outcome(point: &SweepPoint, outcome: &SweepOutcome) -> BenchEntry {
-        let report = &outcome.report;
-        let bytes = report.counter_total("net.bytes");
+    /// Uses [`RunReport::require_metric`] for every number the runner kind
+    /// is expected to have measured, and requires the two identity stamps
+    /// (`engine.events_processed`, `trace.fingerprint`) of every run, so a
+    /// run that silently failed to commit, or a report that lost its
+    /// identity, aborts the artifact build with the run's name and what is
+    /// missing rather than writing NaN, `0` or `""` into the baseline.
+    pub fn from_report(point: &SweepPoint, report: &RunReport) -> BenchEntry {
         // Client latency from the histogram when present (ns -> ms), else 0.
         let client_latency = || {
             report
@@ -145,10 +123,9 @@ impl BenchEntry {
                 .unwrap_or((0.0, 0.0))
         };
         let (tps, p50_ms, p99_ms) = match &point.runner.world {
-            // Scenario runs assert their own liveness/safety checks
-            // in-runner; a dissemination-world scenario legitimately
-            // commits no client transactions, so nothing is required
-            // here — absent numbers record as 0.
+            // A scenario run carries its own checks; a dissemination-world
+            // scenario legitimately commits no client transactions, so
+            // nothing is required here — absent numbers record as 0.
             _ if point.is_scenario() => {
                 let (p50, p99) = client_latency();
                 (report.metric("throughput_tps").unwrap_or(0.0), p50, p99)
@@ -169,51 +146,23 @@ impl BenchEntry {
                 report.require_metric("to_100_ms"),
             ),
         };
-        let events_processed = report.metric("engine.events_processed").unwrap_or(0.0) as u64;
-        let events_per_sec = if outcome.wall_ms > 0 {
-            events_processed as f64 * 1000.0 / outcome.wall_ms as f64
-        } else {
-            0.0
-        };
         BenchEntry {
             tps,
             p50_ms,
             p99_ms,
-            bytes,
+            bytes: report.counter_total("net.bytes"),
             payload_clones: report.metric("msg.payload_clones").unwrap_or(0.0) as u64,
-            events_processed,
-            fingerprint: report
-                .meta
-                .get("trace.fingerprint")
-                .cloned()
-                .unwrap_or_default(),
-            events_per_sec,
-            threads: report
-                .meta
-                .get("engine.threads")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1),
+            events_processed: report.require_metric("engine.events_processed") as u64,
+            fingerprint: require_meta(report, "trace.fingerprint").to_string(),
+            mem_resident_bytes: meta_u64(report, "mem.resident_bytes"),
+            mem_bytes_per_node: meta_u64(report, "mem.bytes_per_node"),
+            threads: meta_u64(report, "engine.threads").max(1),
             partition_events: report
                 .meta
                 .get("engine.partition_events")
                 .map(|s| s.split(',').filter_map(|t| t.parse().ok()).collect())
                 .unwrap_or_default(),
-            windows: report
-                .meta
-                .get("engine.windows")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            mem_resident_bytes: report
-                .meta
-                .get("mem.resident_bytes")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            mem_bytes_per_node: report
-                .meta
-                .get("mem.bytes_per_node")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0),
-            wall_ms: outcome.wall_ms,
+            windows: meta_u64(report, "engine.windows"),
         }
     }
 }
@@ -221,17 +170,8 @@ impl BenchEntry {
 /// A full benchmark artifact: schema version plus one entry per run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchArtifact {
-    /// Run name → headline numbers, sorted by name.
+    /// Run name → entry, sorted by name.
     pub runs: BTreeMap<String, BenchEntry>,
-}
-
-/// One difference found by [`BenchArtifact::diff`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffLine {
-    /// Human-readable description of the difference.
-    pub message: String,
-    /// Whether the difference counts as a regression (gates CI).
-    pub regression: bool,
 }
 
 impl BenchArtifact {
@@ -240,12 +180,15 @@ impl BenchArtifact {
     /// # Panics
     ///
     /// Panics on duplicate run names or on a run missing a required metric
-    /// (see [`BenchEntry::from_outcome`]).
+    /// or identity stamp (see [`BenchEntry::from_report`]).
     pub fn from_sweep(points: &[SweepPoint], outcomes: &[SweepOutcome]) -> BenchArtifact {
         assert_eq!(points.len(), outcomes.len(), "points/outcomes mismatch");
         let mut runs = BTreeMap::new();
         for (point, outcome) in points.iter().zip(outcomes) {
-            let prev = runs.insert(point.name.clone(), BenchEntry::from_outcome(point, outcome));
+            let prev = runs.insert(
+                point.name.clone(),
+                BenchEntry::from_report(point, &outcome.report),
+            );
             assert!(prev.is_none(), "duplicate run name `{}`", point.name);
         }
         BenchArtifact { runs }
@@ -253,69 +196,61 @@ impl BenchArtifact {
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json(&self) -> String {
+        let obj = |pairs: Vec<(&str, Json)>| {
+            Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
         let runs: Vec<(String, Json)> = self
             .runs
             .iter()
             .map(|(name, e)| {
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("tps".into(), Json::F64(e.tps)),
-                        ("p50_latency_ms".into(), Json::F64(e.p50_ms)),
-                        ("p99_latency_ms".into(), Json::F64(e.p99_ms)),
-                        ("bytes".into(), Json::U64(e.bytes)),
-                        ("payload_clones".into(), Json::U64(e.payload_clones)),
-                        ("fingerprint".into(), Json::Str(e.fingerprint.clone())),
-                        (
-                            "perf".into(),
-                            Json::Obj(vec![
-                                ("events_processed".into(), Json::U64(e.events_processed)),
-                                ("events_per_sec".into(), Json::F64(e.events_per_sec)),
-                            ]),
-                        ),
-                        (
-                            "engine".into(),
-                            Json::Obj(vec![
-                                ("threads".into(), Json::U64(e.threads)),
-                                (
-                                    "partition_events".into(),
-                                    Json::Arr(
-                                        e.partition_events.iter().map(|&n| Json::U64(n)).collect(),
-                                    ),
-                                ),
-                                ("windows".into(), Json::U64(e.windows)),
-                            ]),
-                        ),
-                        (
-                            "mem".into(),
-                            Json::Obj(vec![
-                                ("resident_bytes".into(), Json::U64(e.mem_resident_bytes)),
-                                ("bytes_per_node".into(), Json::U64(e.mem_bytes_per_node)),
-                            ]),
-                        ),
-                        ("wall_ms".into(), Json::U64(e.wall_ms)),
-                    ]),
-                )
+                let partitions = e.partition_events.iter().map(|&n| Json::U64(n)).collect();
+                let run = obj(vec![
+                    ("tps", Json::F64(e.tps)),
+                    ("p50_latency_ms", Json::F64(e.p50_ms)),
+                    ("p99_latency_ms", Json::F64(e.p99_ms)),
+                    ("bytes", Json::U64(e.bytes)),
+                    ("payload_clones", Json::U64(e.payload_clones)),
+                    ("events_processed", Json::U64(e.events_processed)),
+                    ("fingerprint", Json::Str(e.fingerprint.clone())),
+                    (
+                        "mem",
+                        obj(vec![
+                            ("resident_bytes", Json::U64(e.mem_resident_bytes)),
+                            ("bytes_per_node", Json::U64(e.mem_bytes_per_node)),
+                        ]),
+                    ),
+                    (
+                        "engine",
+                        obj(vec![
+                            ("threads", Json::U64(e.threads)),
+                            ("partition_events", Json::Arr(partitions)),
+                            ("windows", Json::U64(e.windows)),
+                        ]),
+                    ),
+                ]);
+                (name.clone(), run)
             })
             .collect();
-        Json::Obj(vec![
-            ("schema_version".into(), Json::U64(BENCH_SCHEMA_VERSION)),
-            ("runs".into(), Json::Obj(runs)),
+        obj(vec![
+            ("schema_version", Json::U64(BENCH_SCHEMA_VERSION)),
+            ("runs", Json::Obj(runs)),
         ])
         .to_pretty_string()
     }
 
-    /// Parses an artifact written by [`BenchArtifact::to_json`].
+    /// Parses an artifact written by [`BenchArtifact::to_json`]. Every field
+    /// is required — a missing or ill-typed one is an error naming the run
+    /// and the field, never a default that [`BenchArtifact::compare`] would
+    /// then find equal on both sides.
     pub fn from_json(text: &str) -> Result<BenchArtifact, String> {
         let v = Json::parse(text)?;
         let version = v
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or("artifact missing schema_version")?;
-        if !(BENCH_SCHEMA_MIN_SUPPORTED..=BENCH_SCHEMA_VERSION).contains(&version) {
+        if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
-                "artifact schema_version {version} outside supported \
-                 {BENCH_SCHEMA_MIN_SUPPORTED}..={BENCH_SCHEMA_VERSION}"
+                "artifact schema_version {version}, this build reads {BENCH_SCHEMA_VERSION}"
             ));
         }
         let mut artifact = BenchArtifact::default();
@@ -334,6 +269,14 @@ impl BenchArtifact {
             let malformed = |key: &str| format!("run `{name}`: `{key}` has the wrong type");
             let num = |key: &str| field(key)?.as_f64().ok_or_else(|| malformed(key));
             let int = |key: &str| field(key)?.as_u64().ok_or_else(|| malformed(key));
+            let fingerprint = field("fingerprint")?
+                .as_str()
+                .ok_or_else(|| malformed("fingerprint"))?;
+            if fingerprint.len() != 32 || !fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(format!(
+                    "run `{name}`: `fingerprint` {fingerprint:?} is not 32 hex chars"
+                ));
+            }
             artifact.runs.insert(
                 name.clone(),
                 BenchEntry {
@@ -342,12 +285,10 @@ impl BenchArtifact {
                     p99_ms: num("p99_latency_ms")?,
                     bytes: int("bytes")?,
                     payload_clones: int("payload_clones")?,
-                    fingerprint: field("fingerprint")?
-                        .as_str()
-                        .ok_or_else(|| malformed("fingerprint"))?
-                        .to_string(),
-                    events_processed: int("perf.events_processed")?,
-                    events_per_sec: num("perf.events_per_sec")?,
+                    events_processed: int("events_processed")?,
+                    fingerprint: fingerprint.to_string(),
+                    mem_resident_bytes: int("mem.resident_bytes")?,
+                    mem_bytes_per_node: int("mem.bytes_per_node")?,
                     threads: int("engine.threads")?,
                     partition_events: field("engine.partition_events")?
                         .as_arr()
@@ -358,14 +299,7 @@ impl BenchArtifact {
                                 .ok_or_else(|| malformed("engine.partition_events"))
                         })
                         .collect::<Result<_, _>>()?,
-                    windows: if version >= 10 {
-                        int("engine.windows")?
-                    } else {
-                        0
-                    },
-                    mem_resident_bytes: int("mem.resident_bytes")?,
-                    mem_bytes_per_node: int("mem.bytes_per_node")?,
-                    wall_ms: int("wall_ms")?,
+                    windows: int("engine.windows")?,
                 },
             );
         }
@@ -388,197 +322,66 @@ impl BenchArtifact {
         Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Compares `self` (baseline) against `new`, flagging regressions
-    /// beyond `threshold_pct` percent.
+    /// The one comparison: `self` is the baseline, `new` the candidate.
     ///
-    /// A regression is: a run that disappeared, throughput that dropped by
-    /// more than the threshold, p99 latency that grew by more than the
-    /// threshold (when the baseline measured a nonzero p99), a metric the
-    /// baseline measured that the new run no longer does (nonzero → 0), or
-    /// per-node memory (`mem.bytes_per_node`) that grew by more than
-    /// [`MEM_REGRESSION_PCT`] when both artifacts recorded it. Added runs
-    /// and sub-threshold drift are reported as informational lines.
-    ///
-    /// Zero baselines never produce a percentage: a metric that appears
-    /// (0 → nonzero) is reported as an informational "new metric" line and
-    /// a metric that vanishes (nonzero → 0) as a "no longer measured"
-    /// regression, so no `inf`/`NaN` relative delta ever reaches a CI log.
-    pub fn diff(&self, new: &BenchArtifact, threshold_pct: f64) -> Vec<DiffLine> {
-        let mut lines = Vec::new();
-        let pct = |old: f64, new: f64| {
-            if old == 0.0 {
-                0.0
-            } else {
-                (new - old) / old * 100.0
-            }
-        };
-        for (name, old) in &self.runs {
-            let Some(cur) = new.runs.get(name) else {
-                lines.push(DiffLine {
-                    message: format!("{name}: missing from new artifact"),
-                    regression: true,
-                });
+    /// Every run must exist on both sides with bit-identical
+    /// `tps`/`p50`/`p99`/`bytes`/`payload_clones`/`events_processed`/
+    /// `fingerprint`; `mem.bytes_per_node` may not exceed the baseline's by
+    /// more than [`MEM_REGRESSION_PCT`]; the `engine` block is ignored.
+    /// Returns one message per difference, naming the run, the field and
+    /// both values, so a CI log is actionable without re-running.
+    pub fn compare(&self, new: &BenchArtifact) -> Vec<String> {
+        let mut out = Vec::new();
+        for (name, a) in &self.runs {
+            let Some(b) = new.runs.get(name) else {
+                out.push(format!("{name}: only in the baseline"));
                 continue;
             };
-            let tps_delta = pct(old.tps, cur.tps);
-            let p99_delta = pct(old.p99_ms, cur.p99_ms);
-            if old.tps == 0.0 && cur.tps > 0.0 {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: throughput new metric 0 -> {:.0} tx/s (baseline 0, not gated)",
-                        cur.tps
-                    ),
-                    regression: false,
-                });
-            } else if old.tps > 0.0 && cur.tps == 0.0 {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: throughput {:.0} tx/s no longer measured (now 0)",
-                        old.tps
-                    ),
-                    regression: true,
-                });
-            } else if tps_delta < -threshold_pct {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: throughput {:.0} -> {:.0} tx/s ({tps_delta:+.1}%)",
-                        old.tps, cur.tps
-                    ),
-                    regression: true,
-                });
-            }
-            if old.p99_ms == 0.0 && cur.p99_ms > 0.0 {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: p99 latency new metric 0 -> {:.1} ms (baseline 0, not gated)",
-                        cur.p99_ms
-                    ),
-                    regression: false,
-                });
-            } else if old.p99_ms > 0.0 && cur.p99_ms == 0.0 {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: p99 latency {:.1} ms no longer measured (now 0)",
-                        old.p99_ms
-                    ),
-                    regression: true,
-                });
-            } else if old.p99_ms > 0.0 && p99_delta > threshold_pct {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: p99 latency {:.1} -> {:.1} ms ({p99_delta:+.1}%)",
-                        old.p99_ms, cur.p99_ms
-                    ),
-                    regression: true,
-                });
-            }
-            if (old.mem_bytes_per_node > 0) != (cur.mem_bytes_per_node > 0) {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: per-node memory measured on one side only ({} -> {} B, not gated)",
-                        old.mem_bytes_per_node, cur.mem_bytes_per_node
-                    ),
-                    regression: false,
-                });
-            }
-            if old.mem_bytes_per_node > 0 && cur.mem_bytes_per_node > 0 {
-                let mem_delta = pct(old.mem_bytes_per_node as f64, cur.mem_bytes_per_node as f64);
-                if mem_delta > MEM_REGRESSION_PCT {
-                    lines.push(DiffLine {
-                        message: format!(
-                            "{name}: per-node memory {} -> {} B ({mem_delta:+.1}%, limit \
-                             +{MEM_REGRESSION_PCT}%)",
-                            old.mem_bytes_per_node, cur.mem_bytes_per_node
-                        ),
-                        regression: true,
-                    });
+            let mut differs =
+                |key: &str, av: &dyn std::fmt::Display, bv: &dyn std::fmt::Display| {
+                    out.push(format!("{name}: {key} {av} vs {bv}"));
+                };
+            for (key, av, bv) in [
+                ("tps", a.tps, b.tps),
+                ("p50_latency_ms", a.p50_ms, b.p50_ms),
+                ("p99_latency_ms", a.p99_ms, b.p99_ms),
+            ] {
+                if av.to_bits() != bv.to_bits() {
+                    differs(key, &av, &bv);
                 }
             }
-            if tps_delta.abs() > f64::EPSILON && tps_delta >= -threshold_pct {
-                lines.push(DiffLine {
-                    message: format!(
-                        "{name}: throughput drift {tps_delta:+.1}% (within {threshold_pct}%)"
-                    ),
-                    regression: false,
-                });
+            for (key, av, bv) in [
+                ("bytes", a.bytes, b.bytes),
+                ("payload_clones", a.payload_clones, b.payload_clones),
+                ("events_processed", a.events_processed, b.events_processed),
+            ] {
+                if av != bv {
+                    differs(key, &av, &bv);
+                }
+            }
+            if a.fingerprint != b.fingerprint {
+                out.push(format!(
+                    "{name}: trace fingerprint {} vs {} — the two trees dispatched different \
+                     event streams; re-run both with PREDIS_TRACE_DIR set and use `trace_diff` \
+                     on the captures to find the first divergent event",
+                    a.fingerprint, b.fingerprint
+                ));
+            }
+            let limit = a.mem_bytes_per_node as f64 * (1.0 + MEM_REGRESSION_PCT / 100.0);
+            if b.mem_bytes_per_node as f64 > limit {
+                out.push(format!(
+                    "{name}: per-node memory {} -> {} B, over the +{MEM_REGRESSION_PCT}% limit \
+                     of {limit:.0} B",
+                    a.mem_bytes_per_node, b.mem_bytes_per_node
+                ));
             }
         }
         for name in new.runs.keys() {
             if !self.runs.contains_key(name) {
-                lines.push(DiffLine {
-                    message: format!("{name}: new run (not in baseline)"),
-                    regression: false,
-                });
+                out.push(format!("{name}: only in the new artifact"));
             }
         }
-        lines
-    }
-
-    /// Strict determinism check: every run must exist in both artifacts
-    /// with bit-identical `tps`/`p50`/`p99`/`bytes`/`payload_clones`/
-    /// `events_processed`/`fingerprint`; only `wall_ms` (and the
-    /// wall-derived `events_per_sec`) may differ. Returns one message per
-    /// mismatching *field*, naming the run, the field, both values, and the
-    /// relative delta — so a CI log is actionable without re-running.
-    pub fn identical_modulo_wall(&self, other: &BenchArtifact) -> Vec<String> {
-        let mut mismatches = Vec::new();
-        let rel = |a: f64, b: f64| {
-            if a == 0.0 {
-                if b == 0.0 {
-                    "±0%".to_string()
-                } else {
-                    "baseline 0".to_string()
-                }
-            } else {
-                format!("{:+.4}%", (b - a) / a * 100.0)
-            }
-        };
-        for (name, a) in &self.runs {
-            match other.runs.get(name) {
-                None => mismatches.push(format!("{name}: only in first artifact")),
-                Some(b) => {
-                    let floats = [
-                        ("tps", a.tps, b.tps),
-                        ("p50_latency_ms", a.p50_ms, b.p50_ms),
-                        ("p99_latency_ms", a.p99_ms, b.p99_ms),
-                    ];
-                    for (key, av, bv) in floats {
-                        if av != bv {
-                            mismatches
-                                .push(format!("{name}: {key} {av} vs {bv} ({})", rel(av, bv)));
-                        }
-                    }
-                    let ints = [
-                        ("bytes", a.bytes, b.bytes),
-                        ("payload_clones", a.payload_clones, b.payload_clones),
-                        ("events_processed", a.events_processed, b.events_processed),
-                    ];
-                    for (key, av, bv) in ints {
-                        if av != bv {
-                            mismatches.push(format!(
-                                "{name}: {key} {av} vs {bv} ({})",
-                                rel(av as f64, bv as f64)
-                            ));
-                        }
-                    }
-                    if a.fingerprint != b.fingerprint {
-                        mismatches.push(format!(
-                            "{name}: trace fingerprint {} vs {} — the engines dispatched \
-                             different event streams; re-run both with PREDIS_TRACE_DIR set \
-                             and use `trace_diff` on the captures to find the first divergent \
-                             event",
-                            a.fingerprint, b.fingerprint
-                        ));
-                    }
-                }
-            }
-        }
-        for name in other.runs.keys() {
-            if !self.runs.contains_key(name) {
-                mismatches.push(format!("{name}: only in second artifact"));
-            }
-        }
-        mismatches
+        out
     }
 }
 
@@ -586,7 +389,7 @@ impl BenchArtifact {
 mod tests {
     use super::*;
 
-    fn entry(tps: f64, p99: f64, wall: u64) -> BenchEntry {
+    fn entry(tps: f64, p99: f64) -> BenchEntry {
         BenchEntry {
             tps,
             p50_ms: p99 / 2.0,
@@ -594,14 +397,12 @@ mod tests {
             bytes: 1_000,
             payload_clones: 42,
             events_processed: 9_000,
-            events_per_sec: 1_234.5,
             fingerprint: "00112233445566778899aabbccddeeff".to_string(),
+            mem_resident_bytes: 1_000_000,
+            mem_bytes_per_node: 2_000,
             threads: 2,
             partition_events: vec![4_500, 4_500],
             windows: 120,
-            mem_resident_bytes: 1_000_000,
-            mem_bytes_per_node: 2_048,
-            wall_ms: wall,
         }
     }
 
@@ -614,11 +415,18 @@ mod tests {
         }
     }
 
+    /// `base` with `edit` applied to run `a`.
+    fn edited(base: &BenchArtifact, edit: impl FnOnce(&mut BenchEntry)) -> BenchArtifact {
+        let mut out = base.clone();
+        edit(out.runs.get_mut("a").unwrap());
+        out
+    }
+
     #[test]
     fn json_round_trip_is_exact() {
         let a = artifact(&[
-            ("fig4_pbft", entry(12_000.0, 80.0, 900)),
-            ("fig8_star_1mb", entry(0.0, 4_000.0, 150)),
+            ("fig4_pbft", entry(12_000.0, 80.0)),
+            ("fig8_star_1mb", entry(0.0, 4_000.0)),
         ]);
         let text = a.to_json();
         let back = BenchArtifact::from_json(&text).unwrap();
@@ -626,35 +434,18 @@ mod tests {
         assert_eq!(back.to_json(), text);
     }
 
-    #[test]
-    fn previous_schema_reads_without_the_barrier_count() {
-        let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let text = a
-            .to_json()
-            .replace(
-                &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
-                "\"schema_version\": 9",
-            )
-            .replace(",\n        \"windows\": 120", "");
-        assert!(!text.contains("windows"), "{text}");
-        let back = BenchArtifact::from_json(&text).unwrap();
-        assert_eq!(back.runs["a"].windows, 0);
-        assert_eq!(back.runs["a"].threads, 2);
-    }
-
-    /// A current-schema artifact that lost a field is an error naming the
-    /// run and the field — not a default that the determinism gate then
-    /// skips over.
+    /// An artifact that lost a field is an error naming the run and the
+    /// field — not a default that the comparison then finds equal.
     #[test]
     fn a_missing_field_is_a_located_error() {
-        let text = artifact(&[("fig4_pbft", entry(10_000.0, 100.0, 1))]).to_json();
+        let text = artifact(&[("fig4_pbft", entry(10_000.0, 100.0))]).to_json();
         for (cut, key) in [
             (
                 "\"fingerprint\": \"00112233445566778899aabbccddeeff\",",
                 "fingerprint",
             ),
             ("\"payload_clones\": 42,", "payload_clones"),
-            ("\"events_processed\": 9000,", "perf.events_processed"),
+            ("\"events_processed\": 9000,", "events_processed"),
             ("\"resident_bytes\": 1000000,", "mem.resident_bytes"),
             (",\n        \"windows\": 120", "engine.windows"),
         ] {
@@ -669,201 +460,147 @@ mod tests {
     }
 
     #[test]
-    fn identical_modulo_wall_ignores_mem_footprint() {
-        // The mem block is a capacity estimate, not a workload property:
-        // like `engine`, it must never read as a determinism break.
-        let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let mut b = artifact(&[("a", entry(10_000.0, 100.0, 9))]);
-        b.runs.get_mut("a").unwrap().mem_resident_bytes = 9_999_999;
-        b.runs.get_mut("a").unwrap().mem_bytes_per_node = 9_999;
-        assert!(a.identical_modulo_wall(&b).is_empty());
-    }
-
-    #[test]
-    fn diff_flags_per_node_memory_regressions() {
-        let base = artifact(&[("fig9_z10_fulls500", entry(10_000.0, 100.0, 1))]);
-        // +25% per-node memory: over the fixed 20% bound.
-        let mut grown = base.clone();
-        grown
-            .runs
-            .get_mut("fig9_z10_fulls500")
-            .unwrap()
-            .mem_bytes_per_node = 2_560;
-        let lines = base.diff(&grown, 10.0);
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.regression && l.message.contains("per-node memory")),
-            "{lines:?}"
-        );
-        // +10% stays informationally silent; a baseline without mem data
-        // never trips the gate.
-        let mut mild = base.clone();
-        mild.runs
-            .get_mut("fig9_z10_fulls500")
-            .unwrap()
-            .mem_bytes_per_node = 2_252;
-        assert!(base.diff(&mild, 10.0).iter().all(|l| !l.regression));
-        let mut old = base.clone();
-        old.runs
-            .get_mut("fig9_z10_fulls500")
-            .unwrap()
-            .mem_bytes_per_node = 0;
-        assert!(old.diff(&grown, 10.0).iter().all(|l| !l.regression));
-    }
-
-    #[test]
-    fn identical_modulo_wall_ignores_thread_count() {
-        // The determinism matrix compares runs across PREDIS_SIM_THREADS
-        // values: the engine block records how a run executed, not what it
-        // computed, so it must never read as a determinism break.
-        let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let mut b = artifact(&[("a", entry(10_000.0, 100.0, 77))]);
-        b.runs.get_mut("a").unwrap().threads = 8;
-        b.runs.get_mut("a").unwrap().partition_events = vec![1, 2, 3];
-        // The barrier count depends on thread count and window policy, not
-        // on the workload — never a determinism break either.
-        b.runs.get_mut("a").unwrap().windows = 7;
-        assert!(a.identical_modulo_wall(&b).is_empty());
-    }
-
-    #[test]
-    fn schema_version_mismatch_is_rejected() {
-        let text = artifact(&[]).to_json().replace(
-            &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
-            "\"schema_version\": 1",
-        );
-        assert!(BenchArtifact::from_json(&text)
-            .unwrap_err()
-            .contains("schema_version"));
-    }
-
-    #[test]
-    fn diff_flags_throughput_and_latency_regressions() {
-        let base = artifact(&[
-            ("a", entry(10_000.0, 100.0, 1)),
-            ("b", entry(10_000.0, 100.0, 1)),
-            ("gone", entry(1.0, 1.0, 1)),
-        ]);
-        let new = artifact(&[
-            ("a", entry(8_000.0, 100.0, 999)), // -20% tps: regression
-            ("b", entry(10_000.0, 130.0, 1)),  // +30% p99: regression
-            ("added", entry(1.0, 1.0, 1)),
-        ]);
-        let lines = base.diff(&new, 10.0);
-        let regressions: Vec<&str> = lines
-            .iter()
-            .filter(|l| l.regression)
-            .map(|l| l.message.as_str())
-            .collect();
-        assert_eq!(regressions.len(), 3, "{regressions:?}");
-        assert!(regressions.iter().any(|m| m.starts_with("a: throughput")));
-        assert!(regressions.iter().any(|m| m.starts_with("b: p99")));
-        assert!(regressions.iter().any(|m| m.starts_with("gone: missing")));
-        // The added run is informational only.
-        assert!(lines
-            .iter()
-            .any(|l| !l.regression && l.message.starts_with("added")));
-    }
-
-    #[test]
-    fn diff_zero_baselines_report_new_and_removed_metrics_without_nan() {
-        // A scenario entry may legitimately measure no throughput/latency:
-        // a 0 on either side must never become an inf/NaN percentage.
-        let mut zeroed = entry(0.0, 0.0, 1);
-        zeroed.mem_bytes_per_node = 0;
-        let base = artifact(&[("scenario_x", zeroed)]);
-        let new = artifact(&[("scenario_x", entry(5_000.0, 80.0, 1))]);
-        let lines = base.diff(&new, 10.0);
-        // Metrics appearing from a zero baseline are informational.
-        assert!(lines.iter().all(|l| !l.regression), "{lines:?}");
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.message.contains("throughput new metric")),
-            "{lines:?}"
-        );
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.message.contains("p99 latency new metric")),
-            "{lines:?}"
-        );
-        // Metrics vanishing to zero are regressions with explicit wording.
-        let back = new.diff(&base, 10.0);
-        assert!(
-            back.iter().any(|l| l.regression
-                && l.message.contains("throughput")
-                && l.message.contains("no longer measured")),
-            "{back:?}"
-        );
-        assert!(
-            back.iter().any(|l| l.regression
-                && l.message.contains("p99")
-                && l.message.contains("no longer measured")),
-            "{back:?}"
-        );
-        for l in lines.iter().chain(&back) {
+    fn an_empty_or_non_hex_fingerprint_is_rejected() {
+        let text = artifact(&[("fig4_pbft", entry(10_000.0, 100.0))]).to_json();
+        for bad in ["", "0011", "zz112233445566778899aabbccddeeff"] {
+            let broken = text.replace("00112233445566778899aabbccddeeff", bad);
+            let err = BenchArtifact::from_json(&broken).unwrap_err();
             assert!(
-                !l.message.contains("inf") && !l.message.contains("NaN"),
-                "{}",
-                l.message
+                err.contains("run `fig4_pbft`") && err.contains("32 hex"),
+                "{bad:?}: {err}"
             );
         }
     }
 
     #[test]
-    fn drift_within_threshold_is_informational() {
-        let base = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let new = artifact(&[("a", entry(9_500.0, 100.0, 1))]); // -5%
-        let lines = base.diff(&new, 10.0);
-        assert!(lines.iter().all(|l| !l.regression), "{lines:?}");
-        assert!(lines.iter().any(|l| l.message.contains("drift")));
+    fn any_other_schema_version_is_rejected() {
+        let text = artifact(&[]).to_json();
+        for other in [10, BENCH_SCHEMA_VERSION + 1] {
+            let stale = text.replace(
+                &format!("\"schema_version\": {BENCH_SCHEMA_VERSION}"),
+                &format!("\"schema_version\": {other}"),
+            );
+            let err = BenchArtifact::from_json(&stale).unwrap_err();
+            assert!(err.contains(&format!("schema_version {other}")), "{err}");
+        }
+    }
+
+    fn report_of(point: &SweepPoint) -> RunReport {
+        let mut report = RunReport::new(&point.name);
+        for key in ["throughput_tps", "p50_latency_ms", "p99_latency_ms"] {
+            report.set_metric(key, 1.0);
+        }
+        report.set_metric("engine.events_processed", 9_000.0);
+        report.set_meta("trace.fingerprint", "00112233445566778899aabbccddeeff");
+        report
+    }
+
+    fn point() -> SweepPoint {
+        SweepPoint::throughput("unit_identity", Default::default())
     }
 
     #[test]
-    fn identical_modulo_wall_ignores_wall_only_differences() {
-        let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let mut b = artifact(&[("a", entry(10_000.0, 100.0, 12_345))]);
-        // events_per_sec is wall-derived, so it may differ too.
-        b.runs.get_mut("a").unwrap().events_per_sec = 9.9;
-        assert!(a.identical_modulo_wall(&b).is_empty());
-        let c = artifact(&[("a", entry(10_000.1, 100.0, 1))]);
-        assert_eq!(a.identical_modulo_wall(&c).len(), 1);
-        // events_processed is deterministic and must match exactly.
-        let mut d = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        d.runs.get_mut("a").unwrap().events_processed += 1;
-        assert_eq!(a.identical_modulo_wall(&d).len(), 1);
+    fn a_stamped_report_becomes_an_entry() {
+        let point = point();
+        let e = BenchEntry::from_report(&point, &report_of(&point));
+        assert_eq!(e.events_processed, 9_000);
+        assert_eq!(e.fingerprint, "00112233445566778899aabbccddeeff");
+        assert_eq!((e.threads, e.windows), (1, 0));
     }
 
     #[test]
-    fn identical_modulo_wall_names_each_differing_field() {
-        let a = artifact(&[("fig4_pbft", entry(10_000.0, 100.0, 1))]);
-        let mut b = artifact(&[("fig4_pbft", entry(9_000.0, 100.0, 1))]);
-        b.runs.get_mut("fig4_pbft").unwrap().bytes = 2_000;
-        let msgs = a.identical_modulo_wall(&b);
-        assert_eq!(msgs.len(), 2, "{msgs:?}");
-        // Each message names the run, the field, both values, and the delta.
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("fig4_pbft: tps 10000 vs 9000") && m.contains("-10.0000%")),
-            "{msgs:?}"
+    #[should_panic(expected = "run report `unit_identity` has no meta `trace.fingerprint`")]
+    fn a_report_without_a_fingerprint_cannot_become_an_entry() {
+        let point = point();
+        let mut report = report_of(&point);
+        report.meta.remove("trace.fingerprint");
+        BenchEntry::from_report(&point, &report);
+    }
+
+    #[test]
+    #[should_panic(expected = "run report `unit_identity` has no metric `engine.events_processed`")]
+    fn a_report_without_an_event_count_cannot_become_an_entry() {
+        let point = point();
+        let mut report = report_of(&point);
+        report.metrics.remove("engine.events_processed");
+        BenchEntry::from_report(&point, &report);
+    }
+
+    #[test]
+    fn compare_ignores_how_the_run_executed() {
+        // The determinism matrix compares runs across PREDIS_SIM_THREADS
+        // values: the engine block records how a run executed, not what it
+        // computed, so it must never read as a difference.
+        let a = artifact(&[("a", entry(10_000.0, 100.0))]);
+        let b = edited(&a, |e| {
+            e.threads = 8;
+            e.partition_events = vec![1, 2, 3];
+            e.windows = 7;
+        });
+        assert!(a.compare(&b).is_empty());
+    }
+
+    #[test]
+    fn compare_names_each_differing_identity_field() {
+        let a = artifact(&[("a", entry(10_000.0, 100.0))]);
+        assert!(a.compare(&a).is_empty());
+        let b = edited(&a, |e| {
+            e.tps = 10_000.1;
+            e.bytes = 2_000;
+            e.events_processed += 1;
+        });
+        let msgs = a.compare(&b);
+        assert_eq!(
+            msgs,
+            [
+                "a: tps 10000 vs 10000.1",
+                "a: bytes 1000 vs 2000",
+                "a: events_processed 9000 vs 9001",
+            ]
         );
-        assert!(
-            msgs.iter()
-                .any(|m| m.contains("fig4_pbft: bytes 1000 vs 2000") && m.contains("+100.0000%")),
-            "{msgs:?}"
-        );
     }
 
     #[test]
-    fn identical_modulo_wall_compares_fingerprints() {
-        let a = artifact(&[("a", entry(10_000.0, 100.0, 1))]);
-        let mut b = artifact(&[("a", entry(10_000.0, 100.0, 9))]);
-        b.runs.get_mut("a").unwrap().fingerprint = "ffffffffffffffffffffffffffffffff".into();
-        let msgs = a.identical_modulo_wall(&b);
+    fn compare_points_a_fingerprint_flip_at_trace_diff() {
+        let a = artifact(&[("a", entry(10_000.0, 100.0))]);
+        let b = edited(&a, |e| {
+            e.fingerprint = "ffffffffffffffffffffffffffffffff".into()
+        });
+        let msgs = a.compare(&b);
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].contains("trace fingerprint"), "{msgs:?}");
         assert!(msgs[0].contains("trace_diff"), "{msgs:?}");
+    }
+
+    #[test]
+    fn compare_bounds_per_node_memory_growth_only() {
+        let a = artifact(&[("a", entry(10_000.0, 100.0))]);
+        let with_mem = |bytes_per_node| edited(&a, |e| e.mem_bytes_per_node = bytes_per_node);
+        // Exactly +20% and any shrink pass; one byte over the limit fails.
+        assert!(a.compare(&with_mem(2_400)).is_empty());
+        assert!(a.compare(&with_mem(10)).is_empty());
+        let msgs = a.compare(&with_mem(2_401));
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(
+            msgs[0].contains("per-node memory 2000 -> 2401 B") && msgs[0].contains("2400 B"),
+            "{msgs:?}"
+        );
+        // The resident total is reported, not gated.
+        assert!(a
+            .compare(&edited(&a, |e| e.mem_resident_bytes *= 5))
+            .is_empty());
+    }
+
+    #[test]
+    fn compare_reports_runs_present_on_one_side_only() {
+        let a = artifact(&[("a", entry(1.0, 1.0)), ("gone", entry(1.0, 1.0))]);
+        let b = artifact(&[("a", entry(1.0, 1.0)), ("added", entry(1.0, 1.0))]);
+        assert_eq!(
+            a.compare(&b),
+            [
+                "gone: only in the baseline",
+                "added: only in the new artifact"
+            ]
+        );
     }
 }

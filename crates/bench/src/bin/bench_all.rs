@@ -2,13 +2,13 @@
 //! cores and merges every run's headline numbers into one
 //! `BENCH_<schema>.json` artifact.
 //!
-//! Every grid point is an independent deterministic simulation, so the
-//! artifact is identical between runs modulo the per-run `wall_ms` field —
-//! CI exploits that by running the suite twice and diffing with
-//! `compare_bench --identical`.
+//! Every grid point is an independent deterministic simulation, so two
+//! passes of one tree write byte-identical artifacts — CI runs the suite
+//! twice and `cmp`s the files, then holds the artifact against the
+//! checked-in baseline with `compare_bench`.
 //!
 //! Usage: `bench_all [--quick] [--only PREFIX] [--threads N] [--out PATH]
-//! [--mem-warn-only]`
+//! [--mem-warn-only]` — anything else is a usage error (exit 2).
 //!
 //! * `--quick`   — the scaled-down grids (what CI runs).
 //! * `--only P`  — restrict to points whose name starts with `P`
@@ -24,16 +24,18 @@
 //! that directory's stale `.json` reports first, so a renamed or removed
 //! suite point can never leak an outdated report into later tooling.
 //!
-//! Before writing the artifact the suite enforces the zero-copy gate:
-//! every throughput run's `msg.payload_clones` must stay O(1) per produced
-//! payload unit (see `check_payload_clones`), or the run exits nonzero.
+//! Before writing the artifact the suite enforces the scenario checks
+//! (a failed check prints its `check → got / want` row and exits 1) and
+//! the zero-copy gate: every throughput run's `msg.payload_clones` must
+//! stay O(1) per produced payload unit (see `check_payload_clones`), or the
+//! run exits nonzero.
 
 use std::time::Instant;
 
 use predis::experiments::World;
 use predis_bench::{
-    bench_file_name, f0, f1, print_table, report_with_perf, suite, suite_dir, sweep, BenchArtifact,
-    SweepOutcome, SweepPoint, MEM_BYTES_PER_NODE_BUDGET,
+    bench_file_name, exit_on_failed_checks, f0, f1, flags_or_usage, print_table, suite, suite_dir,
+    sweep, BenchArtifact, SweepOutcome, SweepPoint, MEM_BYTES_PER_NODE_BUDGET,
 };
 use predis_parallel::Pool;
 
@@ -117,19 +119,19 @@ fn check_mem_budget(point: &SweepPoint, outcome: &SweepOutcome) -> Result<(), St
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mem_warn_only = args.iter().any(|a| a == "--mem-warn-only");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let only = flag_value("--only").unwrap_or_default();
+    let flags = flags_or_usage(
+        "bench_all [--quick] [--only PREFIX] [--threads N] [--out PATH] [--mem-warn-only]",
+        &["--quick", "--mem-warn-only"],
+        &["--only", "--threads", "--out"],
+    );
+    let quick = flags.has("--quick");
+    let only = flags.value("--only").unwrap_or_default();
     let dir = suite_dir("bench_all");
-    let out = flag_value("--out").unwrap_or_else(|| format!("{dir}/{}", bench_file_name()));
-    let pool = match flag_value("--threads") {
+    let out = match flags.value("--out") {
+        Some(path) => path.to_string(),
+        None => format!("{dir}/{}", bench_file_name()),
+    };
+    let pool = match flags.value("--threads") {
         Some(n) => Pool::new(n.parse().unwrap_or_else(|_| {
             eprintln!("--threads wants a positive integer, got {n:?}");
             std::process::exit(2);
@@ -137,7 +139,7 @@ fn main() {
         None => Pool::default(),
     };
 
-    let points = suite::filter_prefix(suite::suite(quick), &only);
+    let points = suite::filter_prefix(suite::suite(quick), only);
     if points.is_empty() {
         eprintln!("no suite points match prefix {only:?}");
         std::process::exit(2);
@@ -179,7 +181,7 @@ fn main() {
     let mut profile_run_ns = 0u64;
     let mut profile_attr_ns = 0u64;
     for (point, outcome) in points.iter().zip(&outcomes) {
-        if let Err(e) = report_with_perf(outcome).write_to_dir(&dir) {
+        if let Err(e) = outcome.report.write_to_dir(&dir) {
             eprintln!("could not write report {}: {e}", outcome.report.name);
         }
         let dropped = outcome
@@ -195,10 +197,6 @@ fn main() {
         }
         profile_run_ns += outcome.report.profile_run_ns;
         profile_attr_ns += outcome.report.profile_attributed_ns();
-        let events = outcome
-            .report
-            .metric("engine.events_processed")
-            .unwrap_or(0.0);
         rows.push(vec![
             point.name.clone(),
             f0(outcome.report.metric("throughput_tps").unwrap_or(0.0)),
@@ -207,13 +205,16 @@ fn main() {
                 .metric("p99_latency_ms")
                 .or_else(|| outcome.report.metric("to_100_ms"))
                 .unwrap_or(f64::NAN)),
-            f0(events * 1000.0 / outcome.wall_ms.max(1) as f64),
+            f0(outcome
+                .report
+                .metric("engine.events_processed")
+                .unwrap_or(f64::NAN)),
             outcome.wall_ms.to_string(),
         ]);
     }
     print_table(
         "bench_all suite",
-        &["run", "tps", "p99/to100_ms", "ev/s", "wall_ms"],
+        &["run", "tps", "p99/to100_ms", "events", "wall_ms"],
         &rows,
     );
 
@@ -263,6 +264,8 @@ fn main() {
         }
     }
 
+    exit_on_failed_checks(&outcomes);
+
     let clone_violations: Vec<String> = points
         .iter()
         .zip(&outcomes)
@@ -277,7 +280,7 @@ fn main() {
 
     // The absolute per-node memory budget for mega-scale runs.
     // `--mem-warn-only` downgrades it to a warning (PR builds warn, main
-    // builds gate — same policy as the baseline comparison).
+    // builds gate).
     let mem_violations: Vec<String> = points
         .iter()
         .zip(&outcomes)
@@ -287,7 +290,7 @@ fn main() {
         for v in &mem_violations {
             eprintln!("memory gate: {v}");
         }
-        if mem_warn_only {
+        if flags.has("--mem-warn-only") {
             eprintln!("memory gate: --mem-warn-only set, not failing the run");
         } else {
             std::process::exit(1);
@@ -300,13 +303,10 @@ fn main() {
         std::process::exit(2);
     }
 
-    let cpu_ms: u64 = outcomes.iter().map(|o| o.wall_ms).sum();
     println!(
-        "\n{} runs in {:.1}s wall ({:.1}s of simulation work, {:.2}x parallel speedup)",
+        "\n{} runs in {:.1}s wall",
         outcomes.len(),
-        elapsed_ms as f64 / 1e3,
-        cpu_ms as f64 / 1e3,
-        cpu_ms as f64 / elapsed_ms.max(1) as f64,
+        elapsed_ms as f64 / 1e3
     );
     println!("artifact written to {out}");
 }

@@ -1,68 +1,24 @@
-//! Diffs two `BENCH_*.json` artifacts produced by `bench_all`.
+//! Holds one `BENCH_*.json` artifact of `bench_all` against another: same
+//! behaviour, or not.
 //!
-//! Usage:
-//! `compare_bench <baseline.json> <new.json> [--threshold PCT] [--warn-only]
-//! [--identical] [--perf PCT]`
+//! Usage: `compare_bench <baseline.json> <new.json>` — one mode, no flags.
 //!
-//! * default mode — reports throughput drops and p99-latency growth beyond
-//!   the threshold (default 15%), plus runs missing from the new artifact,
-//!   and exits 1 if any regression was found.
-//! * `--identical` — the determinism gate: every run must match
-//!   bit-for-bit except `wall_ms` (and the wall-derived `events_per_sec`);
-//!   exits 1 on any mismatch.
-//! * `--perf PCT` — the perf-smoke gate: compares suite-aggregate engine
-//!   event throughput (total `events_processed` / total `wall_ms`) and
-//!   exits 1 if the new artifact is more than PCT percent slower than the
-//!   baseline. Machine-dependent, so pair it with a generous threshold.
-//!   Also prints a per-point events/sec table (with barrier counts when
-//!   recorded) so a suite-level slowdown can be attributed to a specific
-//!   run without re-running anything — the aggregate alone hides a single
-//!   run regressing 5x behind many unchanged ones.
-//! * `--warn-only` — print everything but always exit 0 (PR builds warn,
-//!   main builds gate).
+//! Every run must exist in both artifacts with bit-identical `tps`,
+//! `p50/p99`, `bytes`, `payload_clones`, `events_processed` and trace
+//! `fingerprint`, and `mem.bytes_per_node` within `MEM_REGRESSION_PCT` of
+//! the baseline; the `engine` block (threads, partitions, barriers) is
+//! ignored, so artifacts from different `PREDIS_SIM_THREADS` compare equal.
+//! Exits 0 when they match, 1 with one `MISMATCH` line per difference, 2 on
+//! a bad command line or an unreadable artifact.
 
 use predis_bench::BenchArtifact;
 
 fn main() {
-    let usage = || -> ! {
-        eprintln!(
-            "usage: compare_bench <baseline.json> <new.json> \
-             [--threshold PCT] [--warn-only] [--identical] [--perf PCT]"
-        );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline_path, new_path] = args.as_slice() else {
+        eprintln!("usage: compare_bench <baseline.json> <new.json>");
         std::process::exit(2);
     };
-    let mut positional: Vec<String> = Vec::new();
-    let mut warn_only = false;
-    let mut identical = false;
-    let mut perf: Option<f64> = None;
-    let mut threshold = 15.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--warn-only" => warn_only = true,
-            "--identical" => identical = true,
-            "--threshold" => {
-                let Some(v) = args.next() else { usage() };
-                threshold = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threshold wants a number, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--perf" => {
-                let Some(v) = args.next() else { usage() };
-                perf = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--perf wants a number, got {v:?}");
-                    std::process::exit(2);
-                }));
-            }
-            _ if arg.starts_with("--") => usage(),
-            _ => positional.push(arg),
-        }
-    }
-    let [baseline_path, new_path] = positional.as_slice() else {
-        usage()
-    };
-
     let load = |path: &str| {
         BenchArtifact::read(path).unwrap_or_else(|e| {
             eprintln!("compare_bench: {e}");
@@ -70,108 +26,12 @@ fn main() {
         })
     };
     let baseline = load(baseline_path);
-    let new = load(new_path);
-
-    let failures = if let Some(perf_pct) = perf {
-        // Suite-aggregate engine throughput: total events over total wall
-        // time, so long runs dominate and per-run wall jitter averages out.
-        let aggregate = |a: &BenchArtifact| {
-            let events: u64 = a.runs.values().map(|e| e.events_processed).sum();
-            let wall: u64 = a.runs.values().map(|e| e.wall_ms).sum();
-            (events, wall, events as f64 * 1000.0 / wall.max(1) as f64)
-        };
-        let (base_events, _, base_eps) = aggregate(&baseline);
-        let (new_events, _, new_eps) = aggregate(&new);
-        // Per-point breakdown first: name every run present on either side
-        // with its own events/sec so an aggregate slowdown is attributable.
-        println!(
-            "{:<28} {:>14} {:>14} {:>8} {:>9}",
-            "run", "base ev/s", "new ev/s", "delta", "windows"
-        );
-        let names: std::collections::BTreeSet<&String> =
-            baseline.runs.keys().chain(new.runs.keys()).collect();
-        for name in names {
-            let eps = |e: &predis_bench::BenchEntry| e.events_per_sec;
-            let b = baseline.runs.get(name);
-            let n = new.runs.get(name);
-            let fmt = |v: Option<f64>| match v {
-                Some(v) => format!("{v:.0}"),
-                None => "-".to_string(),
-            };
-            let delta = match (b.map(eps), n.map(eps)) {
-                (Some(bv), Some(nv)) if bv > 0.0 => {
-                    format!("{:+.1}%", (nv - bv) / bv * 100.0)
-                }
-                _ => "-".to_string(),
-            };
-            // Barrier counts: `old -> new` when either side recorded any
-            // (sequential runs and pre-v10 artifacts record 0, shown as -).
-            let windows = |e: Option<&predis_bench::BenchEntry>| match e.map(|e| e.windows) {
-                Some(w) if w > 0 => w.to_string(),
-                _ => "-".to_string(),
-            };
-            println!(
-                "{:<28} {:>14} {:>14} {:>8} {:>9}",
-                name,
-                fmt(b.map(eps)),
-                fmt(n.map(eps)),
-                delta,
-                format!("{}->{}", windows(b), windows(n)),
-            );
-        }
-        let delta_pct = if base_eps > 0.0 {
-            (new_eps - base_eps) / base_eps * 100.0
-        } else {
-            0.0
-        };
-        println!(
-            "engine events/sec: baseline {base_eps:.0} ({base_events} events), \
-             new {new_eps:.0} ({new_events} events), delta {delta_pct:+.1}%"
-        );
-        if base_events == 0 {
-            println!("baseline has no perf data (pre-v5 artifact?): nothing to gate");
-            0
-        } else if delta_pct < -perf_pct {
-            println!("PERF REGRESSION  events/sec dropped {delta_pct:+.1}% (limit -{perf_pct}%)");
-            1
-        } else {
-            println!("perf ok: within {perf_pct}% of baseline");
-            0
-        }
-    } else if identical {
-        let mismatches = baseline.identical_modulo_wall(&new);
-        for m in &mismatches {
-            println!("MISMATCH  {m}");
-        }
-        if mismatches.is_empty() {
-            println!(
-                "identical: {} runs match bit-for-bit (modulo wall_ms)",
-                baseline.runs.len()
-            );
-        }
-        mismatches.len()
-    } else {
-        let lines = baseline.diff(&new, threshold);
-        let mut regressions = 0;
-        for line in &lines {
-            if line.regression {
-                regressions += 1;
-                println!("REGRESSION  {}", line.message);
-            } else {
-                println!("info        {}", line.message);
-            }
-        }
-        println!(
-            "compared {} baseline runs at {threshold}% threshold: {regressions} regression(s)",
-            baseline.runs.len()
-        );
-        regressions
-    };
-
-    if failures > 0 && !warn_only {
+    let mismatches = baseline.compare(&load(new_path));
+    for m in &mismatches {
+        println!("MISMATCH  {m}");
+    }
+    if !mismatches.is_empty() {
         std::process::exit(1);
     }
-    if failures > 0 {
-        println!("warn-only mode: not failing the build");
-    }
+    println!("identical: {} runs match", baseline.runs.len());
 }

@@ -4,13 +4,17 @@
 //! prove it, this binary serializes each scenario to JSON, parses it back,
 //! and runs the *parsed* copy: what executes is exactly what a config file
 //! would say, with no per-scenario code in this binary. A scenario whose
-//! liveness/safety checks fail panics the run.
+//! liveness/safety checks fail is printed with its `check → got / want`
+//! rows after the table, and the binary exits 1.
 //!
 //! Usage: `cargo run -p predis-bench --release --bin fig_scenarios [--quick] [--trace]`
 
 use predis::experiments::ScenarioSetup;
 use predis_bench::sweep::SweepPoint;
-use predis_bench::{emit_showcases, f0, fig_opts, metric_or_nan, print_table, run_figure, suite};
+use predis_bench::{
+    emit_showcases, exit_on_failed_checks, f0, fig_opts, metric_or_nan, print_table, run_figure,
+    suite,
+};
 
 fn main() {
     let opts = fig_opts("fig_scenarios");
@@ -54,11 +58,19 @@ fn main() {
         })
         .collect();
     print_table(
-        "Scenario plane: config-driven fault & adversary runs (all checks passed)",
+        "Scenario plane: config-driven fault & adversary runs",
         &[
-            "scenario", "world", "checks", "tps", "blocks", "ban_hits", "rejected",
+            "scenario",
+            "world",
+            "checks_passed",
+            "tps",
+            "blocks",
+            "ban_hits",
+            "rejected",
         ],
         &rows,
     );
     emit_showcases(&opts.dir, &points, &outcomes);
+
+    exit_on_failed_checks(&outcomes);
 }

@@ -3,7 +3,7 @@
 //! Usage: `trace_diff <a.trace.jsonl> <b.trace.jsonl> [--context K]`
 //!
 //! This is the forensic follow-up to a trace-fingerprint mismatch from
-//! `compare_bench --identical`: capture both runs with `PREDIS_TRACE_DIR`
+//! `compare_bench`: capture both runs with `PREDIS_TRACE_DIR`
 //! set, then point this tool at the two captures. It streams both files in
 //! lockstep (O(K) memory, any trace length) and prints the first event
 //! where they disagree with ±K events of context (default 5). Exits 0 when

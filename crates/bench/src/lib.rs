@@ -1,8 +1,12 @@
-//! Shared helpers for the figure-regeneration harness.
+//! The identity harness and the layer microbenches.
 //!
 //! Each `src/bin/fig*.rs` binary reproduces one table/figure of the paper;
-//! the Criterion benches under `benches/` run scaled-down versions of the
-//! same experiments so `cargo bench` exercises every harness.
+//! `bench_all` runs every grid point of all of them and folds the results
+//! into one [`BenchArtifact`], which `compare_bench` holds against the
+//! checked-in baseline: same tree, same bytes. The Criterion benches under
+//! `benches/` time one layer each (crypto, erasure, engine, proposal sizes,
+//! the Multi-Zone stripe path, the consensus vote path). How fast whole
+//! runs execute is the repo benchmark's question (`benchmark/`).
 
 #![deny(unsafe_code)]
 
@@ -43,23 +47,82 @@ pub struct FigOpts {
     pub dir: String,
 }
 
+/// The flags of one harness invocation, as [`flags_or_usage`] accepted them.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Flags(Vec<(String, Option<String>)>);
+
+impl Flags {
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value given with `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.0.iter().find(|(f, _)| f == flag)?;
+        value.as_deref()
+    }
+}
+
+/// Parses `args` strictly: every argument must be one of `switches` (which
+/// stand alone) or one of `valued` (which take the next argument), given at
+/// most once. A misspelt flag must not silently run a different experiment
+/// — `--quik` on CI's command line would be the full 97-point grid.
+fn parse_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Flags, String> {
+    let mut flags = Flags::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if flags.has(arg) {
+            return Err(format!("flag `{arg}` given twice"));
+        }
+        let value = if switches.contains(&arg.as_str()) {
+            None
+        } else if valued.contains(&arg.as_str()) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => Some(v.clone()),
+                _ => return Err(format!("flag `{arg}` wants a value")),
+            }
+        } else {
+            return Err(format!("unknown argument `{arg}`"));
+        };
+        flags.0.push((arg.clone(), value));
+    }
+    Ok(flags)
+}
+
+/// The process arguments, parsed strictly (every one a declared switch or
+/// valued flag, given at most once); on a bad command line prints the error
+/// and `usage` to stderr and exits 2.
+pub fn flags_or_usage(usage: &str, switches: &[&str], valued: &[&str]) -> Flags {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_flags(&args, switches, valued).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: {usage}");
+        std::process::exit(2);
+    })
+}
+
 /// Parses the shared figure-binary flags and wires up observability.
 ///
 /// `--quick` selects the scaled-down grid. `--trace` turns on full event
 /// capture by exporting `PREDIS_TRACE_DIR=<suite dir>/trace` — it must run
 /// before [`run_figure`] spawns the worker pool, which is why the flag is
 /// handled here rather than per-run. Captures can then be converted for
-/// Perfetto with the `trace_export` binary.
+/// Perfetto with the `trace_export` binary. Anything else on the command
+/// line is a usage error (exit 2).
 pub fn fig_opts(suite: &str) -> FigOpts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flags = flags_or_usage(
+        &format!("{suite} [--quick] [--trace]"),
+        &["--quick", "--trace"],
+        &[],
+    );
     let dir = suite_dir(suite);
-    if args.iter().any(|a| a == "--trace") {
+    if flags.has("--trace") {
         let trace_dir = format!("{dir}/trace");
         std::env::set_var("PREDIS_TRACE_DIR", &trace_dir);
         println!("trace capture on: {trace_dir}/<run>.trace.jsonl");
     }
     FigOpts {
-        quick: args.iter().any(|a| a == "--quick"),
+        quick: flags.has("--quick"),
         dir,
     }
 }
@@ -85,31 +148,39 @@ pub fn metric_or_nan(report: &RunReport, key: &str) -> f64 {
     report.metric(key).unwrap_or(f64::NAN)
 }
 
-/// Clones an outcome's report and stamps the wall-derived
-/// `engine.events_per_sec` metric next to the deterministic
-/// `engine.events_processed` the experiment recorded.
-///
-/// The stamp happens here — on the written copy — rather than inside the
-/// experiments, because events/sec depends on wall clock and the in-memory
-/// sweep reports must stay byte-identical across pool widths.
-pub fn report_with_perf(outcome: &SweepOutcome) -> RunReport {
-    let mut report = outcome.report.clone();
-    let events = report.metric("engine.events_processed").unwrap_or(0.0);
-    report.set_metric(
-        "engine.events_per_sec",
-        events * 1000.0 / outcome.wall_ms.max(1) as f64,
-    );
-    report
-}
-
-/// Emits the showcase reports of a finished figure sweep into `dir`, each
-/// stamped with its wall-derived `engine.events_per_sec` (see
-/// [`report_with_perf`]).
+/// Emits the showcase reports of a finished figure sweep into `dir`.
 pub fn emit_showcases(dir: &str, points: &[SweepPoint], outcomes: &[SweepOutcome]) {
     for (point, outcome) in points.iter().zip(outcomes) {
         if point.showcase {
-            emit_report(dir, &report_with_perf(outcome));
+            emit_report(dir, &outcome.report);
         }
+    }
+}
+
+/// The failed scenario checks of a finished sweep, one
+/// `run: check → got … / want …` line each (see
+/// [`predis::experiments::check_failures`]).
+fn failed_checks(outcomes: &[SweepOutcome]) -> Vec<String> {
+    outcomes
+        .iter()
+        .flat_map(|o| {
+            predis::experiments::check_failures(&o.report)
+                .into_iter()
+                .map(move |line| format!("{}: {line}", o.report.name))
+        })
+        .collect()
+}
+
+/// Prints every failed scenario check of a finished sweep to stderr and
+/// exits 1 if there was one: a failed check fails the binary, after its
+/// tables are out, without unwinding through the worker pool.
+pub fn exit_on_failed_checks(outcomes: &[SweepOutcome]) {
+    let failed = failed_checks(outcomes);
+    for row in &failed {
+        eprintln!("scenario check failed: {row}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
 }
 
@@ -155,5 +226,70 @@ pub fn f1(x: f64) -> String {
         "-".to_string()
     } else {
         format!("{x:.1}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use predis::experiments::{Check, NetEnv, ScenarioSetup, ThroughputSetup, World};
+
+    /// A scenario whose check cannot hold comes back from the pool as a
+    /// report carrying the failure — nothing unwinds through `Pool::map` —
+    /// and is the one row [`exit_on_failed_checks`] prints.
+    #[test]
+    fn a_failed_scenario_check_is_a_row_not_a_panic() {
+        let scenario = |name: &str, tps: f64| {
+            let setup = ScenarioSetup {
+                name: name.into(),
+                world: World::Consensus(ThroughputSetup {
+                    n_c: 4,
+                    clients: 4,
+                    offered_tps: 1_000.0,
+                    env: NetEnv::Lan,
+                    duration_secs: 2,
+                    warmup_secs: 1,
+                    ..Default::default()
+                }),
+                injections: vec![],
+                checks: vec![Check::MinThroughputTps { tps }],
+            };
+            SweepPoint::scenario(format!("scenario_{name}"), setup)
+        };
+        let points = [scenario("meets", 1.0), scenario("cannot", 1e9)];
+        let outcomes = sweep(&points, &predis_parallel::Pool::new(2));
+        let rows = failed_checks(&outcomes);
+        assert_eq!(rows.len(), 1, "{rows:?}");
+        assert!(
+            rows[0].starts_with("scenario_cannot: MinThroughputTps")
+                && rows[0].contains("want >= 1000000000 tx/s"),
+            "{rows:?}"
+        );
+    }
+
+    #[test]
+    fn flags_parse_strictly() {
+        let switches = ["--quick", "--mem-warn-only"];
+        let valued = ["--only", "--out"];
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            parse_flags(&args, &switches, &valued)
+        };
+        let ok = parse("--quick --only fig8_ --out /tmp/x.json").unwrap();
+        assert!(ok.has("--quick") && !ok.has("--mem-warn-only"));
+        assert_eq!(ok.value("--only"), Some("fig8_"));
+        assert_eq!(ok.value("--out"), Some("/tmp/x.json"));
+        assert_eq!(parse("").unwrap(), Flags::default());
+        for (line, want) in [
+            ("--only fig8_star_1mb --quik", "unknown argument `--quik`"),
+            ("--quick --out", "flag `--out` wants a value"),
+            ("--out --quick", "flag `--out` wants a value"),
+            ("--quick --quick", "flag `--quick` given twice"),
+            ("--only a --only b", "flag `--only` given twice"),
+            ("fig8_", "unknown argument `fig8_`"),
+            ("--trace", "unknown argument `--trace`"),
+        ] {
+            assert_eq!(parse(line).unwrap_err(), want, "`{line}`");
+        }
     }
 }

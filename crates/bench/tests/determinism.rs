@@ -1,6 +1,6 @@
 //! The parallel runner's core guarantee: a sweep's reports — and the
 //! benchmark artifact derived from them — are byte-identical regardless of
-//! pool width and scheduling order; only `wall_ms` may differ.
+//! pool width and scheduling order.
 
 use predis::experiments::{
     DistMode, NetEnv, PropagationSetup, Protocol, ThroughputSetup, Topology, TopologySetup,
@@ -74,41 +74,28 @@ fn sweep_reports_are_identical_across_pool_widths() {
 }
 
 #[test]
-fn bench_artifact_is_identical_modulo_wall_ms() {
+fn two_sweeps_serialize_to_equal_artifacts() {
     let points = mini_suite();
     let first = BenchArtifact::from_sweep(&points, &sweep(&points, &Pool::new(3)));
     let second = BenchArtifact::from_sweep(&points, &sweep(&points, &Pool::new(2)));
-    let mismatches = first.identical_modulo_wall(&second);
-    assert!(mismatches.is_empty(), "{mismatches:#?}");
-    // All three runner kinds carry a trace fingerprint, and it is stable
-    // across pool widths — the strongest equality the gate checks.
+    // Byte for byte, no field normalised away: the artifact holds nothing
+    // that depends on the clock or on who ran which point.
+    assert_eq!(first.to_json(), second.to_json());
+    // All three runner kinds carry a trace fingerprint.
     for (name, entry) in &first.runs {
         assert_eq!(entry.fingerprint.len(), 32, "{name} missing fingerprint");
-        assert_eq!(entry.fingerprint, second.runs[name].fingerprint, "{name}");
     }
-    // The serialized artifacts agree once wall_ms (and the wall-derived
-    // events_per_sec) is normalized out.
-    let normalize = |mut a: BenchArtifact| {
-        for entry in a.runs.values_mut() {
-            entry.wall_ms = 0;
-            entry.events_per_sec = 0.0;
-        }
-        a.to_json()
-    };
-    assert_eq!(normalize(first), normalize(second));
 }
 
 /// The full CI gate, locally runnable with `--ignored`: the entire
-/// `--quick` suite twice, artifacts identical modulo wall clock. Takes
-/// several minutes of simulation; CI runs the equivalent via `bench_all`
-/// twice + `compare_bench --identical`.
+/// `--quick` suite twice, artifacts byte-identical. Takes a few minutes of
+/// simulation; CI runs the equivalent via `bench_all` twice + `cmp`.
 #[test]
-#[ignore = "minutes of simulation; CI covers this via bench_all + compare_bench --identical"]
+#[ignore = "minutes of simulation; CI covers this via bench_all twice + cmp"]
 fn full_quick_suite_is_deterministic() {
     let points = suite::quick_suite();
     let pool = Pool::default();
     let first = BenchArtifact::from_sweep(&points, &sweep(&points, &pool));
     let second = BenchArtifact::from_sweep(&points, &sweep(&points, &pool));
-    let mismatches = first.identical_modulo_wall(&second);
-    assert!(mismatches.is_empty(), "{mismatches:#?}");
+    assert_eq!(first.to_json(), second.to_json());
 }

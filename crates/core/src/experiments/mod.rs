@@ -21,7 +21,7 @@ pub mod world;
 
 pub use megascale::{MegaScaleResult, MegaScaleSetup};
 pub use predis_multizone::{PropagationResult, PropagationSetup, Topology};
-pub use scenario::{Check, Injection, ScenarioSetup, ZoneWorld};
+pub use scenario::{check_failures, Check, Injection, ScenarioSetup, ZoneWorld};
 pub use throughput::{FaultSpec, NetEnv, Protocol, ThroughputSetup};
 pub use topology::{DistMode, FlowConsensusNode, TopologyResult, TopologySetup};
 pub use world::{Setup, World};

@@ -242,8 +242,8 @@ pub enum Check {
 /// checks that must hold afterwards.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSetup {
-    /// Short scenario name, used in check-failure panics and report meta
-    /// (empty for a plain world, which stamps no `scenario.*` keys).
+    /// Short scenario name, stamped as the `scenario` report meta (empty
+    /// for a plain world, which stamps no `scenario.*` keys).
     pub name: String,
     /// The world to build.
     pub world: World,
@@ -310,13 +310,16 @@ impl ScenarioSetup {
 
     /// Builds the world, applies every injection, runs to the world's
     /// horizon, evaluates every check, and snapshots a [`RunReport`] named
-    /// `run_name`. The `scenario` meta and `scenario.checks_passed` metric
-    /// are stamped when the scenario has a name.
+    /// `run_name`. The `scenario` meta and the `scenario.checks_passed`
+    /// metric (how many checks held) are stamped when the scenario has a
+    /// name. A failed check is a result, not a panic: the report then also
+    /// carries a `scenario.check_failures` meta, one
+    /// `check → got … / want …` line per failure (see [`check_failures`]).
     ///
     /// # Panics
     ///
-    /// Panics if any [`Check`] fails, or on a hand-built scenario that
-    /// [`ScenarioSetup::validate`] would have rejected.
+    /// Panics on a hand-built scenario that [`ScenarioSetup::validate`]
+    /// would have rejected.
     pub fn run_report(&self, run_name: &str) -> RunReport {
         let mut report = match &self.lowered_world() {
             World::Consensus(s) => self.drive(s, run_name),
@@ -326,7 +329,8 @@ impl ScenarioSetup {
         };
         if !self.name.is_empty() {
             report.set_meta("scenario", &self.name);
-            report.set_metric("scenario.checks_passed", self.checks.len() as f64);
+            let passed = self.checks.len() - check_failures(&report).len();
+            report.set_metric("scenario.checks_passed", passed as f64);
         }
         report
     }
@@ -336,8 +340,11 @@ impl ScenarioSetup {
         let mut sim = setup.build();
         self.inject(&mut sim);
         sim.run_named(run_name, setup.horizon());
-        let report = setup.report(&setup.result(&sim), &sim, run_name);
-        self.eval_checks(sim.metrics(), &report, setup.horizon(), run_name);
+        let mut report = setup.report(&setup.result(&sim), &sim, run_name);
+        let failures = self.eval_checks(sim.metrics(), &report, setup.horizon());
+        if !failures.is_empty() {
+            report.set_meta(CHECK_FAILURES_META, failures.join("\n"));
+        }
         report
     }
 
@@ -459,13 +466,12 @@ impl ScenarioSetup {
         sim.set_faults(plan);
     }
 
-    fn eval_checks(&self, metrics: &Metrics, report: &RunReport, horizon: SimTime, run_name: &str) {
+    /// Evaluates every check; one `check → got … / want …` line per failure.
+    fn eval_checks(&self, metrics: &Metrics, report: &RunReport, horizon: SimTime) -> Vec<String> {
+        let mut failures = Vec::new();
         for check in &self.checks {
-            let fail = |got: String, want: String| -> ! {
-                panic!(
-                    "scenario `{}` [{run_name}]: check {check:?} failed: got {got}, want {want}",
-                    self.name
-                );
+            let mut fail = |got: String, want: String| {
+                failures.push(format!("{check:?} → got {got} / want {want}"));
             };
             match check {
                 Check::MinThroughputTps { tps } => {
@@ -515,7 +521,21 @@ impl ScenarioSetup {
                 }
             }
         }
+        failures
     }
+}
+
+/// The meta key a report carries only when a scenario check failed.
+const CHECK_FAILURES_META: &str = "scenario.check_failures";
+
+/// The failed checks of a scenario run, one `check → got … / want …` line
+/// each; empty when every check held (or the run had none).
+pub fn check_failures(report: &RunReport) -> Vec<&str> {
+    report
+        .meta
+        .get(CHECK_FAILURES_META)
+        .map(|lines| lines.lines().collect())
+        .unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -944,15 +964,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scenario `unit_fails`")]
-    fn failing_check_panics_with_scenario_name() {
-        ScenarioSetup {
+    fn failing_check_is_reported_not_panicked() {
+        let report = ScenarioSetup {
             name: "unit_fails".into(),
             world: World::Consensus(tiny_consensus(2)),
             injections: vec![],
-            checks: vec![Check::MinThroughputTps { tps: 1e9 }],
+            checks: vec![
+                Check::MinThroughputTps { tps: 1e9 },
+                Check::CounterZero {
+                    counter: "ban.hits".into(),
+                },
+            ],
         }
         .run_report("scenario_unit_fails");
+        assert_eq!(report.metric("scenario.checks_passed"), Some(1.0));
+        let failures = check_failures(&report);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("MinThroughputTps")
+                && failures[0].contains("want >= 1000000000"),
+            "{failures:?}"
+        );
     }
 
     /// Each defect a scenario file can carry is rejected when parsed, with

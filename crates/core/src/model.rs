@@ -4,8 +4,8 @@
 //! upload capacity spent on bundle multicasts; Eq. 2 turns it into TPS.
 //! The model predicts Predis's graceful degradation with `n_c` — each new
 //! node consumes others' bandwidth but contributes its own — which Fig. 4's
-//! scalability experiment (and our `analytic_model` bench) checks against
-//! the simulator.
+//! scalability experiment (and `tests/full_stack.rs`) checks against the
+//! simulator.
 
 use serde::{Deserialize, Serialize};
 

@@ -29,7 +29,7 @@ use crate::profile::{
 };
 use crate::queue::{Event, EventKind, EventQueue, TimerSlots};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CanonEvent, Trace, TraceCapture, TraceDigest, TraceEvent, TraceKind};
+use crate::trace::{CanonEvent, TraceCapture, TraceDigest};
 use predis_telemetry::RunReport;
 use predis_types::payload_stats;
 
@@ -86,7 +86,6 @@ pub struct Sim<M> {
     pub(crate) events_processed: u64,
     /// Nodes whose crash event has been scheduled.
     pub(crate) crash_scheduled: Vec<bool>,
-    pub(crate) trace: Option<Trace>,
     /// Always-on streaming fingerprint over the canonical event stream.
     pub(crate) digest: TraceDigest,
     /// Optional full JSONL capture of the canonical event stream.
@@ -171,7 +170,6 @@ impl<M: Payload> Sim<M> {
             node_handles: Vec::new(),
             events_processed: 0,
             crash_scheduled: Vec::new(),
-            trace: None,
             digest: TraceDigest::default(),
             capture: None,
             profile: None,
@@ -186,17 +184,6 @@ impl<M: Payload> Sim<M> {
             window_policy: WindowPolicy::default(),
             peak_actor_bytes: 0,
         }
-    }
-
-    /// Turns on event tracing, keeping the most recent `capacity` events
-    /// (counters are exact regardless). See [`crate::trace::Trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// The trace recorder, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// The streaming digest over every event popped so far (always on).
@@ -773,26 +760,6 @@ impl<M: Payload> Sim<M> {
             _ => {}
         }
 
-        if let Some(trace) = &mut self.trace {
-            let (kind, from, bytes, tag) = match &event.kind {
-                EventKind::Start => (TraceKind::Start, None, 0, None),
-                EventKind::Deliver { from, bytes, .. } => {
-                    (TraceKind::Deliver, Some(*from), *bytes, None)
-                }
-                EventKind::Timer { tag, .. } => (TraceKind::Timer, None, 0, Some(*tag)),
-                EventKind::Crash => (TraceKind::Halt, None, 0, None),
-                EventKind::Revive => (TraceKind::Start, None, 0, None),
-            };
-            trace.record(TraceEvent {
-                at: self.now,
-                seq: event.seq,
-                node,
-                kind,
-                from,
-                bytes,
-                tag,
-            });
-        }
         let mut actor = match self.actors[idx].take() {
             Some(a) => a,
             None => return,
@@ -873,7 +840,7 @@ impl<M: Payload> Sim<M> {
                         self.metrics.incr_handle(self.net_handles.messages, 1);
                         self.metrics
                             .incr_handle(self.net_handles.bytes, bytes as u64);
-                        self.record_drop(node, to, bytes);
+                        self.record_drop(to, bytes);
                         continue;
                     }
                     let sched = self.network.schedule(self.now, node, to, bytes);
@@ -889,7 +856,7 @@ impl<M: Payload> Sim<M> {
                         .faults
                         .delivers(node, to, self.now, || network.next_draw(node))
                     {
-                        self.record_drop(node, to, bytes);
+                        self.record_drop(to, bytes);
                         continue;
                     }
                     let seq = self.next_seq();
@@ -925,8 +892,8 @@ impl<M: Payload> Sim<M> {
     }
 
     /// Accounts a message that died on the wire (fault plan or nonexistent
-    /// destination) and traces it.
-    fn record_drop(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+    /// destination).
+    fn record_drop(&mut self, to: NodeId, bytes: usize) {
         self.metrics.incr_handle(self.net_handles.dropped, 1);
         self.metrics
             .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
@@ -937,19 +904,6 @@ impl<M: Payload> Sim<M> {
             None => self
                 .metrics
                 .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEvent {
-                at: self.now,
-                // Drops never get a scheduling slot; stamp the next seq so
-                // the debug ring still orders them among real events.
-                seq: self.seq,
-                node: to,
-                kind: TraceKind::Drop,
-                from: Some(from),
-                bytes,
-                tag: None,
-            });
         }
     }
 }
@@ -1350,7 +1304,6 @@ mod tests {
         let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
         let mut sim: Sim<Msg> = Sim::new(2, net);
         sim.add_node(LinkConfig::paper_default(), Box::new(Stray), SimTime::ZERO);
-        sim.enable_trace(16);
         sim.run_until(SimTime::from_secs(1));
         let m = sim.metrics();
         assert_eq!(m.counter("net.dropped"), 1);
@@ -1359,7 +1312,6 @@ mod tests {
         // The send is still counted even though it never hit a wire.
         assert_eq!(m.counter("net.messages"), 1);
         assert_eq!(m.counter("net.bytes"), 64);
-        assert_eq!(sim.trace().unwrap().drops, 1);
     }
 
     #[test]
@@ -1573,7 +1525,6 @@ mod tests {
             } else {
                 Sim::new(seed, net)
             };
-            sim.enable_trace(1 << 14);
             for i in 0..nodes {
                 // The last node joins late to exercise unstarted delivery.
                 let start = if i == nodes - 1 {
@@ -1630,20 +1581,13 @@ mod tests {
                     classic.run_until(SimTime::from_secs(h));
                 }
                 prop_assert_eq!(wheel.events_processed(), classic.events_processed());
-                let (wt, ct) = (wheel.trace().unwrap(), classic.trace().unwrap());
-                prop_assert_eq!(wt.total, ct.total);
-                prop_assert_eq!(wt.deliveries, ct.deliveries);
-                prop_assert_eq!(wt.timers, ct.timers);
-                prop_assert_eq!(wt.drops, ct.drops);
-                prop_assert_eq!(wt.delivered_bytes, ct.delivered_bytes);
+                // The digest folds every popped event with its final seq, so
+                // equal fingerprints mean equal streams, event for event.
                 prop_assert_eq!(
                     wheel.fingerprint(),
                     classic.fingerprint(),
                     "trace fingerprints diverged"
                 );
-                let we: Vec<_> = wt.events().collect();
-                let ce: Vec<_> = ct.events().collect();
-                prop_assert_eq!(we, ce, "retained trace windows diverged");
                 prop_assert!(
                     wheel.metrics().counters() == classic.metrics().counters(),
                     "counter cells diverged"

@@ -74,7 +74,7 @@ pub use metrics::{
 pub use net::{LatencyModel, LinkConfig, Network, Region, Scheduled};
 pub use profile::{DispatchProfile, PROFILE_EVENTS};
 pub use time::{SimDuration, SimTime};
-pub use trace::{CanonEvent, Trace, TraceCapture, TraceDigest, TraceEvent, TraceKind, CANON_KINDS};
+pub use trace::{CanonEvent, TraceCapture, TraceDigest, CANON_KINDS};
 
 /// Convenient glob import for simulation authors.
 pub mod prelude {

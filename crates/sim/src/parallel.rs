@@ -15,11 +15,10 @@
 //! 2. **Barrier (sequential)** — the driver merges the per-partition
 //!    dispatch logs back into the single global `(time, seq)` order with a
 //!    loser-tree k-way merge (the logs are already sorted), replaying
-//!    sequence-number assignment, the canonical [`TraceDigest`] fold,
-//!    capture, and the debug trace ring exactly as the sequential engine
-//!    would have; then it routes outbox events (which provably land beyond
-//!    the window) to their owners' wheels, batched per destination, and
-//!    picks the next window.
+//!    sequence-number assignment, the canonical [`TraceDigest`] fold and
+//!    capture exactly as the sequential engine would have; then it routes
+//!    outbox events (which provably land beyond the window) to their
+//!    owners' wheels, batched per destination, and picks the next window.
 //!
 //! Each window closes at `min over partitions p with pending events of
 //! (p's exact next event time + p's minimum outgoing cross-partition
@@ -31,7 +30,7 @@
 //! single global `L = min cross-partition latency` stride survives in test
 //! builds only, as the differential oracle of a proptest below.
 //!
-//! Because everything order-sensitive — sequencing, digest, trace, RNG
+//! Because everything order-sensitive — sequencing, digest, capture, RNG
 //! draws — is either partition-local or replayed at the barrier in merged
 //! order, the result is **bit-identical** to the sequential engine for any
 //! thread count. Randomized network jitter and fault
@@ -41,8 +40,8 @@
 //! events in exactly the sequential order — so every link observes the
 //! sequential draw sequence regardless of thread interleaving. The
 //! differential tests at the bottom of this file and the CI determinism
-//! matrix hold the engine to that: same fingerprint, same counters, same
-//! retained events, at 1, 2, or 8 threads, jittered or not.
+//! matrix hold the engine to that: same fingerprint, same counters, at 1,
+//! 2, or 8 threads, jittered or not.
 //!
 //! Parallelism silently disengages (the caller falls back to the sequential
 //! loop) only when it could not be equivalent or could not help: profiling
@@ -61,7 +60,7 @@ use crate::metrics::{Labels, Metrics};
 use crate::net::{LatencyModel, Network, Region};
 use crate::queue::{Event, EventKind, TimerSlots, TimerWheel};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{CanonEvent, TraceEvent, TraceKind};
+use crate::trace::CanonEvent;
 
 use predis_parallel::run_lockstep;
 use predis_types::payload_stats;
@@ -95,9 +94,7 @@ pub(crate) enum WindowPolicy {
 
 /// One entry of a partition's per-window dispatch log: the canonical
 /// pre-filter record of a popped event (everything [`CanonEvent`] needs),
-/// plus how the dispatch was disposed of — whether it passed the liveness
-/// filters (`ran`, which gates the debug trace ring) and how many
-/// order-sensitive side effects it produced.
+/// plus how many order-sensitive side effects its dispatch produced.
 #[derive(Debug, Clone, Copy)]
 struct LogEntry {
     at: SimTime,
@@ -110,7 +107,6 @@ struct LogEntry {
     from: Option<NodeId>,
     bytes: u64,
     tag: Option<TimerTag>,
-    ran: bool,
     /// Number of [`Effect`]s this dispatch appended.
     effects: u32,
 }
@@ -128,14 +124,6 @@ enum Effect {
     /// partition boundary: assign the next global sequence number to
     /// outbox slot `i`.
     OutboxSeq(u32),
-    /// A message died on the wire: replay the trace-ring drop record the
-    /// sequential engine's `record_drop` would have emitted here (its
-    /// metric increments already happened on the worker's forked sink).
-    Drop {
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-    },
 }
 
 /// A node partition: one worker thread's complete, self-contained slice of
@@ -195,8 +183,8 @@ impl<M: Payload> Shard<M> {
 
     /// The partition-local twin of `Sim::dispatch`. Every branch below
     /// matches the sequential engine line for line; global side effects
-    /// (sequence numbers, digest, capture, trace ring) are recorded as log
-    /// entries and [`Effect`]s for the barrier to replay in merged order.
+    /// (sequence numbers, digest, capture) are recorded as log entries and
+    /// [`Effect`]s for the barrier to replay in merged order.
     fn dispatch(&mut self, event: Event<M>) {
         let (kind, from, bytes, tag) = match &event.kind {
             EventKind::Start => (0u64, None, 0u64, None),
@@ -214,7 +202,6 @@ impl<M: Payload> Shard<M> {
             from,
             bytes,
             tag,
-            ran: false,
             effects: 0,
         });
         let node = event.node;
@@ -281,7 +268,6 @@ impl<M: Payload> Shard<M> {
             }
             _ => {}
         }
-        self.log[entry].ran = true;
         let mut actor = match self.actors[idx].take() {
             Some(a) => a,
             None => return,
@@ -352,7 +338,7 @@ impl<M: Payload> Shard<M> {
                         self.metrics.incr_handle(self.net_handles.messages, 1);
                         self.metrics
                             .incr_handle(self.net_handles.bytes, bytes as u64);
-                        self.record_drop(node, to, bytes);
+                        self.record_drop(to, bytes);
                         continue;
                     }
                     // Jitter and omission draws come from the sender's
@@ -369,7 +355,7 @@ impl<M: Payload> Shard<M> {
                         .faults
                         .delivers(node, to, at, || network.next_draw(node))
                     {
-                        self.record_drop(node, to, bytes);
+                        self.record_drop(to, bytes);
                         continue;
                     }
                     self.push_event(
@@ -423,11 +409,8 @@ impl<M: Payload> Shard<M> {
         }
     }
 
-    /// Partition-local half of the sequential engine's `record_drop`: the
-    /// metric increments happen here on the forked sink; the trace-ring
-    /// record (which needs the global sequence counter) is deferred to the
-    /// barrier as an [`Effect::Drop`].
-    fn record_drop(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+    /// Partition-local twin of `Sim::record_drop`, on the forked sink.
+    fn record_drop(&mut self, to: NodeId, bytes: usize) {
         self.metrics.incr_handle(self.net_handles.dropped, 1);
         self.metrics
             .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
@@ -437,7 +420,6 @@ impl<M: Payload> Shard<M> {
                 .metrics
                 .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),
         }
-        self.effects.push(Effect::Drop { from, to, bytes });
     }
 }
 
@@ -658,8 +640,8 @@ fn adaptive_pop_horizon<M: Payload>(
 /// Runs the simulation in parallel up to `horizon`. Returns `false`
 /// (without touching any state) when no viable partitioning exists; the
 /// caller then runs the sequential loop. On `true`, the event stream,
-/// digest, trace, metrics, RNG states, and queue contents are bit-identical
-/// to what the sequential loop would have produced.
+/// digest, capture, metrics, RNG states, and queue contents are
+/// bit-identical to what the sequential loop would have produced.
 pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime) -> bool {
     if !sim.queue.is_wheel() {
         return false;
@@ -862,9 +844,9 @@ fn head_key<M: Payload>(shard: &Shard<M>) -> (u64, u64) {
 
 /// The barrier: merges every partition's window log back into the global
 /// `(time, seq)` order and replays each dispatch's global side effects —
-/// digest fold, capture, trace ring, sequence assignment — exactly as the
-/// sequential engine interleaved them. Afterwards routes outbox events
-/// (now finally sequenced) to their owners' wheels for the next window.
+/// digest fold, capture, sequence assignment — exactly as the sequential
+/// engine interleaved them. Afterwards routes outbox events (now finally
+/// sequenced) to their owners' wheels for the next window.
 ///
 /// The logs are already sorted (each shard dispatches its slice of the
 /// global order in order), so the merge is a loser-tree k-way merge:
@@ -928,25 +910,6 @@ fn merge_window<M: Payload>(
         if let Some(cap) = &mut sim.capture {
             cap.record(&canon);
         }
-        if e.ran {
-            if let Some(trace) = &mut sim.trace {
-                let kind = match e.kind {
-                    0 | 4 => TraceKind::Start,
-                    1 => TraceKind::Deliver,
-                    2 => TraceKind::Timer,
-                    _ => unreachable!("crash events never pass the dispatch filters"),
-                };
-                trace.record(TraceEvent {
-                    at,
-                    seq: rseq,
-                    node: NodeId(e.node),
-                    kind,
-                    from: e.from,
-                    bytes: e.bytes as usize,
-                    tag: e.tag,
-                });
-            }
-        }
         for _ in 0..e.effects {
             let effect = shard.effects[shard.effect_cursor];
             shard.effect_cursor += 1;
@@ -957,19 +920,6 @@ fn merge_window<M: Payload>(
                 }
                 Effect::OutboxSeq(i) => {
                     shard.outbox[i as usize].seq = sim.next_seq();
-                }
-                Effect::Drop { from, to, bytes } => {
-                    if let Some(trace) = &mut sim.trace {
-                        trace.record(TraceEvent {
-                            at,
-                            seq: sim.seq,
-                            node: to,
-                            kind: TraceKind::Drop,
-                            from: Some(from),
-                            bytes,
-                            tag: None,
-                        });
-                    }
                 }
             }
         }
@@ -1130,7 +1080,6 @@ mod tests {
         let net = Network::new(model, SimDuration::from_millis(jitter_ms));
         let mut sim = Sim::new(seed, net);
         sim.set_sim_threads(threads);
-        sim.enable_trace(1 << 14);
         for i in 0..nodes {
             let region = Region(if regional { (i % 4) as u8 } else { 0 });
             // The last node joins late to exercise unstarted delivery.
@@ -1185,15 +1134,6 @@ mod tests {
             seq.fingerprint(),
             "fingerprints diverged"
         );
-        let (pt, st) = (par.trace().unwrap(), seq.trace().unwrap());
-        assert_eq!(pt.total, st.total);
-        assert_eq!(pt.deliveries, st.deliveries);
-        assert_eq!(pt.timers, st.timers);
-        assert_eq!(pt.drops, st.drops);
-        assert_eq!(pt.delivered_bytes, st.delivered_bytes);
-        let pe: Vec<_> = pt.events().collect();
-        let se: Vec<_> = st.events().collect();
-        assert_eq!(pe, se, "retained trace windows diverged");
         assert!(
             par.metrics().counters() == seq.metrics().counters(),
             "counter cells diverged"
@@ -1236,9 +1176,6 @@ mod tests {
             prop_assert_eq!(seq.threads_used(), 1);
             prop_assert_eq!(par.fingerprint(), seq.fingerprint(), "fingerprints diverged");
             prop_assert_eq!(par.events_processed(), seq.events_processed());
-            let pe: Vec<_> = par.trace().unwrap().events().collect();
-            let se: Vec<_> = seq.trace().unwrap().events().collect();
-            prop_assert_eq!(pe, se, "retained trace windows diverged");
             prop_assert!(
                 par.metrics().counters() == seq.metrics().counters(),
                 "counter cells diverged"
@@ -1272,7 +1209,6 @@ mod tests {
             let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
             let mut sim = Sim::new(7, net);
             sim.set_sim_threads(threads);
-            sim.enable_trace(64);
             for _ in 0..2 {
                 sim.add_node(
                     LinkConfig::paper_default(),
@@ -1289,7 +1225,7 @@ mod tests {
         assert_eq!(par.threads_used(), 2);
         // The zero-size send departs at t=0 and arrives at exactly the
         // 25 ms lookahead: both deliveries must have happened.
-        assert_eq!(par.trace().unwrap().deliveries, 2);
+        assert_eq!(par.metrics().counter_total("node.deliveries"), 2);
         assert_equivalent(&par, &seq);
     }
 
@@ -1503,9 +1439,6 @@ mod tests {
                     "jittered fingerprints diverged from sequential"
                 );
                 prop_assert_eq!(par.events_processed(), seq.events_processed());
-                let pe: Vec<_> = par.trace().unwrap().events().collect();
-                let se: Vec<_> = seq.trace().unwrap().events().collect();
-                prop_assert_eq!(pe, se, "retained trace windows diverged");
                 prop_assert!(
                     par.metrics().counters() == seq.metrics().counters(),
                     "counter cells diverged"

@@ -1,28 +1,23 @@
 //! Event tracing: trace forensics for the deterministic engine.
 //!
-//! Three observers with different cost/fidelity trade-offs share the same
-//! canonical event stream (`(time, seq, node, kind, from, bytes, tag)`):
+//! Two observers share the one canonical event stream
+//! (`(time, seq, node, kind, from, bytes, tag)`):
 //!
 //! * [`TraceDigest`] — an always-on O(1)-memory streaming fingerprint folded
 //!   over *every* event the engine pops, finalized as a 128-bit hex string.
 //!   Two runs with equal fingerprints processed byte-identical event
 //!   streams; this is strictly stronger than comparing end-of-run metrics.
-//! * [`Trace`] — an optional bounded ring of recently *dispatched* events
-//!   plus per-kind counters that never truncate, for debugging and tests.
-//!   Enable with [`crate::engine::Sim::enable_trace`].
 //! * [`TraceCapture`] — an optional full capture streaming one JSON line per
 //!   event to disk, the input to the `trace_export` (Perfetto) and
 //!   `trace_diff` (first-divergence) tools. Enable with
 //!   [`crate::engine::Sim::enable_capture`] or the `PREDIS_TRACE_DIR`
 //!   environment variable.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::actor::{NodeId, TimerTag};
-use crate::time::SimTime;
 
 /// Canonical event-kind names of the digest/capture stream, indexed by the
 /// kind code the engine folds (start=0, deliver=1, timer=2, crash=3,
@@ -216,271 +211,9 @@ impl TraceCapture {
     }
 }
 
-/// What kind of engine event a trace entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A node's `on_start` ran.
-    Start,
-    /// A message was delivered (`from`, `bytes` populated).
-    Deliver,
-    /// A timer fired (`tag` populated).
-    Timer,
-    /// A message was dropped by the fault plan (`from`, `bytes` populated).
-    Drop,
-    /// A node crashed or halted.
-    Halt,
-}
-
-/// One recorded engine event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub at: SimTime,
-    /// Engine-wide scheduling sequence number (ties in `at` break by `seq`).
-    pub seq: u64,
-    /// The node the event happened on (the receiver, for deliveries).
-    pub node: NodeId,
-    /// What happened.
-    pub kind: TraceKind,
-    /// Sender, for deliveries and drops.
-    pub from: Option<NodeId>,
-    /// Wire size, for deliveries and drops.
-    pub bytes: usize,
-    /// Tag, for timer firings.
-    pub tag: Option<TimerTag>,
-}
-
-/// A bounded recorder of engine events.
-///
-/// # Examples
-///
-/// ```
-/// use predis_sim::prelude::*;
-///
-/// #[derive(Debug)]
-/// struct Quiet;
-/// impl Actor<Ping> for Quiet {
-///     fn on_message(&mut self, _: &mut Context<'_, Ping>, _: NodeId, _: Ping) {}
-/// }
-/// #[derive(Debug, Clone)]
-/// struct Ping;
-/// impl Payload for Ping {
-///     fn wire_size(&self) -> usize { 8 }
-/// }
-///
-/// let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
-/// let mut sim: Sim<Ping> = Sim::new(1, net);
-/// sim.enable_trace(128);
-/// let a = sim.add_node(LinkConfig::paper_default(), Box::new(Quiet), SimTime::ZERO);
-/// let b = sim.add_node(LinkConfig::paper_default(), Box::new(Quiet), SimTime::ZERO);
-/// sim.inject(b, a, Ping, SimTime::from_millis(1));
-/// sim.run_until(SimTime::from_secs(1));
-/// let trace = sim.trace().unwrap();
-/// assert_eq!(trace.deliveries, 1);
-/// assert!(trace.render().contains("<-"));
-/// ```
-#[derive(Debug)]
-pub struct Trace {
-    capacity: usize,
-    ring: VecDeque<TraceEvent>,
-    /// Events recorded since the start (never truncated).
-    pub total: u64,
-    /// Deliveries recorded.
-    pub deliveries: u64,
-    /// Timer firings recorded.
-    pub timers: u64,
-    /// Fault-plan drops recorded.
-    pub drops: u64,
-    /// Total delivered bytes.
-    pub delivered_bytes: u64,
-}
-
-impl Trace {
-    /// A recorder keeping the most recent `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Trace {
-        assert!(capacity > 0, "trace capacity must be positive");
-        Trace {
-            capacity,
-            ring: VecDeque::with_capacity(capacity.min(4096)),
-            total: 0,
-            deliveries: 0,
-            timers: 0,
-            drops: 0,
-            delivered_bytes: 0,
-        }
-    }
-
-    pub(crate) fn record(&mut self, event: TraceEvent) {
-        self.total += 1;
-        match event.kind {
-            TraceKind::Deliver => {
-                self.deliveries += 1;
-                self.delivered_bytes += event.bytes as u64;
-            }
-            TraceKind::Timer => self.timers += 1,
-            TraceKind::Drop => self.drops += 1,
-            _ => {}
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Retained events involving `node` (as receiver).
-    pub fn events_on(&self, node: NodeId) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter().filter(move |e| e.node == node)
-    }
-
-    /// Number of retained events (≤ capacity).
-    pub fn retained(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Renders the retained events as a human-readable log.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.ring {
-            let line = match e.kind {
-                TraceKind::Start => format!("{} {} START\n", e.at, e.node),
-                TraceKind::Deliver => format!(
-                    "{} {} <- {} ({} B)\n",
-                    e.at,
-                    e.node,
-                    e.from.map(|n| n.to_string()).unwrap_or_default(),
-                    e.bytes
-                ),
-                TraceKind::Timer => format!(
-                    "{} {} TIMER kind={}\n",
-                    e.at,
-                    e.node,
-                    e.tag.map(|t| t.kind).unwrap_or_default()
-                ),
-                TraceKind::Drop => format!(
-                    "{} {} DROPPED from {} ({} B)\n",
-                    e.at,
-                    e.node,
-                    e.from.map(|n| n.to_string()).unwrap_or_default(),
-                    e.bytes
-                ),
-                TraceKind::Halt => format!("{} {} HALT\n", e.at, e.node),
-            };
-            out.push_str(&line);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(kind: TraceKind, at_ms: u64) -> TraceEvent {
-        TraceEvent {
-            at: SimTime::from_millis(at_ms),
-            seq: at_ms,
-            node: NodeId(1),
-            kind,
-            from: Some(NodeId(0)),
-            bytes: 100,
-            tag: Some(TimerTag::of_kind(7)),
-        }
-    }
-
-    #[test]
-    fn counters_never_truncate() {
-        let mut t = Trace::with_capacity(2);
-        for i in 0..10 {
-            t.record(ev(TraceKind::Deliver, i));
-        }
-        assert_eq!(t.total, 10);
-        assert_eq!(t.deliveries, 10);
-        assert_eq!(t.delivered_bytes, 1000);
-        assert_eq!(t.retained(), 2);
-        // Ring keeps the newest.
-        let kept: Vec<u64> = t.events().map(|e| e.at.as_nanos() / 1_000_000).collect();
-        assert_eq!(kept, vec![8, 9]);
-    }
-
-    #[test]
-    fn wraparound_keeps_per_kind_counters_exact() {
-        // Interleave kinds far past the ring capacity: retained events lose
-        // the old entries but every per-kind counter stays exact.
-        let mut t = Trace::with_capacity(3);
-        let (mut deliver, mut timer, mut drop) = (0u64, 0u64, 0u64);
-        for i in 0..1000u64 {
-            let kind = match i % 3 {
-                0 => {
-                    deliver += 1;
-                    TraceKind::Deliver
-                }
-                1 => {
-                    timer += 1;
-                    TraceKind::Timer
-                }
-                _ => {
-                    drop += 1;
-                    TraceKind::Drop
-                }
-            };
-            t.record(ev(kind, i));
-        }
-        assert_eq!(t.retained(), 3);
-        assert_eq!(t.total, 1000);
-        assert_eq!((t.deliveries, t.timers, t.drops), (deliver, timer, drop));
-        assert_eq!(t.delivered_bytes, deliver * 100);
-        // The ring holds exactly the newest three timestamps.
-        let kept: Vec<u64> = t.events().map(|e| e.at.as_nanos() / 1_000_000).collect();
-        assert_eq!(kept, vec![997, 998, 999]);
-    }
-
-    #[test]
-    fn kind_counters() {
-        let mut t = Trace::with_capacity(16);
-        t.record(ev(TraceKind::Deliver, 1));
-        t.record(ev(TraceKind::Timer, 2));
-        t.record(ev(TraceKind::Drop, 3));
-        t.record(ev(TraceKind::Start, 0));
-        assert_eq!((t.deliveries, t.timers, t.drops), (1, 1, 1));
-    }
-
-    #[test]
-    fn render_is_line_per_event() {
-        let mut t = Trace::with_capacity(8);
-        t.record(ev(TraceKind::Deliver, 1));
-        t.record(ev(TraceKind::Timer, 2));
-        let text = t.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("<- n0 (100 B)"));
-        assert!(text.contains("TIMER kind=7"));
-    }
-
-    #[test]
-    fn events_on_filters_by_node() {
-        let mut t = Trace::with_capacity(8);
-        t.record(ev(TraceKind::Deliver, 1));
-        let mut other = ev(TraceKind::Deliver, 2);
-        other.node = NodeId(5);
-        t.record(other);
-        assert_eq!(t.events_on(NodeId(1)).count(), 1);
-        assert_eq!(t.events_on(NodeId(5)).count(), 1);
-        assert_eq!(t.events_on(NodeId(9)).count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        let _ = Trace::with_capacity(0);
-    }
 
     /// A minimal canonical event for digest tests.
     fn bare(at_nanos: u64, seq: u64) -> CanonEvent {

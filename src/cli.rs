@@ -39,31 +39,50 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError(msg.into()))
 }
 
-/// `--key value` pairs parsed from an argument list.
-#[derive(Debug, Default)]
+/// The `--key value` pairs of one subcommand invocation.
+#[derive(Debug)]
 pub struct Flags {
+    /// The keys the subcommand declared; reading any other is a bug.
+    allowed: &'static [&'static str],
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; rejects stray positionals.
-    pub fn parse(args: &[String]) -> Result<Flags, CliError> {
-        let mut pairs = Vec::new();
+    /// Parses the `--key value` pairs of subcommand `cmd`, which reads
+    /// exactly the keys in `allowed`. Stray positionals, a flag without a
+    /// value, a flag `cmd` does not read and a repeated flag are errors: a
+    /// misspelt `--lod 40000` must not silently run the default load.
+    pub fn parse(
+        cmd: &str,
+        args: &[String],
+        allowed: &'static [&'static str],
+    ) -> Result<Flags, CliError> {
+        let mut pairs: Vec<(String, String)> = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return err(format!("unexpected argument '{a}' (flags are --key value)"));
             };
+            if !allowed.contains(&key) {
+                return err(format!(
+                    "unknown flag --{key} for `{cmd}` (it reads: --{})",
+                    allowed.join(", --")
+                ));
+            }
+            if pairs.iter().any(|(k, _)| k == key) {
+                return err(format!("flag --{key} given twice to `{cmd}`"));
+            }
             let Some(value) = it.next() else {
                 return err(format!("flag --{key} is missing a value"));
             };
             pairs.push((key.to_string(), value.clone()));
         }
-        Ok(Flags { pairs })
+        Ok(Flags { allowed, pairs })
     }
 
     /// The raw value of a flag, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(self.allowed.contains(&key), "undeclared flag --{key}");
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -94,12 +113,6 @@ impl Flags {
                 })
                 .collect(),
         }
-    }
-
-    /// Flags nobody consumed are reported as errors by subcommands that
-    /// want strictness; here we just expose the keys.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.pairs.iter().map(|(k, _)| k.as_str())
     }
 }
 
@@ -188,6 +201,69 @@ USAGE:
                               [--nc 4] [--env wan] [--secs 15]
 ";
 
+/// A subcommand's handler.
+type Command = fn(&Flags) -> Result<String, CliError>;
+
+/// Every subcommand: its name, the flags it reads, and its handler.
+const COMMANDS: &[(&str, &[&str], Command)] = &[
+    (
+        "throughput",
+        &[
+            "protocol",
+            "nc",
+            "load",
+            "env",
+            "secs",
+            "warmup",
+            "bundle",
+            "batch",
+            "mbps",
+            "clients",
+            "seed",
+            "silent",
+            "selective",
+            "tx-size",
+            "per-node-mbps",
+            "pipeline",
+        ],
+        cmd_throughput,
+    ),
+    (
+        "propagation",
+        &[
+            "topology",
+            "block-mb",
+            "fulls",
+            "nc",
+            "blocks",
+            "interval-secs",
+            "seed",
+            "mbps",
+            "max-children",
+            "locality",
+        ],
+        cmd_propagation,
+    ),
+    (
+        "topology",
+        &[
+            "mode", "fulls", "nc", "gen", "secs", "seed", "clients", "tx-size", "mbps", "warmup",
+        ],
+        cmd_topology,
+    ),
+    ("model", &["nc", "mbps", "tx-size"], cmd_model),
+    (
+        "series",
+        &["protocol", "load", "secs", "bucket-ms", "env", "nc", "seed"],
+        cmd_series,
+    ),
+    (
+        "compare",
+        &["protocols", "load", "nc", "env", "secs", "seed"],
+        cmd_compare,
+    ),
+];
+
 /// Executes a CLI invocation (everything after the binary name); returns
 /// the text to print.
 ///
@@ -198,15 +274,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return err(USAGE);
     };
-    match cmd.as_str() {
-        "throughput" => cmd_throughput(&Flags::parse(rest)?),
-        "propagation" => cmd_propagation(&Flags::parse(rest)?),
-        "topology" => cmd_topology(&Flags::parse(rest)?),
-        "model" => cmd_model(&Flags::parse(rest)?),
-        "series" => cmd_series(&Flags::parse(rest)?),
-        "compare" => cmd_compare(&Flags::parse(rest)?),
-        "--help" | "-h" | "help" => Ok(USAGE.to_string()),
-        other => err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        return Ok(USAGE.to_string());
+    }
+    match COMMANDS.iter().find(|(name, ..)| name == cmd) {
+        Some((name, allowed, handler)) => handler(&Flags::parse(name, rest, allowed)?),
+        None => err(format!("unknown subcommand '{cmd}'\n\n{USAGE}")),
     }
 }
 
@@ -443,29 +516,79 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    const UNIT_KEYS: &[&str] = &["nc", "env", "load", "silent", "selective"];
+
+    fn flags(line: &str) -> Result<Flags, CliError> {
+        Flags::parse("unit", &args(line), UNIT_KEYS)
+    }
+
     #[test]
     fn flags_parse_pairs() {
-        let f = Flags::parse(&args("--nc 4 --env lan")).unwrap();
+        let f = flags("--nc 4 --env lan").unwrap();
         assert_eq!(f.get("nc"), Some("4"));
         assert_eq!(f.get("env"), Some("lan"));
-        assert_eq!(f.get("missing"), None);
+        assert_eq!(f.get("load"), None);
         assert_eq!(f.num("nc", 0usize).unwrap(), 4);
-        assert_eq!(f.num("other", 7usize).unwrap(), 7);
+        assert_eq!(f.num("load", 7usize).unwrap(), 7);
     }
 
     #[test]
     fn flags_reject_malformed() {
-        assert!(Flags::parse(&args("positional")).is_err());
-        assert!(Flags::parse(&args("--nc")).is_err());
-        let f = Flags::parse(&args("--nc abc")).unwrap();
+        assert!(flags("positional").is_err());
+        assert!(flags("--nc").is_err());
+        let f = flags("--nc abc").unwrap();
         assert!(f.num("nc", 0usize).is_err());
+    }
+
+    /// A flag the subcommand does not read, or one given twice, is an error
+    /// naming the flag and the subcommand — never a silently different run.
+    #[test]
+    fn unknown_and_repeated_flags_are_rejected_per_subcommand() {
+        for (line, flag) in [
+            ("throughput --lod 40000 --secs 3", "unknown flag --lod"),
+            (
+                "throughput --load 1000 --load 40000",
+                "flag --load given twice",
+            ),
+            ("throughput --fulls 10", "unknown flag --fulls"),
+            ("propagation --mode star", "unknown flag --mode"),
+            ("topology --topology star", "unknown flag --topology"),
+            ("model --nc 4 --nc 8", "flag --nc given twice"),
+            ("series --warmup 1", "unknown flag --warmup"),
+            ("compare --protocol pbft", "unknown flag --protocol"),
+        ] {
+            let cmd = line.split(' ').next().unwrap();
+            let e = run(&args(line)).expect_err(line);
+            assert!(
+                e.0.contains(flag) && e.0.contains(&format!("`{cmd}`")),
+                "`{line}`: {e}"
+            );
+        }
+    }
+
+    /// Every flag the usage text advertises for a subcommand is one it
+    /// declares (the handlers' own reads are checked by `Flags::get`).
+    #[test]
+    fn usage_advertises_only_declared_flags() {
+        let mut current: &[&str] = &[];
+        for word in USAGE.split_whitespace() {
+            if let Some((_, allowed, _)) = COMMANDS.iter().find(|(name, ..)| *name == word) {
+                current = allowed;
+            }
+            if let Some(flag) = word.strip_prefix("[--") {
+                assert!(current.contains(&flag), "usage advertises --{flag}");
+            }
+        }
     }
 
     #[test]
     fn num_list_parses_commas() {
-        let f = Flags::parse(&args("--silent 1,2,3")).unwrap();
+        let f = flags("--silent 1,2,3").unwrap();
         assert_eq!(f.num_list::<usize>("silent").unwrap(), vec![1, 2, 3]);
-        assert_eq!(f.num_list::<usize>("absent").unwrap(), Vec::<usize>::new());
+        assert_eq!(
+            f.num_list::<usize>("selective").unwrap(),
+            Vec::<usize>::new()
+        );
     }
 
     #[test]

@@ -1,17 +1,22 @@
-//! Observability plumbing end-to-end: event tracing and throughput series
-//! work on real consensus runs.
+//! Observability plumbing end-to-end: the canonical event stream and the
+//! throughput series work on real consensus runs.
+
+use std::path::Path;
 
 use predis::consensus::planes::PredisPlane;
 use predis::consensus::{ClientCore, ConsMsg, ConsensusConfig, PbftNode, Roster};
 use predis::sim::prelude::*;
-use predis::sim::TraceKind;
 use predis::types::ClientId;
+use predis_telemetry::Json;
 
-fn run_traced(seed: u64) -> Sim<ConsMsg> {
+/// A 5 s P-PBFT run; with `capture`, every event is also streamed there.
+fn run_traced(seed: u64, capture: Option<&Path>) -> Sim<ConsMsg> {
     let n_c = 4usize;
     let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
     let mut sim: Sim<ConsMsg> = Sim::new(seed, network);
-    sim.enable_trace(4096);
+    if let Some(path) = capture {
+        sim.enable_capture(path).expect("start capture");
+    }
     let cons: Vec<NodeId> = (0..n_c as u32).map(NodeId).collect();
     let clients = vec![NodeId(n_c as u32)];
     let roster = Roster::new(cons, clients);
@@ -35,22 +40,25 @@ fn run_traced(seed: u64) -> Sim<ConsMsg> {
         SimTime::ZERO,
     );
     sim.run_until(SimTime::from_secs(5));
+    sim.finish_observability();
     sim
 }
 
 #[test]
 fn trace_captures_consensus_traffic() {
-    let sim = run_traced(101);
-    let trace = sim.trace().expect("tracing enabled");
-    // A busy consensus run generates plenty of deliveries and timers, and
-    // the counters agree with the metrics sink's message count.
-    assert!(trace.deliveries > 1_000, "deliveries: {}", trace.deliveries);
-    assert!(trace.timers > 500, "timers: {}", trace.timers);
-    assert_eq!(trace.drops, sim.metrics().counter("net.dropped"));
+    let dir = std::env::temp_dir().join(format!("predis-observability-{}", std::process::id()));
+    let path = dir.join("consensus.trace.jsonl");
+    let sim = run_traced(101, Some(&path));
+    let m = sim.metrics();
+    // A busy consensus run generates plenty of deliveries and timers.
+    let deliveries = m.counter_total("node.deliveries");
+    let timers = m.counter_total("node.timers");
+    assert!(deliveries > 1_000, "deliveries: {deliveries}");
+    assert!(timers > 500, "timers: {timers}");
     // Every sent message is delivered or dropped, except the handful still
     // in flight when the horizon cut the run.
-    let sent = sim.metrics().counter("net.messages");
-    let accounted = trace.deliveries + sim.metrics().counter("net.dropped");
+    let sent = m.counter("net.messages");
+    let accounted = deliveries + m.counter("net.dropped");
     assert!(accounted <= sent);
     assert!(
         sent - accounted < 500,
@@ -58,27 +66,37 @@ fn trace_captures_consensus_traffic() {
         sent - accounted,
         sent
     );
-    // The ring holds the most recent events and renders to text.
-    assert_eq!(trace.retained(), 4096);
-    let rendered = trace.render();
-    assert!(rendered.lines().count() == 4096);
-    assert!(rendered.contains("<-"));
-    // Deliveries to a specific node are filterable.
-    assert!(trace.events_on(NodeId(0)).count() > 0);
-    // Trace entries are time-ordered.
-    let mut last = SimTime::ZERO;
-    for e in trace.events() {
-        assert!(e.at >= last);
-        last = e.at;
-    }
     // Delivered bytes dominated by bundles (25 KB each).
-    assert!(trace.delivered_bytes > 1_000_000);
-    let _ = TraceKind::Deliver; // type re-exported for users
+    assert!(m.counter_total("node.delivered_bytes") > 1_000_000);
+
+    // The capture holds the whole stream: one line per processed event, in
+    // time order, and deliveries to a specific node are filterable.
+    let text = std::fs::read_to_string(&path).expect("read capture back");
+    assert_eq!(text.lines().count() as u64, sim.events_processed());
+    let mut last = 0;
+    let mut node0_deliveries = 0;
+    for line in text.lines() {
+        let event = Json::parse(line).expect("capture line parses");
+        let t = event.get("t").and_then(Json::as_u64).expect("t");
+        assert!(t >= last, "capture went back in time: {line}");
+        last = t;
+        if event.get("kind").and_then(Json::as_str) == Some("deliver")
+            && event.get("node").and_then(Json::as_u64) == Some(0)
+        {
+            assert!(event.get("from").is_some(), "{line}");
+            node0_deliveries += 1;
+        }
+    }
+    assert!(node0_deliveries > 0);
+    // The stream is pre-filter, so it can only exceed what actors were
+    // handed.
+    assert!(node0_deliveries >= m.labeled_counter("node.deliveries", Labels::node(0)));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn throughput_series_reflects_commit_cadence() {
-    let sim = run_traced(103);
+    let sim = run_traced(103, None);
     let series = sim
         .metrics()
         .throughput_series(SimDuration::from_millis(500), SimTime::from_secs(5));
