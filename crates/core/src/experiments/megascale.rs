@@ -15,15 +15,16 @@
 
 use std::sync::Arc;
 
-use predis_consensus::planes::PredisPlane;
-use predis_consensus::{ClientSwarm, ConsMsg, ConsensusConfig, FlashCrowd, PbftNode, Roster};
+use predis_consensus::{ClientSwarm, ConsMsg, ConsensusConfig, FlashCrowd, Roster};
 use predis_multizone::{validate_stripes, MultiZoneNode, NetMsg, SubCap, ZoneConfig, ZoneSource};
 use predis_sim::prelude::*;
 use predis_telemetry::RunReport;
 use predis_types::ClientId;
 use serde::{Deserialize, Serialize};
 
-use crate::experiments::topology::FlowConsensusNode;
+use crate::experiments::topology::{
+    affinity_groups, consensus_upload_bytes, Duty, FlowConsensusNode,
+};
 use crate::experiments::world::{validate_committee, validate_window, Setup};
 use crate::msg::FlowMsg;
 
@@ -204,12 +205,6 @@ impl Setup for MegaScaleSetup {
 
         // Consensus nodes, always with the Multi-Zone stripe-serving duty.
         for me in 0..self.n_c {
-            let shell = PbftNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                PredisPlane::new(me, roster.clone(), cfg.clone()),
-            );
             // The per-zone cap keeps the join storm off the consensus
             // uplink: at most two direct subscribers per zone per source
             // (Algorithm 2's shedding trims toward one in steady state);
@@ -219,7 +214,10 @@ impl Setup for MegaScaleSetup {
                 zone_size: self.zone_size as u32,
                 per_zone: 2,
             });
-            let node = FlowConsensusNode::zone(shell, source);
+            let duty = Duty::Zone {
+                source: Box::new(source),
+            };
+            let node = FlowConsensusNode::new(me, &roster, &cfg, duty);
             sim.add_node(link, Box::new(node), SimTime::ZERO);
         }
 
@@ -277,13 +275,8 @@ impl Setup for MegaScaleSetup {
             );
         }
 
-        // Partition affinity: consensus + swarms on one worker, each zone
-        // on its own — only stripe serving crosses partitions.
-        let mut core_group = cons;
-        core_group.extend(swarm_ids);
-        let mut affinity = vec![core_group];
-        affinity.extend(zone_members.iter().map(|m| m.to_vec()));
-        sim.set_partition_hint(affinity);
+        let zones = zone_members.iter().map(|m| m.to_vec());
+        sim.set_partition_hint(affinity_groups(cons, swarm_ids, zones));
         sim
     }
 
@@ -296,9 +289,7 @@ impl Setup for MegaScaleSetup {
         let peak = sim.peak_actor_bytes();
         MegaScaleResult {
             throughput_tps: sim.metrics().throughput_tps(from, self.horizon()),
-            consensus_upload_bytes: (0..self.n_c as u32)
-                .map(|n| sim.network().bytes_sent(NodeId(n)))
-                .sum(),
+            consensus_upload_bytes: consensus_upload_bytes(sim, self.n_c),
             full_nodes: self.full_nodes(),
             peak_actor_bytes: peak,
             bytes_per_node: peak / self.node_count() as u64,

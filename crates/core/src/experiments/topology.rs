@@ -40,30 +40,29 @@ pub struct FlowConsensusNode {
     duty: Duty,
 }
 
+/// What a committee member owes the full-node layer.
 #[derive(Debug)]
-enum Duty {
+pub(crate) enum Duty {
+    /// Full content to every assigned full node.
     Star { assigned: Vec<NodeId> },
-    // Boxed: a ZoneSource (stripe buffers, subscriber lists, interned
-    // handles) dwarfs the star variant.
+    /// This node's stripe to its zone relayers. Boxed: a ZoneSource (stripe
+    /// buffers, subscriber lists, interned handles) dwarfs the star variant.
     Zone { source: Box<ZoneSource> },
 }
 
 impl FlowConsensusNode {
-    /// Creates a combined node with a star-distribution duty.
-    pub fn star(shell: PbftNode<PredisPlane>, assigned: Vec<NodeId>) -> FlowConsensusNode {
+    /// Committee member `me` of a flow world: a P-PBFT shell over its own
+    /// Predis plane, carrying `duty`.
+    pub(crate) fn new(
+        me: usize,
+        roster: &Roster,
+        cfg: &ConsensusConfig,
+        duty: Duty,
+    ) -> FlowConsensusNode {
+        let plane = PredisPlane::new(me, roster.clone(), cfg.clone());
         FlowConsensusNode {
-            shell,
-            duty: Duty::Star { assigned },
-        }
-    }
-
-    /// Creates a combined node with a Multi-Zone stripe-serving duty.
-    pub fn zone(shell: PbftNode<PredisPlane>, source: ZoneSource) -> FlowConsensusNode {
-        FlowConsensusNode {
-            shell,
-            duty: Duty::Zone {
-                source: Box::new(source),
-            },
+            shell: PbftNode::new(me, roster.clone(), cfg.clone(), plane),
+            duty,
         }
     }
 
@@ -163,6 +162,29 @@ impl Actor<FlowMsg> for FlowConsensusNode {
         self.shell.timer(&mut ctx.narrow::<ConsMsg>(), tag);
         self.drain_produced(ctx);
     }
+}
+
+/// Partition affinity for the parallel engine, derived from the
+/// dissemination topology: traffic is densest inside a zone (or a star's
+/// assigned set) and between clients and consensus, so those stay on one
+/// worker and only stripe/block dissemination crosses partitions. Clients
+/// (or swarms) ride with the consensus they submit to.
+pub(crate) fn affinity_groups(
+    mut core: Vec<NodeId>,
+    clients: Vec<NodeId>,
+    zones: impl IntoIterator<Item = Vec<NodeId>>,
+) -> Vec<Vec<NodeId>> {
+    core.extend(clients);
+    let mut groups = vec![core];
+    groups.extend(zones.into_iter().filter(|g| !g.is_empty()));
+    groups
+}
+
+/// Bytes the committee (nodes `0..n_c`) uploaded so far.
+pub(crate) fn consensus_upload_bytes(sim: &Sim<FlowMsg>, n_c: usize) -> u64 {
+    (0..n_c as u32)
+        .map(|n| sim.network().bytes_sent(NodeId(n)))
+        .sum()
 }
 
 /// Parameters of one Fig. 7 run.
@@ -306,18 +328,15 @@ impl Setup for TopologySetup {
         // by consensus node only under the star duty).
         #[allow(clippy::needless_range_loop)]
         for me in 0..self.n_c {
-            let shell = PbftNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                PredisPlane::new(me, roster.clone(), cfg.clone()),
-            );
-            let node = match self.mode {
-                DistMode::Star => FlowConsensusNode::star(shell, groups[me].clone()),
-                DistMode::MultiZone { .. } => {
-                    FlowConsensusNode::zone(shell, ZoneSource::new(me as u32, zcfg.clone(), None))
-                }
+            let duty = match self.mode {
+                DistMode::Star => Duty::Star {
+                    assigned: groups[me].clone(),
+                },
+                DistMode::MultiZone { .. } => Duty::Zone {
+                    source: Box::new(ZoneSource::new(me as u32, zcfg.clone(), None)),
+                },
             };
+            let node = FlowConsensusNode::new(me, &roster, &cfg, duty);
             sim.add_node(link, Box::new(node), SimTime::ZERO);
         }
 
@@ -366,16 +385,7 @@ impl Setup for TopologySetup {
             );
         }
 
-        // Partition affinity for the parallel engine, derived from the
-        // dissemination topology: traffic is densest inside a zone (or a
-        // star's assigned set) and between clients and consensus, so those
-        // stay on one worker and only stripe/block dissemination crosses
-        // partitions. Clients ride with the consensus they submit to.
-        let mut core_group = cons;
-        core_group.extend(client_ids);
-        let mut affinity = vec![core_group];
-        affinity.extend(groups.into_iter().filter(|g| !g.is_empty()));
-        sim.set_partition_hint(affinity);
+        sim.set_partition_hint(affinity_groups(cons, client_ids, groups));
         sim
     }
 
@@ -387,9 +397,7 @@ impl Setup for TopologySetup {
         let from = SimTime::from_secs(self.warmup_secs);
         TopologyResult {
             throughput_tps: sim.metrics().throughput_tps(from, self.horizon()),
-            consensus_upload_bytes: (0..self.n_c as u32)
-                .map(|n| sim.network().bytes_sent(NodeId(n)))
-                .sum(),
+            consensus_upload_bytes: consensus_upload_bytes(sim, self.n_c),
         }
     }
 

@@ -1,0 +1,399 @@
+//! The engine core: the one rule for what a popped event does.
+//!
+//! [`Core`] holds the state a dispatch touches — one [`NodeRecord`] per
+//! node, the [`Network`], the [`FaultPlan`], the metrics sink and its
+//! interned handles, the pooled op buffer — and owns the crate's only
+//! `dispatch`, `run_on_start`, `apply_ops` and `record_drop`. The sequential
+//! scheduler runs it over every node; a partition worker of the parallel
+//! engine runs the same code over the records of its partition. What the
+//! two genuinely disagree on — how a popped event is observed and how a new
+//! one is ordered — is the [`Sequencer`] they hand it.
+
+use rand::rngs::SmallRng;
+
+use crate::actor::{Actor, Context, NodeId, Op, Payload};
+use crate::faults::FaultPlan;
+use crate::metrics::{CounterHandle, Labels, Metrics};
+use crate::net::{LinkConfig, Network};
+use crate::queue::{Event, EventKind, TimerSlots};
+use crate::time::SimTime;
+use crate::trace::CanonEvent;
+
+/// Handles for the global network counters, interned at construction.
+#[derive(Debug, Clone, Copy)]
+struct NetHandles {
+    messages: CounterHandle,
+    bytes: CounterHandle,
+    dropped: CounterHandle,
+    dropped_bytes: CounterHandle,
+}
+
+/// Handles for the counters only a node's own events bump, interned at
+/// `add_node`.
+#[derive(Debug, Clone, Copy)]
+struct NodeHandles {
+    deliveries: CounterHandle,
+    delivered_bytes: CounterHandle,
+    timers: CounterHandle,
+}
+
+/// Everything the engine keeps per node. One record is one move when the
+/// parallel engine hands a node to a partition worker and one move back.
+pub(crate) struct NodeRecord<M> {
+    pub(crate) actor: Option<Box<dyn Actor<M>>>,
+    rng: SmallRng,
+    timers: TimerSlots,
+    /// Incremented on revival: timers armed in an older epoch are dead.
+    epoch: u32,
+    pub(crate) halted: bool,
+    /// True only when `halted` was set by the fault plan (crash event or
+    /// in-window check), never by a voluntary [`Op::Halt`]. Plan-driven
+    /// revival consults this so it can bring a crashed node back up at the
+    /// revive tick without ever resurrecting a node that chose to leave.
+    pub(crate) crash_halted: bool,
+    started: bool,
+    handles: NodeHandles,
+}
+
+impl<M> NodeRecord<M> {
+    fn crash(&mut self) {
+        self.halted = true;
+        self.crash_halted = true;
+    }
+
+    /// Crash-recovery: the node resumes with its state intact; its
+    /// pre-crash timers belong to the old epoch and are dead, and the
+    /// actor's `on_start` re-arms what it needs.
+    fn revive(&mut self) {
+        self.halted = false;
+        self.crash_halted = false;
+        self.epoch += 1;
+    }
+}
+
+/// The sequencing seam: what a scheduler decides for the core.
+pub(crate) trait Sequencer<M> {
+    /// Sees every popped event before any filter — the *canonical* stream,
+    /// including events a halted or unstarted node will ignore.
+    fn observe(&mut self, event: &Event<M>);
+
+    /// Orders a new event among the pending ones.
+    fn schedule(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>);
+
+    /// The observed event is done: nothing more will be scheduled for it.
+    fn close(&mut self) {}
+}
+
+/// The canonical tuple of a popped event, carrying the event's own `seq`.
+pub(crate) fn canon_of<M>(event: &Event<M>) -> CanonEvent {
+    let (kind, from, bytes, tag) = match &event.kind {
+        EventKind::Start => (0, None, 0, None),
+        EventKind::Deliver { from, bytes, .. } => (1, Some(*from), *bytes as u64, None),
+        EventKind::Timer { tag, .. } => (2, None, 0, Some(*tag)),
+        EventKind::Crash => (3, None, 0, None),
+        EventKind::Revive => (4, None, 0, None),
+    };
+    CanonEvent {
+        at_nanos: event.at.as_nanos(),
+        seq: event.seq,
+        node: event.node.0,
+        kind,
+        from,
+        bytes,
+        tag,
+    }
+}
+
+/// Node records plus everything a dispatch reads or writes besides them.
+pub(crate) struct Core<M> {
+    pub(crate) nodes: Vec<NodeRecord<M>>,
+    /// Global node index -> position in `nodes`. Empty when this core holds
+    /// every node, where the position *is* the global index.
+    local: Vec<u32>,
+    pub(crate) network: Network,
+    pub(crate) faults: FaultPlan,
+    pub(crate) metrics: Metrics,
+    net_handles: NetHandles,
+    /// `node.drops` handle of every node, by global index. A drop is
+    /// accounted where the *sender* runs, which under partitioning is not
+    /// where the recipient's record lives — so these stay a table every
+    /// core carries whole, not a field of the record.
+    drops: Vec<CounterHandle>,
+    /// Pooled op buffer handed to each callback and drained by
+    /// `apply_ops`; its capacity survives across events.
+    ops_scratch: Vec<Op<M>>,
+}
+
+impl<M: Payload> Core<M> {
+    pub(crate) fn new(network: Network) -> Self {
+        let mut metrics = Metrics::new();
+        let net_handles = NetHandles {
+            messages: metrics.counter_handle("net.messages", Labels::GLOBAL),
+            bytes: metrics.counter_handle("net.bytes", Labels::GLOBAL),
+            dropped: metrics.counter_handle("net.dropped", Labels::GLOBAL),
+            dropped_bytes: metrics.counter_handle("net.dropped_bytes", Labels::GLOBAL),
+        };
+        Core {
+            nodes: Vec::new(),
+            local: Vec::new(),
+            network,
+            faults: FaultPlan::none(),
+            metrics,
+            net_handles,
+            drops: Vec::new(),
+            ops_scratch: Vec::new(),
+        }
+    }
+
+    /// Adds a node: its link, its record, and its interned handles.
+    pub(crate) fn add_node(
+        &mut self,
+        link: LinkConfig,
+        mut actor: Box<dyn Actor<M>>,
+        rng: SmallRng,
+    ) -> NodeId {
+        let id = self.network.add_link(link);
+        debug_assert_eq!(id.index(), self.nodes.len());
+        // Pre-run attach: lets the actor intern counter handles against the
+        // parent metrics, where they survive parallel-engine shard forks.
+        actor.on_attach(id, &mut self.metrics);
+        let labels = Labels::node(id.0 as u64);
+        let handles = NodeHandles {
+            deliveries: self.metrics.counter_handle("node.deliveries", labels),
+            delivered_bytes: self.metrics.counter_handle("node.delivered_bytes", labels),
+            timers: self.metrics.counter_handle("node.timers", labels),
+        };
+        self.drops
+            .push(self.metrics.counter_handle("node.drops", labels));
+        self.nodes.push(NodeRecord {
+            actor: Some(actor),
+            rng,
+            timers: TimerSlots::new(),
+            epoch: 0,
+            halted: false,
+            crash_halted: false,
+            started: false,
+            handles,
+        });
+        id
+    }
+
+    /// A partition worker's core: shared-read state cloned, the metrics
+    /// sink a zeroed fork, and room for `owned` records — the caller moves
+    /// the partition's in, in the order `local` numbers them.
+    pub(crate) fn fork(&self, local: Vec<u32>, owned: usize) -> Self {
+        Core {
+            nodes: Vec::with_capacity(owned),
+            local,
+            network: self.network.clone(),
+            faults: self.faults.clone(),
+            metrics: self.metrics.fork_for_worker(),
+            net_handles: self.net_handles,
+            drops: self.drops.clone(),
+            ops_scratch: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, node: NodeId) -> usize {
+        self.local
+            .get(node.index())
+            .map_or(node.index(), |&l| l as usize)
+    }
+
+    /// Dispatches one popped event: observed, run, closed.
+    #[inline]
+    pub(crate) fn dispatch<S: Sequencer<M>>(&mut self, order: &mut S, event: Event<M>) {
+        order.observe(&event);
+        self.react(order, event);
+        order.close();
+    }
+
+    fn react<S: Sequencer<M>>(&mut self, order: &mut S, event: Event<M>) {
+        let (at, node) = (event.at, event.node);
+        let idx = self.slot(node);
+        let rec = &mut self.nodes[idx];
+        // Every popped timer event retires its slot, no matter how the
+        // event is disposed of below — the pop is the slot's last
+        // outstanding reference, so it must recycle even when the node is
+        // halted, unstarted, or mid-crash. `timer_live` is false when a
+        // cancel got there first.
+        let timer_live = match event.kind {
+            EventKind::Timer { id, .. } => rec.timers.resolve(id),
+            _ => true,
+        };
+        if let EventKind::Revive = event.kind {
+            // A node that already revived inline (below), or that halted
+            // voluntarily rather than by plan, stays as it is — the
+            // bookkeeping event is a no-op for it.
+            if !rec.crash_halted {
+                return;
+            }
+            rec.revive();
+        } else if rec.halted {
+            // Revival is plan-driven, not event-driven: the crash window is
+            // `[at, until)`, so a crash-halted node whose window has closed
+            // is up *now*, even when this event's queue position beat the
+            // bookkeeping revive event's. Without this, a deliver staged at
+            // exactly the revive tick with a smaller sequence number would
+            // be silently dropped.
+            if !rec.crash_halted || self.faults.is_crashed(node, at) {
+                return;
+            }
+            rec.revive();
+            if rec.started {
+                self.run_on_start(order, at, node, idx);
+            }
+        }
+        let rec = &mut self.nodes[idx];
+        match event.kind {
+            // A node only participates once its Start event has run; traffic
+            // addressed to a not-yet-joined node dies on the wire.
+            EventKind::Start => rec.started = true,
+            _ if !rec.started => return,
+            EventKind::Crash => return rec.crash(),
+            EventKind::Timer { .. } if !timer_live => return,
+            EventKind::Timer { epoch, .. } if epoch != rec.epoch => return,
+            _ => {}
+        }
+        if self.faults.is_crashed(node, at) {
+            return rec.crash();
+        }
+        match &event.kind {
+            EventKind::Deliver { bytes, .. } => {
+                self.metrics.incr_handle(rec.handles.deliveries, 1);
+                self.metrics
+                    .incr_handle(rec.handles.delivered_bytes, *bytes as u64);
+            }
+            EventKind::Timer { .. } => self.metrics.incr_handle(rec.handles.timers, 1),
+            _ => {}
+        }
+        self.call(order, at, node, idx, event.kind);
+    }
+
+    /// Runs the actor's `on_start` outside a Start/Revive event — the
+    /// inline-revival path when a crash window closes before the
+    /// bookkeeping revive event has dispatched. What it schedules belongs
+    /// to the event being dispatched.
+    fn run_on_start<S: Sequencer<M>>(
+        &mut self,
+        order: &mut S,
+        at: SimTime,
+        node: NodeId,
+        idx: usize,
+    ) {
+        self.call(order, at, node, idx, EventKind::Start);
+    }
+
+    /// Hands `kind` to the actor of `node` and applies the ops it queued.
+    fn call<S: Sequencer<M>>(
+        &mut self,
+        order: &mut S,
+        at: SimTime,
+        node: NodeId,
+        idx: usize,
+        kind: EventKind<M>,
+    ) {
+        let rec = &mut self.nodes[idx];
+        let Some(actor) = rec.actor.as_deref_mut() else {
+            return;
+        };
+        let mut ops = std::mem::take(&mut self.ops_scratch);
+        debug_assert!(ops.is_empty());
+        let mut ctx = Context {
+            now: at,
+            node,
+            node_count: self.network.len() as u32,
+            link_free_at: self.network.link_free_at(node),
+            timers: &mut rec.timers,
+            ops: &mut ops,
+            rng: &mut rec.rng,
+            metrics: &mut self.metrics,
+        };
+        match kind {
+            EventKind::Start | EventKind::Revive => actor.on_start(&mut ctx),
+            EventKind::Deliver { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
+            EventKind::Timer { tag, .. } => actor.on_timer(&mut ctx, tag),
+            EventKind::Crash => unreachable!("a crash never reaches the actor"),
+        }
+        self.apply_ops(order, at, node, idx, &mut ops);
+        // Return the (now empty) buffer to the pool, keeping its capacity.
+        self.ops_scratch = ops;
+    }
+
+    fn apply_ops<S: Sequencer<M>>(
+        &mut self,
+        order: &mut S,
+        at: SimTime,
+        node: NodeId,
+        idx: usize,
+        ops: &mut Vec<Op<M>>,
+    ) {
+        for op in ops.drain(..) {
+            match op {
+                Op::Send { to, msg, bytes } => {
+                    // The memoized size must equal the recomputed one for
+                    // every message that crosses the simulated network —
+                    // this is what keeps payload sharing bandwidth-neutral.
+                    debug_assert_eq!(
+                        bytes,
+                        msg.wire_size(),
+                        "cached wire size diverged from recomputed size"
+                    );
+                    self.metrics.incr_handle(self.net_handles.messages, 1);
+                    self.metrics
+                        .incr_handle(self.net_handles.bytes, bytes as u64);
+                    // A destination that was never added is rejected at the
+                    // NIC (it has no link to schedule on), but still counts
+                    // as a fully accounted drop — bytes and the
+                    // per-recipient cell included, exactly like the
+                    // fault-plan branch below.
+                    if to.index() >= self.network.len() {
+                        self.record_drop(to, bytes);
+                        continue;
+                    }
+                    let sched = self.network.schedule(at, node, to, bytes);
+                    // Omission/crash/partition checks happen at send time
+                    // (bandwidth is consumed either way; the bytes die in
+                    // flight). Jitter and omission draws come from the
+                    // sender link's counter-keyed stream: only the core
+                    // holding the sender ever draws on it, in the order the
+                    // sender's events dispatch, so the stream advances
+                    // identically under any partitioning.
+                    let network = &mut self.network;
+                    if !self
+                        .faults
+                        .delivers(node, to, at, || network.next_draw(node))
+                    {
+                        self.record_drop(to, bytes);
+                        continue;
+                    }
+                    let from = node;
+                    order.schedule(sched.arrives, to, EventKind::Deliver { from, msg, bytes });
+                }
+                Op::SetTimer { id, fire_at, tag } => {
+                    let epoch = self.nodes[idx].epoch;
+                    order.schedule(fire_at, node, EventKind::Timer { id, tag, epoch });
+                }
+                Op::CancelTimer { id } => self.nodes[idx].timers.cancel(id),
+                Op::Halt => self.nodes[idx].halted = true,
+            }
+        }
+    }
+
+    /// Accounts a message that died on the wire (fault plan or nonexistent
+    /// destination).
+    fn record_drop(&mut self, to: NodeId, bytes: usize) {
+        self.metrics.incr_handle(self.net_handles.dropped, 1);
+        self.metrics
+            .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
+        match self.drops.get(to.index()) {
+            Some(&handle) => self.metrics.incr_handle(handle, 1),
+            // Out-of-range destination: no interned handle, take the slow
+            // path so the per-recipient cell still exists in the report.
+            None => self
+                .metrics
+                .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),
+        }
+    }
+}

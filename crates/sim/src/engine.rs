@@ -8,9 +8,9 @@
 //! The hot path is engineered for zero steady-state allocation: the future
 //! event set is a hierarchical timer wheel (see the `queue` module), the
 //! per-dispatch op buffer is pooled and reused, per-node delivery counters
-//! go through [`CounterHandle`]s interned once at [`Sim::add_node`], and
-//! timer cancellation flips a generation counter instead of growing a
-//! tombstone set.
+//! go through [`CounterHandle`](crate::metrics::CounterHandle)s interned
+//! once at [`Sim::add_node`], and timer cancellation flips a generation
+//! counter instead of growing a tombstone set.
 
 use std::any::Any;
 
@@ -18,84 +18,91 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::actor::Payload;
-use crate::actor::{Actor, Context, NodeId, Op};
+use crate::actor::{Actor, NodeId};
+use crate::dispatch::{canon_of, Core, Sequencer};
 use crate::faults::FaultPlan;
-use crate::metrics::{CounterHandle, Labels, Metrics};
+use crate::metrics::Metrics;
 use crate::net::{LinkConfig, Network};
+use crate::parallel::Fallback;
 #[cfg(test)]
 use crate::parallel::WindowPolicy;
 use crate::profile::{
     short_type_name, DispatchProfile, BUCKET_DELIVER, BUCKET_OTHER, BUCKET_START, BUCKET_TIMER,
 };
-use crate::queue::{Event, EventKind, EventQueue, TimerSlots};
+use crate::queue::{Event, EventKind, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{CanonEvent, TraceCapture, TraceDigest};
 use predis_telemetry::RunReport;
 use predis_types::payload_stats;
 
-/// Handles for the global network counters, interned at construction.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NetHandles {
-    pub(crate) messages: CounterHandle,
-    pub(crate) bytes: CounterHandle,
-    pub(crate) dropped: CounterHandle,
-    pub(crate) dropped_bytes: CounterHandle,
+/// The sequential scheduler's side of the sequencing seam: one global
+/// queue and sequence counter, and the two observers of the canonical
+/// event stream. The parallel engine's barrier replays into the same
+/// counter and observers in merged order.
+pub(crate) struct GlobalOrder<M> {
+    seq: u64,
+    pub(crate) queue: EventQueue<M>,
+    /// Always-on streaming fingerprint over the canonical event stream.
+    digest: TraceDigest,
+    /// Optional full JSONL capture of the canonical event stream.
+    capture: Option<TraceCapture>,
 }
 
-/// Handles for one node's per-event counters, interned at `add_node`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeHandles {
-    pub(crate) deliveries: CounterHandle,
-    pub(crate) delivered_bytes: CounterHandle,
-    pub(crate) timers: CounterHandle,
-    pub(crate) drops: CounterHandle,
+impl<M> GlobalOrder<M> {
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        let s = self.seq;
+        self.seq += 1;
+        s
+    }
+
+    /// Folds one canonical event into the digest and the optional capture.
+    #[inline]
+    pub(crate) fn record(&mut self, canon: &CanonEvent) {
+        self.digest.fold_event(canon);
+        if let Some(cap) = &mut self.capture {
+            cap.record(canon);
+        }
+    }
+}
+
+impl<M> Sequencer<M> for GlobalOrder<M> {
+    #[inline]
+    fn observe(&mut self, event: &Event<M>) {
+        self.record(&canon_of(event));
+    }
+
+    #[inline]
+    fn schedule(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
+        let seq = self.next_seq();
+        self.queue.push(Event {
+            at,
+            seq,
+            node,
+            kind,
+        });
+    }
 }
 
 /// A deterministic discrete-event simulation over message type `M`.
 ///
-/// Fields are `pub(crate)` so the conservative parallel engine
-/// (`crate::parallel`) can partition them into per-worker shards and merge
-/// them back without an intermediary accessor layer.
+/// Everything one dispatch touches lives in `core` — per node, one
+/// `NodeRecord` — and everything that orders events in `order`; both are
+/// `pub(crate)` because a parallel session moves the records into
+/// per-worker cores and replays its windows into `order`.
 pub struct Sim<M> {
     pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) queue: EventQueue<M>,
-    pub(crate) actors: Vec<Option<Box<dyn Actor<M>>>>,
-    pub(crate) node_rngs: Vec<SmallRng>,
-    pub(crate) net_rng: SmallRng,
-    pub(crate) network: Network,
-    pub(crate) faults: FaultPlan,
-    pub(crate) metrics: Metrics,
-    pub(crate) halted: Vec<bool>,
-    /// True only when `halted` was set by the fault plan (crash event or
-    /// in-window check), never by a voluntary [`Op::Halt`]. Plan-driven
-    /// revival consults this so it can bring a crashed node back up at the
-    /// revive tick without ever resurrecting a node that chose to leave.
-    pub(crate) crash_halted: Vec<bool>,
-    pub(crate) started: Vec<bool>,
-    /// Incremented on revival: timers armed in an older epoch are dead.
-    pub(crate) epochs: Vec<u32>,
-    /// One timer-slot arena per node, so partitions can take their nodes'
-    /// slots with them across threads.
-    pub(crate) timers: Vec<TimerSlots>,
-    /// Pooled op buffer handed to each dispatch and drained by
-    /// `apply_ops`; its capacity survives across events.
-    pub(crate) ops_scratch: Vec<Op<M>>,
-    pub(crate) net_handles: NetHandles,
-    pub(crate) node_handles: Vec<NodeHandles>,
+    pub(crate) core: Core<M>,
+    pub(crate) order: GlobalOrder<M>,
+    net_rng: SmallRng,
     pub(crate) events_processed: u64,
     /// Nodes whose crash event has been scheduled.
-    pub(crate) crash_scheduled: Vec<bool>,
-    /// Always-on streaming fingerprint over the canonical event stream.
-    pub(crate) digest: TraceDigest,
-    /// Optional full JSONL capture of the canonical event stream.
-    pub(crate) capture: Option<TraceCapture>,
+    crash_scheduled: Vec<bool>,
     /// Optional per-actor-kind dispatch profiler.
     pub(crate) profile: Option<DispatchProfile>,
     /// Interned actor-kind names, indexed by the values in `kind_of_node`.
-    pub(crate) kind_names: Vec<String>,
+    kind_names: Vec<String>,
     /// Dense actor-kind index per node, interned at `add_node`.
-    pub(crate) kind_of_node: Vec<u16>,
+    kind_of_node: Vec<u16>,
     /// Worker count requested for windowed parallel execution (seeded from
     /// `PREDIS_SIM_THREADS`, default 1 = sequential).
     pub(crate) threads: usize,
@@ -104,6 +111,9 @@ pub struct Sim<M> {
     pub(crate) partition_hint: Option<Vec<Vec<NodeId>>>,
     /// Workers actually used by the most recent `run_until` (1 = sequential).
     pub(crate) threads_used: usize,
+    /// Why the most recent `run_until` ran sequentially although more than
+    /// one thread was requested.
+    fallback: Option<Fallback>,
     /// Events dispatched per partition during the most recent parallel run.
     pub(crate) partition_events: Vec<u64>,
     /// Lookahead windows (barrier merges) executed by the parallel engine,
@@ -117,7 +127,7 @@ pub struct Sim<M> {
     /// Peak of Σ [`Actor::approx_bytes`] over all live actors, sampled at
     /// the end of every `run_until` call. Powers the `mem.*` report metrics
     /// that gate the per-node memory footprint at mega-scale.
-    pub(crate) peak_actor_bytes: u64,
+    peak_actor_bytes: u64,
 }
 
 impl<M: Payload> Sim<M> {
@@ -143,41 +153,25 @@ impl<M: Payload> Sim<M> {
         // omission) from the simulation seed, decorrelated from the node
         // and engine RNG streams.
         network.set_stream_seed(seed.wrapping_mul(0xff51_afd7_ed55_8ccd) ^ 0x5851_f42d_4c95_7f2d);
-        let mut metrics = Metrics::new();
-        let net_handles = NetHandles {
-            messages: metrics.counter_handle("net.messages", Labels::GLOBAL),
-            bytes: metrics.counter_handle("net.bytes", Labels::GLOBAL),
-            dropped: metrics.counter_handle("net.dropped", Labels::GLOBAL),
-            dropped_bytes: metrics.counter_handle("net.dropped_bytes", Labels::GLOBAL),
-        };
         Sim {
             now: SimTime::ZERO,
-            seq: 0,
-            queue,
-            actors: Vec::new(),
-            node_rngs: Vec::new(),
+            core: Core::new(network),
+            order: GlobalOrder {
+                seq: 0,
+                queue,
+                digest: TraceDigest::default(),
+                capture: None,
+            },
             net_rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            network,
-            faults: FaultPlan::none(),
-            metrics,
-            halted: Vec::new(),
-            crash_halted: Vec::new(),
-            started: Vec::new(),
-            epochs: Vec::new(),
-            timers: Vec::new(),
-            ops_scratch: Vec::new(),
-            net_handles,
-            node_handles: Vec::new(),
             events_processed: 0,
             crash_scheduled: Vec::new(),
-            digest: TraceDigest::default(),
-            capture: None,
             profile: None,
             kind_names: Vec::new(),
             kind_of_node: Vec::new(),
             threads: sim_threads_from_env(),
             partition_hint: None,
             threads_used: 1,
+            fallback: None,
             partition_events: Vec::new(),
             windows: 0,
             #[cfg(test)]
@@ -188,14 +182,14 @@ impl<M: Payload> Sim<M> {
 
     /// The streaming digest over every event popped so far (always on).
     pub fn digest(&self) -> &TraceDigest {
-        &self.digest
+        &self.order.digest
     }
 
     /// The finalized trace fingerprint: 32 hex chars identifying the exact
     /// canonical event stream processed so far. Two runs with equal
     /// fingerprints dispatched byte-identical event sequences.
     pub fn fingerprint(&self) -> String {
-        self.digest.fingerprint()
+        self.order.digest.fingerprint()
     }
 
     /// Turns on the dispatch profiler (per-actor-kind × per-event-kind
@@ -218,7 +212,7 @@ impl<M: Payload> Sim<M> {
 
     /// Starts streaming every canonical event to a JSONL capture at `path`.
     pub fn enable_capture(&mut self, path: impl Into<std::path::PathBuf>) -> std::io::Result<()> {
-        self.capture = Some(TraceCapture::create(path)?);
+        self.order.capture = Some(TraceCapture::create(path)?);
         Ok(())
     }
 
@@ -259,14 +253,14 @@ impl<M: Payload> Sim<M> {
     /// rather than panicking — a run's results are worth more than its
     /// trace.
     pub fn finish_observability(&mut self) {
-        if let Some(cap) = self.capture.take() {
+        if let Some(cap) = self.order.capture.take() {
             let path = cap.path().to_path_buf();
             match cap.finish() {
                 Ok(p) => {
                     let file = p.file_name().and_then(|f| f.to_str()).unwrap_or("");
                     let stem = file.strip_suffix(".trace.jsonl").unwrap_or(file);
                     let sidecar = p.with_file_name(format!("{stem}.timelines.jsonl"));
-                    if let Err(e) = self.metrics.timelines().write_jsonl(&sidecar) {
+                    if let Err(e) = self.core.metrics.timelines().write_jsonl(&sidecar) {
                         eprintln!(
                             "warning: could not write timeline sidecar {}: {e}",
                             sidecar.display()
@@ -278,7 +272,7 @@ impl<M: Payload> Sim<M> {
                     // stderr; the counter surfaces them in the run report
                     // so `bench_all` can warn about silently truncated
                     // captures.
-                    self.metrics.incr("trace.capture_errors", 1);
+                    self.core.metrics.incr("trace.capture_errors", 1);
                     eprintln!("warning: trace capture {} failed: {e}", path.display());
                 }
             }
@@ -300,7 +294,7 @@ impl<M: Payload> Sim<M> {
     /// snapshot, this run's payload-clone counters, the event count, and the
     /// forensic stamps of [`Sim::stamp_observability`].
     pub fn report(&self, name: &str) -> RunReport {
-        let mut report = self.metrics.run_report(name);
+        let mut report = self.core.metrics.run_report(name);
         let stats = payload_stats::snapshot();
         report.set_metric("msg.payload_clones", stats.payload_clones as f64);
         report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
@@ -312,8 +306,11 @@ impl<M: Payload> Sim<M> {
 
     /// Stamps the run's forensic identity onto a report: the
     /// `trace.fingerprint` meta key (always), the parallel-engine shape
-    /// (`engine.threads`, and `engine.partition_events` when a windowed
-    /// parallel run happened), and the `profile` block (when profiling ran).
+    /// (`engine.threads`; `engine.partition_events` when a windowed
+    /// parallel run happened; `engine.fallback`, the gate condition that
+    /// failed, when more than one thread was requested and the most recent
+    /// run was sequential all the same), and the `profile` block (when
+    /// profiling ran).
     pub fn stamp_observability(&self, report: &mut RunReport) {
         report
             .meta
@@ -321,6 +318,11 @@ impl<M: Payload> Sim<M> {
         report
             .meta
             .insert("engine.threads".into(), self.threads_used.to_string());
+        if let Some(why) = self.fallback {
+            report
+                .meta
+                .insert("engine.fallback".into(), why.as_str().into());
+        }
         if !self.partition_events.is_empty() {
             let counts: Vec<String> = self
                 .partition_events
@@ -336,14 +338,14 @@ impl<M: Payload> Sim<M> {
                 .meta
                 .insert("engine.windows".into(), self.windows.to_string());
         }
-        if self.peak_actor_bytes > 0 && !self.actors.is_empty() {
+        if self.peak_actor_bytes > 0 && self.node_count() > 0 {
             report.meta.insert(
                 "mem.resident_bytes".into(),
                 self.peak_actor_bytes.to_string(),
             );
             report.meta.insert(
                 "mem.bytes_per_node".into(),
-                (self.peak_actor_bytes / self.actors.len() as u64).to_string(),
+                (self.peak_actor_bytes / self.node_count() as u64).to_string(),
             );
         }
         if let Some(p) = &self.profile {
@@ -354,17 +356,18 @@ impl<M: Payload> Sim<M> {
     /// Installs a fault plan. Must be called before [`Sim::run_until`] to
     /// have crash events scheduled.
     pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
+        self.core.faults = faults;
     }
 
     /// Requests `threads` lookahead-window workers for subsequent
     /// [`Sim::run_until`] calls (clamped to at least 1; the construction
-    /// default comes from `PREDIS_SIM_THREADS`). The engine silently falls
-    /// back to the sequential scheduler whenever a parallel run could
-    /// perturb determinism or cannot help: profiling enabled (its
-    /// wall-clock attribution is per-thread), fewer than two partitions, or
-    /// a zero lookahead. Network jitter and randomized message omission run
-    /// fine in parallel — their randomness comes from per-link
+    /// default comes from `PREDIS_SIM_THREADS`). The engine falls back to
+    /// the sequential scheduler whenever a parallel run could perturb
+    /// determinism or cannot help: profiling enabled (its wall-clock
+    /// attribution is per-thread), nothing queued before the horizon, fewer
+    /// than two partitions, or a zero lookahead — and stamps which as
+    /// `engine.fallback`. Network jitter and randomized message omission
+    /// run fine in parallel — their randomness comes from per-link
     /// counter-keyed streams, not global draw order. Results are
     /// bit-identical either way.
     pub fn set_sim_threads(&mut self, threads: usize) {
@@ -410,24 +413,15 @@ impl<M: Payload> Sim<M> {
     pub fn add_node(
         &mut self,
         link: LinkConfig,
-        mut actor: Box<dyn Actor<M>>,
+        actor: Box<dyn Actor<M>>,
         start_at: SimTime,
     ) -> NodeId {
-        let id = self.network.add_link(link);
-        debug_assert_eq!(id.index(), self.actors.len());
         let kind = short_type_name(actor.kind_name());
-        // Pre-run attach: lets the actor intern counter handles against the
-        // parent metrics, where they survive parallel-engine shard forks.
-        actor.on_attach(id, &mut self.metrics);
-        self.actors.push(Some(actor));
-        let node_seed =
-            self.net_rng.gen::<u64>() ^ (id.0 as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
-        self.node_rngs.push(SmallRng::seed_from_u64(node_seed));
-        self.halted.push(false);
-        self.crash_halted.push(false);
-        self.started.push(false);
-        self.epochs.push(0);
-        self.timers.push(TimerSlots::new());
+        let index = self.node_count() as u64;
+        let node_seed = self.net_rng.gen::<u64>() ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        let id = self
+            .core
+            .add_node(link, actor, SmallRng::seed_from_u64(node_seed));
         self.crash_scheduled.push(false);
         // Intern the actor kind for dispatch profiling: the hot path indexes
         // by this dense id and never touches the name again.
@@ -439,27 +433,8 @@ impl<M: Payload> Sim<M> {
             }
         };
         self.kind_of_node.push(kind_idx);
-        let labels = Labels::node(id.0 as u64);
-        self.node_handles.push(NodeHandles {
-            deliveries: self.metrics.counter_handle("node.deliveries", labels),
-            delivered_bytes: self.metrics.counter_handle("node.delivered_bytes", labels),
-            timers: self.metrics.counter_handle("node.timers", labels),
-            drops: self.metrics.counter_handle("node.drops", labels),
-        });
-        let seq = self.next_seq();
-        self.queue.push(Event {
-            at: start_at,
-            seq,
-            node: id,
-            kind: EventKind::Start,
-        });
+        self.order.schedule(start_at, id, EventKind::Start);
         id
-    }
-
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
     }
 
     /// Current simulated time.
@@ -469,7 +444,7 @@ impl<M: Payload> Sim<M> {
 
     /// Number of nodes added so far.
     pub fn node_count(&self) -> usize {
-        self.actors.len()
+        self.core.network.len()
     }
 
     /// Number of events processed so far (for throughput accounting and
@@ -480,37 +455,37 @@ impl<M: Payload> Sim<M> {
 
     /// The measurement sink.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// Mutable access to the measurement sink.
     pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        &mut self.core.metrics
     }
 
     /// The network model (bandwidth accounting lives here).
     pub fn network(&self) -> &Network {
-        &self.network
+        &self.core.network
     }
 
     /// Mutable access to the network model, for re-rating links or setting
     /// jitter on a built world before it starts.
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
+        &mut self.core.network
     }
 
     /// Downcasts the actor at `node` to a concrete type for post-run
     /// inspection; `None` if the type does not match or the node was removed.
     pub fn actor_as<A: 'static>(&self, node: NodeId) -> Option<&A> {
-        let actor = self.actors.get(node.index())?.as_deref()?;
+        let actor = self.core.nodes.get(node.index())?.actor.as_deref()?;
         (actor as &dyn Any).downcast_ref::<A>()
     }
 
     /// The mutable twin of [`Sim::actor_as`], for configuring an actor of a
     /// built world before it starts.
     pub fn actor_as_mut<A: 'static>(&mut self, node: NodeId) -> Option<&mut A> {
-        let actor = self.actors.get_mut(node.index())?.as_deref_mut()?;
-        (actor as &mut dyn Any).downcast_mut::<A>()
+        let actor = self.core.nodes.get_mut(node.index())?;
+        (actor.actor.as_deref_mut()? as &mut dyn Any).downcast_mut::<A>()
     }
 
     /// Injects a message from the outside world (no bandwidth accounting on
@@ -518,46 +493,36 @@ impl<M: Payload> Sim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the simulated past.
+    /// Panics if `at` is in the simulated past, or if `to` is not a node of
+    /// this simulation (a *sent* message to such a node is an accounted
+    /// drop; an injected one is a caller bug).
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: M, at: SimTime) {
         assert!(at >= self.now, "cannot inject into the past");
-        let seq = self.next_seq();
+        assert!(
+            to.index() < self.node_count(),
+            "cannot inject to {to}: the simulation has {} nodes",
+            self.node_count()
+        );
         let bytes = msg.wire_size();
-        self.queue.push(Event {
-            at,
-            seq,
-            node: to,
-            kind: EventKind::Deliver { from, msg, bytes },
-        });
+        self.order
+            .schedule(at, to, EventKind::Deliver { from, msg, bytes });
     }
 
     fn schedule_crashes(&mut self) {
-        for idx in 0..self.actors.len() {
+        for idx in 0..self.node_count() {
             if self.crash_scheduled[idx] {
                 continue;
             }
             let node = NodeId(idx as u32);
-            let windows: Vec<_> = self.faults.crash_windows(node).collect();
+            let windows: Vec<_> = self.core.faults.crash_windows(node).collect();
             if windows.is_empty() {
                 continue;
             }
             self.crash_scheduled[idx] = true;
             for (at, until) in windows {
-                let seq = self.next_seq();
-                self.queue.push(Event {
-                    at,
-                    seq,
-                    node,
-                    kind: EventKind::Crash,
-                });
+                self.order.schedule(at, node, EventKind::Crash);
                 if let Some(r) = until {
-                    let seq = self.next_seq();
-                    self.queue.push(Event {
-                        at: r,
-                        seq,
-                        node,
-                        kind: EventKind::Revive,
-                    });
+                    self.order.schedule(r, node, EventKind::Revive);
                 }
             }
         }
@@ -567,20 +532,23 @@ impl<M: Payload> Sim<M> {
     /// `horizon`); afterwards `now() == horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
         self.schedule_crashes();
-        if self.try_run_parallel(horizon) {
-            self.now = horizon;
-            self.sample_memory();
-            return;
+        // More than one thread requested: the parallel engine runs the whole
+        // span, or names the gate condition that sends the run back here.
+        self.fallback = None;
+        if self.threads > 1 {
+            self.fallback = crate::parallel::run_until_parallel(self, horizon).err();
         }
-        self.threads_used = 1;
-        self.partition_events.clear();
-        if self.profile.is_some() {
-            self.run_events_profiled(horizon);
-        } else {
-            while let Some(event) = self.queue.pop_next(horizon) {
-                self.now = event.at;
-                self.events_processed += 1;
-                self.dispatch(event);
+        if self.threads == 1 || self.fallback.is_some() {
+            self.threads_used = 1;
+            self.partition_events.clear();
+            if self.profile.is_some() {
+                self.run_events_profiled(horizon);
+            } else {
+                while let Some(event) = self.order.queue.pop_next(horizon) {
+                    self.now = event.at;
+                    self.events_processed += 1;
+                    self.core.dispatch(&mut self.order, event);
+                }
             }
         }
         self.now = horizon;
@@ -594,9 +562,10 @@ impl<M: Payload> Sim<M> {
     /// path. Deterministic: it reads actor state, never wall-clock RSS.
     fn sample_memory(&mut self) {
         let total: u64 = self
-            .actors
+            .core
+            .nodes
             .iter()
-            .filter_map(|a| a.as_deref())
+            .filter_map(|n| n.actor.as_deref())
             .map(|a| a.approx_bytes() as u64)
             .sum();
         self.peak_actor_bytes = self.peak_actor_bytes.max(total);
@@ -607,22 +576,6 @@ impl<M: Payload> Sim<M> {
         self.peak_actor_bytes
     }
 
-    /// Attempts the conservative parallel run; `false` means the caller
-    /// must fall back to the sequential scheduler. Parallelism is only
-    /// engaged when it provably cannot change the event stream: no
-    /// profiler (its wall-clock attribution is per-thread), and the
-    /// planner found a real partitioning with a positive lookahead.
-    /// Jitter and randomized omission are *not* fallbacks: their draws
-    /// come from per-link counter-keyed streams whose values depend only
-    /// on each link's own send count, so any thread interleaving replays
-    /// them exactly.
-    fn try_run_parallel(&mut self, horizon: SimTime) -> bool {
-        if self.threads <= 1 || self.profile.is_some() {
-            return false;
-        }
-        crate::parallel::run_until_parallel(self, horizon)
-    }
-
     /// The profiled twin of the dispatch loop: one `Instant` reading per
     /// event, charging each inter-reading interval to the cell of the actor
     /// that just ran. A cell therefore absorbs the actor callback plus the
@@ -631,12 +584,12 @@ impl<M: Payload> Sim<M> {
     fn run_events_profiled(&mut self, horizon: SimTime) {
         let run_start = std::time::Instant::now();
         let mut last = run_start;
-        while let Some(event) = self.queue.pop_next(horizon) {
+        while let Some(event) = self.order.queue.pop_next(horizon) {
             self.now = event.at;
             self.events_processed += 1;
             let kind_idx = self.kind_of_node[event.node.index()] as usize;
             let bucket = bucket_of(&event.kind);
-            self.dispatch(event);
+            self.core.dispatch(&mut self.order, event);
             let now = std::time::Instant::now();
             let ns = now.duration_since(last).as_nanos() as u64;
             last = now;
@@ -649,262 +602,10 @@ impl<M: Payload> Sim<M> {
         }
     }
 
-    /// Folds one popped event into the always-on digest and the optional
-    /// capture. This sees the *canonical* pre-filter stream — every event
-    /// the scheduler hands back, including ones a halted or unstarted node
-    /// will ignore — so it exactly mirrors `events_processed` ordering.
-    #[inline]
-    fn observe(&mut self, event: &Event<M>) {
-        let (kind, from, bytes, tag) = match &event.kind {
-            EventKind::Start => (0u64, None, 0u64, None),
-            EventKind::Deliver { from, bytes, .. } => (1, Some(*from), *bytes as u64, None),
-            EventKind::Timer { tag, .. } => (2, None, 0, Some(*tag)),
-            EventKind::Crash => (3, None, 0, None),
-            EventKind::Revive => (4, None, 0, None),
-        };
-        let canon = CanonEvent {
-            at_nanos: event.at.as_nanos(),
-            seq: event.seq,
-            node: event.node.0,
-            kind,
-            from,
-            bytes,
-            tag,
-        };
-        self.digest.fold_event(&canon);
-        if let Some(cap) = &mut self.capture {
-            cap.record(&canon);
-        }
-    }
-
     /// Runs for `span` past the current time.
     pub fn run_for(&mut self, span: SimDuration) {
         let horizon = self.now + span;
         self.run_until(horizon);
-    }
-
-    fn dispatch(&mut self, event: Event<M>) {
-        self.observe(&event);
-        let node = event.node;
-        let idx = node.index();
-        // Every popped timer event retires its slot, no matter how the
-        // event is disposed of below — the pop is the slot's last
-        // outstanding reference, so it must recycle even when the node is
-        // halted, unstarted, or mid-crash. `timer_live` is false when a
-        // cancel got there first.
-        let timer_live = match event.kind {
-            EventKind::Timer { id, .. } => self.timers[idx].resolve(id),
-            _ => true,
-        };
-        if let EventKind::Revive = event.kind {
-            // Crash-recovery: the node resumes with its state intact; its
-            // pre-crash timers belong to the old epoch and are dead, and
-            // the actor's on_start re-arms what it needs. A node that
-            // already revived inline (below), or that halted voluntarily
-            // rather than by plan, stays as it is — the bookkeeping event
-            // is a no-op for it.
-            if !self.crash_halted[idx] {
-                return;
-            }
-            self.halted[idx] = false;
-            self.crash_halted[idx] = false;
-            self.epochs[idx] += 1;
-        } else if self.halted[idx] {
-            // Revival is plan-driven, not event-driven: the crash window is
-            // `[at, until)`, so a crash-halted node whose window has closed
-            // is up *now*, even when this event's queue position beat the
-            // bookkeeping revive event's. Without this, a deliver staged at
-            // exactly the revive tick with a smaller sequence number would
-            // be silently dropped.
-            if self.crash_halted[idx] && !self.faults.is_crashed(node, self.now) {
-                self.halted[idx] = false;
-                self.crash_halted[idx] = false;
-                self.epochs[idx] += 1;
-                if self.started[idx] {
-                    self.run_on_start(node);
-                }
-            } else {
-                return;
-            }
-        }
-        match event.kind {
-            // A node only participates once its Start event has run; traffic
-            // addressed to a not-yet-joined node dies on the wire.
-            EventKind::Start => self.started[idx] = true,
-            _ if !self.started[idx] => return,
-            EventKind::Crash => {
-                self.halted[idx] = true;
-                self.crash_halted[idx] = true;
-                return;
-            }
-            EventKind::Timer { .. } if !timer_live => return,
-            EventKind::Timer { epoch, .. } if epoch != self.epochs[idx] => return,
-            _ => {}
-        }
-        if self.faults.is_crashed(node, self.now) {
-            self.halted[idx] = true;
-            self.crash_halted[idx] = true;
-            return;
-        }
-
-        match &event.kind {
-            EventKind::Deliver { bytes, .. } => {
-                let handles = self.node_handles[idx];
-                self.metrics.incr_handle(handles.deliveries, 1);
-                self.metrics
-                    .incr_handle(handles.delivered_bytes, *bytes as u64);
-            }
-            EventKind::Timer { .. } => {
-                self.metrics.incr_handle(self.node_handles[idx].timers, 1);
-            }
-            _ => {}
-        }
-
-        let mut actor = match self.actors[idx].take() {
-            Some(a) => a,
-            None => return,
-        };
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        debug_assert!(ops.is_empty());
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                node_count: self.actors.len() as u32,
-                link_free_at: self.network.link_free_at(node),
-                timers: &mut self.timers[idx],
-                ops: &mut ops,
-                rng: &mut self.node_rngs[idx],
-                metrics: &mut self.metrics,
-            };
-            match event.kind {
-                EventKind::Start | EventKind::Revive => actor.on_start(&mut ctx),
-                EventKind::Deliver { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
-                EventKind::Timer { tag, .. } => actor.on_timer(&mut ctx, tag),
-                EventKind::Crash => unreachable!("handled above"),
-            }
-        }
-        self.actors[idx] = Some(actor);
-        self.apply_ops(node, &mut ops);
-        // Return the (now empty) buffer to the pool, keeping its capacity.
-        self.ops_scratch = ops;
-    }
-
-    /// Runs the actor's `on_start` outside a Start/Revive event — the
-    /// inline-revival path when a crash window closes before the
-    /// bookkeeping revive event has dispatched.
-    fn run_on_start(&mut self, node: NodeId) {
-        let idx = node.index();
-        let mut actor = match self.actors[idx].take() {
-            Some(a) => a,
-            None => return,
-        };
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        debug_assert!(ops.is_empty());
-        {
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                node_count: self.actors.len() as u32,
-                link_free_at: self.network.link_free_at(node),
-                timers: &mut self.timers[idx],
-                ops: &mut ops,
-                rng: &mut self.node_rngs[idx],
-                metrics: &mut self.metrics,
-            };
-            actor.on_start(&mut ctx);
-        }
-        self.actors[idx] = Some(actor);
-        self.apply_ops(node, &mut ops);
-        self.ops_scratch = ops;
-    }
-
-    fn apply_ops(&mut self, node: NodeId, ops: &mut Vec<Op<M>>) {
-        for op in ops.drain(..) {
-            match op {
-                Op::Send { to, msg, bytes } => {
-                    // The memoized size must equal the recomputed one for
-                    // every message that crosses the simulated network —
-                    // this is what keeps payload sharing bandwidth-neutral.
-                    debug_assert_eq!(
-                        bytes,
-                        msg.wire_size(),
-                        "cached wire size diverged from recomputed size"
-                    );
-                    // A destination that was never added is rejected at the
-                    // NIC (it has no link to schedule on), but still counts
-                    // as a fully accounted drop — bytes and the
-                    // per-recipient cell included, exactly like the
-                    // fault-plan branch below.
-                    if to.index() >= self.actors.len() {
-                        self.metrics.incr_handle(self.net_handles.messages, 1);
-                        self.metrics
-                            .incr_handle(self.net_handles.bytes, bytes as u64);
-                        self.record_drop(to, bytes);
-                        continue;
-                    }
-                    let sched = self.network.schedule(self.now, node, to, bytes);
-                    self.metrics.incr_handle(self.net_handles.messages, 1);
-                    self.metrics
-                        .incr_handle(self.net_handles.bytes, bytes as u64);
-                    // Omission/crash/partition checks happen at send time
-                    // (bandwidth is consumed either way; the bytes die in
-                    // flight). Omission randomness comes from the sender
-                    // link's counter-keyed stream.
-                    let network = &mut self.network;
-                    if !self
-                        .faults
-                        .delivers(node, to, self.now, || network.next_draw(node))
-                    {
-                        self.record_drop(to, bytes);
-                        continue;
-                    }
-                    let seq = self.next_seq();
-                    self.queue.push(Event {
-                        at: sched.arrives,
-                        seq,
-                        node: to,
-                        kind: EventKind::Deliver {
-                            from: node,
-                            msg,
-                            bytes,
-                        },
-                    });
-                }
-                Op::SetTimer { id, fire_at, tag } => {
-                    let seq = self.next_seq();
-                    let epoch = self.epochs[node.index()];
-                    self.queue.push(Event {
-                        at: fire_at,
-                        seq,
-                        node,
-                        kind: EventKind::Timer { id, tag, epoch },
-                    });
-                }
-                Op::CancelTimer { id } => {
-                    self.timers[node.index()].cancel(id);
-                }
-                Op::Halt => {
-                    self.halted[node.index()] = true;
-                }
-            }
-        }
-    }
-
-    /// Accounts a message that died on the wire (fault plan or nonexistent
-    /// destination).
-    fn record_drop(&mut self, to: NodeId, bytes: usize) {
-        self.metrics.incr_handle(self.net_handles.dropped, 1);
-        self.metrics
-            .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
-        match self.node_handles.get(to.index()) {
-            Some(handles) => self.metrics.incr_handle(handles.drops, 1),
-            // Out-of-range destination: no interned handle, take the slow
-            // path so the per-recipient cell still exists in the report.
-            None => self
-                .metrics
-                .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),
-        }
     }
 }
 
@@ -932,8 +633,8 @@ impl<M> std::fmt::Debug for Sim<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
-            .field("nodes", &self.actors.len())
-            .field("pending_events", &self.queue.len())
+            .field("nodes", &self.core.nodes.len())
+            .field("pending_events", &self.order.queue.len())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -942,7 +643,8 @@ impl<M> std::fmt::Debug for Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::{TimerId, TimerTag};
+    use crate::actor::{Context, TimerTag};
+    use crate::metrics::Labels;
     use crate::net::LatencyModel;
 
     #[derive(Debug, Clone)]
@@ -1103,6 +805,13 @@ mod tests {
         let mut sim = build(2, 3);
         sim.run_until(SimTime::from_secs(5));
         sim.inject(NodeId(0), NodeId(1), Msg::Ping(1), SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inject to n2: the simulation has 2 nodes")]
+    fn inject_rejects_unknown_node() {
+        let mut sim = build(2, 3);
+        sim.inject(NodeId(2), NodeId(1), Msg::Ping(1), SimTime::from_secs(1));
     }
 
     /// A self-rearming ticker: counts fires; on_start arms one chain.
@@ -1447,122 +1156,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The differential-determinism suite: a chaotic workload (sends,
-    /// multicasts, timers, cancels, crashes, revivals, omission loss) run
-    /// under the production wheel and the classic global heap must produce
-    /// identical traces, metrics, and event counts.
+    /// The differential-determinism suite: the shared chaos workload (sends,
+    /// multicasts, timers, cancels, crashes, revivals, omission loss, strays,
+    /// a voluntary departure, every metrics store) run under the production
+    /// wheel and the classic global heap must end in identical state.
     mod differential {
         use super::*;
+        use crate::chaos::{assert_covers_the_rare_arms, assert_equivalent, populate};
         use proptest::prelude::*;
-
-        /// Randomized actor whose every decision comes from the node's
-        /// deterministic RNG, so both schedulers see the same choices as
-        /// long as they replay the same event order.
-        #[derive(Debug, Default)]
-        struct Chaos {
-            held: Vec<TimerId>,
-            budget: u32,
-        }
-
-        impl Chaos {
-            fn act(&mut self, ctx: &mut Context<'_, Msg>) {
-                if self.budget == 0 {
-                    return;
-                }
-                self.budget -= 1;
-                match ctx.rng().gen_range(0..6u32) {
-                    0 => {
-                        let n = ctx.node_count();
-                        let to = NodeId(ctx.rng().gen_range(0..n));
-                        ctx.send(to, Msg::Ping(self.budget as u64));
-                    }
-                    1 => {
-                        let all: Vec<NodeId> = (0..ctx.node_count()).map(NodeId).collect();
-                        ctx.multicast(all, Msg::Pong(self.budget as u64));
-                    }
-                    2 | 3 => {
-                        let delay = SimDuration::from_millis(ctx.rng().gen_range(1..400));
-                        let id = ctx.set_timer(delay, TimerTag::of_kind(2));
-                        if ctx.rng().gen_bool(0.5) {
-                            self.held.push(id);
-                        }
-                    }
-                    4 => {
-                        if let Some(id) = self.held.pop() {
-                            ctx.cancel_timer(id);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        impl Actor<Msg> for Chaos {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                self.budget += 40;
-                self.act(ctx);
-                self.act(ctx);
-            }
-            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
-                self.act(ctx);
-            }
-            fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: TimerTag) {
-                self.act(ctx);
-                self.act(ctx);
-            }
-        }
-
-        fn chaos_sim(
-            seed: u64,
-            nodes: u32,
-            crash_node: u32,
-            omit: bool,
-            classic: bool,
-        ) -> Sim<Msg> {
-            let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
-            let mut sim = if classic {
-                Sim::new_classic(seed, net)
-            } else {
-                Sim::new(seed, net)
-            };
-            for i in 0..nodes {
-                // The last node joins late to exercise unstarted delivery.
-                let start = if i == nodes - 1 {
-                    SimTime::from_millis(700)
-                } else {
-                    SimTime::ZERO
-                };
-                sim.add_node(LinkConfig::paper_default(), Box::<Chaos>::default(), start);
-            }
-            let mut faults = FaultPlan::none();
-            // Two windows on one node: churn, not a single crash-recovery.
-            faults
-                .crash_for(
-                    NodeId(crash_node % nodes),
-                    SimTime::from_millis(500),
-                    SimTime::from_millis(1500),
-                )
-                .crash_for(
-                    NodeId(crash_node % nodes),
-                    SimTime::from_millis(2500),
-                    SimTime::from_millis(3000),
-                );
-            if omit {
-                faults.omit_outgoing(NodeId((crash_node + 1) % nodes), 0.1);
-            }
-            sim.set_faults(faults);
-            // Regression (revive boundary): this deliver lands at exactly the
-            // revive tick and was sequenced *before* the bookkeeping revive
-            // event (crash/revive seqs are allocated at the first run). It
-            // must be processed, and identically by every scheduler.
-            sim.inject(
-                NodeId(crash_node % nodes),
-                NodeId((crash_node + 1) % nodes),
-                Msg::Ping(77),
-                SimTime::from_millis(1500),
-            );
-            sim
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
@@ -1573,25 +1174,19 @@ mod tests {
                 crash_node in 0u32..6,
                 omit in proptest::bool::ANY,
             ) {
-                let mut wheel = chaos_sim(seed, nodes, crash_node, omit, false);
-                let mut classic = chaos_sim(seed, nodes, crash_node, omit, true);
+                let net = || Network::new(LatencyModel::lan(), SimDuration::ZERO);
+                let mut wheel = populate(Sim::new(seed, net()), nodes, crash_node, false, omit);
+                let mut classic =
+                    populate(Sim::new_classic(seed, net()), nodes, crash_node, false, omit);
                 // Split the run so queue state carries across horizons.
                 for h in [1u64, 2, 4] {
                     wheel.run_until(SimTime::from_secs(h));
                     classic.run_until(SimTime::from_secs(h));
                 }
-                prop_assert_eq!(wheel.events_processed(), classic.events_processed());
                 // The digest folds every popped event with its final seq, so
                 // equal fingerprints mean equal streams, event for event.
-                prop_assert_eq!(
-                    wheel.fingerprint(),
-                    classic.fingerprint(),
-                    "trace fingerprints diverged"
-                );
-                prop_assert!(
-                    wheel.metrics().counters() == classic.metrics().counters(),
-                    "counter cells diverged"
-                );
+                assert_equivalent(&wheel, &classic);
+                assert_covers_the_rare_arms(&wheel);
             }
         }
     }

@@ -52,6 +52,9 @@
 #![deny(unsafe_code)]
 
 pub mod actor;
+#[cfg(test)]
+mod chaos;
+pub(crate) mod dispatch;
 pub mod engine;
 pub mod faults;
 pub mod metrics;

@@ -43,22 +43,19 @@
 //! matrix hold the engine to that: same fingerprint, same counters, at 1,
 //! 2, or 8 threads, jittered or not.
 //!
-//! Parallelism silently disengages (the caller falls back to the sequential
-//! loop) only when it could not be equivalent or could not help: profiling
-//! (wall-clock attribution is per-thread), fewer than two partitions, or
-//! zero lookahead.
+//! Parallelism disengages (the caller falls back to the sequential loop,
+//! and the run report says why: [`Fallback`]) only when it could not be
+//! equivalent or could not help: profiling (wall-clock attribution is
+//! per-thread), nothing queued, fewer than two partitions, or zero
+//! lookahead.
 
 use std::collections::BTreeMap;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-use crate::actor::{Actor, Context, NodeId, Op, Payload, TimerTag};
-use crate::engine::{NetHandles, NodeHandles, Sim};
-use crate::faults::FaultPlan;
-use crate::metrics::{Labels, Metrics};
-use crate::net::{LatencyModel, Network, Region};
-use crate::queue::{Event, EventKind, TimerSlots, TimerWheel};
+use crate::actor::{NodeId, Payload};
+use crate::dispatch::{canon_of, Core, Sequencer};
+use crate::engine::Sim;
+use crate::net::{LatencyModel, Region};
+use crate::queue::{Event, EventKind, EventQueue, TimerWheel};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::CanonEvent;
 
@@ -72,6 +69,36 @@ use predis_types::payload_stats;
 /// window always sequences after every event that already existed when the
 /// window began.
 const PROVISIONAL_BASE: u64 = 1 << 63;
+
+/// The gate condition that sent a run with more than one thread requested
+/// back to the sequential scheduler; stamped as `engine.fallback`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fallback {
+    /// The dispatch profiler is on: its wall-clock attribution is one
+    /// thread's.
+    Profiler,
+    /// The queue is the test-only `ClassicHeap` ordering oracle, which must
+    /// stay a heap end to end.
+    ClassicQueue,
+    /// Nothing is queued at or before the horizon.
+    Idle,
+    /// The planner found fewer than two partitions.
+    OnePartition,
+    /// Some pair of partitions has zero propagation latency between them.
+    ZeroLookahead,
+}
+
+impl Fallback {
+    pub(crate) fn as_str(self) -> &'static str {
+        match self {
+            Fallback::Profiler => "profiler",
+            Fallback::ClassicQueue => "classic-queue",
+            Fallback::Idle => "idle",
+            Fallback::OnePartition => "one-partition",
+            Fallback::ZeroLookahead => "zero-lookahead",
+        }
+    }
+}
 
 /// How the lockstep driver picks each window's shared pop horizon — a
 /// choice only tests have: release builds always run
@@ -93,21 +120,16 @@ pub(crate) enum WindowPolicy {
 }
 
 /// One entry of a partition's per-window dispatch log: the canonical
-/// pre-filter record of a popped event (everything [`CanonEvent`] needs),
-/// plus how many order-sensitive side effects its dispatch produced.
+/// pre-filter record of a popped event, plus how many order-sensitive side
+/// effects its dispatch produced.
 #[derive(Debug, Clone, Copy)]
 struct LogEntry {
-    at: SimTime,
-    /// Final sequence number, or `PROVISIONAL_BASE + k` for the `k`-th
+    /// As popped: `seq` is final, or `PROVISIONAL_BASE + k` for the `k`-th
     /// event staged by this partition in this window.
-    seq: u64,
-    node: u32,
-    /// Canonical kind code (same encoding as [`crate::trace::CANON_KINDS`]).
-    kind: u64,
-    from: Option<NodeId>,
-    bytes: u64,
-    tag: Option<TimerTag>,
-    /// Number of [`Effect`]s this dispatch appended.
+    canon: CanonEvent,
+    /// Number of [`Effect`]s this dispatch appended. While the dispatch is
+    /// open it holds the effect log's length at `observe` instead; `close`
+    /// turns that into the count.
     effects: u32,
 }
 
@@ -127,37 +149,24 @@ enum Effect {
 }
 
 /// A node partition: one worker thread's complete, self-contained slice of
-/// the simulation. Per-node state (actors, RNGs, liveness flags, timer
-/// arenas) is *moved* in at session start and moved back at teardown;
-/// shared-read state (network, fault plan, counter handles) is cloned; the
-/// metrics sink is a zeroed fork absorbed back at teardown.
+/// the simulation — the engine core over the partition's node records
+/// (*moved* in at session start and moved back at teardown; shared-read
+/// state cloned, the metrics sink a zeroed fork absorbed at teardown), run
+/// under the window sequencer instead of the global one.
 struct Shard<M> {
+    core: Core<M>,
+    order: WindowOrder<M>,
+}
+
+/// A partition worker's side of the sequencing seam. Global side effects of
+/// a dispatch (sequence numbers, digest, capture) cannot happen on the
+/// worker: they are recorded as log entries and [`Effect`]s for the barrier
+/// to replay in merged order.
+struct WindowOrder<M> {
     id: u32,
-    /// Owned nodes, ascending global index; position = local index.
-    nodes: Vec<u32>,
     /// Global node index -> owning partition id.
     owner: Vec<u32>,
-    /// Global node index -> local index within its owning partition.
-    local: Vec<u32>,
-    node_count_total: u32,
     wheel: TimerWheel<M>,
-    // Per-owned-node state, locally indexed.
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
-    rngs: Vec<SmallRng>,
-    halted: Vec<bool>,
-    /// Mirror of `Sim::crash_halted`: plan-driven halts only, so inline
-    /// revival never resurrects a voluntary `Op::Halt`.
-    crash_halted: Vec<bool>,
-    started: Vec<bool>,
-    epochs: Vec<u32>,
-    timers: Vec<TimerSlots>,
-    // Cloned / forked global state.
-    network: Network,
-    faults: FaultPlan,
-    metrics: Metrics,
-    net_handles: NetHandles,
-    node_handles: Vec<NodeHandles>,
-    ops_scratch: Vec<Op<M>>,
     // Window state.
     pop_horizon: SimTime,
     log: Vec<LogEntry>,
@@ -173,220 +182,27 @@ struct Shard<M> {
 }
 
 impl<M: Payload> Shard<M> {
-    /// Drains every event up to (and including) the window's pop horizon,
-    /// mirroring the sequential engine's dispatch exactly.
+    /// Drains every event up to (and including) the window's pop horizon.
     fn run_window(&mut self) {
-        while let Some(event) = self.wheel.pop_next(self.pop_horizon) {
-            self.dispatch(event);
+        while let Some(event) = self.order.wheel.pop_next(self.order.pop_horizon) {
+            self.core.dispatch(&mut self.order, event);
         }
     }
+}
 
-    /// The partition-local twin of `Sim::dispatch`. Every branch below
-    /// matches the sequential engine line for line; global side effects
-    /// (sequence numbers, digest, capture) are recorded as log entries and
-    /// [`Effect`]s for the barrier to replay in merged order.
-    fn dispatch(&mut self, event: Event<M>) {
-        let (kind, from, bytes, tag) = match &event.kind {
-            EventKind::Start => (0u64, None, 0u64, None),
-            EventKind::Deliver { from, bytes, .. } => (1, Some(*from), *bytes as u64, None),
-            EventKind::Timer { tag, .. } => (2, None, 0, Some(*tag)),
-            EventKind::Crash => (3, None, 0, None),
-            EventKind::Revive => (4, None, 0, None),
-        };
-        let entry = self.log.len();
+impl<M> Sequencer<M> for WindowOrder<M> {
+    fn observe(&mut self, event: &Event<M>) {
         self.log.push(LogEntry {
-            at: event.at,
-            seq: event.seq,
-            node: event.node.0,
-            kind,
-            from,
-            bytes,
-            tag,
-            effects: 0,
+            canon: canon_of(event),
+            effects: self.effects.len() as u32,
         });
-        let node = event.node;
-        let idx = self.local[node.index()] as usize;
-        // Effects emitted from here on (including an inline revival's
-        // `on_start` ops) belong to this log entry, so the barrier replays
-        // them inside this event's slot.
-        let effects_before = self.effects.len();
-        let timer_live = match event.kind {
-            EventKind::Timer { id, .. } => self.timers[idx].resolve(id),
-            _ => true,
-        };
-        if let EventKind::Revive = event.kind {
-            if !self.crash_halted[idx] {
-                return;
-            }
-            self.halted[idx] = false;
-            self.crash_halted[idx] = false;
-            self.epochs[idx] += 1;
-        } else if self.halted[idx] {
-            // Plan-driven revival, exactly as in the sequential engine: the
-            // window `[at, until)` has closed, so the node is up at `until`
-            // regardless of how this event's seq interleaves with the
-            // bookkeeping revive event's.
-            if self.crash_halted[idx] && !self.faults.is_crashed(node, event.at) {
-                self.halted[idx] = false;
-                self.crash_halted[idx] = false;
-                self.epochs[idx] += 1;
-                if self.started[idx] {
-                    self.run_on_start(event.at, node);
-                    self.log[entry].effects = (self.effects.len() - effects_before) as u32;
-                }
-            } else {
-                return;
-            }
-        }
-        match event.kind {
-            EventKind::Start => self.started[idx] = true,
-            _ if !self.started[idx] => return,
-            EventKind::Crash => {
-                self.halted[idx] = true;
-                self.crash_halted[idx] = true;
-                return;
-            }
-            EventKind::Timer { .. } if !timer_live => return,
-            EventKind::Timer { epoch, .. } if epoch != self.epochs[idx] => return,
-            _ => {}
-        }
-        if self.faults.is_crashed(node, event.at) {
-            self.halted[idx] = true;
-            self.crash_halted[idx] = true;
-            return;
-        }
-        match &event.kind {
-            EventKind::Deliver { bytes, .. } => {
-                let handles = self.node_handles[node.index()];
-                self.metrics.incr_handle(handles.deliveries, 1);
-                self.metrics
-                    .incr_handle(handles.delivered_bytes, *bytes as u64);
-            }
-            EventKind::Timer { .. } => {
-                self.metrics
-                    .incr_handle(self.node_handles[node.index()].timers, 1);
-            }
-            _ => {}
-        }
-        let mut actor = match self.actors[idx].take() {
-            Some(a) => a,
-            None => return,
-        };
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        debug_assert!(ops.is_empty());
-        {
-            let mut ctx = Context {
-                now: event.at,
-                node,
-                node_count: self.node_count_total,
-                link_free_at: self.network.link_free_at(node),
-                timers: &mut self.timers[idx],
-                ops: &mut ops,
-                rng: &mut self.rngs[idx],
-                metrics: &mut self.metrics,
-            };
-            match event.kind {
-                EventKind::Start | EventKind::Revive => actor.on_start(&mut ctx),
-                EventKind::Deliver { from, msg, .. } => actor.on_message(&mut ctx, from, msg),
-                EventKind::Timer { tag, .. } => actor.on_timer(&mut ctx, tag),
-                EventKind::Crash => unreachable!("handled above"),
-            }
-        }
-        self.actors[idx] = Some(actor);
-        self.apply_ops(event.at, node, &mut ops);
-        self.log[entry].effects = (self.effects.len() - effects_before) as u32;
-        self.ops_scratch = ops;
-    }
-
-    /// Partition-local twin of `Sim::run_on_start` (inline revival).
-    fn run_on_start(&mut self, at: SimTime, node: NodeId) {
-        let idx = self.local[node.index()] as usize;
-        let mut actor = match self.actors[idx].take() {
-            Some(a) => a,
-            None => return,
-        };
-        let mut ops = std::mem::take(&mut self.ops_scratch);
-        debug_assert!(ops.is_empty());
-        {
-            let mut ctx = Context {
-                now: at,
-                node,
-                node_count: self.node_count_total,
-                link_free_at: self.network.link_free_at(node),
-                timers: &mut self.timers[idx],
-                ops: &mut ops,
-                rng: &mut self.rngs[idx],
-                metrics: &mut self.metrics,
-            };
-            actor.on_start(&mut ctx);
-        }
-        self.actors[idx] = Some(actor);
-        self.apply_ops(at, node, &mut ops);
-        self.ops_scratch = ops;
-    }
-
-    fn apply_ops(&mut self, at: SimTime, node: NodeId, ops: &mut Vec<Op<M>>) {
-        for op in ops.drain(..) {
-            match op {
-                Op::Send { to, msg, bytes } => {
-                    debug_assert_eq!(
-                        bytes,
-                        msg.wire_size(),
-                        "cached wire size diverged from recomputed size"
-                    );
-                    if to.index() >= self.node_count_total as usize {
-                        self.metrics.incr_handle(self.net_handles.messages, 1);
-                        self.metrics
-                            .incr_handle(self.net_handles.bytes, bytes as u64);
-                        self.record_drop(to, bytes);
-                        continue;
-                    }
-                    // Jitter and omission draws come from the sender's
-                    // counter-keyed link stream. Only this partition ever
-                    // draws on this link, and it dispatches its nodes'
-                    // events in exactly the sequential order, so the draw
-                    // counter advances identically at every thread count.
-                    let sched = self.network.schedule(at, node, to, bytes);
-                    self.metrics.incr_handle(self.net_handles.messages, 1);
-                    self.metrics
-                        .incr_handle(self.net_handles.bytes, bytes as u64);
-                    let network = &mut self.network;
-                    if !self
-                        .faults
-                        .delivers(node, to, at, || network.next_draw(node))
-                    {
-                        self.record_drop(to, bytes);
-                        continue;
-                    }
-                    self.push_event(
-                        sched.arrives,
-                        to,
-                        EventKind::Deliver {
-                            from: node,
-                            msg,
-                            bytes,
-                        },
-                    );
-                }
-                Op::SetTimer { id, fire_at, tag } => {
-                    let epoch = self.epochs[self.local[node.index()] as usize];
-                    self.push_event(fire_at, node, EventKind::Timer { id, tag, epoch });
-                }
-                Op::CancelTimer { id } => {
-                    self.timers[self.local[node.index()] as usize].cancel(id);
-                }
-                Op::Halt => {
-                    self.halted[self.local[node.index()] as usize] = true;
-                }
-            }
-        }
     }
 
     /// Stages an event locally when it provably belongs to this partition's
     /// current window; otherwise parks it in the outbox for the barrier to
     /// sequence and route. Staying inside the window is what lets the
     /// provisional sequence numbers resolve before any later window runs.
-    fn push_event(&mut self, at: SimTime, to: NodeId, kind: EventKind<M>) {
+    fn schedule(&mut self, at: SimTime, to: NodeId, kind: EventKind<M>) {
         if self.owner[to.index()] == self.id && at <= self.pop_horizon {
             let seq = PROVISIONAL_BASE + self.staged_count;
             self.staged_count += 1;
@@ -409,17 +225,12 @@ impl<M: Payload> Shard<M> {
         }
     }
 
-    /// Partition-local twin of `Sim::record_drop`, on the forked sink.
-    fn record_drop(&mut self, to: NodeId, bytes: usize) {
-        self.metrics.incr_handle(self.net_handles.dropped, 1);
-        self.metrics
-            .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
-        match self.node_handles.get(to.index()) {
-            Some(handles) => self.metrics.incr_handle(handles.drops, 1),
-            None => self
-                .metrics
-                .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),
-        }
+    /// Everything scheduled since `observe` (an inline revival's `on_start`
+    /// ops included) belongs to the observed event's log entry, so the
+    /// barrier replays it inside that event's slot.
+    fn close(&mut self) {
+        let entry = self.log.last_mut().expect("close follows observe");
+        entry.effects = self.effects.len() as u32 - entry.effects;
     }
 }
 
@@ -451,12 +262,12 @@ struct Plan {
 /// minimum one-way propagation latency between the two partitions' region
 /// sets — folded into per-partition outgoing minima and a global minimum.
 ///
-/// Returns `None` (sequential fallback) when fewer than two partitions
-/// materialize or the global minimum lookahead is zero.
-fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
-    let n = sim.actors.len();
+/// Returns the [`Fallback`] when fewer than two partitions materialize or
+/// the global minimum lookahead is zero.
+fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Result<Plan, Fallback> {
+    let n = sim.node_count();
     if n < 2 {
-        return None;
+        return Err(Fallback::OnePartition);
     }
     let mut groups: Vec<Vec<u32>> = Vec::new();
     if let Some(hint) = &sim.partition_hint {
@@ -480,11 +291,11 @@ fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
             }
         }
     } else {
-        match sim.network.latency_model() {
+        match sim.core.network.latency_model() {
             LatencyModel::Regional { .. } => {
                 let mut by_region: BTreeMap<Region, Vec<u32>> = BTreeMap::new();
                 for i in 0..n {
-                    let region = sim.network.link_config(NodeId(i as u32)).region;
+                    let region = sim.core.network.link_config(NodeId(i as u32)).region;
                     by_region.entry(region).or_default().push(i as u32);
                 }
                 groups.extend(by_region.into_values());
@@ -494,7 +305,7 @@ fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
     }
     let bins = sim.threads.min(groups.len());
     if bins < 2 {
-        return None;
+        return Err(Fallback::OnePartition);
     }
     let mut order: Vec<usize> = (0..groups.len()).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(groups[g].len()));
@@ -517,13 +328,13 @@ fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
             local[g as usize] = l as u32;
         }
     }
-    let model = sim.network.latency_model();
+    let model = sim.core.network.latency_model();
     let regions: Vec<Vec<Region>> = parts
         .iter()
         .map(|part| {
             let mut rs: Vec<Region> = part
                 .iter()
-                .map(|&g| sim.network.link_config(NodeId(g)).region)
+                .map(|&g| sim.core.network.link_config(NodeId(g)).region)
                 .collect();
             rs.sort_unstable();
             rs.dedup();
@@ -562,9 +373,9 @@ fn plan_partitions<M: Payload>(sim: &Sim<M>) -> Option<Plan> {
         .collect();
     let l_min = *out_min.iter().min().expect("at least two partitions");
     if l_min.is_zero() {
-        return None;
+        return Err(Fallback::ZeroLookahead);
     }
-    Some(Plan {
+    Ok(Plan {
         owner,
         local,
         parts,
@@ -589,7 +400,7 @@ fn fixed_pop_horizon<M>(
 ) -> Option<SimTime> {
     let lb = shards
         .iter()
-        .filter_map(|s| s.wheel.earliest_lower_bound())
+        .filter_map(|s| s.order.wheel.earliest_lower_bound())
         .min()
         .filter(|&lb| lb <= horizon)?;
     let w_start = lb.max(*prev_end);
@@ -619,7 +430,7 @@ fn adaptive_pop_horizon<M: Payload>(
     let mut earliest: Option<SimTime> = None;
     let mut bound: Option<u64> = None;
     for (p, shard) in shards.iter().enumerate() {
-        let Some(t) = shard.wheel.earliest_event_time() else {
+        let Some(t) = shard.order.wheel.earliest_event_time() else {
             continue;
         };
         if earliest.is_none_or(|cur| t < cur) {
@@ -637,83 +448,65 @@ fn adaptive_pop_horizon<M: Payload>(
     Some(SimTime::from_nanos(bound - 1).min(horizon))
 }
 
-/// Runs the simulation in parallel up to `horizon`. Returns `false`
-/// (without touching any state) when no viable partitioning exists; the
-/// caller then runs the sequential loop. On `true`, the event stream,
+/// Runs the simulation in parallel up to `horizon`, or returns (without
+/// touching any state) the gate condition that rules it out; the caller
+/// then runs the sequential loop. Parallelism is only engaged when it
+/// provably cannot change the event stream. Jitter and randomized omission
+/// are *not* fallbacks: their draws come from per-link counter-keyed
+/// streams whose values depend only on each link's own send count, so any
+/// thread interleaving replays them exactly. On `Ok`, the event stream,
 /// digest, capture, metrics, RNG states, and queue contents are
 /// bit-identical to what the sequential loop would have produced.
-pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime) -> bool {
-    if !sim.queue.is_wheel() {
-        return false;
+pub(crate) fn run_until_parallel<M: Payload>(
+    sim: &mut Sim<M>,
+    horizon: SimTime,
+) -> Result<(), Fallback> {
+    if sim.profile.is_some() {
+        return Err(Fallback::Profiler);
     }
-    match sim.queue.earliest_lower_bound() {
+    if !sim.order.queue.is_wheel() {
+        return Err(Fallback::ClassicQueue);
+    }
+    match sim.order.queue.earliest_lower_bound() {
         Some(lb) if lb <= horizon => {}
-        _ => return false, // nothing to run; the sequential loop is free
+        _ => return Err(Fallback::Idle), // the sequential loop is free
     }
-    let Some(plan) = plan_partitions(sim) else {
-        return false;
-    };
+    let plan = plan_partitions(sim)?;
     let nparts = plan.parts.len();
-    let total = sim.actors.len();
 
-    // ---- Session start: carve the engine into shards. ----
-    let mut shards: Vec<Shard<M>> = plan
-        .parts
-        .iter()
-        .enumerate()
-        .map(|(p, nodes)| Shard {
-            id: p as u32,
-            nodes: nodes.clone(),
-            owner: plan.owner.clone(),
-            local: plan.local.clone(),
-            node_count_total: total as u32,
-            wheel: TimerWheel::new(),
-            actors: Vec::with_capacity(nodes.len()),
-            rngs: Vec::with_capacity(nodes.len()),
-            halted: Vec::with_capacity(nodes.len()),
-            crash_halted: Vec::with_capacity(nodes.len()),
-            started: Vec::with_capacity(nodes.len()),
-            epochs: Vec::with_capacity(nodes.len()),
-            timers: Vec::with_capacity(nodes.len()),
-            network: sim.network.clone(),
-            faults: sim.faults.clone(),
-            metrics: sim.metrics.fork_for_worker(),
-            net_handles: sim.net_handles,
-            node_handles: sim.node_handles.clone(),
-            ops_scratch: Vec::new(),
-            pop_horizon: SimTime::ZERO,
-            log: Vec::new(),
-            effects: Vec::new(),
-            outbox: Vec::new(),
-            staged_count: 0,
-            log_cursor: 0,
-            effect_cursor: 0,
-            staged_final: Vec::new(),
+    // ---- Session start: carve the engine into shards, one move per node
+    // (ascending global index, which is how `plan.local` numbers them). ----
+    let mut shards: Vec<Shard<M>> = (0u32..)
+        .zip(&plan.parts)
+        .map(|(id, part)| Shard {
+            core: sim.core.fork(plan.local.clone(), part.len()),
+            order: WindowOrder {
+                id,
+                owner: plan.owner.clone(),
+                wheel: TimerWheel::new(),
+                pop_horizon: SimTime::ZERO,
+                log: Vec::new(),
+                effects: Vec::new(),
+                outbox: Vec::new(),
+                staged_count: 0,
+                log_cursor: 0,
+                effect_cursor: 0,
+                staged_final: Vec::new(),
+            },
         })
         .collect();
-    for shard in shards.iter_mut() {
-        for i in 0..shard.nodes.len() {
-            let g = shard.nodes[i] as usize;
-            shard.actors.push(sim.actors[g].take());
-            shard.rngs.push(std::mem::replace(
-                &mut sim.node_rngs[g],
-                SmallRng::seed_from_u64(0),
-            ));
-            shard.halted.push(sim.halted[g]);
-            shard.crash_halted.push(sim.crash_halted[g]);
-            shard.started.push(sim.started[g]);
-            shard.epochs.push(sim.epochs[g]);
-            shard
-                .timers
-                .push(std::mem::replace(&mut sim.timers[g], TimerSlots::new()));
-        }
+    for (record, &p) in std::mem::take(&mut sim.core.nodes)
+        .into_iter()
+        .zip(&plan.owner)
+    {
+        shards[p as usize].core.nodes.push(record);
     }
     // Distribute the pending event set; the engine keeps a fresh wheel that
     // teardown refills with whatever outlives the horizon.
-    let mut old_queue = std::mem::replace(&mut sim.queue, crate::queue::EventQueue::wheel());
+    let mut old_queue = std::mem::replace(&mut sim.order.queue, EventQueue::wheel());
     while let Some(event) = old_queue.pop_next(SimTime::MAX) {
         let p = plan.owner[event.node.index()] as usize;
-        shards[p].wheel.push(event);
+        shards[p].order.wheel.push(event);
     }
 
     // ---- Lockstep window loop. ----
@@ -737,9 +530,9 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
         adaptive_pop_horizon(shards, &plan.out_min, horizon)
     };
     let first_pop = next_pop_horizon(&shards);
-    let (mut shards, harvests) = if let Some(mut pop_horizon) = first_pop {
+    let (shards, harvests) = if let Some(mut pop_horizon) = first_pop {
         for shard in shards.iter_mut() {
-            shard.pop_horizon = pop_horizon;
+            shard.order.pop_horizon = pop_horizon;
         }
         run_lockstep(
             shards,
@@ -754,7 +547,7 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
                 };
                 pop_horizon = next;
                 for shard in shards.iter_mut() {
-                    shard.pop_horizon = pop_horizon;
+                    shard.order.pop_horizon = pop_horizon;
                 }
                 true
             },
@@ -770,33 +563,32 @@ pub(crate) fn run_until_parallel<M: Payload>(sim: &mut Sim<M>, horizon: SimTime)
     for stats in harvests {
         payload_stats::add(stats);
     }
-    for shard in shards.iter_mut() {
-        for i in 0..shard.nodes.len() {
-            let g = shard.nodes[i] as usize;
-            sim.actors[g] = shard.actors[i].take();
-            std::mem::swap(&mut sim.node_rngs[g], &mut shard.rngs[i]);
-            sim.halted[g] = shard.halted[i];
-            sim.crash_halted[g] = shard.crash_halted[i];
-            sim.started[g] = shard.started[i];
-            sim.epochs[g] = shard.epochs[i];
-            std::mem::swap(&mut sim.timers[g], &mut shard.timers[i]);
-            sim.network
-                .adopt_link_state(NodeId(g as u32), &shard.network);
+    let mut records = Vec::with_capacity(nparts);
+    for (Shard { core, mut order }, part) in shards.into_iter().zip(&plan.parts) {
+        for &g in part {
+            sim.core.network.adopt_link_state(NodeId(g), &core.network);
         }
-        debug_assert!(shard.outbox.is_empty() && shard.log.is_empty());
-        while let Some(event) = shard.wheel.pop_next(SimTime::MAX) {
+        debug_assert!(order.outbox.is_empty() && order.log.is_empty());
+        while let Some(event) = order.wheel.pop_next(SimTime::MAX) {
             debug_assert!(
                 event.seq < PROVISIONAL_BASE,
                 "only finally-sequenced events may outlive a window"
             );
-            sim.queue.push(event);
+            sim.order.queue.push(event);
         }
-        sim.metrics
-            .absorb_worker(std::mem::replace(&mut shard.metrics, Metrics::new()));
+        sim.core.metrics.absorb_worker(core.metrics);
+        records.push(core.nodes.into_iter());
     }
+    // One move back per node: each shard holds its records in ascending
+    // global order, so pulling from the owner's in turn restores the table.
+    sim.core.nodes = plan
+        .owner
+        .iter()
+        .map(|&p| records[p as usize].next().expect("one record per node"))
+        .collect();
     sim.threads_used = nparts;
     sim.partition_events = counts;
-    true
+    Ok(())
 }
 
 /// Driver-owned scratch reused across every barrier of a parallel session:
@@ -828,15 +620,15 @@ const MERGE_DONE: (u64, u64) = (u64::MAX, u64::MAX);
 /// the same shard's log (staging is a side effect of an earlier local
 /// dispatch), so its final seq was already assigned by the time the head
 /// can win the merge.
-fn head_key<M: Payload>(shard: &Shard<M>) -> (u64, u64) {
+fn head_key<M>(shard: &WindowOrder<M>) -> (u64, u64) {
     match shard.log.get(shard.log_cursor) {
-        Some(e) => {
+        Some(LogEntry { canon: e, .. }) => {
             let rseq = if e.seq >= PROVISIONAL_BASE {
                 shard.staged_final[(e.seq - PROVISIONAL_BASE) as usize]
             } else {
                 e.seq
             };
-            (e.at.as_nanos(), rseq)
+            (e.at_nanos, rseq)
         }
         None => MERGE_DONE,
     }
@@ -861,7 +653,9 @@ fn merge_window<M: Payload>(
     sim.windows += 1;
     let k = shards.len();
     scratch.keys.clear();
-    scratch.keys.extend(shards.iter().map(head_key));
+    scratch
+        .keys
+        .extend(shards.iter().map(|s| head_key(&s.order)));
     // Build the loser tree bottom-up. Leaf `j` (shard `j`) sits below
     // internal node `(k + j) / 2`; node 1 is the root; `tree[0]` holds the
     // winner of the whole bracket.
@@ -891,35 +685,27 @@ fn merge_window<M: Payload>(
             break;
         }
         let at = SimTime::from_nanos(at_nanos);
-        let shard = &mut shards[s];
+        let shard = &mut shards[s].order;
         let e = shard.log[shard.log_cursor];
         shard.log_cursor += 1;
         counts[s] += 1;
         sim.events_processed += 1;
         sim.now = at;
         let canon = CanonEvent {
-            at_nanos: at.as_nanos(),
             seq: rseq,
-            node: e.node,
-            kind: e.kind,
-            from: e.from,
-            bytes: e.bytes,
-            tag: e.tag,
+            ..e.canon
         };
-        sim.digest.fold_event(&canon);
-        if let Some(cap) = &mut sim.capture {
-            cap.record(&canon);
-        }
+        sim.order.record(&canon);
         for _ in 0..e.effects {
             let effect = shard.effects[shard.effect_cursor];
             shard.effect_cursor += 1;
             match effect {
                 Effect::StagedSeq => {
-                    let seq = sim.next_seq();
+                    let seq = sim.order.next_seq();
                     shard.staged_final.push(seq);
                 }
                 Effect::OutboxSeq(i) => {
-                    shard.outbox[i as usize].seq = sim.next_seq();
+                    shard.outbox[i as usize].seq = sim.order.next_seq();
                 }
             }
         }
@@ -928,7 +714,7 @@ fn merge_window<M: Payload>(
         // it. Strict `<` keeps ties (only the exhausted sentinel can tie —
         // resolved seqs are unique) with the incumbent, which is arbitrary
         // but consistent.
-        scratch.keys[s] = head_key(&shards[s]);
+        scratch.keys[s] = head_key(&shards[s].order);
         let mut cur = s as u32;
         let mut node = (k + s) / 2;
         while node >= 1 {
@@ -939,7 +725,7 @@ fn merge_window<M: Payload>(
         }
         scratch.tree[0] = cur;
     }
-    for shard in shards.iter_mut() {
+    for shard in shards.iter_mut().map(|s| &mut s.order) {
         debug_assert_eq!(shard.effect_cursor, shard.effects.len());
         shard.log.clear();
         shard.effects.clear();
@@ -955,7 +741,7 @@ fn merge_window<M: Payload>(
     // that produced it, so no partition ever receives an event for a
     // window it already ran. Draining in place (instead of moving the
     // vectors) keeps the outbox and route allocations warm across windows.
-    for shard in shards.iter_mut() {
+    for shard in shards.iter_mut().map(|s| &mut s.order) {
         let mut outbox = std::mem::take(&mut shard.outbox);
         let pop_horizon = shard.pop_horizon;
         for event in outbox.drain(..) {
@@ -971,7 +757,7 @@ fn merge_window<M: Payload>(
         shard.outbox = outbox;
     }
     for (dest, route) in scratch.routes.iter_mut().enumerate() {
-        let wheel = &mut shards[dest].wheel;
+        let wheel = &mut shards[dest].order.wheel;
         for event in route.drain(..) {
             wheel.push(event);
         }
@@ -981,164 +767,12 @@ fn merge_window<M: Payload>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::TimerId;
+    use crate::actor::{Actor, Context};
+    use crate::chaos::{assert_covers_the_rare_arms, assert_equivalent, chaos_sim, Chaos, Msg};
     use crate::engine::Sim;
     use crate::faults::FaultPlan;
-    use crate::net::LinkConfig;
+    use crate::net::{LinkConfig, Network};
     use proptest::prelude::*;
-    use rand::Rng;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum Msg {
-        Ping(u64),
-        Pong(u64),
-        /// Zero wire size: no serialization delay, so its arrival time is
-        /// exactly `send time + propagation` — the lookahead boundary.
-        Instant,
-    }
-
-    impl Payload for Msg {
-        fn wire_size(&self) -> usize {
-            match self {
-                Msg::Ping(_) | Msg::Pong(_) => 64,
-                Msg::Instant => 0,
-            }
-        }
-    }
-
-    /// Randomized actor whose every decision comes from the node's
-    /// deterministic RNG — identical behaviour under any scheduler that
-    /// replays the same per-node event order.
-    #[derive(Debug, Default)]
-    struct Chaos {
-        held: Vec<TimerId>,
-        budget: u32,
-    }
-
-    impl Chaos {
-        fn act(&mut self, ctx: &mut Context<'_, Msg>) {
-            if self.budget == 0 {
-                return;
-            }
-            self.budget -= 1;
-            match ctx.rng().gen_range(0..6u32) {
-                0 => {
-                    let n = ctx.node_count();
-                    let to = NodeId(ctx.rng().gen_range(0..n));
-                    ctx.send(to, Msg::Ping(self.budget as u64));
-                }
-                1 => {
-                    let all: Vec<NodeId> = (0..ctx.node_count()).map(NodeId).collect();
-                    ctx.multicast(all, Msg::Pong(self.budget as u64));
-                }
-                2 | 3 => {
-                    let delay = SimDuration::from_millis(ctx.rng().gen_range(1..400));
-                    let id = ctx.set_timer(delay, TimerTag::of_kind(2));
-                    if ctx.rng().gen_bool(0.5) {
-                        self.held.push(id);
-                    }
-                }
-                4 => {
-                    if let Some(id) = self.held.pop() {
-                        ctx.cancel_timer(id);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    impl Actor<Msg> for Chaos {
-        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            self.budget += 40;
-            self.act(ctx);
-            self.act(ctx);
-        }
-        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Msg) {
-            self.act(ctx);
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _: TimerTag) {
-            self.act(ctx);
-            self.act(ctx);
-        }
-    }
-
-    fn chaos_sim(
-        seed: u64,
-        nodes: u32,
-        crash_node: u32,
-        regional: bool,
-        jitter_ms: u64,
-        omit: bool,
-        threads: usize,
-    ) -> Sim<Msg> {
-        let model = if regional {
-            LatencyModel::cn_wan()
-        } else {
-            LatencyModel::lan()
-        };
-        let net = Network::new(model, SimDuration::from_millis(jitter_ms));
-        let mut sim = Sim::new(seed, net);
-        sim.set_sim_threads(threads);
-        for i in 0..nodes {
-            let region = Region(if regional { (i % 4) as u8 } else { 0 });
-            // The last node joins late to exercise unstarted delivery.
-            let start = if i == nodes - 1 {
-                SimTime::from_millis(700)
-            } else {
-                SimTime::ZERO
-            };
-            sim.add_node(
-                LinkConfig::paper_default().in_region(region),
-                Box::<Chaos>::default(),
-                start,
-            );
-        }
-        let mut faults = FaultPlan::none();
-        if omit {
-            // Randomized omission on one sender: exercises the
-            // counter-keyed fault draws alongside the crash churn.
-            faults.omit_outgoing(NodeId((crash_node + 1) % nodes), 0.2);
-        }
-        // Two windows on one node: churn, not a single crash-recovery.
-        faults
-            .crash_for(
-                NodeId(crash_node % nodes),
-                SimTime::from_millis(500),
-                SimTime::from_millis(1500),
-            )
-            .crash_for(
-                NodeId(crash_node % nodes),
-                SimTime::from_millis(2500),
-                SimTime::from_millis(3000),
-            );
-        sim.set_faults(faults);
-        // Regression (revive boundary): a deliver at exactly the revive tick
-        // sequenced before the bookkeeping revive event must be processed,
-        // identically at every thread count.
-        sim.inject(
-            NodeId(crash_node % nodes),
-            NodeId((crash_node + 1) % nodes),
-            Msg::Ping(77),
-            SimTime::from_millis(1500),
-        );
-        sim
-    }
-
-    /// Asserts that two sims which ran the same workload are in
-    /// byte-identical observable state.
-    fn assert_equivalent(par: &Sim<Msg>, seq: &Sim<Msg>) {
-        assert_eq!(par.events_processed(), seq.events_processed());
-        assert_eq!(
-            par.fingerprint(),
-            seq.fingerprint(),
-            "fingerprints diverged"
-        );
-        assert!(
-            par.metrics().counters() == seq.metrics().counters(),
-            "counter cells diverged"
-        );
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
@@ -1174,12 +808,8 @@ mod tests {
                 }
             }
             prop_assert_eq!(seq.threads_used(), 1);
-            prop_assert_eq!(par.fingerprint(), seq.fingerprint(), "fingerprints diverged");
-            prop_assert_eq!(par.events_processed(), seq.events_processed());
-            prop_assert!(
-                par.metrics().counters() == seq.metrics().counters(),
-                "counter cells diverged"
-            );
+            assert_equivalent(&par, &seq);
+            assert_covers_the_rare_arms(&par);
         }
     }
 
@@ -1300,6 +930,72 @@ mod tests {
         assert_eq!(par.threads_used(), 1, "one partition cannot run parallel");
         assert!(par.partition_event_counts().is_empty());
         assert_equivalent(&par, &seq);
+        assert_eq!(stamped_fallback(&par).as_deref(), Some("one-partition"));
+        assert_eq!(stamped_fallback(&seq), None, "one thread asked for no more");
+    }
+
+    /// The `engine.fallback` meta key of the sim's report, if stamped.
+    fn stamped_fallback(sim: &Sim<Msg>) -> Option<String> {
+        sim.report("fallback").meta.get("engine.fallback").cloned()
+    }
+
+    /// `nodes` actors that start and then never do anything, on a LAN of
+    /// the given latency, with two threads requested.
+    fn inert_sim(
+        nodes: usize,
+        latency: SimDuration,
+        queue: fn(u64, Network) -> Sim<Msg>,
+    ) -> Sim<Msg> {
+        #[derive(Debug)]
+        struct Inert;
+        impl Actor<Msg> for Inert {
+            fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+        }
+        let mut sim = queue(
+            5,
+            Network::new(LatencyModel::Uniform(latency), SimDuration::ZERO),
+        );
+        sim.set_sim_threads(2);
+        for _ in 0..nodes {
+            sim.add_node(LinkConfig::paper_default(), Box::new(Inert), SimTime::ZERO);
+        }
+        sim
+    }
+
+    #[test]
+    fn profiler_fallback_is_stamped() {
+        let mut sim = chaos_sim(3, 4, 0, false, 0, false, 2);
+        sim.enable_profiling();
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.threads_used(), 1);
+        assert_eq!(stamped_fallback(&sim).as_deref(), Some("profiler"));
+    }
+
+    #[test]
+    fn idle_fallback_is_stamped_for_the_idle_run_only() {
+        let mut sim = inert_sim(2, SimDuration::from_millis(25), Sim::new);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.threads_used(), 2, "the start events run in parallel");
+        assert_eq!(stamped_fallback(&sim), None);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.threads_used(), 1);
+        assert_eq!(stamped_fallback(&sim).as_deref(), Some("idle"));
+    }
+
+    #[test]
+    fn zero_lookahead_fallback_is_stamped() {
+        let mut sim = inert_sim(2, SimDuration::ZERO, Sim::new);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.threads_used(), 1);
+        assert_eq!(stamped_fallback(&sim).as_deref(), Some("zero-lookahead"));
+    }
+
+    #[test]
+    fn classic_queue_fallback_is_stamped() {
+        let mut sim = inert_sim(2, SimDuration::from_millis(25), Sim::new_classic);
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.threads_used(), 1);
+        assert_eq!(stamped_fallback(&sim).as_deref(), Some("classic-queue"));
     }
 
     /// Region-grouped planning under the paper's WAN matrix: partitions
@@ -1389,16 +1085,8 @@ mod tests {
             let adaptive = run(WindowPolicy::Adaptive);
             let fixed = run(WindowPolicy::FixedMinL);
             prop_assert!(adaptive.threads_used() > 1, "adaptive run never engaged");
-            prop_assert_eq!(
-                adaptive.fingerprint(),
-                fixed.fingerprint(),
-                "window policy must not change the event stream"
-            );
-            prop_assert_eq!(adaptive.events_processed(), fixed.events_processed());
-            prop_assert!(
-                adaptive.metrics().counters() == fixed.metrics().counters(),
-                "counter cells diverged across window policies"
-            );
+            // The window policy must not change the event stream.
+            assert_equivalent(&adaptive, &fixed);
             prop_assert!(adaptive.windows_run() > 0, "no barriers counted");
             prop_assert!(
                 adaptive.windows_run() <= fixed.windows_run(),
@@ -1433,16 +1121,7 @@ mod tests {
                 "a jittered run must engage the parallel engine"
             );
             for par in [&two, &eight] {
-                prop_assert_eq!(
-                    par.fingerprint(),
-                    seq.fingerprint(),
-                    "jittered fingerprints diverged from sequential"
-                );
-                prop_assert_eq!(par.events_processed(), seq.events_processed());
-                prop_assert!(
-                    par.metrics().counters() == seq.metrics().counters(),
-                    "counter cells diverged"
-                );
+                assert_equivalent(par, &seq);
             }
         }
     }
