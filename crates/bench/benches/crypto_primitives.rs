@@ -2,14 +2,16 @@
 //! roots over a bundle's transactions, simulated signatures — and the
 //! shapes the Predis hot path is made of (DESIGN.md §8): the 18-byte
 //! transaction leaf, the 64-byte interior node, the in-place root, and a
-//! whole 50-transaction bundle built and verified. A movement of
-//! `sim_rate` on the `pbft_predis` benchmark workload should show here
-//! first.
+//! whole 50-transaction bundle built and verified — and, since a built
+//! bundle carries its own fold, built and accepted by a committee of eight.
+//! A movement of `sim_rate` on the `pbft_predis` benchmark workload should
+//! show here first.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use predis_crypto::{merkle_root, Hash, Keypair, MerkleTree, SignerId};
+use predis_mempool::{BundleProducer, Mempool, TxPool};
 use predis_types::{Bundle, ChainId, ClientId, Height, TipList, Transaction, TxId};
 
 fn bench(c: &mut Criterion) {
@@ -77,6 +79,38 @@ fn bench(c: &mut Criterion) {
     let bundle = build(txs[..50].to_vec());
     g.bench_function("bundle_verify_50tx", |b| {
         b.iter(|| black_box(&bundle).verify())
+    });
+
+    // What one production timer sets off across an 8-node committee: one
+    // `produce`, the producer's own insert, seven receivers' inserts.
+    g.bench_function("bundle_produce_accept_50tx_n8", |b| {
+        const N: usize = 8;
+        let mut producer = BundleProducer::new(ChainId(0), key, 50);
+        let mut committee: Vec<Mempool> = (0..N as u32)
+            .map(|me| Mempool::new(N, 2, Some(ChainId(me))))
+            .collect();
+        let mut next_tx = 0;
+        let mut fifty_queued = || {
+            let mut txpool = TxPool::new();
+            for id in next_tx..next_tx + 50 {
+                txpool.push(Transaction::new(TxId(id), ClientId(0), 0));
+            }
+            next_tx += 50;
+            txpool
+        };
+        let mut produce_and_accept = |mut txpool: TxPool| {
+            let bundle = producer
+                .produce(&mut txpool, TipList::new(N), Hash::ZERO, false)
+                .expect("fifty queued");
+            for mempool in &mut committee {
+                black_box(mempool.insert_bundle(bundle.clone())).expect("extends chain 0");
+            }
+        };
+        // Warm: the chains' containers have grown before the clock starts.
+        for _ in 0..64 {
+            produce_and_accept(fifty_queued());
+        }
+        b.iter_batched(fifty_queued, produce_and_accept, BatchSize::SmallInput)
     });
     g.finish();
 }

@@ -25,6 +25,9 @@ struct BlockEntry {
     /// Shared with the delivered proposal (and, on the leader, with every
     /// outgoing copy).
     msg: SizedPayload<HsBlockMsg>,
+    /// `msg.payload.digest()`, derived once when the proposal's hash was
+    /// checked; the data plane is handed this instead of re-digesting.
+    payload_digest: Hash,
     validated: bool,
     deferred: bool,
     executed: bool,
@@ -200,7 +203,7 @@ impl<P: DataPlane> HotStuffNode<P> {
                 }
             }
         };
-        let hash = HsBlockMsg::compute_hash(parent, self.round, &payload);
+        let hash = HsBlockMsg::compute_hash(parent, self.round, payload.digest());
         // Wrap once: the local block store and every recipient share it.
         let block = SizedPayload::from(HsBlockMsg {
             hash,
@@ -225,12 +228,14 @@ impl<P: DataPlane> HotStuffNode<P> {
         if from != self.leader_of(block.round) || block.parent != block.justify.block {
             return;
         }
-        if block.hash != HsBlockMsg::compute_hash(block.parent, block.round, &block.payload) {
+        let payload_digest = block.payload.digest();
+        if block.hash != HsBlockMsg::compute_hash(block.parent, block.round, payload_digest) {
             return;
         }
         let hash = block.hash;
         self.blocks.entry(hash).or_insert_with(|| BlockEntry {
             msg: block.clone(),
+            payload_digest,
             validated: false,
             deferred: false,
             executed: false,
@@ -288,10 +293,11 @@ impl<P: DataPlane> HotStuffNode<P> {
         if !entry.validated {
             let proposer = self.leader_of(block.round);
             let parent = block.parent;
+            let digest = entry.payload_digest;
             let msg = entry.msg.clone(); // Arc bump, not a payload copy
             match self
                 .plane
-                .validate(ctx, proposer, parent, hash, &msg.payload)
+                .validate(ctx, proposer, parent, hash, digest, &msg.payload)
             {
                 ProposalCheck::Accept => {
                     self.blocks.get_mut(&hash).expect("exists").validated = true;
@@ -420,9 +426,9 @@ impl<P: DataPlane> HotStuffNode<P> {
                 self.exec_queue.pop_front();
                 continue;
             }
-            let parent = entry.msg.parent;
+            let (parent, digest) = (entry.msg.parent, entry.payload_digest);
             let msg = entry.msg.clone(); // Arc bump, not a payload copy
-            let Some(txs) = self.plane.commit(ctx, parent, h, &msg.payload) else {
+            let Some(txs) = self.plane.commit(ctx, parent, h, digest, &msg.payload) else {
                 break; // stalled on missing data; retried on plane progress
             };
             self.executed_txs += txs.len() as u64;
@@ -541,7 +547,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                         continue;
                     }
                     let id = payload.digest();
-                    let txs = self.plane.catch_up(ctx, Hash::ZERO, id, &payload, txs);
+                    let txs = self.plane.catch_up(ctx, Hash::ZERO, id, id, &payload, txs);
                     self.executed_blocks += 1;
                     self.executed_txs += txs.len() as u64;
                     advanced = true;

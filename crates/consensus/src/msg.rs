@@ -53,13 +53,15 @@ pub struct HsBlockMsg {
 }
 
 impl HsBlockMsg {
-    /// Computes the canonical hash of a block's contents.
-    pub fn compute_hash(parent: Hash, round: View, payload: &ProposalPayload) -> Hash {
+    /// Computes the canonical hash of a block's contents, given its
+    /// payload's digest (`payload.digest()`; the caller keeps it for the
+    /// data plane).
+    pub fn compute_hash(parent: Hash, round: View, payload_digest: Hash) -> Hash {
         Hash::digest_parts(&[
             b"hs-block",
             parent.as_bytes(),
             &round.0.to_be_bytes(),
-            payload.digest().as_bytes(),
+            payload_digest.as_bytes(),
         ])
     }
 }
@@ -330,8 +332,8 @@ mod tests {
     #[test]
     fn hs_block_hash_is_content_addressed() {
         let p = ProposalPayload::Batch(vec![]);
-        let a = HsBlockMsg::compute_hash(Hash::ZERO, View(1), &p);
-        let b = HsBlockMsg::compute_hash(Hash::ZERO, View(2), &p);
+        let a = HsBlockMsg::compute_hash(Hash::ZERO, View(1), p.digest());
+        let b = HsBlockMsg::compute_hash(Hash::ZERO, View(2), p.digest());
         assert_ne!(a, b);
     }
 

@@ -378,7 +378,9 @@ impl<P: DataPlane> PbftNode<P> {
         let parent = slot.parent;
         let id = slot.digest;
         let proposer = self.roster.leader_of(self.view.0);
-        let check = self.plane.validate(ctx, proposer, parent, id, &payload);
+        // A slot's digest is its payload's (memoized) digest, so it serves
+        // as both the proposal id and the payload digest.
+        let check = self.plane.validate(ctx, proposer, parent, id, id, &payload);
         let slot = self.slots.get_mut(seq).expect("exists");
         match check {
             ProposalCheck::Accept => {
@@ -449,7 +451,7 @@ impl<P: DataPlane> PbftNode<P> {
                 break;
             };
             let (parent, id) = (slot.parent, slot.digest);
-            let Some(txs) = self.plane.commit(ctx, parent, id, &payload) else {
+            let Some(txs) = self.plane.commit(ctx, parent, id, id, &payload) else {
                 break; // data still missing; plane progress will retry
             };
             self.executed_blocks += 1;
@@ -747,7 +749,9 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
                     // let the plane fast-forward its internal anchors.
                     let digest = payload.digest();
                     let parent = self.parent_digest(seq);
-                    let txs = self.plane.catch_up(ctx, parent, digest, &payload, txs);
+                    let txs = self
+                        .plane
+                        .catch_up(ctx, parent, digest, digest, &payload, txs);
                     self.executed_blocks += 1;
                     self.executed_txs += txs.len() as u64;
                     let end = self.window_end();

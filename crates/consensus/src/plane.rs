@@ -105,13 +105,19 @@ pub trait DataPlane: std::fmt::Debug + Send + 'static {
     /// Validates a proposal received from `proposer` extending `parent`.
     /// `id` is the consensus-level identity of the proposal (PBFT: the
     /// payload digest; HotStuff: the block hash), under which planes thread
-    /// per-proposal state such as Predis cuts.
+    /// per-proposal state such as Predis cuts. `digest` is
+    /// `payload.digest()`, here and in [`DataPlane::commit`] /
+    /// [`DataPlane::catch_up`]: the shell derives it once per proposal to
+    /// name the proposal at all (PBFT votes on it, HotStuff hashes it into
+    /// the block id), so planes take it from the shell instead of digesting
+    /// the payload again.
     fn validate<M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         proposer: usize,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &ProposalPayload,
     ) -> ProposalCheck;
 
@@ -128,6 +134,7 @@ pub trait DataPlane: std::fmt::Debug + Send + 'static {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &'p ProposalPayload,
     ) -> Option<Cow<'p, [Transaction]>>;
 
@@ -140,10 +147,11 @@ pub trait DataPlane: std::fmt::Debug + Send + 'static {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &ProposalPayload,
         txs: Vec<Transaction>,
     ) -> Vec<Transaction> {
-        let _ = (ctx, parent, id, payload);
+        let _ = (ctx, parent, id, digest, payload);
         txs
     }
 }

@@ -146,6 +146,7 @@ impl DataPlane for BatchPlane {
         _proposer: usize,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         payload: &ProposalPayload,
     ) -> ProposalCheck {
         // All data travels in the proposal; only the shape can be wrong.
@@ -165,6 +166,7 @@ impl DataPlane for BatchPlane {
         _ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         _payload: &ProposalPayload,
         txs: Vec<Transaction>,
     ) -> Vec<Transaction> {
@@ -182,6 +184,7 @@ impl DataPlane for BatchPlane {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         payload: &'p ProposalPayload,
     ) -> Option<Cow<'p, [Transaction]>> {
         let ProposalPayload::Batch(txs) = payload else {

@@ -298,6 +298,7 @@ impl DataPlane for MicroPlane {
         proposer: usize,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         payload: &ProposalPayload,
     ) -> ProposalCheck {
         let refs = match payload {
@@ -332,6 +333,7 @@ impl DataPlane for MicroPlane {
         _ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         payload: &ProposalPayload,
         txs: Vec<Transaction>,
     ) -> Vec<Transaction> {
@@ -349,6 +351,7 @@ impl DataPlane for MicroPlane {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         _parent: Hash,
         _id: Hash,
+        _digest: Hash,
         payload: &'p ProposalPayload,
     ) -> Option<Cow<'p, [Transaction]>> {
         let ProposalPayload::Digests(refs) = payload else {

@@ -10,7 +10,9 @@ use std::collections::{BTreeSet, VecDeque};
 
 use predis_crypto::{Hash, Keypair, SignerId};
 use predis_mempool::{BlockValidationError, BundleProducer, InsertOutcome, Mempool, TxPool};
-use predis_sim::{BundleKey, Codec, Labels, NarrowContext, NodeId, SimTime, Stage, TimerTag};
+use predis_sim::{
+    BundleKey, CachedCounter, Codec, Labels, NarrowContext, NodeId, SimTime, Stage, TimerTag,
+};
 use predis_types::{
     ChainId, Height, IdMap, IdSet, ProposalPayload, SizedBundle, Transaction, TxId, View,
 };
@@ -52,6 +54,12 @@ pub struct PredisPlane {
     /// a dissemination layer (Multi-Zone). Shared handles: the mempool and
     /// the multicast hold the same allocations.
     produced: Vec<SizedBundle>,
+    /// Handles for the once-per-bundle counters: `predis.bundles_produced`,
+    /// `predis.bundles_accepted`, and `mempool.tip_updates` (one
+    /// `(node, chain)` cell per chain).
+    produced_c: CachedCounter,
+    accepted_c: CachedCounter,
+    tip_updates_c: Vec<CachedCounter>,
 }
 
 impl PredisPlane {
@@ -79,6 +87,9 @@ impl PredisPlane {
             partitioning: false,
             packed: IdSet::default(),
             produced: Vec::new(),
+            produced_c: CachedCounter::default(),
+            accepted_c: CachedCounter::default(),
+            tip_updates_c: vec![CachedCounter::default(); n],
             roster,
             cfg,
         }
@@ -133,6 +144,16 @@ impl PredisPlane {
         }
     }
 
+    /// Files a block's cut under both names a child may know it by: the
+    /// shell's proposal `id` and the block's own `digest` (one and the
+    /// same hash under PBFT).
+    fn remember_block_cut(&mut self, id: Hash, digest: Hash, cut: &[Height]) {
+        self.remember_cut(id, cut.to_vec());
+        if digest != id {
+            self.remember_cut(digest, cut.to_vec());
+        }
+    }
+
     fn base_for(&self, parent: Hash) -> Vec<Height> {
         self.cuts
             .get(&parent)
@@ -174,9 +195,8 @@ impl PredisPlane {
         else {
             return false;
         };
-        // Wrap once: the mempool, the multicast, and `produced` all share
-        // this single allocation (its wire size is memoized here too).
-        let bundle = SizedBundle::from(bundle);
+        // The mempool, the multicast, and `produced` all share the
+        // producer's one allocation, and with it the fold it was built from.
         self.mempool
             .insert_bundle(bundle.clone())
             .expect("own bundle is valid");
@@ -197,7 +217,12 @@ impl PredisPlane {
             None => ctx.multicast(self.roster.peers_of(self.me), msg),
         }
         let now = ctx.now();
-        ctx.metrics().incr("predis.bundles_produced", 1);
+        ctx.metrics().incr_cached(
+            &mut self.produced_c,
+            "predis.bundles_produced",
+            Labels::GLOBAL,
+            1,
+        );
         if is_heartbeat {
             ctx.metrics()
                 .incr_labeled("predis.heartbeats", Labels::chain(key.chain), 1);
@@ -278,9 +303,15 @@ impl DataPlane for PredisPlane {
                 // Arc bump: the mempool keeps the delivered allocation.
                 match self.mempool.insert_bundle(bundle.clone()) {
                     Ok(InsertOutcome::Inserted { new_tip, .. }) => {
-                        ctx.metrics().incr("predis.bundles_accepted", 1);
+                        ctx.metrics().incr_cached(
+                            &mut self.accepted_c,
+                            "predis.bundles_accepted",
+                            Labels::GLOBAL,
+                            1,
+                        );
                         let me = ctx.node().index() as u64;
-                        ctx.metrics().incr_labeled(
+                        ctx.metrics().incr_cached(
+                            &mut self.tip_updates_c[chain.index()],
                             "mempool.tip_updates",
                             Labels::node(me).and_chain(chain.index() as u64),
                             1,
@@ -402,8 +433,10 @@ impl DataPlane for PredisPlane {
         view: View,
     ) -> Option<ProposalPayload> {
         let base = self.base_for(parent);
-        let block = self.mempool.build_block(view, parent, &base, &self.key)?;
-        self.remember_cut(block.hash(), block.cut.clone());
+        let (block, digest) = self
+            .mempool
+            .build_block_signed(view, parent, &base, &self.key)?;
+        self.remember_cut(digest, block.cut.clone());
         Self::mark_cut_stages(ctx, &base, &block.cut, Stage::Cut);
         ctx.metrics().incr("predis.cuts_made", 1);
         Some(ProposalPayload::Predis(Box::new(block)))
@@ -415,6 +448,7 @@ impl DataPlane for PredisPlane {
         proposer: usize,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &ProposalPayload,
     ) -> ProposalCheck {
         let block = match payload {
@@ -429,14 +463,15 @@ impl DataPlane for PredisPlane {
             }
             _ => return ProposalCheck::Reject,
         };
-        if !block.verify_signature(SignerId(proposer as u32)) {
+        // `digest` is this block's `PredisBlock::digest` (the payload
+        // digest of a Predis proposal), already derived by the shell.
+        if !block.signature.verify_by(SignerId(proposer as u32), digest) {
             return ProposalCheck::Reject;
         }
         let base = self.base_for(parent);
         match self.mempool.validate_block(block, &base) {
             Ok(()) => {
-                self.remember_cut(id, block.cut.clone());
-                self.remember_cut(block.hash(), block.cut.clone());
+                self.remember_block_cut(id, digest, &block.cut);
                 Self::mark_cut_stages(ctx, &base, &block.cut, Stage::Proposed);
                 ProposalCheck::Accept
             }
@@ -474,6 +509,7 @@ impl DataPlane for PredisPlane {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &ProposalPayload,
         txs: Vec<Transaction>,
     ) -> Vec<Transaction> {
@@ -483,8 +519,7 @@ impl DataPlane for PredisPlane {
                 // missed bundles are pruned network-wide, but the header
                 // hashes in the block are exactly the anchors live bundles
                 // chain onto.
-                self.remember_cut(id, block.cut.clone());
-                self.remember_cut(block.hash(), block.cut.clone());
+                self.remember_block_cut(id, digest, &block.cut);
                 let absorbed = self.mempool.fast_forward(block);
                 if absorbed > 0 {
                     ctx.metrics().incr("predis.catchup_absorbed", absorbed);
@@ -517,6 +552,7 @@ impl DataPlane for PredisPlane {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         parent: Hash,
         id: Hash,
+        digest: Hash,
         payload: &'p ProposalPayload,
     ) -> Option<Cow<'p, [Transaction]>> {
         let block = match payload {
@@ -530,8 +566,7 @@ impl DataPlane for PredisPlane {
         };
         match self.mempool.extract_txs(block) {
             Some(txs) => {
-                self.remember_cut(id, block.cut.clone());
-                self.remember_cut(block.hash(), block.cut.clone());
+                self.remember_block_cut(id, digest, &block.cut);
                 let prev = self.mempool.committed_base();
                 self.mempool.commit_cut(&block.cut);
                 Self::mark_cut_stages(ctx, &prev, &block.cut, Stage::Committed);

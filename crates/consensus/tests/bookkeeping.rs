@@ -106,7 +106,8 @@ impl Actor<ConsMsg> for Script {
                     // Another leader's proposal; may repeat an id.
                     let txs = foreign(word, self.pool);
                     let payload = ProposalPayload::Batch(txs.clone());
-                    let check = plane.validate(ctx, 0, Hash::ZERO, Hash::ZERO, &payload);
+                    let check =
+                        plane.validate(ctx, 0, Hash::ZERO, Hash::ZERO, Hash::ZERO, &payload);
                     assert_eq!(check, ProposalCheck::Accept);
                     model.validate(&txs);
                     batches.push(txs);
@@ -115,13 +116,20 @@ impl Actor<ConsMsg> for Script {
                     // Any batch, in any order, any number of times.
                     let txs = batches[(word >> 8) as usize % batches.len()].clone();
                     let payload = ProposalPayload::Batch(txs.clone());
-                    let got = plane.commit(ctx, Hash::ZERO, Hash::ZERO, &payload);
+                    let got = plane.commit(ctx, Hash::ZERO, Hash::ZERO, Hash::ZERO, &payload);
                     assert_eq!(got.as_deref(), Some(&model.commit(&txs)[..]));
                 }
                 7 => {
                     let txs = foreign(word, self.pool);
                     let payload = ProposalPayload::Batch(txs.clone());
-                    let got = plane.catch_up(ctx, Hash::ZERO, Hash::ZERO, &payload, txs.clone());
+                    let got = plane.catch_up(
+                        ctx,
+                        Hash::ZERO,
+                        Hash::ZERO,
+                        Hash::ZERO,
+                        &payload,
+                        txs.clone(),
+                    );
                     assert_eq!(got, txs);
                     model.catch_up(&txs);
                 }

@@ -359,6 +359,20 @@ impl Mempool {
         base: &[Height],
         key: &Keypair,
     ) -> Option<PredisBlock> {
+        self.build_block_signed(view, parent, base, key)
+            .map(|(block, _)| block)
+    }
+
+    /// [`Mempool::build_block`] together with the digest the leader just
+    /// signed — the block's identity, so the proposing plane need not
+    /// digest its own block a second time.
+    pub fn build_block_signed(
+        &self,
+        view: View,
+        parent: Hash,
+        base: &[Height],
+        key: &Keypair,
+    ) -> Option<(PredisBlock, Hash)> {
         let cut = self.cut(base);
         if cut.iter().zip(base).all(|(c, b)| c == b) {
             return None;
@@ -386,9 +400,9 @@ impl Mempool {
             tx_root,
             signature: Signature::default(),
         };
-        block.sign(key);
+        let digest = block.sign(key);
         debug_assert!(block.well_formed());
-        Some(block)
+        Some((block, digest))
     }
 
     /// Merkle root over all transactions in the slices `(base, cut]`, chain

@@ -4,7 +4,7 @@
 use std::collections::VecDeque;
 
 use predis_crypto::{Hash, Keypair};
-use predis_types::{Bundle, ChainId, Height, TipList, Transaction};
+use predis_types::{ChainId, Height, SizedBundle, TipList, Transaction};
 
 /// A FIFO of client transactions awaiting packing.
 #[derive(Debug, Default)]
@@ -107,13 +107,18 @@ impl BundleProducer {
     /// (nothing to pre-distribute); when true, an empty bundle is produced
     /// anyway so the tip list keeps flowing (heartbeat acknowledgements,
     /// needed for cut progress under light load).
+    ///
+    /// The bundle comes back as the shared handle the mempool, the
+    /// multicast and the dissemination layer all hold, carrying the body
+    /// fold and header digest this call computed
+    /// ([`SizedBundle::build`]): nobody hashes the body again.
     pub fn produce(
         &mut self,
         txpool: &mut TxPool,
         mut tips: TipList,
         stripe_root: Hash,
         allow_empty: bool,
-    ) -> Option<Bundle> {
+    ) -> Option<SizedBundle> {
         let txs = txpool.take(self.bundle_size);
         if txs.is_empty() && !allow_empty {
             return None;
@@ -122,7 +127,7 @@ impl BundleProducer {
         // creating: tip lists must dominate the parent's, which includes
         // this chain's previous height.
         tips.observe(self.chain, self.next_height);
-        let bundle = Bundle::build(
+        let bundle = SizedBundle::build(
             self.chain,
             self.next_height,
             self.parent,
@@ -140,9 +145,9 @@ impl BundleProducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mempool;
+    use crate::{BundleError, InsertOutcome, Mempool};
     use predis_crypto::SignerId;
-    use predis_types::{ClientId, TxId};
+    use predis_types::{payload_stats, Bundle, ClientId, TxId};
 
     fn txs(n: u64) -> Vec<Transaction> {
         (0..n)
@@ -203,6 +208,70 @@ mod tests {
             .produce(&mut txpool, TipList::new(4), Hash::ZERO, false)
             .unwrap();
         assert_eq!(b.header.tips.get(ChainId(2)), Height(1));
+    }
+
+    #[test]
+    fn one_fold_serves_the_producer_and_every_receiver() {
+        const N: usize = 8;
+        let mut producer = BundleProducer::new(ChainId(0), Keypair::for_node(SignerId(0)), 50);
+        let mut txpool = TxPool::new();
+        for tx in txs(50) {
+            txpool.push(tx);
+        }
+        payload_stats::reset();
+        let b = producer
+            .produce(&mut txpool, TipList::new(N), Hash::ZERO, false)
+            .unwrap();
+        // The producer's own insert, then seven receivers of its multicast.
+        for me in 0..N as u32 {
+            let mut mempool = Mempool::new(N, 2, Some(ChainId(me)));
+            assert!(matches!(
+                mempool.insert_bundle(b.clone()).unwrap(),
+                InsertOutcome::Inserted { .. }
+            ));
+        }
+        assert_eq!(payload_stats::snapshot().body_folds, 1);
+    }
+
+    #[test]
+    fn tampered_copies_of_an_accepted_bundle_are_rejected() {
+        let mut producer = BundleProducer::new(ChainId(0), Keypair::for_node(SignerId(0)), 50);
+        let mut txpool = TxPool::new();
+        for tx in txs(50) {
+            txpool.push(tx);
+        }
+        let honest = producer
+            .produce(&mut txpool, TipList::new(4), Hash::ZERO, false)
+            .unwrap();
+        // Accepted, and its verdict memoized, before any forgery shows up.
+        let mut holder = Mempool::new(4, 1, Some(ChainId(1)));
+        holder.insert_bundle(honest.clone()).unwrap();
+        let tamper: [fn(&mut Bundle); 4] = [
+            |b| b.txs[7] = Transaction::new(TxId(999), ClientId(9), 0),
+            |b| b.header.tx_root = Hash::digest(b"forged root"),
+            |b| b.header.height = Height(2),
+            |b| {
+                b.header.signature = Keypair::for_node(SignerId(3)).sign(b.header.digest());
+            },
+        ];
+        for alter in tamper {
+            let mut forged: Bundle = (*honest).clone();
+            alter(&mut forged);
+            // Two allocations never share a memo: whether the node already
+            // holds the original or sees this height for the first time,
+            // the copy is judged by its own bytes.
+            let mut newcomer = Mempool::new(4, 1, Some(ChainId(2)));
+            for pool in [&mut holder, &mut newcomer] {
+                assert_eq!(
+                    pool.insert_bundle(forged.clone()),
+                    Err(BundleError::InvalidBundle)
+                );
+            }
+        }
+        assert_eq!(
+            holder.insert_bundle(honest).unwrap(),
+            InsertOutcome::AlreadyKnown
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@ use predis_crypto::{Hash, Keypair, Sha256, Signature, SignerId};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ChainId, Height, View};
+use crate::shared::payload_stats;
 use crate::tx::Transaction;
 use crate::wire::{WireSize, FRAME_OVERHEAD, HASH_WIRE, SIG_WIRE, U64_WIRE};
 
@@ -43,6 +44,7 @@ impl PredisBlock {
     /// The digest the leader signs (everything except the signature).
     /// Streams fields into the hasher without intermediate buffers.
     pub fn digest(&self) -> Hash {
+        payload_stats::record_block_digest();
         let mut h = Sha256::new();
         h.update(b"predis-block");
         h.update(self.parent.as_bytes());
@@ -64,9 +66,12 @@ impl PredisBlock {
         self.digest()
     }
 
-    /// Signs the block in place with the leader's key.
-    pub fn sign(&mut self, key: &Keypair) {
-        self.signature = key.sign(self.digest());
+    /// Signs the block in place with the leader's key, returning the
+    /// digest it signed (the block's identity from here on).
+    pub fn sign(&mut self, key: &Keypair) -> Hash {
+        let digest = self.digest();
+        self.signature = key.sign(digest);
+        digest
     }
 
     /// Verifies the leader signature.

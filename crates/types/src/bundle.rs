@@ -7,10 +7,11 @@
 //! stripe Merkle root (for Multi-Zone erasure dissemination), and the
 //! producer's signature.
 
-use predis_crypto::{merkle_root, Hash, Keypair, Sha256, Signature, SignerId};
+use predis_crypto::{merkle_root, Hash, Keypair, MerkleRoot, Sha256, Signature, SignerId};
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{ChainId, Height};
+use crate::shared::payload_stats;
 use crate::tip_list::TipList;
 use crate::tx::{tx_leaves, Transaction};
 use crate::wire::{WireSize, FRAME_OVERHEAD, HASH_WIRE, SIG_WIRE, U32_WIRE, U64_WIRE};
@@ -62,8 +63,14 @@ impl BundleHeader {
     /// Verifies that the producer (the node owning `self.chain`) signed
     /// this header.
     pub fn verify_signature(&self) -> bool {
-        self.signature
-            .verify_by(SignerId(self.chain.0), self.digest())
+        self.signed_over(self.digest())
+    }
+
+    /// The signature check against `digest`, which must be this header's
+    /// [`BundleHeader::digest`] (the shared wrapper keeps one per
+    /// allocation).
+    pub(crate) fn signed_over(&self, digest: Hash) -> bool {
+        self.signature.verify_by(SignerId(self.chain.0), digest)
     }
 }
 
@@ -117,23 +124,42 @@ impl Bundle {
         stripe_root: Hash,
         key: &Keypair,
     ) -> Bundle {
+        Bundle::build_with_facts(chain, height, parent, tips, txs, stripe_root, key).0
+    }
+
+    /// [`Bundle::build`], handing back what it derived on the way: the
+    /// Merkle fold of the body and the header digest it signed (the
+    /// bundle's identity). Only [`crate::SizedBundle::build`] keeps the two,
+    /// and only by moving the bundle behind its immutable handle in the same
+    /// breath: a bare `Bundle` has public fields, so facts about one go
+    /// stale at the first assignment.
+    pub(crate) fn build_with_facts(
+        chain: ChainId,
+        height: Height,
+        parent: Hash,
+        tips: TipList,
+        txs: Vec<Transaction>,
+        stripe_root: Hash,
+        key: &Keypair,
+    ) -> (Bundle, MerkleRoot, Hash) {
         assert_eq!(
             key.id(),
             SignerId(chain.0),
             "bundle must be signed by its producing chain's key"
         );
-        let tx_root = merkle_root(&mut tx_leaves(&txs)).root;
+        let body = body_fold(&txs);
         let mut header = BundleHeader {
             chain,
             height,
             parent,
             tips,
-            tx_root,
+            tx_root: body.root,
             stripe_root,
             signature: Signature::default(),
         };
-        header.signature = key.sign(header.digest());
-        Bundle { header, txs }
+        let digest = header.digest();
+        header.signature = key.sign(digest);
+        (Bundle { header, txs }, body, digest)
     }
 
     /// Checks the producer signature and that the body matches the header's
@@ -144,10 +170,12 @@ impl Bundle {
     /// `[.., t]` and `[.., t, t]` share a root, and transaction ids are
     /// unique — such a body is never what the producer signed.
     pub fn verify(&self) -> bool {
-        if !self.header.verify_signature() {
-            return false;
-        }
-        let body = merkle_root(&mut tx_leaves(&self.txs));
+        self.header.verify_signature() && self.body_matches(body_fold(&self.txs))
+    }
+
+    /// The body half of [`Bundle::verify`], given `body`: the fold of
+    /// *these* transactions.
+    pub(crate) fn body_matches(&self, body: MerkleRoot) -> bool {
         !body.mutated && body.root == self.header.tx_root
     }
 
@@ -166,6 +194,13 @@ impl WireSize for Bundle {
     fn wire_size(&self) -> usize {
         self.header.wire_size() + self.body_size()
     }
+}
+
+/// The Merkle fold of a bundle body: the one place a body is hashed, hence
+/// the one place [`payload_stats`] counts it.
+pub(crate) fn body_fold(txs: &[Transaction]) -> MerkleRoot {
+    payload_stats::record_body_fold();
+    merkle_root(&mut tx_leaves(txs))
 }
 
 /// Evidence that a producer equivocated: two validly signed headers for the

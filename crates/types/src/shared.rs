@@ -16,17 +16,31 @@
 //! payloads — e.g. the two halves of a Byzantine equivocation — are distinct
 //! allocations; nothing ever aliases two different values.
 //!
+//! The same allocation carries what has been computed about it: identity
+//! digests and verification verdicts are derived once and served to every
+//! clone, and a bundle that comes out of [`SizedBundle::build`] — the
+//! producer's path — brings along the body fold and header digest `build`
+//! computed, so a body is hashed by the producer that packs it and never
+//! again. A memo only ever describes its own allocation's bytes: the cell is
+//! private, nothing public accepts a digest, a fold or a verdict from a
+//! caller, and a copy of a payload is a new allocation with an empty memo.
+//!
 //! [`payload_stats`] counts materializations so benchmark artifacts can prove
-//! the clone count per produced bundle is O(1), independent of fan-out.
+//! the clone count per produced bundle is O(1), independent of fan-out — and,
+//! for tests only, body folds and Predis-block digests, which pin the
+//! hashing work per bundle and per proposal as exact counts.
 
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use predis_crypto::Hash;
+use predis_crypto::{Hash, Keypair, MerkleRoot};
 
 use crate::block::ProposalPayload;
-use crate::bundle::Bundle;
+use crate::bundle::{body_fold, Bundle};
+use crate::ids::{ChainId, Height};
+use crate::tip_list::TipList;
+use crate::tx::Transaction;
 use crate::wire::WireSize;
 
 /// An immutable, cheaply clonable, reference-counted value.
@@ -87,18 +101,26 @@ impl<T: WireSize + ?Sized> WireSize for Shared<T> {
     }
 }
 
-/// Lazily computed facts about a shared payload, stored next to (and with
-/// the same lifetime as) the allocation they describe.
+/// Facts about a shared payload, each derived once from the allocation it
+/// sits next to (and shares a lifetime with).
 ///
 /// The cell is reference-counted separately from the value so that every
 /// `Clone` of the owning [`SizedPayload`] — i.e. every simulated recipient
 /// of a multicast — reads and writes the *same* memo. The payload behind a
 /// [`SizedPayload`] is immutable (there is no mutable access), so a
-/// memoized digest or verification verdict can never go stale.
+/// memoized digest, fold or verification verdict can never go stale.
+///
+/// Every cell is filled by this module computing over `value` itself, with
+/// one exception that computes over the same bytes a moment earlier:
+/// [`SizedPayload::<Bundle>::build`]. Nothing public takes a digest, a fold
+/// or a verdict from a caller, so a memo cannot describe any bytes but its
+/// own allocation's.
 #[derive(Default)]
 struct PayloadMemo {
     digest: OnceLock<Hash>,
     verified: OnceLock<bool>,
+    /// Bundles only: the Merkle fold of the transaction body.
+    body: OnceLock<MerkleRoot>,
 }
 
 /// A [`Shared`] payload whose wire size was computed once at construction.
@@ -109,11 +131,12 @@ struct PayloadMemo {
 ///
 /// Beyond the wire size, the payload carries a memo cell shared by
 /// all clones: identity digests and verification verdicts are computed on
-/// first use and then served from the allocation. Like payload sharing
-/// itself this is a *simulator* optimization — digesting or verifying a
-/// payload costs no simulated time, so memoizing it changes no simulated
-/// observable; it only removes redundant host CPU work when fifteen
-/// replicas each "independently" hash the same bytes.
+/// first use — or, for a bundle, by the `build` that created it — and then
+/// served from the allocation. Like payload sharing itself this is a
+/// *simulator* optimization — digesting or verifying a payload costs no
+/// simulated time, so memoizing it changes no simulated observable; it only
+/// removes redundant host CPU work when fifteen replicas each
+/// "independently" hash the same bytes.
 pub struct SizedPayload<T: WireSize> {
     value: Shared<T>,
     wire: usize,
@@ -124,25 +147,23 @@ impl<T: WireSize> SizedPayload<T> {
     /// Materializes a payload: wraps it in an `Arc`, walks its wire size
     /// once, and records the materialization in [`payload_stats`].
     pub fn new(value: T) -> SizedPayload<T> {
+        SizedPayload::with_memo(value, PayloadMemo::default())
+    }
+
+    fn with_memo(value: T, memo: PayloadMemo) -> SizedPayload<T> {
         let wire = value.wire_size();
         payload_stats::record_materialize(wire);
         SizedPayload {
             value: Shared::new(value),
             wire,
-            memo: Shared::new(PayloadMemo::default()),
+            memo: Shared::new(memo),
         }
     }
 
     /// The payload's identity digest, computed by `compute` on first call
     /// and memoized in the shared allocation afterwards.
-    pub fn memo_digest(&self, compute: impl FnOnce(&T) -> Hash) -> Hash {
+    fn memo_digest(&self, compute: impl FnOnce(&T) -> Hash) -> Hash {
         *self.memo.digest.get_or_init(|| compute(&self.value))
-    }
-
-    /// The payload's verification verdict, computed by `compute` on the
-    /// first call and memoized in the shared allocation afterwards.
-    pub fn memo_verify(&self, compute: impl FnOnce(&T) -> bool) -> bool {
-        *self.memo.verified.get_or_init(|| compute(&self.value))
     }
 
     /// The shared handle (for stores that keep the same allocation the
@@ -214,17 +235,57 @@ pub type SizedBundle = SizedPayload<Bundle>;
 // Calls on a bare `Bundle`/`ProposalPayload` still recompute — hand-built
 // (possibly tampered) values in tests keep their semantics.
 impl SizedPayload<Bundle> {
+    /// [`Bundle::build`] straight into the shared handle, which keeps what
+    /// `build` derived on the way: the body's Merkle fold and the header
+    /// digest it signed. A body is hashed by the producer that packs it and
+    /// never again — [`SizedPayload::<Bundle>::verify`] compares against
+    /// this fold instead of re-deriving it from the same immutable bytes.
+    ///
+    /// This is the only way a fact enters a memo without being computed
+    /// from behind the handle: the arguments are the bundle's ingredients,
+    /// never a fold or a verdict. Any other allocation — `from(bundle)` of
+    /// a received, deserialized, forged or hand-edited value — starts with
+    /// an empty memo and meets the real fold.
+    ///
+    /// # Panics
+    ///
+    /// As [`Bundle::build`]: `key` must belong to the node owning `chain`.
+    pub fn build(
+        chain: ChainId,
+        height: Height,
+        parent: Hash,
+        tips: TipList,
+        txs: Vec<Transaction>,
+        stripe_root: Hash,
+        key: &Keypair,
+    ) -> SizedBundle {
+        let (bundle, body, digest) =
+            Bundle::build_with_facts(chain, height, parent, tips, txs, stripe_root, key);
+        let memo = PayloadMemo {
+            digest: digest.into(),
+            body: body.into(),
+            verified: OnceLock::new(),
+        };
+        SizedPayload::with_memo(bundle, memo)
+    }
+
     /// [`Bundle::hash`], computed once per allocation.
     pub fn hash(&self) -> Hash {
         self.memo_digest(Bundle::hash)
     }
 
-    /// [`Bundle::verify`], computed once per allocation: of the `n - 1`
-    /// simulated recipients of a producer's multicast, the first to insert
-    /// the bundle runs the signature + Merkle check and the rest reuse the
-    /// verdict.
+    /// [`Bundle::verify`], decided once per allocation: the producer's
+    /// signature is checked over the memoized header digest, and
+    /// `header.tx_root` is compared with the fold of *this allocation's*
+    /// body (equal-sibling flag included). An allocation that came out of
+    /// [`SizedPayload::<Bundle>::build`] carries that fold; for any other
+    /// the first caller computes it here. The `n - 1` simulated recipients
+    /// of a multicast share the allocation, so they share the verdict.
     pub fn verify(&self) -> bool {
-        self.memo_verify(Bundle::verify)
+        *self.memo.verified.get_or_init(|| {
+            self.header.signed_over(self.hash())
+                && self.body_matches(*self.memo.body.get_or_init(|| body_fold(&self.txs)))
+        })
     }
 }
 
@@ -236,7 +297,7 @@ impl SizedPayload<ProposalPayload> {
     }
 }
 
-/// Thread-local materialization counters.
+/// Thread-local materialization and hashing-work counters.
 ///
 /// Each simulation run executes on one thread (grid points fan out across a
 /// pool, but a single run never migrates), so thread-local cells give exact,
@@ -251,6 +312,8 @@ pub mod payload_stats {
         static CLONES: Cell<u64> = const { Cell::new(0) };
         static BYTES: Cell<u64> = const { Cell::new(0) };
         static COMPUTED: Cell<u64> = const { Cell::new(0) };
+        static BODY_FOLDS: Cell<u64> = const { Cell::new(0) };
+        static BLOCK_DIGESTS: Cell<u64> = const { Cell::new(0) };
     }
 
     /// A snapshot of the counters since the last [`reset`].
@@ -265,6 +328,14 @@ pub mod payload_stats {
         /// Full O(payload) wire-size walks (`wire_size.computed`); cached
         /// reads do not count.
         pub wire_size_computed: u64,
+        /// Merkle folds over a bundle body ([`crate::Bundle::build`], a
+        /// bare [`crate::Bundle::verify`], a shared bundle not built here).
+        /// No report carries it: tests pin the work shape with it — one
+        /// fold per honestly produced bundle, whatever the fan-out.
+        pub body_folds: u64,
+        /// [`crate::PredisBlock::digest`] calls; like `body_folds`, a count
+        /// for tests, not a report metric.
+        pub block_digests: u64,
     }
 
     /// Records one payload materialization of `bytes` wire bytes.
@@ -274,12 +345,24 @@ pub mod payload_stats {
         COMPUTED.with(|c| c.set(c.get() + 1));
     }
 
+    /// Records one Merkle fold over a bundle body.
+    pub(crate) fn record_body_fold() {
+        BODY_FOLDS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Records one `PredisBlock` digest.
+    pub(crate) fn record_block_digest() {
+        BLOCK_DIGESTS.with(|c| c.set(c.get() + 1));
+    }
+
     /// Reads the counters accumulated on this thread since the last reset.
     pub fn snapshot() -> PayloadStats {
         PayloadStats {
             payload_clones: CLONES.with(Cell::get),
             bytes_cloned: BYTES.with(Cell::get),
             wire_size_computed: COMPUTED.with(Cell::get),
+            body_folds: BODY_FOLDS.with(Cell::get),
+            block_digests: BLOCK_DIGESTS.with(Cell::get),
         }
     }
 
@@ -288,6 +371,8 @@ pub mod payload_stats {
         CLONES.with(|c| c.set(0));
         BYTES.with(|c| c.set(0));
         COMPUTED.with(|c| c.set(0));
+        BODY_FOLDS.with(|c| c.set(0));
+        BLOCK_DIGESTS.with(|c| c.set(0));
     }
 
     /// Adds a snapshot taken on another thread into this thread's counters.
@@ -298,30 +383,32 @@ pub mod payload_stats {
         CLONES.with(|c| c.set(c.get() + stats.payload_clones));
         BYTES.with(|c| c.set(c.get() + stats.bytes_cloned));
         COMPUTED.with(|c| c.set(c.get() + stats.wire_size_computed));
+        BODY_FOLDS.with(|c| c.set(c.get() + stats.body_folds));
+        BLOCK_DIGESTS.with(|c| c.set(c.get() + stats.block_digests));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{ChainId, ClientId, Height, TxId};
-    use crate::tip_list::TipList;
-    use crate::tx::Transaction;
-    use predis_crypto::{Hash, Keypair, SignerId};
+    use crate::ids::{ClientId, TxId};
+    use predis_crypto::SignerId;
+
+    fn txs(n: u64) -> Vec<Transaction> {
+        (0..n)
+            .map(|i| Transaction::new(TxId(i), ClientId(0), 0))
+            .collect()
+    }
 
     fn bundle(height: u64) -> Bundle {
-        let key = Keypair::for_node(SignerId(0));
-        let txs: Vec<Transaction> = (0..5)
-            .map(|i| Transaction::new(TxId(i), ClientId(0), 0))
-            .collect();
         Bundle::build(
             ChainId(0),
             Height(height),
             Hash::ZERO,
             TipList::new(4),
-            txs,
+            txs(5),
             Hash::ZERO,
-            &key,
+            &Keypair::for_node(SignerId(0)),
         )
     }
 
@@ -365,5 +452,69 @@ mod tests {
         assert_eq!(s.wire_size_computed, 1);
         payload_stats::reset();
         assert_eq!(payload_stats::snapshot(), Default::default());
+    }
+
+    fn build_shared(txs: Vec<Transaction>) -> SizedBundle {
+        SizedBundle::build(
+            ChainId(0),
+            Height(1),
+            Hash::ZERO,
+            TipList::new(4),
+            txs,
+            Hash::ZERO,
+            &Keypair::for_node(SignerId(0)),
+        )
+    }
+
+    #[test]
+    fn a_built_bundle_is_folded_once_whoever_verifies_it() {
+        payload_stats::reset();
+        let built = build_shared(txs(50));
+        assert_eq!(payload_stats::snapshot().body_folds, 1);
+        // The producer and seven receivers: the fold `build` made serves all.
+        for _ in 0..8 {
+            assert!(built.clone().verify());
+        }
+        assert_eq!(built.hash(), Bundle::hash(&built));
+        assert_eq!(payload_stats::snapshot().body_folds, 1);
+        // Another allocation of the same value shares nothing: it is folded
+        // by its first verifier, once.
+        let copy = SizedBundle::from((*built).clone());
+        assert_eq!(payload_stats::snapshot().body_folds, 1);
+        assert!(copy.verify() && copy.clone().verify());
+        assert_eq!(payload_stats::snapshot().body_folds, 2);
+        // A bare bundle keeps no memo at all.
+        assert!(Bundle::verify(&built) && Bundle::verify(&built));
+        assert_eq!(payload_stats::snapshot().body_folds, 4);
+    }
+
+    #[test]
+    fn equal_sibling_bodies_are_rejected_through_the_shared_wrapper() {
+        // Forged after the fact: same root as the signed body, longer list.
+        let good = build_shared(txs(3));
+        let mut forged = (*good).clone();
+        forged.txs.push(good.txs[2]);
+        assert!(good.verify());
+        assert!(!forged.verify());
+        assert!(!SizedBundle::from(forged).verify());
+        // Packed that way by the producer itself: the fold that travels
+        // from `build` carries the flag, not just the root.
+        let mut body = txs(3);
+        body.push(body[2]);
+        let built = build_shared(body);
+        assert!(!Bundle::verify(&built));
+        assert!(!built.verify());
+    }
+
+    #[test]
+    fn a_tampered_copy_does_not_inherit_the_memo() {
+        let built = build_shared(txs(10));
+        assert!(built.verify());
+        let mut tampered = (*built).clone();
+        tampered.txs[4] = Transaction::new(TxId(999), ClientId(9), 0);
+        let tampered = SizedBundle::from(tampered);
+        assert!(!tampered.verify());
+        assert_eq!(tampered.hash(), built.hash(), "the header is untouched");
+        assert!(built.verify());
     }
 }
