@@ -662,8 +662,18 @@ fn fit(len: usize) -> usize {
 pub struct BlockTable {
     slots: Box<[BlockEntry]>,
     /// Occupied slots, done blocks included.
-    len: usize,
-    done: usize,
+    len: u32,
+    done: u32,
+    /// The slot [`entry`](BlockTable::entry) lent out last. A spill is
+    /// allocated only through that `&mut`, and the borrow has ended by the
+    /// time the table is called again, so this is the one slot that can
+    /// hold a spill `spilled` has not seen. (The four fields are `u32`s and
+    /// a flag so that the table is still seven words.)
+    lent: u32,
+    /// Whether a spill was ever seen in the table. While false (every
+    /// world but the synthetic multi-bundle loads),
+    /// [`approx_bytes`](BlockTable::approx_bytes) has nothing to walk for.
+    spilled: bool,
     /// Ids of the pending blocks, ascending.
     pending: Vec<u64>,
 }
@@ -706,7 +716,24 @@ impl BlockTable {
         }
     }
 
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the lent slot holds a spill (or whatever slot has taken its
+    /// place since: an occupied slot's spill is a spill all the same).
+    fn lent_spills(&self) -> bool {
+        let lent = self.slots.get(self.lent as usize);
+        lent.is_some_and(|entry| entry.spill.is_some())
+    }
+
+    /// Looks at the lent slot before another is lent or slots move.
+    fn settle(&mut self) {
+        self.spilled = self.spilled || self.lent_spills();
+    }
+
     fn rehash(&mut self, slots: usize) {
+        self.settle();
         let fresh = vec![BlockEntry::EMPTY; slots].into_boxed_slice();
         let old = std::mem::replace(&mut self.slots, fresh);
         for entry in old.into_vec().into_iter().filter(|e| e.has(OCCUPIED)) {
@@ -722,11 +749,12 @@ impl BlockTable {
 
     /// The entry for `block`, created when absent.
     pub fn entry(&mut self, block: u64) -> &mut BlockEntry {
+        self.settle();
         let i = match self.probe(block) {
             Ok(i) => i,
             Err(mut i) => {
-                if fit(self.len + 1) > self.slots.len() {
-                    self.rehash(fit((self.len + self.len / 2).max(self.len + 1)));
+                if fit(self.len() + 1) > self.slots.len() {
+                    self.rehash(fit((self.len() + self.len() / 2).max(self.len() + 1)));
                     i = self.probe(block).expect_err("block is absent");
                 }
                 self.slots[i] = BlockEntry {
@@ -738,6 +766,7 @@ impl BlockTable {
                 i
             }
         };
+        self.lent = u32::try_from(i).expect("a table holds < 2^32 blocks");
         &mut self.slots[i]
     }
 
@@ -783,12 +812,13 @@ impl BlockTable {
 
     /// Drops every trace of `block`.
     pub fn retire(&mut self, block: u64) {
+        self.settle();
         let Ok(mut hole) = self.probe(block) else {
             return;
         };
         let gone = std::mem::replace(&mut self.slots[hole], BlockEntry::EMPTY);
         self.len -= 1;
-        self.done -= usize::from(gone.is_done());
+        self.done -= u32::from(gone.is_done());
         self.unpend(block);
         // Close the hole: an entry further down its probe run moves up
         // unless that would place it before its home slot.
@@ -818,7 +848,7 @@ impl BlockTable {
 
     /// Number of tracked blocks (pending or merely receiving stripes).
     pub fn live_len(&self) -> usize {
-        self.len - self.done
+        (self.len - self.done) as usize
     }
 
     /// Every tracked block, in table (hash) order.
@@ -837,16 +867,26 @@ impl BlockTable {
     /// Releases what a transient burst left behind: rebuilds the table at
     /// the exact fit once it holds more slots than growth would give it.
     pub fn compact(&mut self) {
-        if self.slots.len() > fit(self.len + self.len / 2) {
-            self.rehash(fit(self.len));
+        if self.slots.len() > fit(self.len() + self.len() / 2) {
+            self.rehash(fit(self.len()));
         }
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes. The engine samples it on every
+    /// actor at the end of every `run_until`, so the slots are walked for
+    /// their spills only once the table has seen one.
     pub fn approx_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<BlockEntry>()
-            + self.slots.iter().map(BlockEntry::heap_bytes).sum::<usize>()
-            + self.pending.capacity() * 8
+        let spills = if self.spilled || self.lent_spills() {
+            self.walked_spill_bytes()
+        } else {
+            0
+        };
+        debug_assert_eq!(spills, self.walked_spill_bytes());
+        self.slots.len() * std::mem::size_of::<BlockEntry>() + spills + self.pending.capacity() * 8
+    }
+
+    fn walked_spill_bytes(&self) -> usize {
+        self.slots.iter().map(BlockEntry::heap_bytes).sum()
     }
 }
 
@@ -1070,6 +1110,83 @@ mod tests {
             }
             t.compact();
             assert_eq!(t.approx_bytes(), 0);
+        }
+    }
+
+    /// What `approx_bytes` was before it learnt to skip the walk.
+    fn walked(t: &BlockTable) -> usize {
+        t.slots.len() * std::mem::size_of::<BlockEntry>()
+            + t.walked_spill_bytes()
+            + t.pending.capacity() * 8
+    }
+
+    /// `approx_bytes` walks the slots only once the table has seen a
+    /// spill. Through growth, rehashing, completion, retirement and
+    /// compaction it never misses one — also when the only spill is in the
+    /// entry lent out last — and the table did not grow to know it.
+    #[test]
+    fn approx_bytes_equals_the_walking_sum_on_a_table_that_spills() {
+        assert_eq!(std::mem::size_of::<BlockTable>(), 56);
+        let mut t = BlockTable::new();
+        for n in 0..600u64 {
+            // Single-bundle blocks first: the first spill comes late, into
+            // a table that has been rehashed and retired from.
+            let bundles = if n < 300 { 1 } else { 5 };
+            let slot = t.entry(digest(n));
+            for idx in 0..(n % bundles) as u32 {
+                slot.add_stripe(idx, (n % 7) as u32);
+            }
+            assert_eq!(t.approx_bytes(), walked(&t));
+            let idx = (n % 100 % bundles) as u32;
+            match n % 6 {
+                0 => drop(t.entry(digest(n / 2)).mark_decoded(idx)),
+                1 => drop(t.entry(digest(n / 2)).bump_pull(idx)),
+                2 => t.set_pending(digest(n), 4, SimTime::ZERO),
+                3 => drop(t.complete(digest(n / 3))),
+                4 => t.retire(digest(n / 4)),
+                _ => t.compact(),
+            }
+            assert_eq!(t.approx_bytes(), walked(&t));
+            assert!(n >= 300 || t.walked_spill_bytes() == 0);
+        }
+        assert!(t.walked_spill_bytes() > 0, "the script must spill");
+        for n in 0..600 {
+            t.retire(digest(n));
+        }
+        assert_eq!(t.walked_spill_bytes(), 0);
+        assert_eq!(t.approx_bytes(), walked(&t));
+    }
+
+    /// The table's first spill sits in the entry lent out last when a
+    /// retirement's backward shift, or a compaction, moves that entry to
+    /// another slot: it is still counted.
+    #[test]
+    fn a_first_spill_in_the_lent_entry_survives_slots_moving() {
+        let filled = |blocks: u64| {
+            let mut t = BlockTable::new();
+            for n in 0..blocks {
+                t.entry(digest(n));
+            }
+            t
+        };
+        for spiller in 0..12 {
+            for retired in (0..12).filter(|&n| n != spiller) {
+                let mut t = filled(12);
+                t.entry(digest(spiller)).add_stripe(1, 0);
+                t.retire(digest(retired));
+                assert!(t.walked_spill_bytes() > 0);
+                assert_eq!(t.approx_bytes(), walked(&t));
+            }
+            let mut t = filled(40);
+            for n in 12..40 {
+                t.retire(digest(n));
+            }
+            t.entry(digest(spiller)).add_stripe(1, 0);
+            let before = t.slots.len();
+            t.compact();
+            assert!(t.slots.len() < before, "compaction must rebuild the table");
+            assert!(t.walked_spill_bytes() > 0);
+            assert_eq!(t.approx_bytes(), walked(&t));
         }
     }
 

@@ -1025,16 +1025,16 @@ mod tests {
 
     #[test]
     fn far_future_timers_cross_the_wheel_horizon() {
-        // An 80-minute period exceeds the ~73-minute wheel horizon, so
-        // every re-arm lands in the far heap and cascades back in.
+        // A 12-hour period exceeds the wheel's 2^45 ns ≈ 9.8 h horizon, so
+        // every re-arm lands in the far heap and is pulled back in.
         let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
         let mut sim: Sim<Msg> = Sim::new(11, net);
         let n = sim.add_node(
             LinkConfig::paper_default(),
-            Box::new(Ticker::with_period(SimDuration::from_secs(80 * 60))),
+            Box::new(Ticker::with_period(SimDuration::from_secs(12 * 3600))),
             SimTime::ZERO,
         );
-        sim.run_until(SimTime::from_secs(8 * 3600));
+        sim.run_until(SimTime::from_secs(72 * 3600));
         assert_eq!(sim.actor_as::<Ticker>(n).unwrap().fired, 6);
     }
 

@@ -154,6 +154,20 @@ pub struct Scheduled {
     pub arrives: SimTime,
 }
 
+/// Time to serialize `bytes` onto a link of `bps` bits per second:
+/// `bits × 10⁹ / bps` nanoseconds, truncated. The division runs in `u64`
+/// whenever `bytes × 8 × 10⁹` fits (up to ≈ 2³¹ bytes) and in `u128`
+/// otherwise; the quotient is the same either way.
+#[inline]
+fn tx_time(bytes: usize, bps: u64) -> SimDuration {
+    const NANOS_PER_BYTE_AT_1_BPS: u64 = 8 * 1_000_000_000;
+    let nanos = match (bytes as u64).checked_mul(NANOS_PER_BYTE_AT_1_BPS) {
+        Some(bit_nanos) => bit_nanos / bps,
+        None => (bytes as u128 * NANOS_PER_BYTE_AT_1_BPS as u128 / bps as u128) as u64,
+    };
+    SimDuration::from_nanos(nanos)
+}
+
 impl Network {
     /// Creates a network with the given latency model and propagation jitter
     /// bound (jitter is sampled uniformly in `[0, jitter]`).
@@ -197,10 +211,7 @@ impl Network {
 
     /// The transmission (serialization) delay of `bytes` on `node`'s link.
     pub fn tx_delay(&self, node: NodeId, bytes: usize) -> SimDuration {
-        let bps = self.links[node.index()].config.upload_bps;
-        // bits * 1e9 / bps nanoseconds, computed in u128 to avoid overflow.
-        let nanos = (bytes as u128 * 8 * 1_000_000_000) / bps as u128;
-        SimDuration::from_nanos(nanos as u64)
+        tx_time(bytes, self.links[node.index()].config.upload_bps)
     }
 
     /// One-way propagation latency between two nodes (excludes jitter).
@@ -236,11 +247,7 @@ impl Network {
     pub fn schedule(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: usize) -> Scheduled {
         let link = &mut self.links[from.index()];
         let start = now.max(link.busy_until);
-        let departs = start + {
-            let bps = link.config.upload_bps;
-            let nanos = (bytes as u128 * 8 * 1_000_000_000) / bps as u128;
-            SimDuration::from_nanos(nanos as u64)
-        };
+        let departs = start + tx_time(bytes, link.config.upload_bps);
         link.busy_until = departs;
         link.bytes_sent += bytes as u64;
         let jitter = if self.jitter.is_zero() {

@@ -37,6 +37,27 @@ proptest! {
         prop_assert_eq!(net.bytes_sent(b), 0);
     }
 
+    /// One transmission-time formula: `tx_delay` and `schedule` both give
+    /// the `u128` quotient `bytes × 8 × 10⁹ / bps`, for sizes on either
+    /// side of where that product leaves `u64` (≈ 2³¹ bytes).
+    #[test]
+    fn tx_time_is_the_wide_quotient_at_every_size(
+        raw in any::<u64>(),
+        size_bits in 0u32..=36,
+        bps in 1_000u64..=1_000_000_000_000,
+    ) {
+        let bytes = (raw & ((1u64 << size_bits) - 1)) as usize;
+        let want = (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+        let mut net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+        let mut config = LinkConfig::paper_default();
+        config.upload_bps = bps;
+        let a = net.add_link(config);
+        let b = net.add_link(config);
+        prop_assert_eq!(net.tx_delay(a, bytes), SimDuration::from_nanos(want));
+        let sent = net.schedule(SimTime::from_nanos(17), a, b, bytes);
+        prop_assert_eq!(sent.departs, SimTime::from_nanos(17 + want));
+    }
+
     /// Concurrent senders never interfere with each other's links.
     #[test]
     fn links_are_independent(n in 2usize..10, size in 1usize..1_000_000) {
