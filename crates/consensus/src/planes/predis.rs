@@ -11,7 +11,7 @@ use std::collections::{BTreeSet, VecDeque};
 use predis_crypto::{Hash, Keypair, SignerId};
 use predis_mempool::{BlockValidationError, BundleProducer, InsertOutcome, Mempool, TxPool};
 use predis_sim::{
-    BundleKey, CachedCounter, Codec, Labels, NarrowContext, NodeId, SimTime, Stage, TimerTag,
+    BundleKey, Codec, CounterHandle, Labels, NarrowContext, NodeId, SimTime, Stage, TimerTag,
 };
 use predis_types::{
     ChainId, Height, IdMap, IdSet, ProposalPayload, SizedBundle, Transaction, TxId, View,
@@ -54,12 +54,13 @@ pub struct PredisPlane {
     /// a dissemination layer (Multi-Zone). Shared handles: the mempool and
     /// the multicast hold the same allocations.
     produced: Vec<SizedBundle>,
-    /// Handles for the once-per-bundle counters: `predis.bundles_produced`,
-    /// `predis.bundles_accepted`, and `mempool.tip_updates` (one
-    /// `(node, chain)` cell per chain).
-    produced_c: CachedCounter,
-    accepted_c: CachedCounter,
-    tip_updates_c: Vec<CachedCounter>,
+    /// Handles for the once-per-bundle counters: `predis.bundles_produced`
+    /// and `predis.bundles_accepted`, minted here, and
+    /// `mempool.tip_updates`, one `(node, chain)` cell per chain, minted in
+    /// `init` (the first hook that knows the node's id).
+    bundles_produced: CounterHandle,
+    bundles_accepted: CounterHandle,
+    tip_updates: Vec<CounterHandle>,
 }
 
 impl PredisPlane {
@@ -87,9 +88,9 @@ impl PredisPlane {
             partitioning: false,
             packed: IdSet::default(),
             produced: Vec::new(),
-            produced_c: CachedCounter::default(),
-            accepted_c: CachedCounter::default(),
-            tip_updates_c: vec![CachedCounter::default(); n],
+            bundles_produced: CounterHandle::of("predis.bundles_produced", Labels::GLOBAL),
+            bundles_accepted: CounterHandle::of("predis.bundles_accepted", Labels::GLOBAL),
+            tip_updates: Vec::new(),
             roster,
             cfg,
         }
@@ -217,12 +218,7 @@ impl PredisPlane {
             None => ctx.multicast(self.roster.peers_of(self.me), msg),
         }
         let now = ctx.now();
-        ctx.metrics().incr_cached(
-            &mut self.produced_c,
-            "predis.bundles_produced",
-            Labels::GLOBAL,
-            1,
-        );
+        ctx.metrics().incr_handle(self.bundles_produced, 1);
         if is_heartbeat {
             ctx.metrics()
                 .incr_labeled("predis.heartbeats", Labels::chain(key.chain), 1);
@@ -270,6 +266,10 @@ impl DataPlane for PredisPlane {
     }
 
     fn init<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
+        let me = Labels::node(ctx.node().index() as u64);
+        self.tip_updates = (0..self.roster.n() as u64)
+            .map(|chain| CounterHandle::of("mempool.tip_updates", me.and_chain(chain)))
+            .collect();
         ctx.set_timer(
             self.cfg.production_interval,
             TimerTag::of_kind(timers::PLANE_PRODUCE),
@@ -303,19 +303,9 @@ impl DataPlane for PredisPlane {
                 // Arc bump: the mempool keeps the delivered allocation.
                 match self.mempool.insert_bundle(bundle.clone()) {
                     Ok(InsertOutcome::Inserted { new_tip, .. }) => {
-                        ctx.metrics().incr_cached(
-                            &mut self.accepted_c,
-                            "predis.bundles_accepted",
-                            Labels::GLOBAL,
-                            1,
-                        );
-                        let me = ctx.node().index() as u64;
-                        ctx.metrics().incr_cached(
-                            &mut self.tip_updates_c[chain.index()],
-                            "mempool.tip_updates",
-                            Labels::node(me).and_chain(chain.index() as u64),
-                            1,
-                        );
+                        ctx.metrics().incr_handle(self.bundles_accepted, 1);
+                        ctx.metrics()
+                            .incr_handle(self.tip_updates[chain.index()], 1);
                         let now = ctx.now();
                         ctx.metrics().timeline_mark(
                             BundleKey {

@@ -46,7 +46,7 @@ pub(crate) enum Duty {
     /// Full content to every assigned full node.
     Star { assigned: Vec<NodeId> },
     /// This node's stripe to its zone relayers. Boxed: a ZoneSource (stripe
-    /// buffers, subscriber lists, interned handles) dwarfs the star variant.
+    /// buffers, subscriber lists, counter handles) dwarfs the star variant.
     Zone { source: Box<ZoneSource> },
 }
 
@@ -116,14 +116,6 @@ impl FlowConsensusNode {
 }
 
 impl Actor<FlowMsg> for FlowConsensusNode {
-    fn on_attach(&mut self, _me: NodeId, metrics: &mut Metrics) {
-        // The zone duty embeds a ZoneSource directly (not via ActorOf), so
-        // its hot-path counter handles are interned here.
-        if let Duty::Zone { source } = &mut self.duty {
-            source.attach_metrics(metrics);
-        }
-    }
-
     fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + match &self.duty {

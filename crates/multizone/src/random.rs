@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 
 use predis_sim::{
-    CachedCounter, Codec, Labels, NarrowContext, NodeId, ProtocolCore, SimDuration, TimerTag,
+    Codec, CounterHandle, Labels, NarrowContext, NodeId, ProtocolCore, SimDuration, TimerTag,
 };
 use predis_types::Shared;
 use rand::seq::SliceRandom;
@@ -152,9 +152,8 @@ pub struct RandomSource {
     cfg: FegConfig,
     load: SyntheticLoad,
     next_block: u64,
-    /// Per-tick counter cache: survives migration between the sequential
-    /// engine's metrics sink and partition-worker forks.
-    blocks_sent_c: CachedCounter,
+    /// `random.blocks_sent`, minted at construction.
+    blocks_sent: CounterHandle,
 }
 
 impl RandomSource {
@@ -165,7 +164,7 @@ impl RandomSource {
             cfg,
             load,
             next_block: 0,
-            blocks_sent_c: CachedCounter::default(),
+            blocks_sent: CounterHandle::of("random.blocks_sent", Labels::GLOBAL),
         }
     }
 }
@@ -219,12 +218,7 @@ impl ProtocolCore<NetMsg> for RandomSource {
                 blocks: Shared::new(vec![block]),
             },
         );
-        ctx.metrics().incr_cached(
-            &mut self.blocks_sent_c,
-            "random.blocks_sent",
-            Labels::GLOBAL,
-            1,
-        );
+        ctx.metrics().incr_handle(self.blocks_sent, 1);
         self.next_block += 1;
         let interval = self.load.interval;
         ctx.set_timer(interval, TimerTag::of_kind(net_timers::SOURCE_TICK));

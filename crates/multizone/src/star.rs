@@ -3,7 +3,7 @@
 //! node grows linearly with the number of full nodes — the degradation
 //! Fig. 7 and Fig. 8 measure Multi-Zone against.
 
-use predis_sim::{CachedCounter, Codec, Labels, NarrowContext, NodeId, ProtocolCore, TimerTag};
+use predis_sim::{Codec, CounterHandle, Labels, NarrowContext, NodeId, ProtocolCore, TimerTag};
 
 use crate::msg::{net_timers, NetMsg};
 use crate::zone::SyntheticLoad;
@@ -15,9 +15,8 @@ pub struct StarSource {
     assigned: Vec<NodeId>,
     load: SyntheticLoad,
     next_block: u64,
-    /// Per-tick counter cache: survives migration between the sequential
-    /// engine's metrics sink and partition-worker forks.
-    blocks_sent_c: CachedCounter,
+    /// `star.blocks_sent`, minted at construction.
+    blocks_sent: CounterHandle,
 }
 
 impl StarSource {
@@ -27,7 +26,7 @@ impl StarSource {
             assigned,
             load,
             next_block: 0,
-            blocks_sent_c: CachedCounter::default(),
+            blocks_sent: CounterHandle::of("star.blocks_sent", Labels::GLOBAL),
         }
     }
 }
@@ -63,12 +62,7 @@ impl ProtocolCore<NetMsg> for StarSource {
         };
         let assigned = self.assigned.clone();
         ctx.multicast(assigned, msg);
-        ctx.metrics().incr_cached(
-            &mut self.blocks_sent_c,
-            "star.blocks_sent",
-            Labels::GLOBAL,
-            1,
-        );
+        ctx.metrics().incr_handle(self.blocks_sent, 1);
         self.next_block += 1;
         let interval = self.load.interval;
         ctx.set_timer(interval, TimerTag::of_kind(net_timers::SOURCE_TICK));

@@ -17,8 +17,8 @@
 //! emission — and therefore run fingerprints — bit-identical.
 
 use predis_sim::{
-    BundleKey, CachedCounter, Codec, CounterHandle, Labels, Metrics, NarrowContext, NodeId,
-    ProtocolCore, SimDuration, SimTime, Stage, TimerTag,
+    BundleKey, Codec, CounterHandle, Labels, NarrowContext, NodeId, ProtocolCore, SimDuration,
+    SimTime, Stage, TimerTag,
 };
 use predis_types::Shared;
 use rand::seq::SliceRandom;
@@ -171,11 +171,10 @@ pub struct ZoneSource {
     sub_last_seen: PeerMap<SimTime>,
     current_block: u64,
     bundle_in_block: u32,
-    /// Interned at attach: `zone.rs_encodes` / `zone.stripe_sends` for
-    /// this stripe's chain label, so the per-bundle hot path is a dense
-    /// array add instead of a string-keyed map walk.
-    enc_h: Option<CounterHandle>,
-    send_h: Option<CounterHandle>,
+    /// `zone.rs_encodes` / `zone.stripe_sends` for this stripe's chain
+    /// label, minted here so the per-bundle path is a dense-array add.
+    rs_encodes: CounterHandle,
+    stripe_sends: CounterHandle,
 }
 
 impl ZoneSource {
@@ -183,6 +182,7 @@ impl ZoneSource {
     /// generates bundles itself (propagation experiments), without one it
     /// is driven externally via [`ZoneSource::offer_bundle`].
     pub fn new(idx: u32, cfg: ZoneConfig, load: Option<SyntheticLoad>) -> ZoneSource {
+        let chain = Labels::chain(idx as u64);
         ZoneSource {
             idx,
             cfg,
@@ -192,8 +192,8 @@ impl ZoneSource {
             sub_last_seen: PeerMap::new(),
             current_block: 0,
             bundle_in_block: 0,
-            enc_h: None,
-            send_h: None,
+            rs_encodes: CounterHandle::of("zone.rs_encodes", chain),
+            stripe_sends: CounterHandle::of("zone.stripe_sends", chain),
         }
     }
 
@@ -206,17 +206,6 @@ impl ZoneSource {
     pub fn with_sub_cap(mut self, cap: SubCap) -> ZoneSource {
         self.sub_cap = Some(cap);
         self
-    }
-
-    /// Interns this source's hot-path counter handles against `metrics`.
-    /// Called from [`ProtocolCore::attach`] (and directly by embedders
-    /// like the fig7 consensus duty wrapper, which implements `Actor`
-    /// itself).
-    pub fn attach_metrics(&mut self, metrics: &mut Metrics) {
-        self.enc_h =
-            Some(metrics.counter_handle("zone.rs_encodes", Labels::chain(self.idx as u64)));
-        self.send_h =
-            Some(metrics.counter_handle("zone.stripe_sends", Labels::chain(self.idx as u64)));
     }
 
     /// Approximate resident footprint (for `mem.*` accounting).
@@ -246,22 +235,9 @@ impl ZoneSource {
         let fanout = self.subscribers.len() as u64;
         ctx.multicast(self.subscribers.iter().copied(), msg);
         let now = ctx.now();
-        match self.enc_h {
-            Some(h) => ctx.metrics().incr_handle(h, 1),
-            None => {
-                ctx.metrics()
-                    .incr_labeled("zone.rs_encodes", Labels::chain(self.idx as u64), 1)
-            }
-        }
+        ctx.metrics().incr_handle(self.rs_encodes, 1);
         if fanout > 0 {
-            match self.send_h {
-                Some(h) => ctx.metrics().incr_handle(h, fanout),
-                None => ctx.metrics().incr_labeled(
-                    "zone.stripe_sends",
-                    Labels::chain(self.idx as u64),
-                    fanout,
-                ),
-            }
+            ctx.metrics().incr_handle(self.stripe_sends, fanout);
         }
         ctx.metrics().timeline_mark(
             BundleKey {
@@ -320,10 +296,6 @@ impl ZoneSource {
 }
 
 impl ProtocolCore<NetMsg> for ZoneSource {
-    fn attach(&mut self, _me: NodeId, metrics: &mut Metrics) {
-        self.attach_metrics(metrics);
-    }
-
     fn approx_bytes(&self) -> usize {
         self.approx_size()
     }
@@ -452,6 +424,32 @@ impl ProtocolCore<NetMsg> for ZoneSource {
     }
 }
 
+/// A full node's own counter cells, all labelled with its id.
+#[derive(Debug)]
+struct NodeCells {
+    /// `zone.stripe_sends`, one per stripe.
+    stripe_sends: Box<[CounterHandle]>,
+    redundancy_shed: CounterHandle,
+    stripes_rejected: CounterHandle,
+    rs_decodes: CounterHandle,
+    heartbeats: CounterHandle,
+}
+
+impl NodeCells {
+    fn of(me: NodeId, n_c: usize) -> NodeCells {
+        let node = Labels::node(me.index() as u64);
+        NodeCells {
+            stripe_sends: (0..n_c as u64)
+                .map(|s| CounterHandle::of("zone.stripe_sends", node.and_chain(s)))
+                .collect(),
+            redundancy_shed: CounterHandle::of("zone.redundancy_shed", node),
+            stripes_rejected: CounterHandle::of("zone.stripes_rejected", node),
+            rs_decodes: CounterHandle::of("zone.rs_decodes", node),
+            heartbeats: CounterHandle::of("zone.heartbeats", node),
+        }
+    }
+}
+
 /// A known relayer of this zone: join order, advertised stripes, last
 /// alive time.
 #[derive(Debug, Clone, Copy)]
@@ -515,20 +513,9 @@ pub struct MultiZoneNode {
     /// slot, at a fixed cost instead of O(blocks) tombstones.
     retired_ring: std::collections::VecDeque<u64>,
 
-    /// Interned at attach, one per stripe: `zone.stripe_sends` for this
-    /// node. Minted against the parent metrics before the run starts, so
-    /// the handles survive parallel-engine shard forks (forked counters
-    /// share the interning index).
-    stripe_send_h: Vec<CounterHandle>,
-    /// Generation-checked handle caches for hot per-node counters that
-    /// cannot be interned at attach (their first write may happen on a
-    /// partition worker's forked sink, whose cell indices the parent sink
-    /// does not know). One tree lookup per sink migration, an array add
-    /// otherwise.
-    redundancy_shed_c: CachedCounter,
-    stripes_rejected_c: CachedCounter,
-    rs_decodes_c: CachedCounter,
-    heartbeats_c: CachedCounter,
+    /// Minted in `start`, the first hook that knows this node's id; the
+    /// engine starts a node before any other event reaches it.
+    cells: Option<NodeCells>,
 
     /// Number of blocks fully reconstructed (ann + all bundles decoded).
     pub completed_blocks: u64,
@@ -581,11 +568,7 @@ impl MultiZoneNode {
             last_data: StripeTable::new(n_c),
             child_last_seen: PeerMap::new(),
             retired_ring: std::collections::VecDeque::new(),
-            stripe_send_h: Vec::new(),
-            redundancy_shed_c: CachedCounter::default(),
-            stripes_rejected_c: CachedCounter::default(),
-            rs_decodes_c: CachedCounter::default(),
-            heartbeats_c: CachedCounter::default(),
+            cells: None,
             completed_blocks: 0,
         }
     }
@@ -669,7 +652,19 @@ impl MultiZoneNode {
             + self.ann_forwarded.approx_bytes()
             + self.pulled.approx_bytes()
             + self.retired_ring.capacity() * 8
-            + self.stripe_send_h.capacity() * std::mem::size_of::<CounterHandle>()
+            + self.cells_heap_bytes()
+    }
+
+    fn cells_heap_bytes(&self) -> usize {
+        self.cells.as_ref().map_or(0, |c| {
+            c.stripe_sends.len() * std::mem::size_of::<CounterHandle>()
+        })
+    }
+
+    fn cells(&self) -> &NodeCells {
+        self.cells
+            .as_ref()
+            .expect("the engine starts a node before its first event")
     }
 
     /// Diagnostic: per-component footprint, for memory-budget tuning.
@@ -696,7 +691,7 @@ impl MultiZoneNode {
             ("ann_forwarded", self.ann_forwarded.approx_bytes()),
             ("pulled", self.pulled.approx_bytes()),
             ("retired_ring", self.retired_ring.capacity() * 8),
-            ("stripe_send_h", self.stripe_send_h.capacity() * 8),
+            ("cells", self.cells_heap_bytes()),
         ]
     }
 
@@ -848,13 +843,8 @@ impl MultiZoneNode {
             let src = self.cfg.consensus[s as usize];
             self.switching.insert(s, src);
         }
-        let me = ctx.node().index() as u64;
-        ctx.metrics().incr_cached(
-            &mut self.redundancy_shed_c,
-            "zone.redundancy_shed",
-            Labels::node(me),
-            overlap.len() as u64,
-        );
+        ctx.metrics()
+            .incr_handle(self.cells().redundancy_shed, overlap.len() as u64);
         self.subscribe(ctx, other, overlap);
         if self.relaying.is_empty() {
             ctx.metrics().incr("zone.relayer_stepdowns", 1);
@@ -1129,23 +1119,15 @@ impl MultiZoneNode {
 }
 
 impl ProtocolCore<NetMsg> for MultiZoneNode {
-    fn attach(&mut self, me: NodeId, metrics: &mut Metrics) {
-        let node = me.index() as u64;
-        self.stripe_send_h = (0..self.cfg.n_c as u32)
-            .map(|s| {
-                metrics.counter_handle("zone.stripe_sends", Labels::node(node).and_chain(s as u64))
-            })
-            .collect();
-    }
-
     fn approx_bytes(&self) -> usize {
         self.approx_size()
     }
 
     fn start<M: Codec<NetMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, NetMsg>) {
+        let me = ctx.node();
+        self.cells = Some(NodeCells::of(me, self.cfg.n_c));
         // Algorithm 1: learn the zone's relayers, then subscribe. The
         // bootstrap is the earliest-joined fellow zone member.
-        let me = ctx.node();
         let bootstrap = self
             .roster
             .peers()
@@ -1202,13 +1184,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     // provider looks silent on this stripe and the §IV-E
                     // reroute replaces it; the bundle itself recovers via
                     // the overdue-pull path.
-                    let me = ctx.node().index() as u64;
-                    ctx.metrics().incr_cached(
-                        &mut self.stripes_rejected_c,
-                        "zone.stripes_rejected",
-                        Labels::node(me),
-                        1,
-                    );
+                    ctx.metrics().incr_handle(self.cells().stripes_rejected, 1);
                     return;
                 }
                 let now = ctx.now();
@@ -1219,6 +1195,8 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     // it would cascade the duplicate down the tree.
                     return;
                 }
+                let cells = self.cells();
+                let (sends, decodes) = (cells.stripe_sends[stripe as usize], cells.rs_decodes);
                 // The one table probe of the stripe path: everything below
                 // works on this entry (a done block always has one).
                 let slot = self.blocks.entry(bundle.block);
@@ -1253,34 +1231,14 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     }
                 };
                 if fanout > 0 {
-                    // Interned at attach (parent metrics, pre-run), so the
-                    // handle stays valid across parallel-engine shard
-                    // forks; the name-based form is only a fallback for
-                    // cores never attached.
-                    match self.stripe_send_h.get(stripe as usize) {
-                        Some(&h) => ctx.metrics().incr_handle(h, fanout),
-                        None => {
-                            let me = ctx.node().index() as u64;
-                            ctx.metrics().incr_labeled(
-                                "zone.stripe_sends",
-                                Labels::node(me).and_chain(stripe as u64),
-                                fanout,
-                            );
-                        }
-                    }
+                    ctx.metrics().incr_handle(sends, fanout);
                 }
                 let announced = slot.pending().is_some();
                 let decoded = have_count >= k && slot.mark_decoded(bundle.idx);
                 if decoded {
                     slot.add_size(bytes as u64 * k as u64);
                     slot.note_hint(bytes * k);
-                    let me = ctx.node().index() as u64;
-                    ctx.metrics().incr_cached(
-                        &mut self.rs_decodes_c,
-                        "zone.rs_decodes",
-                        Labels::node(me),
-                        1,
-                    );
+                    ctx.metrics().incr_handle(decodes, 1);
                 }
                 // Ann-less steady state (opt-in): no announcement will
                 // ever arrive to drive `try_complete`, so once every
@@ -1605,13 +1563,8 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 let hb_fanout = providers.len() as u64;
                 ctx.multicast(providers, NetMsg::Heartbeat);
                 if hb_fanout > 0 {
-                    let me = ctx.node().index() as u64;
-                    ctx.metrics().incr_cached(
-                        &mut self.heartbeats_c,
-                        "zone.heartbeats",
-                        Labels::node(me),
-                        hb_fanout,
-                    );
+                    ctx.metrics()
+                        .incr_handle(self.cells().heartbeats, hb_fanout);
                 }
                 // ...and disconnect children whose heartbeats timed out
                 // (stop wasting uplink on crashed subscribers).

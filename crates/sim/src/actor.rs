@@ -305,17 +305,16 @@ impl<'b, 'a, M: Codec<T>, T> NarrowContext<'b, 'a, M, T> {
 /// [`crate::engine::Sim::actor_as`]; the `Send` supertrait lets the parallel
 /// engine move whole partitions (actors included) onto worker threads for
 /// the span of a lookahead window.
+///
+/// An actor that bumps a counter per event holds a
+/// [`CounterHandle`](crate::metrics::CounterHandle): one handle names the
+/// same cell in every metrics sink, the engine's and a partition worker's
+/// alike. Mint it where its key is first known — in the constructor, or in
+/// [`Actor::on_start`] when the label is the node's own
+/// [`Context::node`].
 pub trait Actor<M>: std::any::Any + Send {
-    /// Called once when the node is added to the simulation, before any
-    /// event runs, with the node's id and the metrics sink. Actors use this
-    /// to intern counter handles against the *parent* metrics: handles
-    /// minted here survive parallel-engine shard forks, because forked
-    /// counter sets share the parent's interning index.
-    fn on_attach(&mut self, me: NodeId, metrics: &mut Metrics) {
-        let _ = (me, metrics);
-    }
-
-    /// Called once when the simulation starts (or when the node joins).
+    /// Called once when the simulation starts (or when the node joins), and
+    /// again on every revival after a crash.
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         let _ = ctx;
     }
@@ -358,19 +357,14 @@ pub trait Actor<M>: std::any::Any + Send {
 /// them into an [`Actor`] for any envelope `M: Codec<T>` (which requires
 /// cores to be `Send`, like every [`Actor`]).
 pub trait ProtocolCore<T>: Send + 'static {
-    /// Called once when the node is added, before any event runs. See
-    /// [`Actor::on_attach`].
-    fn attach(&mut self, me: NodeId, metrics: &mut Metrics) {
-        let _ = (me, metrics);
-    }
-
     /// Approximate resident bytes of this core's state. See
     /// [`Actor::approx_bytes`].
     fn approx_bytes(&self) -> usize {
         std::mem::size_of_val(self)
     }
 
-    /// Called once when the simulation starts.
+    /// Called once when the simulation starts (and on every revival). See
+    /// [`Actor::on_start`].
     fn start<M: Codec<T>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, T>) {
         let _ = ctx;
     }
@@ -427,10 +421,6 @@ where
     T: 'static,
     C: ProtocolCore<T>,
 {
-    fn on_attach(&mut self, me: NodeId, metrics: &mut Metrics) {
-        self.core.attach(me, metrics);
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         self.core.start(&mut ctx.narrow());
     }

@@ -8,7 +8,7 @@ use rand::Rng;
 use crate::actor::{Actor, Context, NodeId, Payload, TimerId, TimerTag};
 use crate::engine::Sim;
 use crate::faults::FaultPlan;
-use crate::metrics::Labels;
+use crate::metrics::{CounterHandle, Labels};
 use crate::net::{LatencyModel, LinkConfig, Network, Region};
 use crate::time::{SimDuration, SimTime};
 
@@ -38,10 +38,26 @@ const LEAVE: u32 = 9;
 /// Randomized actor whose every decision comes from the node's
 /// deterministic RNG — identical behaviour under any scheduler that
 /// replays the same per-node event order.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Chaos {
     held: Vec<TimerId>,
     budget: u32,
+    /// Minted in the constructor, before any metrics sink exists.
+    acts: CounterHandle,
+    /// Minted in `on_start`, which may run on a partition worker (a late
+    /// join, a revival) while the engine's sink is forked.
+    acts_by_node: Option<CounterHandle>,
+}
+
+impl Default for Chaos {
+    fn default() -> Chaos {
+        Chaos {
+            held: Vec::new(),
+            budget: 0,
+            acts: CounterHandle::of("chaos.acts", Labels::GLOBAL),
+            acts_by_node: None,
+        }
+    }
 }
 
 impl Chaos {
@@ -94,9 +110,10 @@ impl Chaos {
     fn measure(&mut self, ctx: &mut Context<'_, Msg>) {
         let (me, now) = (ctx.node().0 as u64, ctx.now());
         let sample = SimDuration::from_micros(ctx.rng().gen_range(1..50_000));
+        let by_node = self.acts_by_node.expect("minted in on_start");
         let m = ctx.metrics();
-        m.incr("chaos.acts", 1);
-        m.incr_labeled("chaos.acts_by_node", Labels::node(me), 1);
+        m.incr_handle(self.acts, 1);
+        m.incr_handle(by_node, 1);
         m.record_latency("chaos.lat", sample);
         m.record_commit(now, me + 1);
         m.mark_arrival(me % 2, now);
@@ -105,6 +122,8 @@ impl Chaos {
 
 impl Actor<Msg> for Chaos {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        let me = Labels::node(ctx.node().0 as u64);
+        self.acts_by_node = Some(CounterHandle::of("chaos.acts_by_node", me));
         self.budget += 40;
         // Re-armed on every (re)start: a revival kills the old epoch's
         // timers, and the departure must not depend on the crash schedule.

@@ -1,8 +1,8 @@
 //! The engine core: the one rule for what a popped event does.
 //!
 //! [`Core`] holds the state a dispatch touches — one [`NodeRecord`] per
-//! node, the [`Network`], the [`FaultPlan`], the metrics sink and its
-//! interned handles, the optional capture, the pooled op buffer — and owns
+//! node, the [`Network`], the [`FaultPlan`], the metrics sink and the
+//! engine's counter handles, the optional capture, the pooled op buffer — and owns
 //! the crate's only `dispatch`, `run_on_start`, `apply_ops` and
 //! `record_drop`. The sequential scheduler runs it over every node; a
 //! partition worker of the parallel engine runs the same code over the
@@ -44,7 +44,7 @@ pub(crate) fn order_key(slot: usize, counter: &mut u64) -> u64 {
     key
 }
 
-/// Handles for the global network counters, interned at construction.
+/// Handles for the global network counters, minted at construction.
 #[derive(Debug, Clone, Copy)]
 struct NetHandles {
     messages: CounterHandle,
@@ -53,7 +53,7 @@ struct NetHandles {
     dropped_bytes: CounterHandle,
 }
 
-/// Handles for the counters only a node's own events bump, interned at
+/// Handles for the counters only a node's own events bump, minted at
 /// `add_node`.
 #[derive(Debug, Clone, Copy)]
 struct NodeHandles {
@@ -158,46 +158,40 @@ pub(crate) struct Core<M> {
 
 impl<M: Payload> Core<M> {
     pub(crate) fn new(network: Network) -> Self {
-        let mut metrics = Metrics::new();
-        let net_handles = NetHandles {
-            messages: metrics.counter_handle("net.messages", Labels::GLOBAL),
-            bytes: metrics.counter_handle("net.bytes", Labels::GLOBAL),
-            dropped: metrics.counter_handle("net.dropped", Labels::GLOBAL),
-            dropped_bytes: metrics.counter_handle("net.dropped_bytes", Labels::GLOBAL),
-        };
         Core {
             nodes: Vec::new(),
             local: Vec::new(),
             network,
             faults: FaultPlan::none(),
-            metrics,
-            net_handles,
+            metrics: Metrics::new(),
+            net_handles: NetHandles {
+                messages: CounterHandle::of("net.messages", Labels::GLOBAL),
+                bytes: CounterHandle::of("net.bytes", Labels::GLOBAL),
+                dropped: CounterHandle::of("net.dropped", Labels::GLOBAL),
+                dropped_bytes: CounterHandle::of("net.dropped_bytes", Labels::GLOBAL),
+            },
             drops: Vec::new(),
             capture: None,
             ops_scratch: Vec::new(),
         }
     }
 
-    /// Adds a node: its link, its record, and its interned handles.
+    /// Adds a node: its link, its record, and its counter handles.
     pub(crate) fn add_node(
         &mut self,
         link: LinkConfig,
-        mut actor: Box<dyn Actor<M>>,
+        actor: Box<dyn Actor<M>>,
         rng: SmallRng,
     ) -> NodeId {
         let id = self.network.add_link(link);
         debug_assert_eq!(id.index(), self.nodes.len());
-        // Pre-run attach: lets the actor intern counter handles against the
-        // parent metrics, where they survive parallel-engine shard forks.
-        actor.on_attach(id, &mut self.metrics);
         let labels = Labels::node(id.0 as u64);
         let handles = NodeHandles {
-            deliveries: self.metrics.counter_handle("node.deliveries", labels),
-            delivered_bytes: self.metrics.counter_handle("node.delivered_bytes", labels),
-            timers: self.metrics.counter_handle("node.timers", labels),
+            deliveries: CounterHandle::of("node.deliveries", labels),
+            delivered_bytes: CounterHandle::of("node.delivered_bytes", labels),
+            timers: CounterHandle::of("node.timers", labels),
         };
-        self.drops
-            .push(self.metrics.counter_handle("node.drops", labels));
+        self.drops.push(CounterHandle::of("node.drops", labels));
         self.nodes.push(NodeRecord {
             actor: Some(actor),
             rng,
@@ -214,7 +208,7 @@ impl<M: Payload> Core<M> {
     }
 
     /// A partition worker's core: shared-read state cloned, the metrics
-    /// sink a zeroed fork, and room for `owned` records — the caller moves
+    /// sink an empty fork, and room for `owned` records — the caller moves
     /// the partition's in, in the order `local` numbers them.
     pub(crate) fn fork(&self, local: Vec<u32>, owned: usize) -> Self {
         Core {
@@ -445,8 +439,9 @@ impl<M: Payload> Core<M> {
             .incr_handle(self.net_handles.dropped_bytes, bytes as u64);
         match self.drops.get(to.index()) {
             Some(&handle) => self.metrics.incr_handle(handle, 1),
-            // Out-of-range destination: no interned handle, take the slow
-            // path so the per-recipient cell still exists in the report.
+            // Out-of-range destination: no minted handle, take the
+            // name-based path so the per-recipient cell still exists in
+            // the report.
             None => self
                 .metrics
                 .incr_labeled("node.drops", Labels::node(to.index() as u64), 1),

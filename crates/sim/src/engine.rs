@@ -9,7 +9,7 @@
 //! The hot path is engineered for zero steady-state allocation: the future
 //! event set is a hierarchical timer wheel (see the `queue` module), the
 //! per-dispatch op buffer is pooled and reused, per-node delivery counters
-//! go through [`CounterHandle`](crate::metrics::CounterHandle)s interned
+//! go through [`CounterHandle`](crate::metrics::CounterHandle)s minted
 //! once at [`Sim::add_node`], and timer cancellation flips a generation
 //! counter instead of growing a tombstone set.
 

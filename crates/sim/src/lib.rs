@@ -72,8 +72,7 @@ pub use dispatch::MAX_NODES;
 pub use engine::Sim;
 pub use faults::FaultPlan;
 pub use metrics::{
-    BundleKey, CachedCounter, CommitEvent, CounterHandle, Labels, Metrics, RunReport, RunSummary,
-    Stage,
+    BundleKey, CommitEvent, CounterHandle, Labels, Metrics, RunReport, RunSummary, Stage,
 };
 pub use net::{LatencyModel, LinkConfig, Network, Region, Scheduled};
 pub use profile::{DispatchProfile, PROFILE_EVENTS};

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-pub use predis_telemetry::{BundleKey, CachedCounter, CounterHandle, Labels, RunReport, Stage};
+pub use predis_telemetry::{BundleKey, CounterHandle, Labels, RunReport, Stage};
 use predis_telemetry::{Counters, LogHistogram, Timelines};
 
 use crate::time::{SimDuration, SimTime};
@@ -67,44 +67,19 @@ impl Metrics {
         self.counters.get(name, Labels::GLOBAL)
     }
 
-    /// Adds `n` to a labeled counter cell (node / chain / zone dimensions).
+    /// Adds `n` to a labeled counter cell (node / chain / zone dimensions):
+    /// [`Metrics::incr_handle`] after one key-table lookup.
     pub fn incr_labeled(&mut self, name: &'static str, labels: Labels, n: u64) {
         self.counters.incr(name, labels, n);
     }
 
-    /// Overwrites a labeled cell — gauge semantics (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, labels: Labels, value: u64) {
-        self.counters.set(name, labels, value);
-    }
-
-    /// Interns a counter cell once, returning a [`CounterHandle`] for
-    /// [`Metrics::incr_handle`]. Interning alone leaves no trace in
-    /// reports; only written cells appear.
-    pub fn counter_handle(&mut self, name: &'static str, labels: Labels) -> CounterHandle {
-        self.counters.handle(name, labels)
-    }
-
-    /// Adds `n` through a pre-interned handle — no string hashing or map
-    /// lookup, the form per-event hot paths use.
+    /// Adds `n` through a [`CounterHandle`] — no string hashing or map
+    /// lookup, the form per-event hot paths use. Mint the handle where its
+    /// key is first known: a constructor, or `on_start` for a key labelled
+    /// with the node's own id.
     #[inline]
     pub fn incr_handle(&mut self, handle: CounterHandle, n: u64) {
         self.counters.incr_by_handle(handle, n);
-    }
-
-    /// Adds `n` through a caller-owned [`CachedCounter`] — the hot-path
-    /// form for actors, whose metrics sink changes identity when they
-    /// migrate between the sequential engine and partition workers. Costs
-    /// one interning lookup per sink migration, a dense-array add
-    /// otherwise.
-    #[inline]
-    pub fn incr_cached(
-        &mut self,
-        cache: &mut CachedCounter,
-        name: &'static str,
-        labels: Labels,
-        n: u64,
-    ) {
-        self.counters.incr_cached(cache, name, labels, n);
     }
 
     /// Reads one labeled cell (zero if never written).
@@ -304,13 +279,12 @@ impl Metrics {
         None
     }
 
-    /// A zeroed fork of this sink for a partition worker: the counter store
-    /// shares the interned cell index (so [`CounterHandle`]s minted on the
-    /// parent stay valid in the fork) but every cell starts at zero, and all
-    /// other stores start empty. Fold back with [`Metrics::absorb_worker`].
+    /// An empty fork of this sink for a partition worker (every
+    /// [`CounterHandle`] names the same cell in it), keeping the timeline
+    /// cap. Fold back with [`Metrics::absorb_worker`].
     pub(crate) fn fork_for_worker(&self) -> Metrics {
         Metrics {
-            counters: self.counters.fork_zeroed(),
+            counters: Counters::new(),
             latencies: HashMap::new(),
             commits: Vec::new(),
             arrivals: HashMap::new(),
@@ -388,12 +362,12 @@ mod tests {
     #[test]
     fn handles_and_names_share_cells() {
         let mut m = Metrics::new();
-        let h = m.counter_handle("node.deliveries", Labels::node(3));
+        let h = CounterHandle::of("node.deliveries", Labels::node(3));
         m.incr_handle(h, 5);
         m.incr_labeled("node.deliveries", Labels::node(3), 2);
         assert_eq!(m.labeled_counter("node.deliveries", Labels::node(3)), 7);
         // An interned-but-unwritten handle does not show up in reports.
-        let _idle = m.counter_handle("node.drops", Labels::node(3));
+        let _idle = CounterHandle::of("node.drops", Labels::node(3));
         let report = m.run_report("handles");
         assert_eq!(report.counter("node.deliveries", Labels::node(3)), 7);
         assert!(report.counters.iter().all(|c| c.name != "node.drops"));
@@ -408,9 +382,6 @@ mod tests {
         assert_eq!(m.labeled_counter("deliveries", Labels::node(2)), 6);
         assert_eq!(m.counter("deliveries"), 0);
         assert_eq!(m.counter_total("deliveries"), 10);
-        m.set_gauge("depth", Labels::zone(1), 9);
-        m.set_gauge("depth", Labels::zone(1), 5);
-        assert_eq!(m.labeled_counter("depth", Labels::zone(1)), 5);
     }
 
     #[test]

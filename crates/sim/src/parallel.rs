@@ -113,7 +113,7 @@ pub(crate) enum WindowPolicy {
 /// A node partition: one worker thread's complete, self-contained slice of
 /// the simulation — the engine core over the partition's node records
 /// (*moved* in at session start and moved back at teardown; shared-read
-/// state cloned, the metrics sink a zeroed fork absorbed at teardown), run
+/// state cloned, the metrics sink an empty fork absorbed at teardown), run
 /// under the window sequencer instead of the global queue.
 struct Shard<M> {
     core: Core<M>,

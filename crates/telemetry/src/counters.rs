@@ -1,28 +1,28 @@
-//! Labeled counters and gauges.
+//! Labeled counters.
 //!
 //! A metric name plus a [`Labels`] triple (node, chain, zone — each
-//! optional) keys a `u64` cell. [`Counters::incr`] accumulates monotonic
-//! counts; [`Counters::set`] is last-write-wins for gauges. Cell values
-//! live in a dense `Vec<u64>` indexed by a `BTreeMap`, so iteration (and
-//! therefore every report) is deterministic, while hot paths can skip the
-//! map entirely: [`Counters::handle`] interns a cell once and returns a
-//! [`CounterHandle`] whose [`Counters::incr_by_handle`] is a bare array
-//! add. Cells that were interned but never written are invisible to
-//! [`Counters::iter`], so pre-registering handles does not change reports.
+//! optional) keys a `u64` cell. Every key is interned once per process, in
+//! one table, by [`CounterHandle::of`]: a read-locked lookup, with the
+//! write lock taken only the first time a key is seen. A handle is the
+//! key's index in that table, so one handle names the same cell in every
+//! [`Counters`] — the engine's sink, a partition worker's fork, a test's
+//! own sink — and may be minted before any sink exists.
+//! [`Counters::incr_by_handle`] is a dense-array add; the name-based
+//! [`Counters::incr`] is the same add after one table lookup.
+//!
+//! The table is an ordered map, not a hash map: at the 30 000 keys of a
+//! 2 500-node world a hash index of these 64-byte keys holds several MB
+//! more at its peak, and the map's walk is already the report order.
+//!
+//! The table never shrinks. Ids never reach a report: [`Counters::iter`]
+//! yields the written cells in `(name, labels)` order, so no report depends
+//! on which thread or which world interned a key first. A sink's cell
+//! vectors grow to the highest id it writes, so a world that touches an id
+//! minted by a larger world in the same process pays at most 9 B (a `u64`
+//! cell and a touched flag) per table entry below that id.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-global source of [`Counters`] generation ids. Each id tags one
-/// handle-compatibility domain: two `Counters` share a generation only if
-/// every [`CounterHandle`] minted by one indexes the same cell in the
-/// other (clones share; zeroed worker forks do not, since forks can intern
-/// cells the original lacks).
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
+use std::sync::{PoisonError, RwLock};
 
 /// Dimension labels for a counter cell. Unset dimensions mean "global".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -118,148 +118,110 @@ impl Labels {
     }
 }
 
-/// A pre-resolved reference to one counter cell, obtained from
-/// [`Counters::handle`]. Incrementing through a handle is a dense-array
-/// add with no string hashing or tree walk — the form hot loops want.
-///
-/// Handles are only meaningful for the `Counters` instance that minted
-/// them.
+type Key = (&'static str, Labels);
+
+/// The process-wide key table: key -> handle id, ids in interning order.
+static TABLE: RwLock<BTreeMap<Key, u32>> = RwLock::new(BTreeMap::new());
+
+/// Runs `f` over the table under its read lock. An insert is the table's
+/// only write, so a panic elsewhere cannot leave it half-written and a
+/// poisoned lock is read through.
+fn read<R>(f: impl FnOnce(&BTreeMap<Key, u32>) -> R) -> R {
+    f(&TABLE.read().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// One counter cell, named by its interned `(name, labels)` key. Valid in
+/// every [`Counters`] of the process; incrementing through it is a
+/// dense-array add with no key lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterHandle(u32);
 
-/// A caller-owned, lazily (re-)interned counter handle for hot sites that
-/// cannot pre-register one — typically an actor field, since actors migrate
-/// between the engine's main metrics sink and per-partition worker forks.
-///
-/// The cache remembers which [`Counters`] generation minted its handle;
-/// [`Counters::incr_cached`] re-interns (one tree lookup) on the first use
-/// against a different generation and is a dense-array add afterwards. A
-/// given cache must always be used with the same `(name, labels)` key.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CachedCounter(Option<(u64, CounterHandle)>);
-
-/// A deterministic map of labeled counter/gauge cells.
-#[derive(Debug, Clone)]
-pub struct Counters {
-    /// Deterministic (name, labels) → cell index. Interning order does not
-    /// matter; reports walk this tree in key order.
-    index: BTreeMap<(&'static str, Labels), u32>,
-    /// Dense cell storage, indexed by [`CounterHandle`].
-    cells: Vec<u64>,
-    /// Whether the cell was ever written. Interned-but-unwritten cells are
-    /// skipped by `iter`/`len` so pre-registered handles leave no trace.
-    touched: Vec<bool>,
-    /// Handle-compatibility domain for [`CachedCounter`]; see
-    /// [`NEXT_GENERATION`].
-    generation: u64,
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            index: BTreeMap::new(),
-            cells: Vec::new(),
-            touched: Vec::new(),
-            generation: fresh_generation(),
+impl CounterHandle {
+    /// The handle of `(name, labels)`, interning the key on first sight.
+    pub fn of(name: &'static str, labels: Labels) -> CounterHandle {
+        let key = (name, labels);
+        if let Some(id) = read(|t| t.get(&key).copied()) {
+            return CounterHandle(id);
         }
+        let mut t = TABLE.write().unwrap_or_else(PoisonError::into_inner);
+        let id = u32::try_from(t.len()).expect("fewer than 2^32 counter keys");
+        CounterHandle(*t.entry(key).or_insert(id))
+    }
+
+    fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
+/// A sink of labeled counter cells, indexed by [`CounterHandle`].
+#[derive(Debug, Clone, Default)]
+pub struct Counters {
+    cells: Vec<u64>,
+    /// Whether the cell was ever written: unwritten cells (ids this sink
+    /// only grew past) stay out of `iter`/`len`.
+    touched: Vec<bool>,
+}
+
 impl Counters {
-    /// An empty set.
+    /// An empty sink.
     pub fn new() -> Self {
         Counters::default()
     }
 
-    fn intern(&mut self, name: &'static str, labels: Labels) -> usize {
-        match self.index.entry((name, labels)) {
-            std::collections::btree_map::Entry::Occupied(e) => *e.get() as usize,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                let idx = self.cells.len();
-                v.insert(idx as u32);
-                self.cells.push(0);
-                self.touched.push(false);
-                idx
-            }
-        }
-    }
-
-    /// Interns the cell (at zero, unwritten) and returns a reusable handle
-    /// for [`Counters::incr_by_handle`].
+    /// The handle of `(name, labels)` — [`CounterHandle::of`], for callers
+    /// that hold a sink.
     pub fn handle(&mut self, name: &'static str, labels: Labels) -> CounterHandle {
-        CounterHandle(self.intern(name, labels) as u32)
+        CounterHandle::of(name, labels)
     }
 
     /// Adds `by` to the cell (creating it at zero).
     pub fn incr(&mut self, name: &'static str, labels: Labels, by: u64) {
-        let idx = self.intern(name, labels);
-        self.cells[idx] += by;
-        self.touched[idx] = true;
+        self.incr_by_handle(CounterHandle::of(name, labels), by);
     }
 
-    /// Adds `by` to a pre-interned cell — the O(1) hot path.
+    /// Adds `by` to a handle's cell — the O(1) hot path.
     #[inline]
     pub fn incr_by_handle(&mut self, handle: CounterHandle, by: u64) {
-        let idx = handle.0 as usize;
+        let idx = handle.index();
+        if idx >= self.cells.len() {
+            self.grow(idx);
+        }
         self.cells[idx] += by;
         self.touched[idx] = true;
     }
 
-    /// Adds `by` through a caller-owned [`CachedCounter`]: a dense-array
-    /// add when the cache was minted by this instance's generation, one
-    /// re-interning tree lookup otherwise (first use, or first use after
-    /// the caller migrated to a different sink).
-    #[inline]
-    pub fn incr_cached(
-        &mut self,
-        cache: &mut CachedCounter,
-        name: &'static str,
-        labels: Labels,
-        by: u64,
-    ) {
-        let handle = match cache.0 {
-            Some((generation, handle)) if generation == self.generation => handle,
-            _ => {
-                let handle = self.handle(name, labels);
-                cache.0 = Some((self.generation, handle));
-                handle
-            }
-        };
-        self.incr_by_handle(handle, by);
+    #[cold]
+    fn grow(&mut self, idx: usize) {
+        self.cells.resize(idx + 1, 0);
+        self.touched.resize(idx + 1, false);
     }
 
-    /// Overwrites the cell — gauge semantics.
-    pub fn set(&mut self, name: &'static str, labels: Labels, value: u64) {
-        let idx = self.intern(name, labels);
-        self.cells[idx] = value;
-        self.touched[idx] = true;
-    }
-
-    /// The cell's value, or 0 if never touched.
+    /// The cell's value, or 0 if never written.
     pub fn get(&self, name: &str, labels: Labels) -> u64 {
-        self.index
-            .get(&(name, labels))
-            .map(|&idx| self.cells[idx as usize])
+        read(|t| t.get(&(name, labels)).copied())
+            .and_then(|id| self.cells.get(id as usize))
+            .copied()
             .unwrap_or(0)
     }
 
     /// Sum of all cells with this metric name, across every label combination.
     pub fn total(&self, name: &str) -> u64 {
-        self.index
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|(_, &idx)| self.cells[idx as usize])
+        self.iter()
+            .filter(|&(n, _, _)| n == name)
+            .map(|(_, _, v)| v)
             .sum()
     }
 
-    /// All written cells, in deterministic (name, labels) order. Cells that
-    /// were interned via [`Counters::handle`] but never incremented or set
-    /// are omitted.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, u64)> + '_ {
-        self.index
-            .iter()
-            .filter(move |(_, &idx)| self.touched[idx as usize])
-            .map(move |(&(n, l), &idx)| (n, l, self.cells[idx as usize]))
+    /// All written cells, in deterministic `(name, labels)` order: the
+    /// table's walk, restricted to this sink's written ids.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, u64)> {
+        let cells: Vec<(&'static str, Labels, u64)> = read(|t| {
+            t.iter()
+                .filter(|&(_, &id)| self.touched.get(id as usize) == Some(&true))
+                .map(|(&(name, labels), &id)| (name, labels, self.cells[id as usize]))
+                .collect()
+        });
+        cells.into_iter()
     }
 
     /// Number of distinct written cells.
@@ -272,36 +234,21 @@ impl Counters {
         self.len() == 0
     }
 
-    /// A zeroed copy that preserves the interning table, so every
-    /// [`CounterHandle`] issued by `self` stays valid in the fork. Used by
-    /// the parallel simulation engine to hand each partition worker its own
-    /// counter sink.
-    ///
-    /// The fork gets a *fresh* generation: it may intern cells `self` never
-    /// sees, so a [`CachedCounter`] minted on the fork must not be trusted
-    /// back on `self` (or on the next window's forks) — the generation
-    /// mismatch forces those caches to re-intern instead.
-    pub fn fork_zeroed(&self) -> Counters {
-        Counters {
-            index: self.index.clone(),
-            cells: vec![0; self.cells.len()],
-            touched: vec![false; self.touched.len()],
-            generation: fresh_generation(),
-        }
-    }
-
-    /// Folds every written cell of `other` into `self` by `(name, labels)`
-    /// key (addition). Handles interned only in `other` are re-interned
-    /// here, so absorbing a fork that grew new cells is safe.
+    /// Adds every written cell of `other` into `self`, cell by cell.
     pub fn absorb(&mut self, other: &Counters) {
-        for (name, labels, value) in other.iter() {
-            self.incr(name, labels, value);
+        if other.cells.len() > self.cells.len() {
+            self.grow(other.cells.len() - 1);
+        }
+        for (i, (&value, &touched)) in other.cells.iter().zip(&other.touched).enumerate() {
+            if touched {
+                self.cells[i] += value;
+                self.touched[i] = true;
+            }
         }
     }
 }
 
-/// Logical equality: the same written cells with the same values,
-/// regardless of handle interning order or unwritten registrations.
+/// Logical equality: the same written cells with the same values.
 impl PartialEq for Counters {
     fn eq(&self, other: &Self) -> bool {
         self.iter().eq(other.iter())
@@ -324,14 +271,6 @@ mod tests {
         assert_eq!(c.get("tips.updated", Labels::node(2)), 5);
         assert_eq!(c.get("tips.updated", Labels::GLOBAL), 0);
         assert_eq!(c.total("tips.updated"), 8);
-    }
-
-    #[test]
-    fn set_overwrites() {
-        let mut c = Counters::new();
-        c.set("zone.children", Labels::zone(3), 7);
-        c.set("zone.children", Labels::zone(3), 4);
-        assert_eq!(c.get("zone.children", Labels::zone(3)), 4);
     }
 
     #[test]
@@ -359,79 +298,109 @@ mod tests {
         assert_eq!(c.get("node.deliveries", Labels::node(1)), 6);
         // Re-interning the same key returns the same handle.
         assert_eq!(c.handle("node.deliveries", Labels::node(1)), h);
+        assert_eq!(CounterHandle::of("node.deliveries", Labels::node(1)), h);
     }
 
     #[test]
     fn unwritten_handles_are_invisible() {
         let mut c = Counters::new();
-        let _idle = c.handle("node.drops", Labels::node(7));
-        let hot = c.handle("node.deliveries", Labels::node(7));
+        let _idle = CounterHandle::of("test.unwritten.idle", Labels::node(7));
+        let hot = CounterHandle::of("test.unwritten.hot", Labels::node(7));
+        // Growing to `hot` covers `idle`'s cell without writing it.
         c.incr_by_handle(hot, 1);
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
         let cells: Vec<_> = c.iter().collect();
-        assert_eq!(cells, vec![("node.deliveries", Labels::node(7), 1)]);
-        // get() still reads the unwritten cell as zero.
-        assert_eq!(c.get("node.drops", Labels::node(7)), 0);
+        assert_eq!(cells, vec![("test.unwritten.hot", Labels::node(7), 1)]);
+        // get() reads an unwritten cell, and a never-interned key, as zero.
+        assert_eq!(c.get("test.unwritten.idle", Labels::node(7)), 0);
+        assert_eq!(c.get("test.unwritten.never", Labels::node(7)), 0);
     }
 
     #[test]
     fn equality_ignores_interning_differences() {
+        let low = CounterHandle::of("test.eq.low", Labels::GLOBAL);
+        let high = CounterHandle::of("test.eq.high", Labels::node(1));
+        // `a` grows past `low`'s cell without writing it; `b` gets the same
+        // one cell through an absorb.
         let mut a = Counters::new();
-        let _ = a.handle("x", Labels::GLOBAL); // interned, never written
-        a.incr("y", Labels::node(1), 4);
-
+        a.incr_by_handle(high, 4);
         let mut b = Counters::new();
-        b.incr("y", Labels::node(1), 4);
+        b.absorb(&a);
         assert_eq!(a, b);
 
-        b.incr("y", Labels::node(1), 1);
+        b.incr_by_handle(high, 1);
+        assert_ne!(a, b);
+        // A zero write still creates a cell.
+        a.incr_by_handle(high, 1);
+        a.incr_by_handle(low, 0);
         assert_ne!(a, b);
     }
 
     #[test]
-    fn cached_counters_survive_sink_migration() {
+    fn one_handle_names_one_cell_in_every_sink() {
+        // Minted before any sink exists, as an actor's constructor does.
+        let early = CounterHandle::of("test.sinks.early", Labels::node(3));
         let mut main = Counters::new();
-        let mut cache = CachedCounter::default();
-        main.incr_cached(&mut cache, "zone.heartbeats", Labels::node(3), 2);
-        main.incr_cached(&mut cache, "zone.heartbeats", Labels::node(3), 1);
-        assert_eq!(main.get("zone.heartbeats", Labels::node(3)), 3);
-
-        // Migrate to a worker fork, which immediately grows a brand-new
-        // cell: a stale trusted handle would now alias the wrong index.
-        let mut fork = main.fork_zeroed();
-        fork.incr("zone.fresh", Labels::GLOBAL, 1);
-        fork.incr_cached(&mut cache, "zone.heartbeats", Labels::node(3), 5);
-        assert_eq!(fork.get("zone.heartbeats", Labels::node(3)), 5);
-
-        // And back to the main sink after absorption.
+        main.incr_by_handle(early, 2);
+        // A fork starts empty and grows on its own writes.
+        let mut fork = Counters::new();
+        fork.incr_by_handle(early, 5);
+        fork.incr("test.sinks.early", Labels::node(3), 1);
         main.absorb(&fork);
-        main.incr_cached(&mut cache, "zone.heartbeats", Labels::node(3), 1);
-        assert_eq!(main.get("zone.heartbeats", Labels::node(3)), 9);
+        main.incr("test.sinks.early", Labels::node(3), 1);
+        assert_eq!(main.get("test.sinks.early", Labels::node(3)), 9);
+        assert_eq!(main.len(), 1);
     }
 
     #[test]
-    fn cached_counter_minted_on_fork_reinterns_on_main() {
+    fn handle_minted_on_a_live_fork_lands_on_main() {
         let mut main = Counters::new();
-        let mut fork = main.fork_zeroed();
-        let mut cache = CachedCounter::default();
-        // The cell exists only on the fork when the cache is minted; its
-        // index is out of bounds for `main`'s (empty) cell array.
-        fork.incr_cached(&mut cache, "zone.rs_decodes", Labels::node(1), 2);
+        main.incr("test.fork.before", Labels::GLOBAL, 1);
+        let mut fork = Counters::new();
+        // Interned while the fork is live: an id `main` has never grown to.
+        let mid = CounterHandle::of("test.fork.mid", Labels::node(1));
+        fork.incr_by_handle(mid, 2);
+        assert_eq!(main.get("test.fork.mid", Labels::node(1)), 0);
         main.absorb(&fork);
-        // The generation mismatch forces a re-intern instead of trusting
-        // the fork-minted index.
-        main.incr_cached(&mut cache, "zone.rs_decodes", Labels::node(1), 1);
-        assert_eq!(main.get("zone.rs_decodes", Labels::node(1)), 3);
+        // The same handle, and the same key by name, keep working on main.
+        main.incr_by_handle(mid, 1);
+        main.incr("test.fork.mid", Labels::node(1), 1);
+        assert_eq!(main.get("test.fork.mid", Labels::node(1)), 4);
+        assert_eq!(main.get("test.fork.before", Labels::GLOBAL), 1);
     }
 
     #[test]
     fn iteration_is_deterministic() {
+        // Interned in reverse key order, on another thread.
+        std::thread::spawn(|| {
+            for name in ["test.order.c", "test.order.b", "test.order.a"] {
+                for node in [2, 1] {
+                    CounterHandle::of(name, Labels::node(node));
+                }
+            }
+        })
+        .join()
+        .unwrap();
         let mut c = Counters::new();
-        c.incr("b", Labels::GLOBAL, 1);
-        c.incr("a", Labels::node(2), 1);
-        c.incr("a", Labels::node(1), 1);
-        let names: Vec<_> = c.iter().map(|(n, l, _)| (n, l.node)).collect();
-        assert_eq!(names, vec![("a", Some(1)), ("a", Some(2)), ("b", None)]);
+        for name in ["test.order.b", "test.order.c", "test.order.a"] {
+            for node in [1, 2] {
+                c.incr(name, Labels::node(node), node);
+            }
+        }
+        c.incr("test.order.a", Labels::GLOBAL, 9);
+        let keys: Vec<_> = c.iter().map(|(n, l, _)| (n, l.node)).collect();
+        assert_eq!(
+            keys,
+            vec![
+                ("test.order.a", None),
+                ("test.order.a", Some(1)),
+                ("test.order.a", Some(2)),
+                ("test.order.b", Some(1)),
+                ("test.order.b", Some(2)),
+                ("test.order.c", Some(1)),
+                ("test.order.c", Some(2)),
+            ]
+        );
     }
 }

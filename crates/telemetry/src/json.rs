@@ -149,11 +149,10 @@ impl Json {
 
     /// Parses a JSON document (must be a single value, whole input).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos)?;
+        skip_ws(input.as_bytes(), &mut pos);
+        if pos != input.len() {
             return Err(format!("trailing data at byte {pos}"));
         }
         Ok(value)
@@ -223,14 +222,19 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+// The parser walks `src` by byte offset. Every offset it stops at follows
+// an ASCII byte (or is 0), so it is a char boundary and `src` can be sliced
+// there.
+
+fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(src, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -240,7 +244,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(src, pos)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -262,10 +266,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(src, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(src, pos)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -278,7 +282,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(src, pos),
     }
 }
 
@@ -291,72 +295,77 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(src: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = src.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let cp = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        let ch = if (0xd800..0xdc00).contains(&cp) {
-                            // surrogate pair
-                            if bytes.get(*pos + 1) == Some(&b'\\')
-                                && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let lo = parse_hex4(bytes, *pos + 3)?;
-                                *pos += 6;
-                                let combined = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                char::from_u32(combined)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        out.push(ch.ok_or("invalid \\u escape")?);
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Advance over one UTF-8 character.
-                let rest = core::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+        // Everything up to the next quote or backslash is copied as is, in
+        // one piece: both delimiters are ASCII, so the run ends on a char
+        // boundary.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&src[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        let escape = *pos;
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000c}'),
+            Some(b'u') => {
+                let cp = parse_hex4(bytes, *pos + 1)?;
+                *pos += 4;
+                let ch = if (0xd800..0xdc00).contains(&cp) {
+                    // A high surrogate is only valid followed by an escaped
+                    // low surrogate.
+                    let lo = match bytes.get(*pos + 1..*pos + 3) {
+                        Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
+                        _ => return Err(format!("unpaired surrogate at byte {escape}")),
+                    };
+                    if !(0xdc00..0xe000).contains(&lo) {
+                        return Err(format!("unpaired surrogate at byte {escape}"));
+                    }
+                    *pos += 6;
+                    char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00))
+                } else {
+                    // `None` for a lone low surrogate.
+                    char::from_u32(cp)
+                };
+                out.push(ch.ok_or_else(|| format!("invalid \\u escape at byte {escape}"))?);
+            }
+            _ => return Err(format!("bad escape at byte {escape}")),
+        }
+        *pos += 1;
     }
 }
 
+/// The four hex digits of a `\u` escape starting at byte `at`.
 fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
-    let slice = bytes
+    let digits = bytes
         .get(at..at + 4)
-        .ok_or("truncated \\u escape".to_string())?;
-    let s = core::str::from_utf8(slice).map_err(|_| "bad \\u escape".to_string())?;
-    u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())
+        .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+    digits.iter().try_fold(0, |acc, &b| {
+        let digit = char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        Ok(acc << 4 | digit)
+    })
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(src: &str, pos: &mut usize) -> Result<Json, String> {
+    let bytes = src.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -372,7 +381,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => break,
         }
     }
-    let text = core::str::from_utf8(&bytes[start..*pos]).unwrap();
+    let text = &src[start..*pos];
     if text.is_empty() || text == "-" {
         return Err(format!("invalid number at byte {start}"));
     }
@@ -418,6 +427,35 @@ mod tests {
         assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
         let ctrl = Json::Str("\u{0001}\u{001f}".to_string());
         assert_eq!(Json::parse(&ctrl.to_string()).unwrap(), ctrl);
+    }
+
+    #[test]
+    fn multibyte_text_beside_escapes_round_trips() {
+        let s = Json::Str("λ\"∞\\😀\n\u{1}é\t\"".to_string());
+        assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
+        assert_eq!(
+            Json::parse(r#""aλ\/b∞é""#).unwrap(),
+            Json::Str("aλ/b∞é".to_string())
+        );
+    }
+
+    #[test]
+    fn surrogates_must_pair() {
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap(),
+            Json::Str("\u{1f600}".to_string())
+        );
+        for unpaired in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ue000""#,
+            r#""\udc00""#,
+            r#""\ud800x""#,
+            r#""\ud800"#,
+        ] {
+            let err = Json::parse(unpaired).unwrap_err();
+            assert!(err.contains("at byte 1"), "{unpaired}: {err}");
+        }
+        assert!(Json::parse(r#""\u+041""#).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`LogHistogram`] — bounded log-bucketed (HDR-style) histograms with a
 //!   fixed ~15 KB footprint and ≤ 1/32 relative bucket error, replacing
 //!   unbounded per-sample latency vectors.
-//! * [`Counters`] with [`Labels`] — monotonic counters and last-write
-//!   gauges, labeled by node / chain / zone.
+//! * [`Counters`] with [`Labels`] — monotonic counters labeled by node /
+//!   chain / zone, each key named process-wide by one [`CounterHandle`].
 //! * [`Timelines`] — per-bundle lifecycle spans keyed by
 //!   [`BundleKey`] `(producer, chain, height)`, stamping the eight
 //!   [`Stage`]s `produced → multicast → tip_acked → cut → proposed →
@@ -33,7 +33,7 @@ pub mod json;
 pub mod report;
 pub mod timeline;
 
-pub use counters::{CachedCounter, CounterHandle, Counters, Labels};
+pub use counters::{CounterHandle, Counters, Labels};
 pub use hist::{HistogramSummary, LogHistogram};
 pub use json::Json;
 pub use report::{CounterEntry, HistogramEntry, ProfileEntry, RunReport, StageEntry};
