@@ -47,7 +47,8 @@ fn node_tracking(tracked: u64, id: BlockIds, retire: bool) -> Sim<NetMsg> {
         retire_unannounced: retire,
         ..ZoneConfig::paper((10..14).map(NodeId).collect())
     };
-    let core = MultiZoneNode::new(cfg, 0, Vec::new());
+    let me = NodeId(0);
+    let core = MultiZoneNode::new(cfg, 0, vec![me].into(), me);
     let node = sim.add_node(
         LinkConfig::paper_default(),
         Box::new(ActorOf::<_, NetMsg>::new(core)),

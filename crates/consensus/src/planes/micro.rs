@@ -107,11 +107,6 @@ impl MicroPlane {
         self.ack_quorum
     }
 
-    /// Number of certified-but-unproposed microblocks.
-    pub fn proposable_count(&self) -> usize {
-        self.proposable.len()
-    }
-
     fn certify<M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,

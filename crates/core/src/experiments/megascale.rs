@@ -246,7 +246,7 @@ impl Setup for MegaScaleSetup {
                 let j = z * self.zone_size + i;
                 sim.add_node(
                     link,
-                    Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::in_zone(
+                    Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                         zcfg.clone(),
                         j as u64,
                         members.clone(),

@@ -4,6 +4,8 @@
 //! assigned full node — cost grows with the full-node count) or Multi-Zone
 //! (one stripe to ~one relayer per zone — cost stays O(n_c)).
 
+use std::sync::Arc;
+
 use predis_consensus::planes::PredisPlane;
 use predis_consensus::{ClientCore, ConsMsg, ConsensusConfig, PbftNode, Roster};
 use predis_multizone::{
@@ -69,14 +71,6 @@ impl FlowConsensusNode {
     /// The consensus shell (post-run inspection).
     pub fn shell(&self) -> &PbftNode<PredisPlane> {
         &self.shell
-    }
-
-    /// Subscribers of the Multi-Zone stripe source, if that is the duty.
-    pub fn zone_subscribers(&self) -> Option<usize> {
-        match &self.duty {
-            Duty::Zone { source } => Some(source.subscriber_count()),
-            Duty::Star { .. } => None,
-        }
     }
 
     fn distribute(&mut self, ctx: &mut Context<'_, FlowMsg>, bundle: &SizedBundle) {
@@ -337,7 +331,8 @@ impl Setup for TopologySetup {
             sim.add_node(link, Box::new(node), SimTime::ZERO);
         }
 
-        // Full nodes.
+        // Full nodes; under Multi-Zone each zone shares one member list.
+        let rosters: Vec<Arc<[NodeId]>> = groups.iter().map(|g| g.as_slice().into()).collect();
         for (j, &fnode) in fulls.iter().enumerate() {
             match self.mode {
                 DistMode::Star => {
@@ -348,17 +343,13 @@ impl Setup for TopologySetup {
                     );
                 }
                 DistMode::MultiZone { zones } => {
-                    let mates: Vec<NodeId> = groups[j % zones]
-                        .iter()
-                        .copied()
-                        .filter(|n| *n != fnode)
-                        .collect();
                     sim.add_node(
                         link,
                         Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                             zcfg.clone(),
                             j as u64,
-                            mates,
+                            Arc::clone(&rosters[j % zones]),
+                            fnode,
                         ))),
                         SimTime::from_millis(5 * j as u64),
                     );

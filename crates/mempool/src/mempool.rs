@@ -174,11 +174,6 @@ impl Mempool {
         self.chains.len()
     }
 
-    /// The fault bound `f`.
-    pub fn fault_bound(&self) -> usize {
-        self.f
-    }
-
     /// Read access to a chain's state.
     ///
     /// # Panics

@@ -7,9 +7,10 @@
 //! while preserving the *exact* iteration orders of the maps they
 //! replace (ascending stripe / ascending `NodeId` / ascending pending
 //! block), because iteration order decides message emission order and
-//! therefore the run's trace fingerprint:
+//! therefore the run's trace fingerprint. (The stripe-keyed maps became
+//! the node's own per-stripe route records, one fixed `n_c` array walked
+//! in stripe order; they need no container here.)
 //!
-//! * [`StripeTable`] — stripe-keyed map as a fixed `n_stripes` array.
 //! * [`StripeSet`] — stripe set as one `u64` bitmask (`n_c ≤`
 //!   [`MAX_STRIPES`]).
 //! * [`PeerMap`] — `NodeId`-keyed map with interned dense handles (the
@@ -25,107 +26,15 @@
 //!   *digests* in the consensus-duty worlds, so the table is keyed by
 //!   hash, not position: O(1) per stripe at any size, and no allocation
 //!   per single-bundle block.
+//! * [`ZoneRoster`] — a zone's member list, one `Arc<[NodeId]>` shared
+//!   by every member.
 //!
-//! Every container reports [`approx_bytes`](StripeTable::approx_bytes)
-//! so the engine's `mem.*` accounting can gate the footprint.
+//! Every heap-owning container reports an `approx_bytes`
+//! ([`BlockTable::approx_bytes`], for one) so the engine's `mem.*`
+//! accounting can gate the footprint.
 
 use predis_sim::{NodeId, SimTime};
 use rand::Rng;
-
-// ---------------------------------------------------------------------
-// StripeTable
-// ---------------------------------------------------------------------
-
-/// A map keyed by stripe index `0..n_stripes`, stored as a fixed array.
-///
-/// Iteration is ascending by stripe, matching the `BTreeMap<u32, T>` it
-/// replaces. Out-of-range keys (impossible with honest peers, whose
-/// stripes all come from `0..n_c`) are ignored rather than panicking.
-#[derive(Debug, Clone)]
-pub struct StripeTable<T> {
-    slots: Box<[Option<T>]>,
-    live: usize,
-}
-
-impl<T: Copy> StripeTable<T> {
-    /// An empty table over `n_stripes` stripes.
-    pub fn new(n_stripes: usize) -> StripeTable<T> {
-        StripeTable {
-            slots: vec![None; n_stripes].into_boxed_slice(),
-            live: 0,
-        }
-    }
-
-    /// Inserts, returning the previous value.
-    pub fn insert(&mut self, stripe: u32, value: T) -> Option<T> {
-        match self.slots.get_mut(stripe as usize) {
-            Some(slot) => {
-                let old = slot.replace(value);
-                if old.is_none() {
-                    self.live += 1;
-                }
-                old
-            }
-            None => None,
-        }
-    }
-
-    /// The value for `stripe`, if any.
-    pub fn get(&self, stripe: u32) -> Option<T> {
-        self.slots.get(stripe as usize).copied().flatten()
-    }
-
-    /// Removes and returns the value for `stripe`.
-    pub fn remove(&mut self, stripe: u32) -> Option<T> {
-        let old = self.slots.get_mut(stripe as usize).and_then(Option::take);
-        if old.is_some() {
-            self.live -= 1;
-        }
-        old
-    }
-
-    /// Whether `stripe` has a value.
-    pub fn contains(&self, stripe: u32) -> bool {
-        self.get(stripe).is_some()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no entry is set.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
-        self.live = 0;
-    }
-
-    /// Live entries in ascending stripe order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, T)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|v| (i as u32, v)))
-    }
-
-    /// Live values in ascending stripe order.
-    pub fn values(&self) -> impl Iterator<Item = T> + '_ {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// Approximate heap footprint in bytes (the inline struct is counted
-    /// by the owner).
-    pub fn approx_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Option<T>>()
-    }
-}
 
 // ---------------------------------------------------------------------
 // StripeSet
@@ -900,29 +809,19 @@ impl BlockTable {
 /// one owned `Vec` per node (which alone would blow a 4 KiB/node budget
 /// at zone size 1000). `my_pos` marks this node's own slot so peer
 /// iteration and random peer choice skip it — with *exactly* the same
-/// RNG draw as `choose` on the old exclusive list: one
+/// RNG draw as `choose` on the list without it: one
 /// `gen_range(0..len-1)` call, mapped over the gap.
 #[derive(Debug, Clone)]
 pub struct ZoneRoster {
     list: std::sync::Arc<[NodeId]>,
-    /// This node's index in `list`, or `u32::MAX` when the list already
-    /// excludes it (the legacy constructor).
+    /// This node's index in `list`, or `u32::MAX` when the list does not
+    /// hold it.
     my_pos: u32,
 }
 
 impl ZoneRoster {
-    /// A roster from a list that excludes this node (legacy form; each
-    /// node owns its allocation).
-    pub fn exclusive(peers: Vec<NodeId>) -> ZoneRoster {
-        ZoneRoster {
-            list: peers.into(),
-            my_pos: u32::MAX,
-        }
-    }
-
-    /// A roster sharing one full zone list (including `me`) across all
-    /// members.
-    pub fn shared(zone: std::sync::Arc<[NodeId]>, me: NodeId) -> ZoneRoster {
+    /// `me`'s view of the zone list `zone`, shared by all members.
+    pub fn new(zone: std::sync::Arc<[NodeId]>, me: NodeId) -> ZoneRoster {
         let my_pos = zone
             .iter()
             .position(|&n| n == me)
@@ -946,7 +845,7 @@ impl ZoneRoster {
 
     /// A uniformly random fellow member, drawing exactly one
     /// `gen_range(0..peer_count)` — identical to `SliceRandom::choose`
-    /// on the exclusive peer list.
+    /// on the list of peers alone.
     pub fn choose_other<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
         let n = self.peer_count();
         if n == 0 {
@@ -968,26 +867,6 @@ impl ZoneRoster {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stripe_table_orders_and_counts() {
-        let mut t: StripeTable<u32> = StripeTable::new(8);
-        assert!(t.is_empty());
-        t.insert(5, 50);
-        t.insert(1, 10);
-        t.insert(5, 55);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(5), Some(55));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(1, 10), (5, 55)]);
-        assert_eq!(t.remove(1), Some(10));
-        assert_eq!(t.remove(1), None);
-        assert_eq!(t.len(), 1);
-        // Out-of-range keys are ignored.
-        t.insert(99, 1);
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
-    }
 
     #[test]
     fn stripe_set_matches_btreeset_order() {
@@ -1236,27 +1115,20 @@ mod tests {
 
         let full: std::sync::Arc<[NodeId]> =
             vec![NodeId(1), NodeId(4), NodeId(7), NodeId(9)].into();
-        let shared = ZoneRoster::shared(full.clone(), NodeId(7));
-        let exclusive = ZoneRoster::exclusive(vec![NodeId(1), NodeId(4), NodeId(9)]);
-        assert_eq!(shared.peer_count(), 3);
-        assert_eq!(exclusive.peer_count(), 3);
-        assert_eq!(
-            shared.peers().collect::<Vec<_>>(),
-            vec![NodeId(1), NodeId(4), NodeId(9)]
-        );
-        // Same seed -> same peer as `choose` on the exclusive list.
-        let old_list = [NodeId(1), NodeId(4), NodeId(9)];
-        for seed in 0..64u64 {
-            let mut a = SmallRng::seed_from_u64(seed);
-            let mut b = SmallRng::seed_from_u64(seed);
-            let mut c = SmallRng::seed_from_u64(seed);
-            let want = *old_list.as_slice().choose(&mut a).unwrap();
-            assert_eq!(shared.choose_other(&mut b), Some(want), "seed {seed}");
-            assert_eq!(exclusive.choose_other(&mut c), Some(want), "seed {seed}");
+        // At every position of `me`, and with `me` not in the list at all:
+        // the peers are the list without `me`, and the same seed picks the
+        // same peer as `choose` on that list.
+        for me in [NodeId(1), NodeId(4), NodeId(7), NodeId(9), NodeId(100)] {
+            let roster = ZoneRoster::new(full.clone(), me);
+            let peers: Vec<NodeId> = full.iter().copied().filter(|&n| n != me).collect();
+            assert_eq!(roster.peer_count(), peers.len());
+            assert_eq!(roster.peers().collect::<Vec<_>>(), peers);
+            for seed in 0..64u64 {
+                let mut a = SmallRng::seed_from_u64(seed);
+                let mut b = SmallRng::seed_from_u64(seed);
+                let want = peers.as_slice().choose(&mut a).copied();
+                assert_eq!(roster.choose_other(&mut b), want, "{me} seed {seed}");
+            }
         }
-        // A roster whose "shared" list does not contain the node behaves
-        // like the exclusive form.
-        let not_in = ZoneRoster::shared(full, NodeId(100));
-        assert_eq!(not_in.peer_count(), 4);
     }
 }

@@ -3,6 +3,8 @@
 //! through it, and reports block propagation latency to any fraction of
 //! the full-node population.
 
+use std::sync::Arc;
+
 use predis_sim::prelude::*;
 use predis_sim::{RunReport, MAX_NODES};
 use rand::rngs::SmallRng;
@@ -12,8 +14,9 @@ use rand::SeedableRng;
 use crate::dense::MAX_STRIPES;
 use crate::msg::NetMsg;
 use crate::random::{FegConfig, FegNode, RandomSource};
+use crate::source::{SyntheticLoad, ZoneSource};
 use crate::star::{BlockSink, StarSource};
-use crate::zone::{MultiZoneNode, SyntheticLoad, ZoneConfig, ZoneSource};
+use crate::zone::{MultiZoneNode, ZoneConfig};
 
 /// Which dissemination topology to build.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,18 +312,16 @@ impl PropagationSetup {
                 // Join order = index order, staggered so subscription trees
                 // build deterministically.
                 let regions = self.latency.region_count();
+                let rosters: Vec<Arc<[NodeId]>> =
+                    groups.iter().map(|g| g.as_slice().into()).collect();
                 for (j, &fnode) in fulls.iter().enumerate() {
                     let zone = j % zones;
-                    let mates: Vec<NodeId> = groups[zone]
-                        .iter()
-                        .copied()
-                        .filter(|n| *n != fnode)
-                        .collect();
                     // Backup connections: two nodes of the next zone.
                     let next_zone = (zone + 1) % zones;
                     let backups: Vec<NodeId> = groups[next_zone].iter().copied().take(2).collect();
-                    let node =
-                        MultiZoneNode::new(zcfg.clone(), j as u64, mates).with_backups(backups);
+                    let roster = Arc::clone(&rosters[zone]);
+                    let node = MultiZoneNode::new(zcfg.clone(), j as u64, roster, fnode)
+                        .with_backups(backups);
                     // Locality-based division puts a whole zone in one
                     // region, so intra-zone forwarding stays local; the
                     // scattered baseline cycles each zone's members through

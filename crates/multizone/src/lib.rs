@@ -31,6 +31,7 @@ pub mod dense;
 pub mod experiment;
 pub mod msg;
 pub mod random;
+pub mod source;
 pub mod star;
 pub mod zone;
 
@@ -40,5 +41,6 @@ pub use experiment::{
 };
 pub use msg::{net_timers, BundleId, NetMsg, RelayerInfo};
 pub use random::{FegConfig, FegNode, RandomSource};
+pub use source::{SubCap, SyntheticLoad, ZoneSource};
 pub use star::{BlockSink, StarSource};
-pub use zone::{MultiZoneNode, StripeFault, SubCap, SyntheticLoad, ZoneConfig, ZoneSource};
+pub use zone::{MultiZoneNode, StripeFault, ZoneConfig};

@@ -16,7 +16,7 @@ use predis_types::Shared;
 use rand::seq::SliceRandom;
 
 use crate::msg::{net_timers, NetMsg};
-use crate::zone::SyntheticLoad;
+use crate::source::SyntheticLoad;
 
 /// FEG tunables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,7 +6,7 @@
 use predis_sim::{Codec, CounterHandle, Labels, NarrowContext, NodeId, ProtocolCore, TimerTag};
 
 use crate::msg::{net_timers, NetMsg};
-use crate::zone::SyntheticLoad;
+use crate::source::SyntheticLoad;
 
 /// A consensus node in the star topology: at every block boundary it sends
 /// the complete block to each of its assigned full nodes.

@@ -4,17 +4,20 @@
 //! become a relayer), Algorithm 2 (process relayerAlive, redundancy
 //! shedding), stripe forwarding down subscription trees, bundle decoding
 //! (any `k = n_c − f` stripes), Predis-block announcements, leave/churn
-//! handling, and backup-connection digests to neighbouring zones.
-//! [`ZoneSource`] implements the consensus-node side: it serves exactly its
-//! own stripe index to its subscribers, keeping the consensus layer's
-//! dissemination cost at O(n_c) regardless of the full-node count.
+//! handling, and backup-connection digests to neighbouring zones. The
+//! consensus-node side is [`crate::source`].
 //!
-//! Per-node state lives in the dense containers of [`crate::dense`]
-//! (fixed stripe arrays, interned peer handles, one shared roster per
-//! zone, one keyed per-block table) rather than per-node `BTreeMap`s,
-//! so 10^5 simulated full nodes fit in a few GB. Every container
-//! preserves the iteration order of the map it replaced, keeping message
-//! emission — and therefore run fingerprints — bit-identical.
+//! A node's place in each stripe's subscription tree is one `Route`
+//! record per stripe (provider, outstanding request, make-before-break
+//! switch, last data, children); the stripes it still wants are derived
+//! from them, not stored. Everything else lives in the dense containers of
+//! [`crate::dense`] (stripe bitsets, interned peer handles, one shared
+//! roster per zone, one keyed per-block table) rather than per-node
+//! `BTreeMap`s, so 10^5 simulated full nodes fit in a few GB. Every walk
+//! over stripes is ascending, as the maps they replaced iterated, keeping
+//! message emission — and therefore run fingerprints — bit-identical.
+
+use std::sync::Arc;
 
 use predis_sim::{
     BundleKey, Codec, CounterHandle, Labels, NarrowContext, NodeId, ProtocolCore, SimDuration,
@@ -24,7 +27,7 @@ use predis_types::Shared;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::dense::{BlockTable, PeerMap, StripeSet, StripeTable, U64Set, ZoneRoster, MAX_STRIPES};
+use crate::dense::{BlockTable, PeerMap, StripeSet, U64Set, ZoneRoster, MAX_STRIPES};
 use crate::msg::{net_timers, BundleId, NetMsg, RelayerInfo};
 
 /// Static parameters of a Multi-Zone deployment.
@@ -90,340 +93,6 @@ pub enum StripeFault {
     Corrupt,
 }
 
-/// Synthetic block/bundle generation for propagation experiments: the data
-/// of one `block_bytes`-sized block is produced as `bundles_per_block`
-/// bundles spread evenly over `interval`, matching Predis's continuous
-/// pre-distribution; at each block boundary a constant-size announcement
-/// (the Predis block) is emitted.
-#[derive(Debug, Clone)]
-pub struct SyntheticLoad {
-    /// Bytes per bundle.
-    pub bundle_bytes: u32,
-    /// Bundles per block.
-    pub bundles_per_block: u32,
-    /// Block interval.
-    pub interval: SimDuration,
-    /// How many blocks to produce (0 = unlimited).
-    pub blocks: u64,
-    /// Wire size of a block announcement (a Predis block, ~2.5 KB).
-    pub ann_wire: u32,
-    /// When generation starts (after the membership warm-up).
-    pub start_at: SimDuration,
-}
-
-impl SyntheticLoad {
-    /// A load equivalent to blocks of `block_bytes` every `interval`,
-    /// split into `bundles_per_block` bundles.
-    pub fn for_block_size(block_bytes: u64, bundles_per_block: u32, interval: SimDuration) -> Self {
-        SyntheticLoad {
-            bundle_bytes: (block_bytes / bundles_per_block as u64).max(1) as u32,
-            bundles_per_block,
-            interval,
-            blocks: 0,
-            ann_wire: 2500,
-            start_at: SimDuration::from_secs(5),
-        }
-    }
-
-    /// Total bytes of one block.
-    pub fn block_bytes(&self) -> u64 {
-        self.bundle_bytes as u64 * self.bundles_per_block as u64
-    }
-}
-
-/// Caps direct consensus subscriptions per zone (mega-scale worlds).
-///
-/// A full node's zone is derived from its contiguous id block:
-/// `zone = (id - base) / zone_size`. Once a zone holds `per_zone` direct
-/// subscribers on a source, further joiners from that zone are redirected
-/// (`RejectSub` listing the zone's existing subscribers) so they deepen
-/// the zone tree instead of widening the source fanout. Without the cap a
-/// join storm — thousands of nodes running Algorithm 1 before any
-/// `RelayerAlive` has propagated — subscribes *en masse* to the source,
-/// saturating the consensus uplink and stalling block production.
-#[derive(Debug, Clone, Copy)]
-pub struct SubCap {
-    /// First full-node id (ids below this are consensus nodes).
-    pub base: u32,
-    /// Full nodes per zone.
-    pub zone_size: u32,
-    /// Direct subscribers allowed per zone on each source.
-    pub per_zone: usize,
-}
-
-impl SubCap {
-    fn zone_of(&self, n: NodeId) -> u32 {
-        (n.index() as u32).saturating_sub(self.base) / self.zone_size.max(1)
-    }
-}
-
-/// The consensus-node side of Multi-Zone: serves stripe `idx` of every
-/// bundle to its subscribers and forwards block announcements.
-#[derive(Debug)]
-pub struct ZoneSource {
-    idx: u32,
-    cfg: ZoneConfig,
-    load: Option<SyntheticLoad>,
-    sub_cap: Option<SubCap>,
-    subscribers: Vec<NodeId>,
-    /// Last heartbeat per subscriber (§IV-E: silent subscribers are
-    /// disconnected so the uplink stops carrying their stripes).
-    sub_last_seen: PeerMap<SimTime>,
-    current_block: u64,
-    bundle_in_block: u32,
-    /// `zone.rs_encodes` / `zone.stripe_sends` for this stripe's chain
-    /// label, minted here so the per-bundle path is a dense-array add.
-    rs_encodes: CounterHandle,
-    stripe_sends: CounterHandle,
-}
-
-impl ZoneSource {
-    /// Creates the source for stripe `idx`; with a [`SyntheticLoad`] it
-    /// generates bundles itself (propagation experiments), without one it
-    /// is driven externally via [`ZoneSource::offer_bundle`].
-    pub fn new(idx: u32, cfg: ZoneConfig, load: Option<SyntheticLoad>) -> ZoneSource {
-        let chain = Labels::chain(idx as u64);
-        ZoneSource {
-            idx,
-            cfg,
-            load,
-            sub_cap: None,
-            subscribers: Vec::new(),
-            sub_last_seen: PeerMap::new(),
-            current_block: 0,
-            bundle_in_block: 0,
-            rs_encodes: CounterHandle::of("zone.rs_encodes", chain),
-            stripe_sends: CounterHandle::of("zone.stripe_sends", chain),
-        }
-    }
-
-    /// Current subscribers (for tests).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Enables the per-zone direct-subscription cap (see [`SubCap`]).
-    pub fn with_sub_cap(mut self, cap: SubCap) -> ZoneSource {
-        self.sub_cap = Some(cap);
-        self
-    }
-
-    /// Approximate resident footprint (for `mem.*` accounting).
-    pub fn approx_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.subscribers.capacity() * std::mem::size_of::<NodeId>()
-            + self.sub_last_seen.approx_bytes()
-            + self.cfg.consensus.capacity() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Sends this source's stripe of the given bundle to all subscribers.
-    pub fn offer_bundle<M: Codec<NetMsg>>(
-        &mut self,
-        ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
-        bundle: BundleId,
-        bundle_bytes: u32,
-    ) {
-        let k = self.cfg.k() as u32;
-        let stripe_bytes = bundle_bytes.div_ceil(k);
-        let msg = NetMsg::Stripe {
-            bundle,
-            stripe: self.idx,
-            k,
-            bytes: stripe_bytes,
-            corrupt: false,
-        };
-        let fanout = self.subscribers.len() as u64;
-        ctx.multicast(self.subscribers.iter().copied(), msg);
-        let now = ctx.now();
-        ctx.metrics().incr_handle(self.rs_encodes, 1);
-        if fanout > 0 {
-            ctx.metrics().incr_handle(self.stripe_sends, fanout);
-        }
-        ctx.metrics().timeline_mark(
-            BundleKey {
-                producer: bundle.idx as u64,
-                chain: bundle.idx as u64,
-                height: bundle.block,
-            },
-            Stage::StripeEncoded,
-            now,
-        );
-    }
-
-    /// Announces a completed block to all subscribers (who forward it on).
-    pub fn announce_block<M: Codec<NetMsg>>(
-        &mut self,
-        ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
-        block: u64,
-        bundles: u32,
-        ann_wire: u32,
-    ) {
-        ctx.multicast(
-            self.subscribers.iter().copied(),
-            NetMsg::BlockAnn {
-                block,
-                bundles,
-                wire: ann_wire,
-            },
-        );
-    }
-
-    fn tick<M: Codec<NetMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, NetMsg>) {
-        let Some(load) = self.load.clone() else {
-            return;
-        };
-        if load.blocks > 0 && self.current_block >= load.blocks {
-            return; // done: no further timer
-        }
-        let bundle = BundleId {
-            block: self.current_block,
-            idx: self.bundle_in_block,
-        };
-        self.offer_bundle(ctx, bundle, load.bundle_bytes);
-        self.bundle_in_block += 1;
-        if self.bundle_in_block == load.bundles_per_block {
-            let block = self.current_block;
-            self.announce_block(ctx, block, load.bundles_per_block, load.ann_wire);
-            if self.idx == 0 {
-                ctx.metrics().incr("zone.blocks_announced", 1);
-            }
-            self.current_block += 1;
-            self.bundle_in_block = 0;
-        }
-        let tick = load.interval / load.bundles_per_block as u64;
-        ctx.set_timer(tick, TimerTag::of_kind(net_timers::SOURCE_TICK));
-    }
-}
-
-impl ProtocolCore<NetMsg> for ZoneSource {
-    fn approx_bytes(&self) -> usize {
-        self.approx_size()
-    }
-
-    fn start<M: Codec<NetMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, NetMsg>) {
-        if let Some(load) = &self.load {
-            let start = load.start_at;
-            ctx.set_timer(start, TimerTag::of_kind(net_timers::SOURCE_TICK));
-        }
-        let hb = self.cfg.alive_interval * 2;
-        ctx.set_timer(hb, TimerTag::of_kind(net_timers::HEARTBEAT));
-    }
-
-    fn message<M: Codec<NetMsg>>(
-        &mut self,
-        ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
-        from: NodeId,
-        msg: NetMsg,
-    ) {
-        match msg {
-            NetMsg::Heartbeat => {
-                let now = ctx.now();
-                self.sub_last_seen.insert(from, now);
-            }
-            NetMsg::Subscribe { stripes } => {
-                // A consensus node serves exactly its own stripe.
-                if stripes.contains(&self.idx) {
-                    let full_zone = self.sub_cap.filter(|_| !self.subscribers.contains(&from));
-                    let redirect = full_zone.and_then(|cap| {
-                        let zone = cap.zone_of(from);
-                        let peers: Vec<NodeId> = self
-                            .subscribers
-                            .iter()
-                            .copied()
-                            .filter(|&n| cap.zone_of(n) == zone)
-                            .collect();
-                        (peers.len() >= cap.per_zone).then_some(peers)
-                    });
-                    if let Some(children) = redirect {
-                        ctx.metrics().incr("zone.source_subs_capped", 1);
-                        ctx.send(
-                            from,
-                            NetMsg::RejectSub {
-                                stripes: vec![self.idx],
-                                children,
-                            },
-                        );
-                    } else {
-                        if !self.subscribers.contains(&from) {
-                            self.subscribers.push(from);
-                        }
-                        let now = ctx.now();
-                        self.sub_last_seen.insert(from, now);
-                        ctx.send(
-                            from,
-                            NetMsg::AcceptSub {
-                                stripes: vec![self.idx],
-                            },
-                        );
-                    }
-                }
-                let rejected: Vec<u32> = stripes.into_iter().filter(|&s| s != self.idx).collect();
-                if !rejected.is_empty() {
-                    ctx.send(
-                        from,
-                        NetMsg::RejectSub {
-                            stripes: rejected,
-                            children: Vec::new(),
-                        },
-                    );
-                }
-            }
-            NetMsg::Unsubscribe { .. } | NetMsg::Leave => {
-                self.subscribers.retain(|&n| n != from);
-            }
-            NetMsg::BundlePull { bundle } => {
-                // Consensus nodes hold every bundle they generated and can
-                // serve recovery pulls directly (§IV-F backup connections).
-                if let Some(load) = &self.load {
-                    let produced = bundle.block < self.current_block
-                        || (bundle.block == self.current_block
-                            && bundle.idx < self.bundle_in_block);
-                    if produced {
-                        ctx.metrics().incr("zone.source_pulls_served", 1);
-                        ctx.send(
-                            from,
-                            NetMsg::FullBundle {
-                                bundle,
-                                bytes: load.bundle_bytes,
-                            },
-                        );
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timer<M: Codec<NetMsg>>(
-        &mut self,
-        ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
-        tag: TimerTag,
-    ) {
-        match tag.kind {
-            net_timers::SOURCE_TICK => self.tick(ctx),
-            net_timers::HEARTBEAT => {
-                let now = ctx.now();
-                let cutoff = self.cfg.alive_interval * 8;
-                let before = self.subscribers.len();
-                let seen = &self.sub_last_seen;
-                self.subscribers.retain(|&n| {
-                    seen.get(n)
-                        .is_some_and(|&t| now.saturating_since(t) <= cutoff)
-                });
-                if self.subscribers.len() < before {
-                    ctx.metrics().incr(
-                        "zone.source_subs_reaped",
-                        (before - self.subscribers.len()) as u64,
-                    );
-                }
-                let hb = self.cfg.alive_interval * 2;
-                ctx.set_timer(hb, TimerTag::of_kind(net_timers::HEARTBEAT));
-            }
-            _ => {}
-        }
-    }
-}
-
 /// A full node's own counter cells, all labelled with its id.
 #[derive(Debug)]
 struct NodeCells {
@@ -459,6 +128,23 @@ struct RelayerState {
     seen: SimTime,
 }
 
+/// This node's place in one stripe's subscription tree. A stripe with no
+/// `upstream` is one the node still wants.
+#[derive(Debug, Clone, Default)]
+struct Route {
+    /// The current provider.
+    upstream: Option<NodeId>,
+    /// The node a subscription was requested from, awaiting an answer.
+    pending: Option<NodeId>,
+    /// Make-before-break: the old provider to drop once the new
+    /// subscription is accepted.
+    switching: Option<NodeId>,
+    /// When data last arrived on the stripe.
+    last_data: Option<SimTime>,
+    /// Downstream subscribers, in subscription order.
+    children: Vec<NodeId>,
+}
+
 /// The full-node side of Multi-Zone (ordinary node or relayer — the role is
 /// dynamic, per Algorithms 1 and 2).
 #[derive(Debug)]
@@ -476,19 +162,10 @@ pub struct MultiZoneNode {
     /// Byzantine forwarding behaviour toward children (None = honest).
     byz: Option<StripeFault>,
 
-    // ---- stripe routing (fixed n_c-length tables; iteration — and thus
-    // message emission — is ascending by stripe, as the BTreeMaps were) ----
-    /// stripe -> current provider.
-    upstream: StripeTable<NodeId>,
-    /// Stripes with no provider yet.
-    desired: StripeSet,
-    /// Stripes requested from some node, awaiting an answer.
-    pending_sub: StripeTable<NodeId>,
-    /// Make-before-break provider switches: stripe -> old provider to drop
-    /// once the new subscription is accepted.
-    switching: StripeTable<NodeId>,
-    /// stripe -> downstream subscribers (insertion-ordered per stripe).
-    children: Box<[Vec<NodeId>]>,
+    // ---- stripe routing (walks are ascending by stripe, and so is
+    // message emission) ----
+    /// One record per stripe.
+    routes: Box<[Route]>,
     /// Stripes received directly from consensus nodes (relayer-ness).
     relaying: StripeSet,
     /// Known relayers of this zone (interned peer handles, ascending
@@ -504,8 +181,6 @@ pub struct MultiZoneNode {
     completed: U64Set,
     ann_forwarded: U64Set,
     pulled: U64Set,
-    /// stripe -> last time data arrived on it.
-    last_data: StripeTable<SimTime>,
     /// Last heartbeat (or any message) per child, for §IV-E disconnects.
     child_last_seen: PeerMap<SimTime>,
     /// Ring of recently retired blocks (ann-less worlds only): absorbs
@@ -522,50 +197,31 @@ pub struct MultiZoneNode {
 }
 
 impl MultiZoneNode {
-    /// Creates a full node in a zone. `zone_members` are the other nodes of
-    /// the same zone (any order); `join_seq` is this node's join order.
-    pub fn new(cfg: ZoneConfig, join_seq: u64, zone_members: Vec<NodeId>) -> MultiZoneNode {
-        MultiZoneNode::with_roster(cfg, join_seq, ZoneRoster::exclusive(zone_members))
-    }
-
-    /// Creates a full node sharing one zone-wide member list (including
-    /// `me`) across all members of the zone — the mega-scale form, where
-    /// membership costs O(1) amortized per node instead of O(zone size).
-    pub fn in_zone(
-        cfg: ZoneConfig,
-        join_seq: u64,
-        zone: std::sync::Arc<[NodeId]>,
-        me: NodeId,
-    ) -> MultiZoneNode {
-        MultiZoneNode::with_roster(cfg, join_seq, ZoneRoster::shared(zone, me))
-    }
-
-    fn with_roster(cfg: ZoneConfig, join_seq: u64, roster: ZoneRoster) -> MultiZoneNode {
+    /// Creates full node `me` of a zone. `zone` is the zone's member list,
+    /// shared by all its members (it may include `me`; any order), so
+    /// membership costs O(1) amortized per node instead of O(zone size);
+    /// `join_seq` is this node's join order.
+    pub fn new(cfg: ZoneConfig, join_seq: u64, zone: Arc<[NodeId]>, me: NodeId) -> MultiZoneNode {
         assert!(
             cfg.n_c <= MAX_STRIPES,
             "Multi-Zone supports at most {MAX_STRIPES} stripes (n_c = {})",
             cfg.n_c
         );
-        let n_c = cfg.n_c;
+        let routes = vec![Route::default(); cfg.n_c].into_boxed_slice();
         MultiZoneNode {
             cfg,
             join_seq,
-            roster,
+            roster: ZoneRoster::new(zone, me),
             backup_peers: Vec::new(),
             leave_at: None,
             byz: None,
-            upstream: StripeTable::new(n_c),
-            desired: StripeSet::from_iter(0..n_c as u32),
-            pending_sub: StripeTable::new(n_c),
-            switching: StripeTable::new(n_c),
-            children: vec![Vec::new(); n_c].into_boxed_slice(),
+            routes,
             relaying: StripeSet::EMPTY,
             zone_relayers: PeerMap::new(),
             blocks: BlockTable::new(),
             completed: U64Set::new(),
             ann_forwarded: U64Set::new(),
             pulled: U64Set::new(),
-            last_data: StripeTable::new(n_c),
             child_last_seen: PeerMap::new(),
             retired_ring: std::collections::VecDeque::new(),
             cells: None,
@@ -615,12 +271,7 @@ impl MultiZoneNode {
 
     /// Stripes with an active provider.
     pub fn covered_stripes(&self) -> usize {
-        self.upstream.len()
-    }
-
-    /// Blocks announced but not yet reconstructed.
-    pub fn pending_block_count(&self) -> usize {
-        self.blocks.pending_count()
+        self.providers().count()
     }
 
     /// Blocks with any in-flight tracking state (pending or merely
@@ -636,14 +287,10 @@ impl MultiZoneNode {
             + self.roster.approx_bytes()
             + self.backup_peers.capacity() * std::mem::size_of::<NodeId>()
             + self.cfg.consensus.capacity() * std::mem::size_of::<NodeId>()
-            + self.upstream.approx_bytes()
-            + self.pending_sub.approx_bytes()
-            + self.switching.approx_bytes()
-            + self.last_data.approx_bytes()
             + self
-                .children
+                .routes
                 .iter()
-                .map(|kids| std::mem::size_of::<Vec<NodeId>>() + kids.capacity() * 4)
+                .map(|r| std::mem::size_of::<Route>() + r.children.capacity() * 4)
                 .sum::<usize>()
             + self.zone_relayers.approx_bytes()
             + self.child_last_seen.approx_bytes()
@@ -652,47 +299,15 @@ impl MultiZoneNode {
             + self.ann_forwarded.approx_bytes()
             + self.pulled.approx_bytes()
             + self.retired_ring.capacity() * 8
-            + self.cells_heap_bytes()
-    }
-
-    fn cells_heap_bytes(&self) -> usize {
-        self.cells.as_ref().map_or(0, |c| {
-            c.stripe_sends.len() * std::mem::size_of::<CounterHandle>()
-        })
+            + self.cells.as_ref().map_or(0, |c| {
+                c.stripe_sends.len() * std::mem::size_of::<CounterHandle>()
+            })
     }
 
     fn cells(&self) -> &NodeCells {
         self.cells
             .as_ref()
             .expect("the engine starts a node before its first event")
-    }
-
-    /// Diagnostic: per-component footprint, for memory-budget tuning.
-    pub fn approx_breakdown(&self) -> Vec<(&'static str, usize)> {
-        vec![
-            ("self", std::mem::size_of::<Self>()),
-            ("roster", self.roster.approx_bytes()),
-            ("consensus", self.cfg.consensus.capacity() * 4),
-            ("upstream", self.upstream.approx_bytes()),
-            ("pending_sub", self.pending_sub.approx_bytes()),
-            ("switching", self.switching.approx_bytes()),
-            ("last_data", self.last_data.approx_bytes()),
-            (
-                "children",
-                self.children
-                    .iter()
-                    .map(|kids| std::mem::size_of::<Vec<NodeId>>() + kids.capacity() * 4)
-                    .sum::<usize>(),
-            ),
-            ("zone_relayers", self.zone_relayers.approx_bytes()),
-            ("child_last_seen", self.child_last_seen.approx_bytes()),
-            ("blocks", self.blocks.approx_bytes()),
-            ("completed", self.completed.approx_bytes()),
-            ("ann_forwarded", self.ann_forwarded.approx_bytes()),
-            ("pulled", self.pulled.approx_bytes()),
-            ("retired_ring", self.retired_ring.capacity() * 8),
-            ("cells", self.cells_heap_bytes()),
-        ]
     }
 
     /// How many retired blocks the dup-absorbing ring remembers: 63, the
@@ -711,57 +326,39 @@ impl MultiZoneNode {
         self.retired_ring.push_back(block);
     }
 
-    /// Diagnostic: per pending block, how many bundles are still missing.
-    pub fn missing_summary(&self) -> Vec<(u64, u32, u32)> {
-        self.blocks
-            .pending_iter()
-            .map(|(block, slot)| {
-                let bundles = slot.pending().unwrap_or(0);
-                let missing = (0..bundles).filter(|&idx| !slot.is_decoded(idx)).count() as u32;
-                (block, bundles, missing)
-            })
-            .collect()
+    /// The provider of every covered stripe, ascending by stripe.
+    fn providers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.routes.iter().filter_map(|r| r.upstream)
     }
 
-    /// Diagnostic: total block announcements seen.
-    pub fn anns_seen(&self) -> usize {
-        self.ann_forwarded.len()
-    }
-
-    /// Diagnostic: last data arrival per stripe.
-    pub fn last_data_at(&self) -> Vec<(u32, SimTime)> {
-        self.last_data.iter().collect()
-    }
-
-    /// Diagnostic: the provider of every covered stripe.
-    pub fn upstreams(&self) -> Vec<(u32, NodeId)> {
-        let mut v: Vec<(u32, NodeId)> = self.upstream.iter().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Diagnostic: children per stripe.
-    pub fn children_of(&self, stripe: u32) -> Vec<NodeId> {
-        self.children
-            .get(stripe as usize)
-            .cloned()
-            .unwrap_or_default()
+    /// Whether `stripe` has neither a provider nor a request outstanding
+    /// (false for a stripe out of range).
+    fn unrequested(&self, stripe: u32) -> bool {
+        let route = self.routes.get(stripe as usize);
+        route.is_some_and(|r| r.upstream.is_none() && r.pending.is_none())
     }
 
     fn total_children(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
+        self.routes.iter().map(|r| r.children.len()).sum()
     }
 
     fn unique_children(&self) -> Vec<NodeId> {
         let mut set: Vec<NodeId> = Vec::new();
-        for kids in self.children.iter() {
-            for &kid in kids {
+        for route in self.routes.iter() {
+            for &kid in &route.children {
                 if !set.contains(&kid) {
                     set.push(kid);
                 }
             }
         }
         set
+    }
+
+    /// Drops `gone` from every stripe's children.
+    fn drop_child(&mut self, gone: NodeId) {
+        for route in self.routes.iter_mut() {
+            route.children.retain(|&n| n != gone);
+        }
     }
 
     fn subscribe<M: Codec<NetMsg>>(
@@ -774,7 +371,7 @@ impl MultiZoneNode {
             return;
         }
         for &s in &stripes {
-            self.pending_sub.insert(s, provider);
+            self.routes[s as usize].pending = Some(provider);
         }
         ctx.send(provider, NetMsg::Subscribe { stripes });
     }
@@ -786,7 +383,7 @@ impl MultiZoneNode {
         ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
         stripe: u32,
     ) {
-        if self.pending_sub.contains(stripe) || self.upstream.contains(stripe) {
+        if !self.unrequested(stripe) {
             return;
         }
         let relayer = self
@@ -840,8 +437,7 @@ impl MultiZoneNode {
             self.relaying.remove(s);
             // Make-before-break: keep receiving from the consensus source
             // until the new provider accepts, so no bundle is dropped.
-            let src = self.cfg.consensus[s as usize];
-            self.switching.insert(s, src);
+            self.routes[s as usize].switching = Some(self.cfg.consensus[s as usize]);
         }
         ctx.metrics()
             .incr_handle(self.cells().redundancy_shed, overlap.len() as u64);
@@ -906,9 +502,7 @@ impl MultiZoneNode {
         ctx: &mut NarrowContext<'_, '_, M, NetMsg>,
         gone: NodeId,
     ) {
-        for kids in self.children.iter_mut() {
-            kids.retain(|&n| n != gone);
-        }
+        self.drop_child(gone);
         self.on_provider_lost(ctx, gone);
     }
 
@@ -921,16 +515,15 @@ impl MultiZoneNode {
         gone: NodeId,
     ) {
         let was_relayer = self.zone_relayers.remove(gone).is_some();
-        let lost: Vec<u32> = self
-            .upstream
-            .iter()
-            .filter(|&(_, p)| p == gone)
-            .map(|(s, _)| s)
-            .collect();
-        for s in lost {
-            self.upstream.remove(s);
-            self.desired.insert(s);
-            self.pending_sub.remove(s);
+        // Re-routing one stripe touches only that stripe's record, so the
+        // walk needs no snapshot of the lost ones.
+        for s in 0..self.cfg.n_c as u32 {
+            let route = &mut self.routes[s as usize];
+            if route.upstream != Some(gone) {
+                continue;
+            }
+            route.upstream = None;
+            route.pending = None;
             if was_relayer {
                 // §IV-E: a departing relayer's subscriber takes over by
                 // subscribing to the consensus node directly.
@@ -959,12 +552,9 @@ impl MultiZoneNode {
             self.announce_alive(ctx);
         }
         // Retry unfinished acquisitions (pending subs may have been lost).
-        // `acquire` changes neither `desired` nor `upstream`.
-        self.pending_sub.clear();
-        for s in self.desired.iter() {
-            if !self.upstream.contains(s) {
-                self.acquire(ctx, s);
-            }
+        for s in 0..self.cfg.n_c as u32 {
+            self.routes[s as usize].pending = None;
+            self.acquire(ctx, s);
         }
         // §IV-E: if the zone has fewer than n_c relayers, a non-relayer
         // volunteers (randomized to avoid a thundering herd): first for a
@@ -1003,10 +593,11 @@ impl MultiZoneNode {
                 let src = self.cfg.consensus[stripe as usize];
                 // Re-route the stripe to its consensus source,
                 // make-before-break.
-                if let Some(old) = self.upstream.get(stripe) {
-                    self.switching.insert(stripe, old);
+                let route = &mut self.routes[stripe as usize];
+                if route.upstream.is_some() {
+                    route.switching = route.upstream;
                 }
-                self.pending_sub.remove(stripe);
+                route.pending = None;
                 self.subscribe(ctx, src, vec![stripe]);
             }
         }
@@ -1018,28 +609,21 @@ impl MultiZoneNode {
         // silent stripe means its subscription path lost the source
         // (churn, or a cycle that predates the subscribe-time guard).
         let silence = self.cfg.alive_interval * 4;
+        let fresh = |r: &Route| {
+            r.last_data
+                .is_some_and(|t| now.saturating_since(t) <= silence)
+        };
         let reroute_silent = self.blocks.pending_count() > 0
-            || (self.cfg.retire_unannounced
-                && self
-                    .last_data
-                    .values()
-                    .any(|t| now.saturating_since(t) <= silence));
+            || (self.cfg.retire_unannounced && self.routes.iter().any(fresh));
         if reroute_silent {
-            // Rerouting one stripe touches only that stripe's routing
-            // entries, so the walk needs no snapshot of the dead ones.
             for st in 0..self.cfg.n_c as u32 {
-                let Some(old) = self.upstream.get(st) else {
-                    continue;
-                };
-                let fresh = |t| now.saturating_since(t) <= silence;
-                if self.last_data.get(st).is_some_and(fresh) {
+                let route = &mut self.routes[st as usize];
+                if route.upstream.is_none() || fresh(route) {
                     continue;
                 }
-                self.switching.insert(st, old);
-                self.upstream.remove(st);
+                route.switching = route.upstream.take();
+                route.pending = None;
                 self.relaying.remove(st);
-                self.desired.insert(st);
-                self.pending_sub.remove(st);
                 self.acquire(ctx, st);
             }
         }
@@ -1048,7 +632,7 @@ impl MultiZoneNode {
         // pull the missing bundles from random zone members.
         let overdue = self.cfg.alive_interval * 2;
         let mut wanted: Vec<BundleId> = Vec::new();
-        for (block, slot) in self.blocks.pending_iter() {
+        'blocks: for (block, slot) in self.blocks.pending_iter() {
             let bundles = slot.pending().unwrap_or(0);
             let seen = slot.ann_at().unwrap_or(now);
             if now.saturating_since(seen) < overdue {
@@ -1058,7 +642,7 @@ impl MultiZoneNode {
                 if !slot.is_decoded(idx) {
                     wanted.push(BundleId { block, idx });
                     if wanted.len() >= 64 {
-                        break;
+                        break 'blocks;
                     }
                 }
             }
@@ -1140,11 +724,13 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 TimerTag::of_kind(net_timers::JOIN_RETRY),
             );
         } else {
-            // First node of the zone: everything comes from consensus.
-            let all: Vec<u32> = self.desired.iter().collect();
-            for s in all {
-                let src = self.cfg.consensus[s as usize];
-                self.subscribe(ctx, src, vec![s]);
+            // First node of the zone: everything it lacks comes from
+            // consensus (all of it, unless this is a revival).
+            for s in 0..self.cfg.n_c as u32 {
+                if self.routes[s as usize].upstream.is_none() {
+                    let src = self.cfg.consensus[s as usize];
+                    self.subscribe(ctx, src, vec![s]);
+                }
             }
         }
         let interval = self.cfg.alive_interval;
@@ -1188,7 +774,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     return;
                 }
                 let now = ctx.now();
-                self.last_data.insert(stripe, now);
+                self.routes[stripe as usize].last_data = Some(now);
                 if self.cfg.retire_unannounced && self.retired_ring.contains(&bundle.block) {
                     // A retired block held all stripes, so this can only
                     // be a duplicate (switch-overlap delivery) — relaying
@@ -1208,11 +794,11 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     return; // duplicate
                 };
                 // Forward down the subscription tree. The child list is
-                // borrowed, not cloned: `self.children` and `ctx` are
+                // borrowed, not cloned: `self.routes` and `ctx` are
                 // disjoint, and multicast takes any NodeId iterator. A
                 // Byzantine relayer withholds the forward entirely or
                 // poisons it; it still decodes for itself either way.
-                let kids = &self.children[stripe as usize];
+                let kids = &self.routes[stripe as usize].children;
                 let fanout = match self.byz {
                     Some(StripeFault::Withhold) => 0,
                     byz => {
@@ -1334,34 +920,32 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                         .stripes
                         .iter()
                         .copied()
-                        .filter(|&s| self.desired.contains(s) && !self.pending_sub.contains(s))
+                        .filter(|&s| self.unrequested(s))
                         .take(max)
                         .collect();
                     self.subscribe(ctx, r.node, wanted);
                 }
-                let leftovers: Vec<u32> = self
-                    .desired
-                    .iter()
-                    .filter(|&s| !self.pending_sub.contains(s))
-                    .collect();
-                for s in leftovers {
-                    let src = self.cfg.consensus[s as usize];
-                    self.subscribe(ctx, src, vec![s]);
+                for s in 0..self.cfg.n_c as u32 {
+                    if self.unrequested(s) {
+                        let src = self.cfg.consensus[s as usize];
+                        self.subscribe(ctx, src, vec![s]);
+                    }
                 }
             }
             NetMsg::Subscribe { stripes } => {
                 let mut granted = Vec::new();
                 let mut rejected = Vec::new();
                 for s in stripes {
-                    let have_source = self.relaying.contains(s) || self.upstream.contains(s);
+                    let upstream = self.routes.get(s as usize).and_then(|r| r.upstream);
+                    let have_source = self.relaying.contains(s) || upstream.is_some();
                     let capacity = self.total_children() < self.cfg.max_children;
                     // Granting our own provider would form a two-node
                     // cycle detached from the source; in ann-less worlds
                     // (no recovery pulls) such a cycle starves both
                     // subtrees forever, so refuse outright.
-                    let cycle = self.cfg.retire_unannounced && self.upstream.get(s) == Some(from);
+                    let cycle = self.cfg.retire_unannounced && upstream == Some(from);
                     if have_source && capacity && !cycle {
-                        let kids = &mut self.children[s as usize];
+                        let kids = &mut self.routes[s as usize].children;
                         if !kids.contains(&from) {
                             kids.push(from);
                         }
@@ -1390,14 +974,14 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
             NetMsg::AcceptSub { stripes } => {
                 let mut became_relayer = false;
                 for s in stripes {
-                    self.pending_sub.remove(s);
-                    if let Some(old) = self.switching.remove(s) {
-                        if old != from {
-                            ctx.send(old, NetMsg::Unsubscribe { stripes: vec![s] });
-                        }
+                    let Some(route) = self.routes.get_mut(s as usize) else {
+                        continue; // unreachable with honest peers
+                    };
+                    route.pending = None;
+                    route.upstream = Some(from);
+                    if let Some(old) = route.switching.take().filter(|&old| old != from) {
+                        ctx.send(old, NetMsg::Unsubscribe { stripes: vec![s] });
                     }
-                    self.upstream.insert(s, from);
-                    self.desired.remove(s);
                     if self.cfg.consensus.contains(&from) {
                         became_relayer |= self.relaying.insert(s);
                     }
@@ -1409,19 +993,22 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
             }
             NetMsg::RejectSub { stripes, children } => {
                 for s in stripes {
-                    self.pending_sub.remove(s);
+                    let Some(route) = self.routes.get_mut(s as usize) else {
+                        continue; // unreachable with honest peers
+                    };
+                    route.pending = None;
                     // A shed that was rejected is reverted: keep relaying
                     // from the consensus source (otherwise the stripe would
                     // silently keep flowing without being advertised, and
                     // volunteers would pile extra consensus subscriptions).
-                    if let Some(old) = self.switching.remove(s) {
+                    if let Some(old) = route.switching.take() {
                         if self.cfg.consensus.contains(&old) {
                             self.relaying.insert(s);
                             self.announce_alive(ctx);
                         }
                         continue;
                     }
-                    if self.upstream.contains(s) {
+                    if route.upstream.is_some() {
                         continue;
                     }
                     let me = ctx.node();
@@ -1430,24 +1017,20 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                         .copied()
                         .filter(|&n| n != me && !self.cfg.consensus.contains(&n))
                         .collect();
+                    // Nothing else serves it: go to the source, unless the
+                    // source refused (maintenance retries the stripe).
+                    let src = self.cfg.consensus[s as usize];
                     match alt.as_slice().choose(ctx.rng()).copied() {
                         Some(alt) => self.subscribe(ctx, alt, vec![s]),
-                        None => {
-                            // Nothing else serves it: go to the source.
-                            let src = self.cfg.consensus[s as usize];
-                            if from != src {
-                                self.subscribe(ctx, src, vec![s]);
-                            } else {
-                                self.desired.insert(s);
-                            }
-                        }
+                        None if from != src => self.subscribe(ctx, src, vec![s]),
+                        None => {}
                     }
                 }
             }
             NetMsg::Unsubscribe { stripes } => {
                 for s in stripes {
-                    if let Some(kids) = self.children.get_mut(s as usize) {
-                        kids.retain(|&n| n != from);
+                    if let Some(route) = self.routes.get_mut(s as usize) {
+                        route.children.retain(|&n| n != from);
                     }
                 }
             }
@@ -1469,10 +1052,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 self.shed_overlap(ctx, from, join_seq, set);
                 // An ordinary node missing stripes subscribes to the newly
                 // announced relayer.
-                let wanted: Vec<u32> = set
-                    .iter()
-                    .filter(|&s| self.desired.contains(s) && !self.pending_sub.contains(s))
-                    .collect();
+                let wanted: Vec<u32> = set.iter().filter(|&s| self.unrequested(s)).collect();
                 self.subscribe(ctx, from, wanted);
             }
             NetMsg::Leave => self.on_leave_of(ctx, from),
@@ -1499,17 +1079,6 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                 ctx.metrics().incr("zone.bundle_pulls_received", 1);
                 let slot = self.blocks.get(bundle.block);
                 let have = slot.is_some_and(|s| s.is_done() || s.is_decoded(bundle.idx));
-                #[cfg(feature = "pull-debug")]
-                if !have {
-                    eprintln!(
-                        "[{}] node {} cannot serve pull {:?}: completed={:?} inflight={}",
-                        ctx.now(),
-                        ctx.node(),
-                        bundle,
-                        self.completed.as_slice(),
-                        self.blocks.live_len()
-                    );
-                }
                 if have {
                     ctx.metrics().incr("zone.bundle_pulls_served", 1);
                     let bytes = slot.and_then(|s| s.hint()).unwrap_or(25_600);
@@ -1543,23 +1112,15 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
             net_timers::JOIN_RETRY => {
                 // If the bootstrap answer never came, fall back to the
                 // consensus nodes directly.
-                let missing: Vec<u32> = self
-                    .desired
-                    .iter()
-                    .filter(|&s| !self.pending_sub.contains(s) && !self.upstream.contains(s))
-                    .collect();
-                for s in missing {
+                for s in 0..self.cfg.n_c as u32 {
                     self.acquire(ctx, s);
                 }
             }
             net_timers::HEARTBEAT => {
                 // §IV-E: prove liveness to the nodes serving us...
-                let providers: Vec<NodeId> = {
-                    let mut v: Vec<NodeId> = self.upstream.values().collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
+                let mut providers: Vec<NodeId> = self.providers().collect();
+                providers.sort_unstable();
+                providers.dedup();
                 let hb_fanout = providers.len() as u64;
                 ctx.multicast(providers, NetMsg::Heartbeat);
                 if hb_fanout > 0 {
@@ -1578,9 +1139,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
                     .collect();
                 for n in dead {
                     self.child_last_seen.remove(n);
-                    for kids in self.children.iter_mut() {
-                        kids.retain(|&k| k != n);
-                    }
+                    self.drop_child(n);
                     ctx.metrics().incr("zone.children_reaped", 1);
                 }
                 let interval = self.cfg.alive_interval * 2;
@@ -1610,7 +1169,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
             net_timers::LEAVE => {
                 // §IV-E departure: tell children and providers, then halt.
                 let mut notify = self.unique_children();
-                for p in self.upstream.values() {
+                for p in self.providers() {
                     if !notify.contains(&p) {
                         notify.push(p);
                     }
@@ -1627,6 +1186,7 @@ impl ProtocolCore<NetMsg> for MultiZoneNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{SyntheticLoad, ZoneSource};
     use predis_sim::prelude::*;
 
     fn zcfg(consensus: Vec<NodeId>) -> ZoneConfig {
@@ -1639,16 +1199,6 @@ mod tests {
         assert_eq!(cfg.k(), 3);
         let cfg16 = zcfg((0..16u32).map(NodeId).collect());
         assert_eq!(cfg16.k(), 11);
-    }
-
-    #[test]
-    fn synthetic_load_splits_blocks() {
-        let load = SyntheticLoad::for_block_size(10_000_000, 100, SimDuration::from_secs(5));
-        assert_eq!(load.bundle_bytes, 100_000);
-        assert_eq!(load.block_bytes(), 10_000_000);
-        // Tiny blocks still produce at least 1-byte bundles.
-        let tiny = SyntheticLoad::for_block_size(10, 100, SimDuration::from_secs(1));
-        assert!(tiny.bundle_bytes >= 1);
     }
 
     /// Drives a source + two nodes through the subscription handshake and
@@ -1676,12 +1226,14 @@ mod tests {
         // Two full nodes in one zone.
         let a = NodeId(4);
         let b = NodeId(5);
+        let zone: Arc<[NodeId]> = vec![a, b].into();
         sim.add_node(
             LinkConfig::paper_default(),
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 cfg.clone(),
                 0,
-                vec![b],
+                Arc::clone(&zone),
+                a,
             ))),
             SimTime::ZERO,
         );
@@ -1690,7 +1242,8 @@ mod tests {
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 cfg.clone(),
                 1,
-                vec![a],
+                zone,
+                b,
             ))),
             SimTime::from_millis(100),
         );
@@ -1714,52 +1267,6 @@ mod tests {
             assert!(src.subscriber_count() <= 2, "source {i}");
             assert!(src.subscriber_count() >= 1, "source {i}");
         }
-    }
-
-    /// A subscription for a stripe a source does not own is rejected.
-    #[test]
-    fn source_rejects_foreign_stripes() {
-        #[derive(Debug, Default)]
-        struct Probe {
-            accepted: Vec<u32>,
-            rejected: Vec<u32>,
-        }
-        impl Actor<NetMsg> for Probe {
-            fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
-                ctx.send(
-                    NodeId(0),
-                    NetMsg::Subscribe {
-                        stripes: vec![0, 1, 2],
-                    },
-                );
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_, NetMsg>, _f: NodeId, msg: NetMsg) {
-                match msg {
-                    NetMsg::AcceptSub { stripes } => self.accepted.extend(stripes),
-                    NetMsg::RejectSub { stripes, .. } => self.rejected.extend(stripes),
-                    _ => {}
-                }
-            }
-        }
-        let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
-        let mut sim: Sim<NetMsg> = Sim::new(1, network);
-        let cfg = zcfg(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        sim.add_node(
-            LinkConfig::paper_default(),
-            Box::new(ActorOf::<_, NetMsg>::new(ZoneSource::new(0, cfg, None))),
-            SimTime::ZERO,
-        );
-        for _ in 0..3 {
-            sim.add_node(
-                LinkConfig::paper_default(),
-                Box::new(Probe::default()),
-                SimTime::ZERO,
-            );
-        }
-        sim.run_until(SimTime::from_secs(1));
-        let p = sim.actor_as::<Probe>(NodeId(1)).unwrap();
-        assert_eq!(p.accepted, vec![0]);
-        assert_eq!(p.rejected, vec![1, 2]);
     }
 
     /// Builds the Byzantine-relayer victim topology: four loaded sources,
@@ -1786,7 +1293,8 @@ mod tests {
         }
         let relayer = NodeId(4);
         let child = NodeId(5);
-        let mut r = MultiZoneNode::new(cfg.clone(), 0, vec![child]);
+        let zone: Arc<[NodeId]> = vec![relayer, child].into();
+        let mut r = MultiZoneNode::new(cfg.clone(), 0, Arc::clone(&zone), relayer);
         if let Some(f) = fault {
             r = r.with_stripe_fault(f);
         }
@@ -1802,7 +1310,8 @@ mod tests {
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 cfg.clone(),
                 1,
-                vec![relayer],
+                zone,
+                child,
             ))),
             SimTime::from_millis(600),
         );
@@ -1884,7 +1393,8 @@ mod tests {
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 cfg,
                 0,
-                Vec::new(),
+                vec![NodeId(0)].into(),
+                NodeId(0),
             ))),
             SimTime::ZERO,
         );
@@ -1924,5 +1434,109 @@ mod tests {
                 .labeled_counter("zone.stripes_rejected", Labels::node(n.index() as u64)),
             1
         );
+    }
+
+    /// Recovery pulls are capped at 64 per maintenance period across all
+    /// overdue blocks, not per block: two announced 100-bundle blocks with
+    /// nothing received cost exactly 64 pulls in the first period that
+    /// finds them overdue.
+    #[test]
+    fn recovery_pulls_are_capped_per_period_across_blocks() {
+        /// A consensus node that only counts the pulls it receives.
+        #[derive(Debug, Default)]
+        struct PullCounter {
+            pulls: u64,
+        }
+        impl Actor<NetMsg> for PullCounter {
+            fn on_message(&mut self, _ctx: &mut Context<'_, NetMsg>, _f: NodeId, msg: NetMsg) {
+                if matches!(msg, NetMsg::BundlePull { .. }) {
+                    self.pulls += 1;
+                }
+            }
+        }
+        let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+        let mut sim: Sim<NetMsg> = Sim::new(7, network);
+        let cons: Vec<NodeId> = (0..4u32).map(NodeId).collect();
+        for _ in &cons {
+            sim.add_node(
+                LinkConfig::paper_default(),
+                Box::new(PullCounter::default()),
+                SimTime::ZERO,
+            );
+        }
+        // Alone in its zone, so every pull goes to a consensus node.
+        let me = NodeId(4);
+        let node = MultiZoneNode::new(zcfg(cons.clone()), 0, vec![me].into(), me);
+        sim.add_node(
+            LinkConfig::paper_default(),
+            Box::new(ActorOf::<_, NetMsg>::new(node)),
+            SimTime::ZERO,
+        );
+        for block in [1, 2] {
+            let ann = NetMsg::BlockAnn {
+                block,
+                bundles: 100,
+                wire: 2_500,
+            };
+            sim.inject(me, cons[0], ann, SimTime::from_millis(10));
+        }
+        // Maintenance runs every 250 ms; the blocks are overdue (two
+        // periods old) first at 750 ms, and the next period is at 1 s.
+        sim.run_until(SimTime::from_millis(900));
+        let pulls: u64 = cons
+            .iter()
+            .map(|&c| sim.actor_as::<PullCounter>(c).unwrap().pulls)
+            .sum();
+        assert_eq!(pulls, 64);
+        assert_eq!(sim.metrics().counter("zone.bundle_pulls"), 1);
+    }
+
+    /// A revived node keeps its routes: on its second start, the first
+    /// node of a zone subscribes only the stripes it has no provider for.
+    #[test]
+    fn revival_resubscribes_only_uncovered_stripes() {
+        /// A consensus node that grants and counts every subscription.
+        #[derive(Debug, Default)]
+        struct Granter {
+            subscribes: u64,
+        }
+        impl Actor<NetMsg> for Granter {
+            fn on_message(&mut self, ctx: &mut Context<'_, NetMsg>, from: NodeId, msg: NetMsg) {
+                if let NetMsg::Subscribe { stripes } = msg {
+                    self.subscribes += 1;
+                    ctx.send(from, NetMsg::AcceptSub { stripes });
+                }
+            }
+        }
+        let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+        let mut sim: Sim<NetMsg> = Sim::new(9, network);
+        let cons: Vec<NodeId> = (0..4u32).map(NodeId).collect();
+        for _ in &cons {
+            sim.add_node(
+                LinkConfig::paper_default(),
+                Box::new(Granter::default()),
+                SimTime::ZERO,
+            );
+        }
+        let me = NodeId(4);
+        let node = MultiZoneNode::new(zcfg(cons.clone()), 0, vec![me].into(), me);
+        sim.add_node(
+            LinkConfig::paper_default(),
+            Box::new(ActorOf::<_, NetMsg>::new(node)),
+            SimTime::ZERO,
+        );
+        let mut faults = FaultPlan::none();
+        faults.crash_for(me, SimTime::from_secs(1), SimTime::from_millis(1_500));
+        sim.set_faults(faults);
+        sim.run_until(SimTime::from_secs(2));
+        let subscribes: u64 = cons
+            .iter()
+            .map(|&c| sim.actor_as::<Granter>(c).unwrap().subscribes)
+            .sum();
+        assert_eq!(
+            subscribes, 4,
+            "one subscription per stripe, none on revival"
+        );
+        assert_eq!(zone_core(&sim, me).covered_stripes(), 4);
     }
 }

@@ -1,6 +1,8 @@
 //! Network-layer integration tests: relayer convergence and the Fig. 8
 //! propagation-latency ordering.
 
+use std::sync::Arc;
+
 use predis_multizone::{FegConfig, MultiZoneNode, NetMsg, PropagationSetup, Topology, ZoneSource};
 use predis_sim::prelude::*;
 
@@ -60,19 +62,15 @@ fn multizone_relayers_converge_to_nc_per_zone() {
     for (j, &fnode) in fulls.iter().enumerate() {
         members[j % zones].push(fnode);
     }
+    let rosters: Vec<Arc<[NodeId]>> = members.iter().map(|m| m.as_slice().into()).collect();
     for (j, &fnode) in fulls.iter().enumerate() {
-        let zone = j % zones;
-        let mates: Vec<NodeId> = members[zone]
-            .iter()
-            .copied()
-            .filter(|n| *n != fnode)
-            .collect();
         sim.add_node(
             LinkConfig::paper_default(),
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 zcfg.clone(),
                 j as u64,
-                mates,
+                Arc::clone(&rosters[j % zones]),
+                fnode,
             ))),
             SimTime::from_millis(10 * j as u64),
         );
@@ -251,15 +249,16 @@ fn crashed_subscribers_are_reaped_by_heartbeat_timeout() {
         );
     }
     let fulls: Vec<NodeId> = (n_c as u32..(n_c + 6) as u32).map(NodeId).collect();
+    let zone: Arc<[NodeId]> = fulls.as_slice().into();
     let mut faults = FaultPlan::none();
     for (j, &fnode) in fulls.iter().enumerate() {
-        let mates: Vec<NodeId> = fulls.iter().copied().filter(|n| *n != fnode).collect();
         sim.add_node(
             LinkConfig::paper_default(),
             Box::new(ActorOf::<_, NetMsg>::new(MultiZoneNode::new(
                 zcfg.clone(),
                 j as u64,
-                mates,
+                Arc::clone(&zone),
+                fnode,
             ))),
             SimTime::from_millis(10 * j as u64),
         );

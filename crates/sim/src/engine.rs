@@ -31,7 +31,7 @@ use crate::profile::{
     short_type_name, DispatchProfile, BUCKET_DELIVER, BUCKET_OTHER, BUCKET_START, BUCKET_TIMER,
 };
 use crate::queue::{Event, EventKind, EventQueue};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::{TraceCapture, TraceDigest};
 use predis_telemetry::RunReport;
 use predis_types::payload_stats;
@@ -350,11 +350,6 @@ impl<M: Payload> Sim<M> {
         self.windows
     }
 
-    /// The requested worker count (see [`Sim::set_sim_threads`]).
-    pub fn sim_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Declares partition affinity: nodes listed in one group are placed in
     /// the same partition by the parallel planner (groups are packed onto
     /// workers; nodes not mentioned get singleton groups). Experiments use
@@ -450,11 +445,6 @@ impl<M: Payload> Sim<M> {
     /// The measurement sink.
     pub fn metrics(&self) -> &Metrics {
         &self.core.metrics
-    }
-
-    /// Mutable access to the measurement sink.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.core.metrics
     }
 
     /// The network model (bandwidth accounting lives here).
@@ -594,12 +584,6 @@ impl<M: Payload> Sim<M> {
             p.add_run_ns(run_start.elapsed().as_nanos() as u64);
         }
     }
-
-    /// Runs for `span` past the current time.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let horizon = self.now + span;
-        self.run_until(horizon);
-    }
 }
 
 /// The construction-time default worker count: `PREDIS_SIM_THREADS` when it
@@ -639,6 +623,7 @@ mod tests {
     use crate::actor::{Context, TimerTag};
     use crate::metrics::Labels;
     use crate::net::LatencyModel;
+    use crate::time::SimDuration;
 
     #[derive(Debug, Clone)]
     enum Msg {

@@ -233,13 +233,6 @@ impl FaultPlan {
         }
         true
     }
-
-    /// True if any node has a probabilistic omission rate, i.e.
-    /// [`FaultPlan::delivers`] may consume a random word. Crash/revive
-    /// schedules and link blocks are time-deterministic and never draw.
-    pub fn has_random_omission(&self) -> bool {
-        self.nodes.iter().any(|n| n.omission_prob > 0.0)
-    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,8 @@
 //! (§IV-E "Fix the Number of Relayers"); block reconstruction keeps
 //! working through the backup/pull paths.
 
+use std::sync::Arc;
+
 use predis::multizone::{MultiZoneNode, NetMsg, SyntheticLoad, ZoneConfig, ZoneSource};
 use predis::sim::prelude::*;
 
@@ -41,20 +43,18 @@ fn build(seed: u64, leavers: &[usize], crashers: &[usize]) -> Sim<NetMsg> {
     for (j, &fnode) in fulls.iter().enumerate() {
         members[j % ZONES].push(fnode);
     }
+    let rosters: Vec<Arc<[NodeId]>> = members.iter().map(|m| m.as_slice().into()).collect();
     let mut faults = FaultPlan::none();
     for (j, &fnode) in fulls.iter().enumerate() {
         let zone = j % ZONES;
-        let mates: Vec<NodeId> = members[zone]
-            .iter()
-            .copied()
-            .filter(|n| *n != fnode)
-            .collect();
         let backups: Vec<NodeId> = members[(zone + 1) % ZONES]
             .iter()
             .copied()
             .take(2)
             .collect();
-        let mut node = MultiZoneNode::new(zcfg.clone(), j as u64, mates).with_backups(backups);
+        let roster = Arc::clone(&rosters[zone]);
+        let mut node =
+            MultiZoneNode::new(zcfg.clone(), j as u64, roster, fnode).with_backups(backups);
         if leavers.contains(&j) {
             // Voluntary, announced departure mid-stream.
             node = node.leaving_at(SimTime::from_secs(8));
