@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use predis_telemetry::{Json, RunReport};
+use predis_telemetry::{json::Shape, record, Json, RunReport};
 
 use predis::experiments::World;
 
@@ -43,15 +43,16 @@ pub const MEM_REGRESSION_PCT: f64 = 20.0;
 pub const MEM_BYTES_PER_NODE_BUDGET: u64 = 4_096;
 
 /// One benchmark run: its identity, its footprint, and how it executed.
+/// Field names are the file's keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Sustained throughput, tx/s (0.0 for pure propagation runs).
     pub tps: f64,
     /// Median latency, ms. Client commit latency for consensus runs,
     /// 50%-coverage propagation time for Fig. 8 runs.
-    pub p50_ms: f64,
+    pub p50_latency_ms: f64,
     /// Tail latency, ms (p99 commit latency / 100%-coverage time).
-    pub p99_ms: f64,
+    pub p99_latency_ms: f64,
     /// Total bytes the simulated network carried.
     pub bytes: u64,
     /// Payload materializations (`msg.payload_clones`): deep constructions
@@ -66,18 +67,31 @@ pub struct BenchEntry {
     /// the same totals through different event interleavings, but they
     /// cannot share a fingerprint.
     pub fingerprint: String,
+    /// The run's memory footprint.
+    pub mem: MemEntry,
+    /// How the engine executed the run.
+    pub engine: EngineEntry,
+}
+
+/// A run's memory footprint (the `mem.*` meta).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemEntry {
     /// Peak Σ `Actor::approx_bytes` over all live actors
     /// (`mem.resident_bytes` meta): capacities, not live bytes.
-    pub mem_resident_bytes: u64,
+    pub resident_bytes: u64,
     /// `mem.resident_bytes / node count` (`mem.bytes_per_node` meta) — the
     /// number the mega-scale (fig9) absolute budget and the
     /// [`MEM_REGRESSION_PCT`] bound read.
-    pub mem_bytes_per_node: u64,
+    pub bytes_per_node: u64,
+}
+
+/// How the engine executed a run, not what it computed:
+/// [`BenchArtifact::compare`] ignores it, and CI's thread matrix reads it to
+/// prove the parallel engine engaged.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineEntry {
     /// Worker threads the engine used for the run's last session
-    /// (`engine.threads` meta; 1 = sequential). With `partition_events` and
-    /// `windows` it records *how* the run executed, not what it computed:
-    /// [`BenchArtifact::compare`] ignores the three, and CI's thread matrix
-    /// reads them to prove the parallel engine engaged.
+    /// (`engine.threads` meta; 1 = sequential).
     pub threads: u64,
     /// Events dispatched per partition in the last parallel session
     /// (`engine.partition_events` meta; empty when the run was sequential).
@@ -86,6 +100,27 @@ pub struct BenchEntry {
     /// (`engine.windows` meta; 0 when the run executed sequentially).
     pub windows: u64,
 }
+
+record!(BenchEntry {
+    tps,
+    p50_latency_ms,
+    p99_latency_ms,
+    bytes,
+    payload_clones,
+    events_processed,
+    fingerprint,
+    mem,
+    engine
+});
+record!(MemEntry {
+    resident_bytes,
+    bytes_per_node
+});
+record!(EngineEntry {
+    threads,
+    partition_events,
+    windows
+});
 
 /// A meta value every run report carries; its absence is a located panic,
 /// like [`RunReport::require_metric`]'s.
@@ -122,7 +157,7 @@ impl BenchEntry {
                 .map(|h| (h.summary.p50 as f64 / 1e6, h.summary.p99 as f64 / 1e6))
                 .unwrap_or((0.0, 0.0))
         };
-        let (tps, p50_ms, p99_ms) = match &point.runner.world {
+        let (tps, p50_latency_ms, p99_latency_ms) = match &point.runner.world {
             // A scenario run carries its own checks; a dissemination-world
             // scenario legitimately commits no client transactions, so
             // nothing is required here — absent numbers record as 0.
@@ -148,31 +183,46 @@ impl BenchEntry {
         };
         BenchEntry {
             tps,
-            p50_ms,
-            p99_ms,
+            p50_latency_ms,
+            p99_latency_ms,
             bytes: report.counter_total("net.bytes"),
             payload_clones: report.metric("msg.payload_clones").unwrap_or(0.0) as u64,
             events_processed: report.require_metric("engine.events_processed") as u64,
             fingerprint: require_meta(report, "trace.fingerprint").to_string(),
-            mem_resident_bytes: meta_u64(report, "mem.resident_bytes"),
-            mem_bytes_per_node: meta_u64(report, "mem.bytes_per_node"),
-            threads: meta_u64(report, "engine.threads").max(1),
-            partition_events: report
-                .meta
-                .get("engine.partition_events")
-                .map(|s| s.split(',').filter_map(|t| t.parse().ok()).collect())
-                .unwrap_or_default(),
-            windows: meta_u64(report, "engine.windows"),
+            mem: MemEntry {
+                resident_bytes: meta_u64(report, "mem.resident_bytes"),
+                bytes_per_node: meta_u64(report, "mem.bytes_per_node"),
+            },
+            engine: EngineEntry {
+                threads: meta_u64(report, "engine.threads").max(1),
+                partition_events: report
+                    .meta
+                    .get("engine.partition_events")
+                    .map(|s| s.split(',').filter_map(|t| t.parse().ok()).collect())
+                    .unwrap_or_default(),
+                windows: meta_u64(report, "engine.windows"),
+            },
         }
     }
 }
 
-/// A full benchmark artifact: schema version plus one entry per run.
+/// A full benchmark artifact: one entry per run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchArtifact {
     /// Run name → entry, sorted by name.
     pub runs: BTreeMap<String, BenchEntry>,
 }
+
+/// The artifact file: the schema version, then the runs.
+struct ArtifactFile {
+    schema_version: u64,
+    runs: BTreeMap<String, BenchEntry>,
+}
+
+record!(ArtifactFile {
+    schema_version,
+    runs
+});
 
 impl BenchArtifact {
     /// Builds an artifact from a finished sweep.
@@ -196,46 +246,11 @@ impl BenchArtifact {
 
     /// Serializes to deterministic pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let obj = |pairs: Vec<(&str, Json)>| {
-            Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        let file = ArtifactFile {
+            schema_version: BENCH_SCHEMA_VERSION,
+            runs: self.runs.clone(),
         };
-        let runs: Vec<(String, Json)> = self
-            .runs
-            .iter()
-            .map(|(name, e)| {
-                let partitions = e.partition_events.iter().map(|&n| Json::U64(n)).collect();
-                let run = obj(vec![
-                    ("tps", Json::F64(e.tps)),
-                    ("p50_latency_ms", Json::F64(e.p50_ms)),
-                    ("p99_latency_ms", Json::F64(e.p99_ms)),
-                    ("bytes", Json::U64(e.bytes)),
-                    ("payload_clones", Json::U64(e.payload_clones)),
-                    ("events_processed", Json::U64(e.events_processed)),
-                    ("fingerprint", Json::Str(e.fingerprint.clone())),
-                    (
-                        "mem",
-                        obj(vec![
-                            ("resident_bytes", Json::U64(e.mem_resident_bytes)),
-                            ("bytes_per_node", Json::U64(e.mem_bytes_per_node)),
-                        ]),
-                    ),
-                    (
-                        "engine",
-                        obj(vec![
-                            ("threads", Json::U64(e.threads)),
-                            ("partition_events", Json::Arr(partitions)),
-                            ("windows", Json::U64(e.windows)),
-                        ]),
-                    ),
-                ]);
-                (name.clone(), run)
-            })
-            .collect();
-        obj(vec![
-            ("schema_version", Json::U64(BENCH_SCHEMA_VERSION)),
-            ("runs", Json::Obj(runs)),
-        ])
-        .to_pretty_string()
+        file.to_json().to_pretty_string()
     }
 
     /// Parses an artifact written by [`BenchArtifact::to_json`]. Every field
@@ -253,57 +268,16 @@ impl BenchArtifact {
                 "artifact schema_version {version}, this build reads {BENCH_SCHEMA_VERSION}"
             ));
         }
-        let mut artifact = BenchArtifact::default();
-        let Some(Json::Obj(pairs)) = v.get("runs") else {
-            return Err("artifact missing runs object".into());
-        };
-        for (name, run) in pairs {
-            // `key` is a field of the run, or `block.field` one level down.
-            let field = |key: &str| {
-                let found = match key.split_once('.') {
-                    Some((block, k)) => run.get(block).and_then(|b| b.get(k)),
-                    None => run.get(key),
-                };
-                found.ok_or_else(|| format!("run `{name}` missing `{key}`"))
-            };
-            let malformed = |key: &str| format!("run `{name}`: `{key}` has the wrong type");
-            let num = |key: &str| field(key)?.as_f64().ok_or_else(|| malformed(key));
-            let int = |key: &str| field(key)?.as_u64().ok_or_else(|| malformed(key));
-            let fingerprint = field("fingerprint")?
-                .as_str()
-                .ok_or_else(|| malformed("fingerprint"))?;
+        let ArtifactFile { runs, .. } = Shape::from_json(&v)?;
+        for (name, run) in &runs {
+            let fingerprint = &run.fingerprint;
             if fingerprint.len() != 32 || !fingerprint.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(format!(
-                    "run `{name}`: `fingerprint` {fingerprint:?} is not 32 hex chars"
+                    "`runs.{name}.fingerprint`: {fingerprint:?} is not 32 hex chars"
                 ));
             }
-            artifact.runs.insert(
-                name.clone(),
-                BenchEntry {
-                    tps: num("tps")?,
-                    p50_ms: num("p50_latency_ms")?,
-                    p99_ms: num("p99_latency_ms")?,
-                    bytes: int("bytes")?,
-                    payload_clones: int("payload_clones")?,
-                    events_processed: int("events_processed")?,
-                    fingerprint: fingerprint.to_string(),
-                    mem_resident_bytes: int("mem.resident_bytes")?,
-                    mem_bytes_per_node: int("mem.bytes_per_node")?,
-                    threads: int("engine.threads")?,
-                    partition_events: field("engine.partition_events")?
-                        .as_arr()
-                        .ok_or_else(|| malformed("engine.partition_events"))?
-                        .iter()
-                        .map(|n| {
-                            n.as_u64()
-                                .ok_or_else(|| malformed("engine.partition_events"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    windows: int("engine.windows")?,
-                },
-            );
         }
-        Ok(artifact)
+        Ok(BenchArtifact { runs })
     }
 
     /// Writes the artifact to `path`.
@@ -343,8 +317,8 @@ impl BenchArtifact {
                 };
             for (key, av, bv) in [
                 ("tps", a.tps, b.tps),
-                ("p50_latency_ms", a.p50_ms, b.p50_ms),
-                ("p99_latency_ms", a.p99_ms, b.p99_ms),
+                ("p50_latency_ms", a.p50_latency_ms, b.p50_latency_ms),
+                ("p99_latency_ms", a.p99_latency_ms, b.p99_latency_ms),
             ] {
                 if av.to_bits() != bv.to_bits() {
                     differs(key, &av, &bv);
@@ -367,12 +341,12 @@ impl BenchArtifact {
                     a.fingerprint, b.fingerprint
                 ));
             }
-            let limit = a.mem_bytes_per_node as f64 * (1.0 + MEM_REGRESSION_PCT / 100.0);
-            if b.mem_bytes_per_node as f64 > limit {
+            let limit = a.mem.bytes_per_node as f64 * (1.0 + MEM_REGRESSION_PCT / 100.0);
+            if b.mem.bytes_per_node as f64 > limit {
                 out.push(format!(
                     "{name}: per-node memory {} -> {} B, over the +{MEM_REGRESSION_PCT}% limit \
                      of {limit:.0} B",
-                    a.mem_bytes_per_node, b.mem_bytes_per_node
+                    a.mem.bytes_per_node, b.mem.bytes_per_node
                 ));
             }
         }
@@ -392,17 +366,21 @@ mod tests {
     fn entry(tps: f64, p99: f64) -> BenchEntry {
         BenchEntry {
             tps,
-            p50_ms: p99 / 2.0,
-            p99_ms: p99,
+            p50_latency_ms: p99 / 2.0,
+            p99_latency_ms: p99,
             bytes: 1_000,
             payload_clones: 42,
             events_processed: 9_000,
             fingerprint: "00112233445566778899aabbccddeeff".to_string(),
-            mem_resident_bytes: 1_000_000,
-            mem_bytes_per_node: 2_000,
-            threads: 2,
-            partition_events: vec![4_500, 4_500],
-            windows: 120,
+            mem: MemEntry {
+                resident_bytes: 1_000_000,
+                bytes_per_node: 2_000,
+            },
+            engine: EngineEntry {
+                threads: 2,
+                partition_events: vec![4_500, 4_500],
+                windows: 120,
+            },
         }
     }
 
@@ -452,10 +430,7 @@ mod tests {
             let broken = text.replace(cut, "");
             assert_ne!(broken, text, "fixture lacks {cut}");
             let err = BenchArtifact::from_json(&broken).unwrap_err();
-            assert!(
-                err.contains("run `fig4_pbft`") && err.contains(&format!("`{key}`")),
-                "{key}: {err}"
-            );
+            assert_eq!(err, format!("`runs.fig4_pbft.{key}`: missing"));
         }
     }
 
@@ -466,7 +441,7 @@ mod tests {
             let broken = text.replace("00112233445566778899aabbccddeeff", bad);
             let err = BenchArtifact::from_json(&broken).unwrap_err();
             assert!(
-                err.contains("run `fig4_pbft`") && err.contains("32 hex"),
+                err.starts_with("`runs.fig4_pbft.fingerprint`: ") && err.contains("32 hex"),
                 "{bad:?}: {err}"
             );
         }
@@ -505,7 +480,7 @@ mod tests {
         let e = BenchEntry::from_report(&point, &report_of(&point));
         assert_eq!(e.events_processed, 9_000);
         assert_eq!(e.fingerprint, "00112233445566778899aabbccddeeff");
-        assert_eq!((e.threads, e.windows), (1, 0));
+        assert_eq!((e.engine.threads, e.engine.windows), (1, 0));
     }
 
     #[test]
@@ -533,9 +508,11 @@ mod tests {
         // computed, so it must never read as a difference.
         let a = artifact(&[("a", entry(10_000.0, 100.0))]);
         let b = edited(&a, |e| {
-            e.threads = 8;
-            e.partition_events = vec![1, 2, 3];
-            e.windows = 7;
+            e.engine = EngineEntry {
+                threads: 8,
+                partition_events: vec![1, 2, 3],
+                windows: 7,
+            };
         });
         assert!(a.compare(&b).is_empty());
     }
@@ -575,7 +552,7 @@ mod tests {
     #[test]
     fn compare_bounds_per_node_memory_growth_only() {
         let a = artifact(&[("a", entry(10_000.0, 100.0))]);
-        let with_mem = |bytes_per_node| edited(&a, |e| e.mem_bytes_per_node = bytes_per_node);
+        let with_mem = |bytes_per_node| edited(&a, |e| e.mem.bytes_per_node = bytes_per_node);
         // Exactly +20% and any shrink pass; one byte over the limit fails.
         assert!(a.compare(&with_mem(2_400)).is_empty());
         assert!(a.compare(&with_mem(10)).is_empty());
@@ -587,7 +564,7 @@ mod tests {
         );
         // The resident total is reported, not gated.
         assert!(a
-            .compare(&edited(&a, |e| e.mem_resident_bytes *= 5))
+            .compare(&edited(&a, |e| e.mem.resident_bytes *= 5))
             .is_empty());
     }
 

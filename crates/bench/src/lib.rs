@@ -18,8 +18,8 @@ pub mod sweep;
 pub mod trace;
 
 pub use artifact::{
-    bench_file_name, BenchArtifact, BenchEntry, BENCH_SCHEMA_VERSION, MEM_BYTES_PER_NODE_BUDGET,
-    MEM_REGRESSION_PCT,
+    bench_file_name, BenchArtifact, BenchEntry, EngineEntry, MemEntry, BENCH_SCHEMA_VERSION,
+    MEM_BYTES_PER_NODE_BUDGET, MEM_REGRESSION_PCT,
 };
 pub use sweep::{sweep, SweepOutcome, SweepPoint};
 pub use trace::{

@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::io::{self, BufRead};
 
-use predis_telemetry::Json;
+use predis_telemetry::json::{record, Json, Ordered, Shape};
 
 /// One canonical dispatch event parsed back from a capture line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,42 +43,24 @@ pub struct TraceRecord {
     pub tag: Option<[u64; 3]>,
 }
 
+// The capture writer (`predis_sim::TraceCapture::record`) writes the same
+// members in the same order, by hand: it is on the dispatch path.
+record!(TraceRecord {
+    t,
+    seq,
+    node,
+    kind,
+    #[optional]
+    from,
+    bytes,
+    #[optional]
+    tag,
+});
+
 impl TraceRecord {
     /// Parses one capture JSONL line.
     pub fn parse(line: &str) -> Result<TraceRecord, String> {
-        let v = Json::parse(line)?;
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("trace line missing {key}: {line}"))
-        };
-        let tag = match v.get("tag") {
-            None => None,
-            Some(t) => {
-                let arr = t.as_arr().ok_or("trace tag is not an array")?;
-                if arr.len() != 3 {
-                    return Err(format!("trace tag has {} elements, want 3", arr.len()));
-                }
-                let mut out = [0u64; 3];
-                for (slot, item) in out.iter_mut().zip(arr) {
-                    *slot = item.as_u64().ok_or("trace tag element is not a u64")?;
-                }
-                Some(out)
-            }
-        };
-        Ok(TraceRecord {
-            t: field("t")?,
-            seq: field("seq")?,
-            node: field("node")? as u32,
-            kind: v
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("trace line missing kind: {line}"))?
-                .to_string(),
-            from: v.get("from").and_then(Json::as_u64).map(|f| f as u32),
-            bytes: field("bytes")?,
-            tag,
-        })
+        Shape::from_json(&Json::parse(line)?)
     }
 
     /// Human-oriented one-line rendering for diff output.
@@ -103,7 +85,8 @@ impl TraceRecord {
     }
 }
 
-/// One bundle's lifecycle stamps from a `.timelines.jsonl` sidecar.
+/// One bundle's lifecycle stamps from a `.timelines.jsonl` sidecar (the
+/// writer is `predis_telemetry::Timelines::write_jsonl`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BundleRow {
     /// Producing node.
@@ -113,44 +96,21 @@ pub struct BundleRow {
     /// Height within the chain.
     pub height: u64,
     /// `(stage name, nanos)` stamps in pipeline order, recorded stages only.
-    pub stages: Vec<(String, u64)>,
+    pub stages: Ordered<u64>,
 }
+
+record!(BundleRow {
+    producer,
+    chain,
+    height,
+    stages
+});
 
 /// Parses a bundle-timelines sidecar (one JSON object per line).
 pub fn parse_timelines_jsonl(text: &str) -> Result<Vec<BundleRow>, String> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = Json::parse(line)?;
-        let field = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("timeline line missing {key}: {line}"))
-        };
-        let stages_obj = v
-            .get("stages")
-            .ok_or_else(|| format!("timeline line missing stages: {line}"))?;
-        let pairs = match stages_obj {
-            Json::Obj(pairs) => pairs,
-            _ => return Err("timeline stages is not an object".into()),
-        };
-        let mut stages = Vec::with_capacity(pairs.len());
-        for (name, ns) in pairs {
-            stages.push((
-                name.clone(),
-                ns.as_u64().ok_or("timeline stage stamp is not a u64")?,
-            ));
-        }
-        rows.push(BundleRow {
-            producer: field("producer")? as u32,
-            chain: field("chain")? as u32,
-            height: field("height")?,
-            stages,
-        });
-    }
-    Ok(rows)
+    (text.lines().filter(|line| !line.trim().is_empty()))
+        .map(|line| Shape::from_json(&Json::parse(line)?))
+        .collect()
 }
 
 /// What [`export_chrome_trace`] actually wrote.
@@ -238,10 +198,7 @@ pub fn export_chrome_trace(
             args.push(("bytes".into(), Json::U64(r.bytes)));
         }
         if let Some(tag) = r.tag {
-            args.push((
-                "tag".into(),
-                Json::Arr(tag.iter().map(|&x| Json::U64(x)).collect()),
-            ));
+            args.push(("tag".into(), tag.to_json()));
         }
         events.push(Json::Obj(vec![
             ("name".into(), Json::Str(r.kind.clone())),
@@ -256,7 +213,7 @@ pub fn export_chrome_trace(
 
     // One span per adjacent recorded stage pair of every bundle.
     for b in bundles {
-        for pair in b.stages.windows(2) {
+        for pair in b.stages.0.windows(2) {
             let (ref from_stage, start) = pair[0];
             let (ref to_stage, end) = pair[1];
             if end < start {
@@ -452,6 +409,51 @@ mod tests {
         assert_eq!(records[1].bytes, 512);
         assert_eq!(records[2].tag, Some([3, 4, 5]));
         assert!(records[1].render().contains("deliver from=1 bytes=512"));
+    }
+
+    /// A node id past `u32` is an error naming the member, not node 0.
+    #[test]
+    fn a_capture_line_with_a_wide_id_is_a_located_error() {
+        let wide = u64::from(u32::MAX) + 1;
+        for (member, line) in [
+            (
+                "node",
+                LINES
+                    .lines()
+                    .next()
+                    .unwrap()
+                    .replace("\"node\":0", &format!("\"node\":{wide}")),
+            ),
+            (
+                "from",
+                LINES
+                    .lines()
+                    .nth(1)
+                    .unwrap()
+                    .replace("\"from\":1", &format!("\"from\":{wide}")),
+            ),
+        ] {
+            let err = TraceRecord::parse(&line).unwrap_err();
+            assert_eq!(err, format!("`{member}`: not a u32"), "{line}");
+        }
+    }
+
+    #[test]
+    fn a_timelines_line_with_a_wide_id_is_a_located_error() {
+        let wide = u64::from(u32::MAX) + 1;
+        for (member, line) in [
+            (
+                "producer",
+                format!(r#"{{"producer":{wide},"chain":1,"height":3,"stages":{{}}}}"#),
+            ),
+            (
+                "chain",
+                format!(r#"{{"producer":0,"chain":{wide},"height":3,"stages":{{}}}}"#),
+            ),
+        ] {
+            let err = parse_timelines_jsonl(&line).unwrap_err();
+            assert_eq!(err, format!("`{member}`: not a u32"), "{line}");
+        }
     }
 
     #[test]

@@ -5,22 +5,26 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use predis_bench::{BenchArtifact, BenchEntry, BENCH_SCHEMA_VERSION};
+use predis_bench::{BenchArtifact, BenchEntry, EngineEntry, MemEntry, BENCH_SCHEMA_VERSION};
 
 fn artifact() -> BenchArtifact {
     let entry = BenchEntry {
         tps: 12_000.0,
-        p50_ms: 40.0,
-        p99_ms: 80.0,
+        p50_latency_ms: 40.0,
+        p99_latency_ms: 80.0,
         bytes: 1_000,
         payload_clones: 42,
         events_processed: 9_000,
         fingerprint: "00112233445566778899aabbccddeeff".into(),
-        mem_resident_bytes: 1_000_000,
-        mem_bytes_per_node: 1_000,
-        threads: 1,
-        partition_events: vec![],
-        windows: 0,
+        mem: MemEntry {
+            resident_bytes: 1_000_000,
+            bytes_per_node: 1_000,
+        },
+        engine: EngineEntry {
+            threads: 1,
+            partition_events: vec![],
+            windows: 0,
+        },
     };
     BenchArtifact {
         runs: [("fig4_pbft".to_string(), entry)].into(),
@@ -54,12 +58,14 @@ fn compare_bench_has_one_mode_and_three_exit_codes() {
     let flipped = write(&dir, "flipped.json", |e| {
         e.fingerprint = "ffffffffffffffffffffffffffffffff".into()
     });
-    let mem_21 = write(&dir, "mem21.json", |e| e.mem_bytes_per_node = 1_210);
-    let mem_19 = write(&dir, "mem19.json", |e| e.mem_bytes_per_node = 1_190);
+    let mem_21 = write(&dir, "mem21.json", |e| e.mem.bytes_per_node = 1_210);
+    let mem_19 = write(&dir, "mem19.json", |e| e.mem.bytes_per_node = 1_190);
     let threaded = write(&dir, "threaded.json", |e| {
-        e.threads = 2;
-        e.partition_events = vec![4_000, 5_000];
-        e.windows = 77;
+        e.engine = EngineEntry {
+            threads: 2,
+            partition_events: vec![4_000, 5_000],
+            windows: 77,
+        };
     });
     let schema_10 = dir.join("schema10.json");
     let stale = artifact().to_json().replace(

@@ -36,7 +36,8 @@
 use predis_multizone::{MultiZoneNode, NetMsg, PropagationSetup, StripeFault, Topology};
 use predis_sim::prelude::*;
 use predis_sim::{FaultPlan, Metrics};
-use predis_telemetry::{Json, RunReport};
+use predis_telemetry::json::{located, named, record, tagged, variant, Json, Shape};
+use predis_telemetry::RunReport;
 use serde::{Deserialize, Serialize};
 
 use crate::experiments::megascale::MegaScaleSetup;
@@ -263,6 +264,25 @@ impl ScenarioSetup {
             injections: Vec::new(),
             checks: Vec::new(),
         }
+    }
+
+    /// Serializes the scenario to deterministic pretty-printed JSON.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a world the file format has no shape for: it encodes
+    /// `consensus`, `zone` ([`ZoneWorld`]) and `megascale` worlds.
+    pub fn to_json(&self) -> String {
+        Shape::to_json(self).to_pretty_string()
+    }
+
+    /// Parses a scenario written by [`ScenarioSetup::to_json`] (or by
+    /// hand — the encoding is the DSL's config-file format) and
+    /// [`ScenarioSetup::validate`]s it.
+    pub fn from_json(text: &str) -> Result<ScenarioSetup, String> {
+        let scenario: ScenarioSetup = Shape::from_json(&Json::parse(text)?)?;
+        scenario.validate()?;
+        Ok(scenario)
     }
 
     /// Checks the world's parameters, that the world supports every
@@ -538,149 +558,10 @@ pub fn check_failures(report: &RunReport) -> Vec<&str> {
         .unwrap_or_default()
 }
 
-// ---------------------------------------------------------------------------
-// The scenario file format. serde in this tree is derive-only (no live
-// serializer), so the DSL carries its own schema-stable encoding on top of
-// `predis_telemetry::Json`. Every record lists its fields once, below; the
-// encoder and the decoder are both generated from that list, so the two
-// cannot drift.
-// ---------------------------------------------------------------------------
+// The scenario file format: each record lists its fields once, and the one
+// codec (`predis_telemetry::json`) generates the encoder and the decoder from
+// that list. `StripeFault`'s shape sits beside `StripeFault`.
 
-/// A value with a shape in the scenario file.
-trait Shape: Sized {
-    fn to_json(&self) -> Json;
-    fn from_json(v: &Json) -> Result<Self, String>;
-}
-
-/// Member `key` of object `o`, decoded.
-fn member<T: Shape>(o: &Json, key: &str) -> Result<T, String> {
-    let v = o.get(key).ok_or_else(|| format!("missing `{key}`"))?;
-    T::from_json(v).map_err(|e| format!("`{key}`: {e}"))
-}
-
-fn obj1(tag: &str, body: Json) -> Json {
-    Json::Obj(vec![(tag.to_string(), body)])
-}
-
-macro_rules! int_shapes {
-    ($($ty:ty),+) => {$(
-        impl Shape for $ty {
-            fn to_json(&self) -> Json {
-                Json::U64(*self as u64)
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                v.as_u64()
-                    .and_then(|n| <$ty>::try_from(n).ok())
-                    .ok_or_else(|| format!("not a {}", stringify!($ty)))
-            }
-        }
-    )+};
-}
-int_shapes!(u64, u32, usize);
-
-impl Shape for f64 {
-    fn to_json(&self) -> Json {
-        Json::F64(*self)
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| "not a number".to_string())
-    }
-}
-
-impl Shape for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            _ => Err("not a bool".into()),
-        }
-    }
-}
-
-impl Shape for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        v.as_str()
-            .map(String::from)
-            .ok_or_else(|| "not a string".to_string())
-    }
-}
-
-impl<T: Shape> Shape for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(T::to_json).collect())
-    }
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let items = v.as_arr().ok_or("not an array")?;
-        (items.iter().enumerate())
-            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}]: {e}")))
-            .collect()
-    }
-}
-
-/// A field-less enum as one of the listed strings.
-macro_rules! named {
-    ($ty:ident { $($variant:ident => $name:literal),+ }) => {
-        impl Shape for $ty {
-            fn to_json(&self) -> Json {
-                Json::Str(match self { $($ty::$variant => $name),+ }.into())
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                match v.as_str() {
-                    $(Some($name) => Ok($ty::$variant),)+
-                    _ => Err(format!("unknown {} {v:?}", stringify!($ty))),
-                }
-            }
-        }
-    };
-}
-
-/// A struct as an object of the listed fields, keyed by field name; fields
-/// the file does not carry take their `Default`.
-macro_rules! record {
-    ($ty:ident { $($field:ident),+ }) => {
-        impl Shape for $ty {
-            fn to_json(&self) -> Json {
-                Json::Obj(vec![$((stringify!($field).into(), self.$field.to_json())),+])
-            }
-            #[allow(clippy::needless_update)]
-            fn from_json(v: &Json) -> Result<Self, String> {
-                Ok($ty {
-                    $($field: member(v, stringify!($field))?,)+
-                    ..Default::default()
-                })
-            }
-        }
-    };
-}
-
-/// An enum as `{ "<tag>": { <fields> } }`, one tag per variant.
-macro_rules! tagged {
-    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)? }) => {
-        impl Shape for $ty {
-            fn to_json(&self) -> Json {
-                match self {
-                    $($ty::$variant { $($field),* } => obj1(
-                        $tag,
-                        Json::Obj(vec![$((stringify!($field).into(), $field.to_json())),*]),
-                    ),)+
-                }
-            }
-            fn from_json(v: &Json) -> Result<Self, String> {
-                $(if let Some(_body) = v.get($tag) {
-                    return Ok($ty::$variant { $($field: member(_body, stringify!($field))?),* });
-                })+
-                Err(format!("unknown {} {v:?}", stringify!($ty)))
-            }
-        }
-    };
-}
-
-named!(StripeFault { Withhold => "withhold", Corrupt => "corrupt" });
 named!(NetEnv { Lan => "lan", Wan => "wan" });
 named!(Protocol {
     Pbft => "PBFT",
@@ -691,6 +572,9 @@ named!(Protocol {
     Stratus => "Stratus"
 });
 
+// Fields a setup has but the file does not list (`ThroughputSetup`'s
+// `faults` and `per_node_mbps`, `MegaScaleSetup`'s flash crowd) are set by
+// injections; in a file they are unknown members.
 record!(ThroughputSetup {
     protocol,
     n_c,
@@ -705,7 +589,8 @@ record!(ThroughputSetup {
     duration_secs,
     warmup_secs,
     seed,
-    pipeline
+    pipeline,
+    ..Default::default()
 });
 record!(ZoneWorld {
     n_c,
@@ -730,7 +615,14 @@ record!(MegaScaleSetup {
     mbps,
     duration_secs,
     warmup_secs,
-    seed
+    seed,
+    ..Default::default()
+});
+record!(ScenarioSetup {
+    name,
+    world,
+    injections,
+    checks
 });
 
 tagged!(Injection {
@@ -757,8 +649,8 @@ tagged!(Check {
 impl Shape for World {
     /// Panics on a world the file format has no shape for.
     fn to_json(&self) -> Json {
-        match self {
-            World::Consensus(s) => obj1("consensus", s.to_json()),
+        let (tag, body) = match self {
+            World::Consensus(s) => ("consensus", s.to_json()),
             World::Net(p, Topology::MultiZone { zones }) => {
                 let shape = ZoneWorld {
                     n_c: p.n_c,
@@ -771,57 +663,22 @@ impl Shape for World {
                     max_children: p.max_children,
                     seed: p.seed,
                 };
-                obj1("zone", shape.to_json())
+                ("zone", shape.to_json())
             }
-            World::MegaScale(s) => obj1("megascale", s.to_json()),
+            World::MegaScale(s) => ("megascale", s.to_json()),
             other => panic!("{other:?} has no scenario-file shape"),
-        }
+        };
+        Json::Obj(vec![(tag.into(), body)])
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        if let Some(s) = v.get("consensus") {
-            return Ok(World::Consensus(Shape::from_json(s)?));
-        }
-        if let Some(w) = v.get("zone") {
-            return Ok(ZoneWorld::from_json(w)?.world());
-        }
-        if let Some(s) = v.get("megascale") {
-            return Ok(World::MegaScale(Shape::from_json(s)?));
-        }
-        Err("world must be one of `consensus`, `zone`, `megascale`".into())
-    }
-}
-
-impl ScenarioSetup {
-    /// Serializes the scenario to deterministic pretty-printed JSON.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a world the file format has no shape for: it encodes
-    /// `consensus`, `zone` ([`ZoneWorld`]) and `megascale` worlds.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("name".into(), self.name.to_json()),
-            ("world".into(), self.world.to_json()),
-            ("injections".into(), self.injections.to_json()),
-            ("checks".into(), self.checks.to_json()),
-        ])
-        .to_pretty_string()
-    }
-
-    /// Parses a scenario written by [`ScenarioSetup::to_json`] (or by
-    /// hand — the encoding is the DSL's config-file format) and
-    /// [`ScenarioSetup::validate`]s it.
-    pub fn from_json(text: &str) -> Result<ScenarioSetup, String> {
-        let v = Json::parse(text)?;
-        let scenario = ScenarioSetup {
-            name: member(&v, "name")?,
-            world: member(&v, "world")?,
-            injections: member(&v, "injections")?,
-            checks: member(&v, "checks")?,
-        };
-        scenario.validate()?;
-        Ok(scenario)
+        let (tag, body) = variant(v)?;
+        located(tag, || match tag {
+            "consensus" => Shape::from_json(body).map(World::Consensus),
+            "zone" => ZoneWorld::from_json(body).map(|w| w.world()),
+            "megascale" => Shape::from_json(body).map(World::MegaScale),
+            _ => Err("not one of `consensus`, `zone`, `megascale`".into()),
+        })
     }
 }
 
@@ -1077,6 +934,57 @@ mod tests {
             assert!(err.starts_with("scenario `unit_bad`: "), "{err}");
             assert!(err.contains(want), "{err}");
         }
+    }
+
+    /// The file of a scenario over `world` with `extra` spliced in after the
+    /// world's `n_c`, parsed.
+    fn parse_with(world: World, extra: &str) -> Result<ScenarioSetup, String> {
+        let text = ScenarioSetup::plain(world).to_json();
+        let spliced = text.replacen("\"n_c\": 4,", &format!("\"n_c\": 4, {extra},"), 1);
+        assert_ne!(spliced, text, "the world has no `n_c` of 4");
+        ScenarioSetup::from_json(&spliced)
+    }
+
+    #[test]
+    fn a_consensus_world_with_faults_is_rejected_not_run_without_them() {
+        let err = parse_with(
+            World::Consensus(tiny_consensus(2)),
+            r#""faults": {"silent": [1]}"#,
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            "`world.consensus.faults`: not a member of ThroughputSetup"
+        );
+    }
+
+    #[test]
+    fn a_consensus_world_with_per_node_mbps_is_rejected_not_run_unpaced() {
+        let err = parse_with(
+            World::Consensus(tiny_consensus(2)),
+            r#""per_node_mbps": [10]"#,
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            "`world.consensus.per_node_mbps`: not a member of ThroughputSetup"
+        );
+    }
+
+    #[test]
+    fn a_megascale_world_with_a_crowd_is_rejected_not_run_without_one() {
+        let err = parse_with(
+            World::MegaScale(MegaScaleSetup::default()),
+            r#""crowd_peak_mult": 2.0"#,
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            "`world.megascale.crowd_peak_mult`: not a member of MegaScaleSetup"
+        );
+    }
+
+    #[test]
+    fn a_member_given_twice_is_rejected_not_read_first_wins() {
+        let err = parse_with(World::Consensus(tiny_consensus(2)), r#""n_c": 7"#);
+        assert_eq!(err.unwrap_err(), "`world.consensus.n_c`: given twice");
     }
 
     #[test]

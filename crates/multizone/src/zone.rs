@@ -93,6 +93,12 @@ pub enum StripeFault {
     Corrupt,
 }
 
+// How a scenario file names the fault.
+predis_sim::json::named!(StripeFault {
+    Withhold => "withhold",
+    Corrupt => "corrupt"
+});
+
 /// A full node's own counter cells, all labelled with its id.
 #[derive(Debug)]
 struct NodeCells {

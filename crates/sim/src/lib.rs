@@ -75,6 +75,9 @@ pub use metrics::{
     BundleKey, CommitEvent, CounterHandle, Labels, Metrics, RunReport, RunSummary, Stage,
 };
 pub use net::{LatencyModel, LinkConfig, Network, Region, Scheduled};
+/// The repo's one JSON codec, for crates that reach telemetry through this
+/// one (a scenario-file shape must sit beside the type it encodes).
+pub use predis_telemetry::json;
 pub use profile::{DispatchProfile, PROFILE_EVENTS};
 pub use time::{SimDuration, SimTime};
 pub use trace::{CanonEvent, TraceCapture, TraceDigest, CANON_KINDS};

@@ -24,6 +24,8 @@
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock};
 
+use crate::json::{Json, Shape};
+
 /// Dimension labels for a counter cell. Unset dimensions mean "global".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Labels {
@@ -115,6 +117,16 @@ impl Labels {
             }
         }
         Ok(out)
+    }
+}
+
+/// Labels as their rendered string.
+impl Shape for Labels {
+    fn to_json(&self) -> Json {
+        Json::Str(self.render())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Labels::parse(&String::from_json(v)?)
     }
 }
 

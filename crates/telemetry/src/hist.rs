@@ -67,6 +67,16 @@ pub struct HistogramSummary {
     pub p99: u64,
 }
 
+crate::record!(HistogramSummary {
+    count,
+    min,
+    max,
+    mean,
+    p50,
+    p95,
+    p99
+});
+
 /// A bounded log-bucketed histogram over `u64` values.
 #[derive(Clone)]
 pub struct LogHistogram {
@@ -209,11 +219,11 @@ impl LogHistogram {
             .map(|(i, &c)| (bucket_lo(i), bucket_hi(i), c))
     }
 
-    /// Rebuilds a histogram from sparse `(lower_bound, count)` pairs, as
+    /// Rebuilds a histogram from sparse `[lower_bound, count]` pairs, as
     /// stored in a run report. Min/max are bucket bounds, not exact.
-    pub fn from_sparse(buckets: &[(u64, u64)]) -> Self {
+    pub fn from_sparse(buckets: &[[u64; 2]]) -> Self {
         let mut h = LogHistogram::new();
-        for &(lo, c) in buckets {
+        for &[lo, c] in buckets {
             if c > 0 {
                 let i = bucket_index(lo);
                 h.counts[i] += c;
@@ -371,7 +381,7 @@ mod tests {
         for v in [0u64, 31, 32, 1000, 1_000_000, u64::MAX] {
             h.record(v);
         }
-        let sparse: Vec<(u64, u64)> = h.nonzero_buckets().map(|(lo, _, c)| (lo, c)).collect();
+        let sparse: Vec<[u64; 2]> = h.nonzero_buckets().map(|(lo, _, c)| [lo, c]).collect();
         let back = LogHistogram::from_sparse(&sparse);
         assert_eq!(back.count(), h.count());
         let orig: Vec<_> = h.nonzero_buckets().collect();

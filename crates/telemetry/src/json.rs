@@ -1,10 +1,28 @@
-//! Minimal JSON writer/parser.
+//! The one JSON codec: every file the repo writes or reads — run reports,
+//! the `BENCH_*.json` identity artifact, trace captures and their timeline
+//! sidecars, scenario files — becomes JSON and comes back through here.
 //!
-//! The build environment cannot fetch `serde_json`, and run reports are
-//! simple trees of numbers and strings, so this module hand-rolls exactly
-//! what [`RunReport`](crate::report::RunReport) needs: a [`Json`] value
-//! type, a deterministic writer (object keys keep insertion order), and a
-//! recursive-descent parser for the round trip.
+//! The build environment cannot fetch `serde_json`, so the module carries
+//! its own: a [`Json`] value type, a deterministic writer (object keys keep
+//! insertion order), a recursive-descent parser, and [`Shape`], how one
+//! Rust type is written and read. A record lists its fields once —
+//! [`record!`] for a struct, [`tagged!`] for an enum with fields,
+//! [`named!`] for a field-less enum — and its encoder and decoder are both
+//! generated from that list, so the two cannot drift.
+//!
+//! Reading is strict, and every error names the path of the member it is
+//! about (``` `world.consensus.n_c`: not a usize ```):
+//! - a record's members are exactly its listed fields: a missing field, a
+//!   member the list does not name, and a member given twice are errors;
+//! - a map object ([`BTreeMap`], [`Ordered`]) may not repeat a key;
+//! - a tagged enum is an object of exactly one member, a known tag;
+//! - an integer must fit its field's type — nothing is truncated.
+//!
+//! A record field marked `#[optional]` is written only when it differs from
+//! its default, and read as its default when absent: a run report's
+//! `profile` block, a capture line's `from` and `tag`.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +41,8 @@ pub enum Json {
     Str(String),
     /// Array.
     Arr(Vec<Json>),
-    /// Object; insertion-ordered pairs (no duplicate-key handling).
+    /// Object; insertion-ordered pairs. The parser keeps a repeated key;
+    /// every [`Shape`] reader rejects one.
     Obj(Vec<(String, Json)>),
 }
 
@@ -75,12 +94,14 @@ impl Json {
     /// Serializes with two-space indentation.
     pub fn to_pretty_string(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes the value compactly (`indent` unset) or pretty-printed at
+    /// depth `indent`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -88,62 +109,11 @@ impl Json {
             Json::I64(v) => out.push_str(&v.to_string()),
             Json::F64(v) => write_f64(*v, out),
             Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_list(out, indent, "[]", items.iter().map(|v| (None, v))),
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
+                let members = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                write_list(out, indent, "{}", members)
             }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    write_escaped(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-            other => other.write(out),
         }
     }
 
@@ -163,9 +133,41 @@ impl std::fmt::Display for Json {
     /// Compact (single-line) JSON serialization.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         f.write_str(&out)
     }
+}
+
+/// The elements of an array (an object's with their keys) between
+/// `brackets`. Pretty-printed, a non-empty list puts each element on a line
+/// of its own, one level deeper, and a key is followed by `": "`.
+fn write_list<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    brackets: &str,
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let inner = indent.filter(|_| items.len() > 0).map(|depth| depth + 1);
+    out.push_str(&brackets[..1]);
+    for (i, (key, value)) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(depth) = inner {
+            out.push('\n');
+            push_indent(out, depth);
+        }
+        if let Some(key) = key {
+            write_escaped(key, out);
+            out.push_str(if inner.is_some() { ": " } else { ":" });
+        }
+        value.write(out, inner);
+    }
+    if let Some(depth) = inner {
+        out.push('\n');
+        push_indent(out, depth - 1);
+    }
+    out.push_str(&brackets[1..]);
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -235,54 +237,48 @@ fn parse_value(src: &str, pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(src, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(src, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
+        Some(b'[') => parse_list(src, pos, b']', parse_value).map(Json::Arr),
         Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
+            let member = |src: &str, pos: &mut usize| {
+                skip_ws(src.as_bytes(), pos);
                 let key = parse_string(src, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(src, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+                skip_ws(src.as_bytes(), pos);
+                expect(src.as_bytes(), pos, b':')?;
+                Ok((key, parse_value(src, pos)?))
+            };
+            parse_list(src, pos, b'}', member).map(Json::Obj)
         }
         Some(_) => parse_number(src, pos),
+    }
+}
+
+/// The comma-separated elements of the array or object opened at `pos`, up
+/// to `close`; `element` parses one.
+fn parse_list<T>(
+    src: &str,
+    pos: &mut usize,
+    close: u8,
+    mut element: impl FnMut(&str, &mut usize) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let bytes = src.as_bytes();
+    *pos += 1;
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(items);
+    }
+    loop {
+        items.push(element(src, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&b) if b == close => {
+                *pos += 1;
+                return Ok(items);
+            }
+            _ => return Err(format!("expected ',' or '{}' at byte {pos}", close as char)),
+        }
     }
 }
 
@@ -400,6 +396,298 @@ fn parse_number(src: &str, pos: &mut usize) -> Result<Json, String> {
         .map(Json::F64)
         .map_err(|e| format!("invalid number {text:?}: {e}"))
 }
+
+/// How a value is written as JSON and read back.
+pub trait Shape: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// Reads the value back; an error names what is wrong, and where.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+/// `e`, an error inside member (or element) `key`, located one level out:
+/// member names join with `.`, an element index attaches as `[i]`.
+fn within(key: &str, e: String) -> String {
+    match e.strip_prefix('`') {
+        Some(rest) if rest.starts_with('[') => format!("`{key}{rest}"),
+        Some(rest) => format!("`{key}.{rest}"),
+        None => format!("`{key}`: {e}"),
+    }
+}
+
+/// Runs `read`, locating its error inside member `key`.
+pub fn located<T>(key: &str, read: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    read().map_err(|e| within(key, e))
+}
+
+/// The members of object `v`, none given twice.
+fn object(v: &Json) -> Result<&[(String, Json)], String> {
+    let Json::Obj(pairs) = v else {
+        return Err("not an object".into());
+    };
+    let mut seen = BTreeSet::new();
+    match pairs.iter().find(|(k, _)| !seen.insert(k.as_str())) {
+        Some((key, _)) => Err(within(key, "given twice".into())),
+        None => Ok(pairs),
+    }
+}
+
+/// The members of `v` read as a record of type `ty` whose fields are
+/// `fields`: an object naming each at most once, and nothing else.
+#[doc(hidden)]
+pub fn members<'a>(v: &'a Json, ty: &str, fields: &[&str]) -> Result<&'a [(String, Json)], String> {
+    let pairs = object(v)?;
+    match pairs.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+        Some((key, _)) => Err(within(key, format!("not a member of {ty}"))),
+        None => Ok(pairs),
+    }
+}
+
+/// Member `key` of a record's `members`, if it is there.
+#[doc(hidden)]
+pub fn optional<T: Shape>(members: &[(String, Json)], key: &str) -> Result<Option<T>, String> {
+    let found = members.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    found.map(|v| located(key, || T::from_json(v))).transpose()
+}
+
+/// Member `key` of a record's `members`, which must be there.
+#[doc(hidden)]
+pub fn field<T: Shape>(members: &[(String, Json)], key: &str) -> Result<T, String> {
+    optional(members, key)?.ok_or_else(|| within(key, "missing".into()))
+}
+
+/// Whether an `#[optional]` field holds its default, and so is not written.
+#[doc(hidden)]
+pub fn is_default<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}
+
+/// A tagged enum's one member: its tag and its body.
+pub fn variant(v: &Json) -> Result<(&str, &Json), String> {
+    match v {
+        Json::Obj(pairs) if pairs.len() == 1 => Ok((&pairs[0].0, &pairs[0].1)),
+        _ => Err("not an object of one member".into()),
+    }
+}
+
+macro_rules! int_shapes {
+    ($($ty:ty),+) => {$(
+        impl Shape for $ty {
+            fn to_json(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                v.as_u64()
+                    .and_then(|n| <$ty>::try_from(n).ok())
+                    .ok_or_else(|| format!("not a {}", stringify!($ty)))
+            }
+        }
+    )+};
+}
+int_shapes!(u64, u32, usize);
+
+impl Shape for f64 {
+    fn to_json(&self) -> Json {
+        Json::F64(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "not a number".into())
+    }
+}
+
+impl Shape for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("not a bool".into()),
+        }
+    }
+}
+
+impl Shape for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(String::from)
+            .ok_or_else(|| "not a string".into())
+    }
+}
+
+impl<T: Shape> Shape for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        (items.iter().enumerate())
+            .map(|(i, item)| T::from_json(item).map_err(|e| within(&format!("[{i}]"), e)))
+            .collect()
+    }
+}
+
+impl<T: Shape, const N: usize> Shape for [T; N] {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Vec::from_json(v)?
+            .try_into()
+            .map_err(|items: Vec<T>| format!("{} elements, not {N}", items.len()))
+    }
+}
+
+/// `None` is `null`; as a record field it is `#[optional]`, and not written.
+impl<T: Shape> Shape for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+/// An object whose member names are data, kept in file order (a timelines
+/// sidecar's stage stamps); [`BTreeMap`] is the sorted form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ordered<T>(pub Vec<(String, T)>);
+
+impl<T: Shape> Shape for Ordered<T> {
+    fn to_json(&self) -> Json {
+        Json::Obj(
+            self.0
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_json()))
+                .collect(),
+        )
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        (object(v)?.iter())
+            .map(|(k, v)| Ok((k.clone(), located(k, || T::from_json(v))?)))
+            .collect::<Result<_, String>>()
+            .map(Ordered)
+    }
+}
+
+impl<T: Shape> Shape for BTreeMap<String, T> {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        Ok(Ordered::from_json(v)?.0.into_iter().collect())
+    }
+}
+
+/// A struct as an object of the listed fields, keyed by field name, in
+/// list order. A field marked `#[optional]` is written only when it is not
+/// its default, and read as its default when absent. With
+/// `..Default::default()` ending the list, as in a struct literal, the
+/// fields it does not name take their default; the file cannot set them.
+///
+/// ```
+/// use predis_telemetry::json::{Json, Shape};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: u64, label: Option<String> }
+/// predis_telemetry::record!(Point { x, #[optional] label });
+///
+/// let p = Point { x: 3, label: None };
+/// assert_eq!(p.to_json().to_string(), r#"{"x":3}"#);
+/// assert_eq!(Point::from_json(&p.to_json()), Ok(p));
+/// let err = Point::from_json(&Json::parse(r#"{"x":3,"y":4}"#).unwrap());
+/// assert_eq!(err.unwrap_err(), "`y`: not a member of Point");
+/// ```
+#[macro_export]
+macro_rules! record {
+    ($ty:ident { $($(#[$opt:ident])? $field:ident),+ $(, ..$rest:expr)? $(,)? }) => {
+        impl $crate::json::Shape for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let mut members = Vec::with_capacity([$(stringify!($field)),+].len());
+                $($crate::__field!(put members, self.$field, $field $($opt)?);)+
+                $crate::json::Json::Obj(members)
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                let m = $crate::json::members(v, stringify!($ty), &[$(stringify!($field)),+])?;
+                Ok($ty { $($field: $crate::__field!(get m, $field $($opt)?),)+ $(..$rest)? })
+            }
+        }
+    };
+}
+
+/// One field of a [`record!`]: `put` writes it, `get` reads it.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __field {
+    (put $out:ident, $v:expr, $key:ident) => {
+        $out.push((stringify!($key).into(), $crate::json::Shape::to_json(&$v)))
+    };
+    (put $out:ident, $v:expr, $key:ident optional) => {
+        if !$crate::json::is_default(&$v) {
+            $crate::__field!(put $out, $v, $key)
+        }
+    };
+    (get $m:ident, $key:ident) => {
+        $crate::json::field($m, stringify!($key))?
+    };
+    (get $m:ident, $key:ident optional) => {
+        $crate::json::optional($m, stringify!($key))?.unwrap_or_default()
+    };
+}
+
+/// An enum whose variants have named fields (or none) as
+/// `{ "<tag>": { <fields> } }`, one tag per variant.
+#[macro_export]
+macro_rules! tagged {
+    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)? }) => {
+        impl $crate::json::Shape for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                let (tag, members) = match self {
+                    $($ty::$variant { $($field),* } => ($tag, vec![
+                        $((stringify!($field).into(), $crate::json::Shape::to_json($field))),*
+                    ]),)+
+                };
+                $crate::json::Json::Obj(vec![(tag.into(), $crate::json::Json::Obj(members))])
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                let (tag, body) = $crate::json::variant(v)?;
+                $crate::json::located(tag, || match tag {
+                    $($tag => {
+                        let _m = $crate::json::members(body, $tag, &[$(stringify!($field)),*])?;
+                        Ok($ty::$variant { $($field: $crate::json::field(_m, stringify!($field))?),* })
+                    })+
+                    _ => Err(format!("not a {}", stringify!($ty))),
+                })
+            }
+        }
+    };
+}
+
+/// A field-less enum as one of the listed strings.
+#[macro_export]
+macro_rules! named {
+    ($ty:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $crate::json::Shape for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::Str(match self { $($ty::$variant => $name),+ }.into())
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                match v.as_str() {
+                    $(Some($name) => Ok($ty::$variant),)+
+                    _ => Err(format!("{v} is not a {}", stringify!($ty))),
+                }
+            }
+        }
+    };
+}
+
+pub use crate::{named, record, tagged};
 
 #[cfg(test)]
 mod tests {

@@ -16,8 +16,9 @@
 //!   committed → stripe_encoded → zone_delivered` and deriving per-stage
 //!   latency histograms from them.
 //! * [`RunReport`] — a machine-readable snapshot of all of the above,
-//!   serialized to JSON (hand-rolled writer/parser in [`json`]; no external
-//!   deps) under `results/`, plus a human-readable summary table.
+//!   serialized to JSON under `results/` by the repo's one codec ([`json`]:
+//!   each record lists its fields once; no external deps), plus a
+//!   human-readable summary table.
 //!
 //! The crate is deliberately free of dependencies — including the rest of
 //! the workspace — so any layer can use it without cycles. Time is plain

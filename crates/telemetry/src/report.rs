@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use crate::counters::{Counters, Labels};
 use crate::hist::{HistogramSummary, LogHistogram};
-use crate::json::Json;
+use crate::json::{record, Json, Shape};
 use crate::timeline::Timelines;
 
 /// One labeled counter cell.
@@ -35,8 +35,8 @@ pub struct HistogramEntry {
     pub name: String,
     /// Scalar digest (count, min/max/mean, p50/p95/p99).
     pub summary: HistogramSummary,
-    /// Sparse `(bucket_lower_bound, count)` pairs, ascending.
-    pub buckets: Vec<(u64, u64)>,
+    /// Sparse `[bucket_lower_bound, count]` pairs, ascending.
+    pub buckets: Vec<[u64; 2]>,
 }
 
 impl HistogramEntry {
@@ -45,7 +45,7 @@ impl HistogramEntry {
         HistogramEntry {
             name: name.into(),
             summary: h.summary(),
-            buckets: h.nonzero_buckets().map(|(lo, _, c)| (lo, c)).collect(),
+            buckets: h.nonzero_buckets().map(|(lo, _, c)| [lo, c]).collect(),
         }
     }
 }
@@ -97,6 +97,40 @@ pub struct RunReport {
     /// Total wall time of the profiled dispatch loop, in nanoseconds.
     pub profile_run_ns: u64,
 }
+
+// The profile block exists only when profiling ran, so default-off reports
+// stay byte-identical with and without the profiler compiled in.
+record!(RunReport {
+    name,
+    meta,
+    metrics,
+    counters,
+    histograms,
+    stages,
+    timeline_count,
+    timeline_dropped,
+    #[optional]
+    profile,
+    #[optional]
+    profile_run_ns,
+});
+record!(CounterEntry {
+    name,
+    labels,
+    value
+});
+record!(HistogramEntry {
+    name,
+    summary,
+    buckets
+});
+record!(StageEntry { segment, summary });
+record!(ProfileEntry {
+    actor,
+    event,
+    count,
+    ns
+});
 
 impl RunReport {
     /// A new empty report named `name`.
@@ -221,258 +255,14 @@ impl RunReport {
         self.profile.iter().map(|p| p.ns).sum()
     }
 
-    fn summary_to_json(s: &HistogramSummary) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::U64(s.count)),
-            ("min".into(), Json::U64(s.min)),
-            ("max".into(), Json::U64(s.max)),
-            ("mean".into(), Json::F64(s.mean)),
-            ("p50".into(), Json::U64(s.p50)),
-            ("p95".into(), Json::U64(s.p95)),
-            ("p99".into(), Json::U64(s.p99)),
-        ])
-    }
-
-    fn summary_from_json(v: &Json) -> Result<HistogramSummary, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("summary missing {k:?}"));
-        Ok(HistogramSummary {
-            count: field("count")?.as_u64().ok_or("bad count")?,
-            min: field("min")?.as_u64().ok_or("bad min")?,
-            max: field("max")?.as_u64().ok_or("bad max")?,
-            mean: field("mean")?.as_f64().ok_or("bad mean")?,
-            p50: field("p50")?.as_u64().ok_or("bad p50")?,
-            p95: field("p95")?.as_u64().ok_or("bad p95")?,
-            p99: field("p99")?.as_u64().ok_or("bad p99")?,
-        })
-    }
-
-    /// The report as a JSON value tree.
-    pub fn to_json_value(&self) -> Json {
-        let mut obj = vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "meta".into(),
-                Json::Obj(
-                    self.meta
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            ),
-            (
-                "metrics".into(),
-                Json::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::F64(*v)))
-                        .collect(),
-                ),
-            ),
-            (
-                "counters".into(),
-                Json::Arr(
-                    self.counters
-                        .iter()
-                        .map(|c| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(c.name.clone())),
-                                ("labels".into(), Json::Str(c.labels.render())),
-                                ("value".into(), Json::U64(c.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms".into(),
-                Json::Arr(
-                    self.histograms
-                        .iter()
-                        .map(|h| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(h.name.clone())),
-                                ("summary".into(), Self::summary_to_json(&h.summary)),
-                                (
-                                    "buckets".into(),
-                                    Json::Arr(
-                                        h.buckets
-                                            .iter()
-                                            .map(|&(lo, c)| {
-                                                Json::Arr(vec![Json::U64(lo), Json::U64(c)])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "stages".into(),
-                Json::Arr(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("segment".into(), Json::Str(s.segment.clone())),
-                                ("summary".into(), Self::summary_to_json(&s.summary)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("timeline_count".into(), Json::U64(self.timeline_count)),
-            ("timeline_dropped".into(), Json::U64(self.timeline_dropped)),
-        ];
-        // The profile block only exists when profiling ran, so default-off
-        // reports stay byte-identical with and without the feature compiled.
-        if !self.profile.is_empty() {
-            obj.push((
-                "profile".into(),
-                Json::Arr(
-                    self.profile
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("actor".into(), Json::Str(p.actor.clone())),
-                                ("event".into(), Json::Str(p.event.clone())),
-                                ("count".into(), Json::U64(p.count)),
-                                ("ns".into(), Json::U64(p.ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-            obj.push(("profile_run_ns".into(), Json::U64(self.profile_run_ns)));
-        }
-        Json::Obj(obj)
-    }
-
     /// Serializes to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_pretty_string()
+        Shape::to_json(self).to_pretty_string()
     }
 
     /// Parses a report previously produced by [`RunReport::to_json`].
     pub fn from_json(text: &str) -> Result<RunReport, String> {
-        let v = Json::parse(text)?;
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("report missing name")?
-            .to_string();
-        let mut report = RunReport::new(name);
-
-        if let Some(Json::Obj(pairs)) = v.get("meta") {
-            for (k, val) in pairs {
-                report.meta.insert(
-                    k.clone(),
-                    val.as_str()
-                        .ok_or("meta values must be strings")?
-                        .to_string(),
-                );
-            }
-        }
-        if let Some(Json::Obj(pairs)) = v.get("metrics") {
-            for (k, val) in pairs {
-                report.metrics.insert(
-                    k.clone(),
-                    val.as_f64().ok_or("metric values must be numbers")?,
-                );
-            }
-        }
-        if let Some(arr) = v.get("counters").and_then(Json::as_arr) {
-            for c in arr {
-                report.counters.push(CounterEntry {
-                    name: c
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("counter missing name")?
-                        .to_string(),
-                    labels: Labels::parse(c.get("labels").and_then(Json::as_str).unwrap_or(""))?,
-                    value: c
-                        .get("value")
-                        .and_then(Json::as_u64)
-                        .ok_or("counter missing value")?,
-                });
-            }
-        }
-        if let Some(arr) = v.get("histograms").and_then(Json::as_arr) {
-            for h in arr {
-                let mut buckets = Vec::new();
-                for pair in h
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("histogram missing buckets")?
-                {
-                    let pair = pair.as_arr().ok_or("bucket must be [lo, count]")?;
-                    if pair.len() != 2 {
-                        return Err("bucket must be [lo, count]".into());
-                    }
-                    buckets.push((
-                        pair[0].as_u64().ok_or("bad bucket bound")?,
-                        pair[1].as_u64().ok_or("bad bucket count")?,
-                    ));
-                }
-                report.histograms.push(HistogramEntry {
-                    name: h
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("histogram missing name")?
-                        .to_string(),
-                    summary: Self::summary_from_json(
-                        h.get("summary").ok_or("histogram missing summary")?,
-                    )?,
-                    buckets,
-                });
-            }
-        }
-        if let Some(arr) = v.get("stages").and_then(Json::as_arr) {
-            for s in arr {
-                report.stages.push(StageEntry {
-                    segment: s
-                        .get("segment")
-                        .and_then(Json::as_str)
-                        .ok_or("stage missing segment")?
-                        .to_string(),
-                    summary: Self::summary_from_json(
-                        s.get("summary").ok_or("stage missing summary")?,
-                    )?,
-                });
-            }
-        }
-        report.timeline_count = v.get("timeline_count").and_then(Json::as_u64).unwrap_or(0);
-        report.timeline_dropped = v
-            .get("timeline_dropped")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if let Some(arr) = v.get("profile").and_then(Json::as_arr) {
-            for p in arr {
-                report.profile.push(ProfileEntry {
-                    actor: p
-                        .get("actor")
-                        .and_then(Json::as_str)
-                        .ok_or("profile cell missing actor")?
-                        .to_string(),
-                    event: p
-                        .get("event")
-                        .and_then(Json::as_str)
-                        .ok_or("profile cell missing event")?
-                        .to_string(),
-                    count: p
-                        .get("count")
-                        .and_then(Json::as_u64)
-                        .ok_or("profile cell missing count")?,
-                    ns: p
-                        .get("ns")
-                        .and_then(Json::as_u64)
-                        .ok_or("profile cell missing ns")?,
-                });
-            }
-        }
-        report.profile_run_ns = v.get("profile_run_ns").and_then(Json::as_u64).unwrap_or(0);
-        Ok(report)
+        Shape::from_json(&Json::parse(text)?)
     }
 
     /// Writes `<dir>/<name>.json`, creating `dir` if needed, and returns the
@@ -712,6 +502,45 @@ mod tests {
         assert_eq!(back.to_json(), text);
         assert_eq!(back.profile_attributed_ns(), 5_670_000);
         assert!(report.render().contains("94.5% attributed"));
+    }
+
+    /// What the reader used to guess — a global counter, an empty map, a
+    /// zero — is an error naming the member.
+    #[test]
+    fn ill_typed_members_are_located_errors() {
+        let text = sample_report().to_json();
+        let global = "\"labels\": \"\",";
+        assert!(text.contains(global), "the sample has a global counter");
+        // The report with its top-level member `key` set to `value`.
+        let top = |key: &str, value: &str| {
+            let Json::Obj(mut pairs) = Json::parse(&text).unwrap() else {
+                unreachable!("a report is an object")
+            };
+            pairs.retain(|(k, _)| k != key);
+            pairs.push((key.into(), Json::parse(value).unwrap()));
+            Json::Obj(pairs).to_pretty_string()
+        };
+        for (broken, want) in [
+            (text.replace(global, ""), "].labels`: missing"),
+            (
+                text.replace(global, "\"labels\": 0,"),
+                "].labels`: not a string",
+            ),
+            (top("meta", "[]"), "`meta`: not an object"),
+            (top("metrics", "\"1.5\""), "`metrics`: not an object"),
+            (
+                top("timeline_count", "\"5\""),
+                "`timeline_count`: not a u64",
+            ),
+            (
+                top("timeline_dropped", "-1"),
+                "`timeline_dropped`: not a u64",
+            ),
+            (top("profile_run_ns", "1.5"), "`profile_run_ns`: not a u64"),
+        ] {
+            let err = RunReport::from_json(&broken).unwrap_err();
+            assert!(err.ends_with(want), "{want}: {err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Mutation fuzz of the hand-rolled JSON parser. Run reports and the JSON
-//! module's round-trip samples are truncated, bit-flipped, given a
-//! duplicated key or spliced with a `\uXXXX` escape; `Json::parse` and
-//! `RunReport::from_json` must return — a value or an error — and never
-//! unwind.
+//! Mutation fuzz of the JSON codec. Run reports and the JSON module's
+//! round-trip samples are truncated, bit-flipped, given a duplicated key or
+//! spliced with a `\uXXXX` escape; `Json::parse` and `RunReport::from_json`
+//! must return — a value or an error — and never unwind, and a report with
+//! a member given twice is an error.
+
+mod mutate;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -10,6 +12,8 @@ use predis_telemetry::{
     BundleKey, Counters, Json, Labels, LogHistogram, RunReport, Stage, Timelines,
 };
 use proptest::prelude::*;
+
+use mutate::{mutate, DUPLICATE};
 
 /// A report with counters, histograms, stage timelines and text that is
 /// not plain ASCII.
@@ -72,70 +76,6 @@ fn documents() -> Vec<String> {
     ]
 }
 
-/// Duplicates one member of the `pick`-th object (in depth-first order),
-/// right after itself. Returns false when there are fewer objects.
-fn duplicate_member(v: &mut Json, pick: &mut usize, member: usize) -> bool {
-    match v {
-        Json::Obj(pairs) if !pairs.is_empty() => {
-            if *pick == 0 {
-                let i = member % pairs.len();
-                let dup = pairs[i].clone();
-                pairs.insert(i + 1, dup);
-                return true;
-            }
-            *pick -= 1;
-            pairs
-                .iter_mut()
-                .any(|(_, child)| duplicate_member(child, pick, member))
-        }
-        Json::Arr(items) => items
-            .iter_mut()
-            .any(|child| duplicate_member(child, pick, member)),
-        _ => false,
-    }
-}
-
-fn mutate(doc: &str, op: u8, at: usize, bit: u32, escape: u16, high: bool) -> String {
-    match op {
-        // Truncate at a char boundary.
-        0 => {
-            let mut cut = at % (doc.len() + 1);
-            while !doc.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            doc[..cut].to_string()
-        }
-        // Flip one bit below the top of an ASCII byte: the text stays UTF-8.
-        1 => {
-            let mut bytes = doc.as_bytes().to_vec();
-            let ascii: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii()).collect();
-            bytes[ascii[at % ascii.len()]] ^= 1 << bit;
-            String::from_utf8(bytes).expect("ASCII stays ASCII")
-        }
-        // Duplicate a key.
-        2 => {
-            let mut v = Json::parse(doc).expect("documents are valid");
-            let mut pick = at % 8;
-            duplicate_member(&mut v, &mut pick, at / 8);
-            v.to_pretty_string()
-        }
-        // Splice a `\uXXXX` escape in after a quote — half the time a high
-        // surrogate followed by an arbitrary escape.
-        _ => {
-            let quotes: Vec<usize> = doc.match_indices('"').map(|(i, _)| i + 1).collect();
-            let pos = quotes[at % quotes.len()];
-            let backslash = '\\';
-            let spliced = if high {
-                let hi = 0xd800 + (at as u32 >> 8) % 0x400;
-                format!("{backslash}u{hi:04x}{backslash}u{escape:04x}")
-            } else {
-                format!("{backslash}u{escape:04x}")
-            };
-            format!("{}{spliced}{}", &doc[..pos], &doc[pos..])
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -152,9 +92,13 @@ proptest! {
         let text = mutate(&docs[which], op, at, bit, escape, high);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = Json::parse(&text);
-            let _ = RunReport::from_json(&text);
+            RunReport::from_json(&text)
         }));
         prop_assert!(outcome.is_ok(), "the parser unwound on {text:?}");
+        // The report is written pretty, so a changed text is a duplicate.
+        if which == 0 && op == DUPLICATE && text != docs[0] {
+            prop_assert!(outcome.unwrap().is_err(), "a duplicate was read: {text:?}");
+        }
     }
 }
 
