@@ -3,7 +3,7 @@
 //!
 //! * [`SilentNode`] — Fig. 6 case 1: neither produces bundles nor votes.
 //! * Fig. 6 case 2 is built compositionally: a muted shell
-//!   ([`crate::PbftNode::muted`] / [`crate::HotStuffNode::muted`]) over a
+//!   ([`crate::Replica::mute`], which both shells dereference to) over a
 //!   [`crate::planes::PredisPlane::with_selective_sending`] plane.
 //! * [`EquivocatingProducer`] — the forking attacker of §III-E: produces
 //!   *two* different bundles at every height and sends each to a disjoint

@@ -9,15 +9,16 @@
 //! baseline of Fig. 5.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use predis_crypto::Hash;
 use predis_sim::{Codec, NarrowContext, NodeId, ProtocolCore, TimerTag};
-use predis_types::{IdMap, IdSet, ProposalPayload, SeqNum, SizedPayload, Transaction, View};
+use predis_types::{IdMap, IdSet, ProposalPayload, SizedPayload, View};
 
 use crate::config::{timers, ConsensusConfig, Roster, VoteSet};
 use crate::msg::{ConsMsg, HsBlockMsg, Qc};
-use crate::pbft::{catch_up_txs, deliver_commit, kept_for_catch_up};
 use crate::plane::{DataPlane, ProposalCheck};
+use crate::replica::Replica;
 
 /// A stored block with its local voting status.
 #[derive(Debug)]
@@ -31,13 +32,31 @@ struct BlockEntry {
     validated: bool,
     deferred: bool,
     executed: bool,
-    /// Executed transactions, retained (within the GC window) for serving
-    /// crash-recovery state transfer — unless they are the payload's own
-    /// batch, which is served from the payload.
-    kept_txs: Option<Vec<Transaction>>,
 }
 
-/// A chained-HotStuff replica parameterised by its data plane.
+/// What the [`Replica`]'s executed log holds of a HotStuff execution.
+#[derive(Debug)]
+pub enum Held {
+    /// A block this replica executed: the handle its block tree shares.
+    Block(SizedPayload<HsBlockMsg>),
+    /// A payload received by state transfer, which arrives without its block.
+    Transferred(ProposalPayload),
+}
+
+impl Deref for Held {
+    type Target = ProposalPayload;
+
+    fn deref(&self) -> &ProposalPayload {
+        match self {
+            Held::Block(block) => &block.payload,
+            Held::Transferred(payload) => payload,
+        }
+    }
+}
+
+/// A chained-HotStuff replica parameterised by its data plane. It
+/// dereferences to its [`Replica`], which holds the plane, the execution
+/// counters and the executed log.
 ///
 /// # Examples
 ///
@@ -59,10 +78,7 @@ struct BlockEntry {
 /// ```
 #[derive(Debug)]
 pub struct HotStuffNode<P> {
-    me: usize,
-    roster: Roster,
-    cfg: ConsensusConfig,
-    plane: P,
+    replica: Replica<P, Held>,
     round: View,
     generic_qc: Qc,
     locked_qc: Qc,
@@ -73,25 +89,23 @@ pub struct HotStuffNode<P> {
     proposed_rounds: IdSet<View>,
     /// Blocks committed by the 3-chain rule, awaiting execution in order.
     exec_queue: VecDeque<Hash>,
-    /// Executed blocks in order (drives garbage collection and serves
-    /// crash-recovery catch-up).
-    exec_order: VecDeque<Hash>,
-    /// Execution index of `exec_order.front()` (indices are global: the
-    /// n-th block every replica executes).
-    exec_base: u64,
-    /// A catch-up request is in flight.
-    syncing: bool,
     committed_set: IdSet<Hash>,
-    /// `deliver_commit`'s reusable sort buffer.
-    reply_scratch: Vec<(u32, u32)>,
-    /// Byzantine mute mode: never proposes or votes.
-    mute: bool,
     /// Deferred votes: blocks whose payload validation is pending data.
     pending_votes: Vec<Hash>,
-    /// Total transactions this replica has executed.
-    pub executed_txs: u64,
-    /// Total blocks this replica has executed.
-    pub executed_blocks: u64,
+}
+
+impl<P> Deref for HotStuffNode<P> {
+    type Target = Replica<P, Held>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.replica
+    }
+}
+
+impl<P> DerefMut for HotStuffNode<P> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.replica
+    }
 }
 
 impl<P: DataPlane> HotStuffNode<P> {
@@ -101,12 +115,9 @@ impl<P: DataPlane> HotStuffNode<P> {
     ///
     /// Panics if `me` is out of committee range.
     pub fn new(me: usize, roster: Roster, cfg: ConsensusConfig, plane: P) -> HotStuffNode<P> {
-        assert!(me < roster.n(), "committee index out of range");
         HotStuffNode {
-            me,
-            roster,
-            cfg,
-            plane,
+            // Executions are counted from 0.
+            replica: Replica::new(me, roster, cfg, plane, 0),
             round: View(1),
             generic_qc: Qc::GENESIS,
             locked_qc: Qc::GENESIS,
@@ -116,33 +127,9 @@ impl<P: DataPlane> HotStuffNode<P> {
             newviews: IdMap::default(),
             proposed_rounds: IdSet::default(),
             exec_queue: VecDeque::new(),
-            exec_order: VecDeque::new(),
-            exec_base: 0,
-            syncing: false,
             committed_set: IdSet::default(),
-            reply_scratch: Vec::new(),
-            mute: false,
             pending_votes: Vec::new(),
-            executed_txs: 0,
-            executed_blocks: 0,
         }
-    }
-
-    /// Byzantine variant: never proposes or votes (Fig. 6).
-    pub fn muted(mut self) -> Self {
-        self.mute = true;
-        self
-    }
-
-    /// The data plane (post-run inspection).
-    pub fn plane(&self) -> &P {
-        &self.plane
-    }
-
-    /// Mutable access to the data plane (composed actors drain produced
-    /// bundles through this).
-    pub fn plane_mut(&mut self) -> &mut P {
-        &mut self.plane
     }
 
     /// The replica's current round.
@@ -161,7 +148,7 @@ impl<P: DataPlane> HotStuffNode<P> {
     }
 
     fn leader_of(&self, round: View) -> usize {
-        self.roster.leader_of(round.0)
+        self.replica.roster.leader_of(round.0)
     }
 
     fn update_high_qc(&mut self, qc: Qc) {
@@ -171,8 +158,8 @@ impl<P: DataPlane> HotStuffNode<P> {
     }
 
     fn try_propose<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
-        if self.mute
-            || self.leader_of(self.round) != self.me
+        if self.replica.mute
+            || self.leader_of(self.round) != self.replica.me
             || self.proposed_rounds.contains(&self.round)
         {
             return;
@@ -183,12 +170,12 @@ impl<P: DataPlane> HotStuffNode<P> {
         let timeout_quorum = self
             .newviews
             .get(&self.round)
-            .is_some_and(|s| s.len() >= self.roster.quorum());
+            .is_some_and(|s| s.len() >= self.replica.roster.quorum());
         if !happy && !timeout_quorum {
             return;
         }
         let parent = self.generic_qc.block;
-        let payload = match self.plane.make_proposal(ctx, parent, self.round) {
+        let payload = match self.replica.plane.make_proposal(ctx, parent, self.round) {
             Some(p) => p,
             None => {
                 // Nothing to order. Keep the pipeline moving with an empty
@@ -215,8 +202,8 @@ impl<P: DataPlane> HotStuffNode<P> {
         self.proposed_rounds.insert(self.round);
         ctx.metrics().incr("hs.proposals", 1);
         // Deliver to self first (local processing), then multicast.
-        self.on_proposal(ctx, self.me, block.clone());
-        ctx.multicast(self.roster.peers_of(self.me), ConsMsg::HsProposal(block));
+        self.on_proposal(ctx, self.replica.me, block.clone());
+        ctx.multicast(self.replica.peers(), ConsMsg::HsProposal(block));
     }
 
     fn on_proposal<M: Codec<ConsMsg>>(
@@ -239,26 +226,19 @@ impl<P: DataPlane> HotStuffNode<P> {
             validated: false,
             deferred: false,
             executed: false,
-            kept_txs: None,
         });
         self.update_high_qc(block.justify);
         // Crash-recovery lag detection: the proposal's parent is a block
         // we never saw and our committed history is far behind the chain's
         // round — fetch the executed gap from the proposer.
-        if !self.mute
-            && !self.syncing
-            && !block.parent.is_zero()
+        if !block.parent.is_zero()
             && !self.blocks.contains_key(&block.parent)
             && block.round.0 > 8
+            && self
+                .replica
+                .request_catch_up(ctx, self.replica.roster.consensus_node(from))
         {
-            self.syncing = true;
             ctx.metrics().incr("hs.catchup_requests", 1);
-            ctx.send(
-                self.roster.consensus_node(from),
-                ConsMsg::CatchUpRequest {
-                    from: SeqNum(self.executed_blocks),
-                },
-            );
         }
         self.apply_commit_rule(ctx, hash);
         // Pacemaker: seeing a proposal for round r moves us to r + 1.
@@ -274,7 +254,7 @@ impl<P: DataPlane> HotStuffNode<P> {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         hash: Hash,
     ) {
-        if self.mute {
+        if self.replica.mute {
             return;
         }
         let Some(entry) = self.blocks.get(&hash) else {
@@ -296,6 +276,7 @@ impl<P: DataPlane> HotStuffNode<P> {
             let digest = entry.payload_digest;
             let msg = entry.msg.clone(); // Arc bump, not a payload copy
             match self
+                .replica
                 .plane
                 .validate(ctx, proposer, parent, hash, digest, &msg.payload)
             {
@@ -327,10 +308,10 @@ impl<P: DataPlane> HotStuffNode<P> {
         }
         let next_leader = self.leader_of(round.next());
         let vote = ConsMsg::HsVote { block: hash, round };
-        if next_leader == self.me {
-            self.on_vote(ctx, self.me, hash, round);
+        if next_leader == self.replica.me {
+            self.on_vote(ctx, self.replica.me, hash, round);
         } else {
-            ctx.send(self.roster.consensus_node(next_leader), vote);
+            ctx.send(self.replica.roster.consensus_node(next_leader), vote);
         }
     }
 
@@ -341,7 +322,7 @@ impl<P: DataPlane> HotStuffNode<P> {
         block: Hash,
         round: View,
     ) {
-        let quorum = self.roster.quorum();
+        let quorum = self.replica.roster.quorum();
         let set = self.votes.entry((block, round)).or_default();
         set.insert(from);
         if set.len() == quorum {
@@ -384,18 +365,15 @@ impl<P: DataPlane> HotStuffNode<P> {
             return;
         };
         let b2 = b1e.msg.parent;
-        let b1_round = b1e.msg.round;
         let Some(b2e) = self.blocks.get(&b2) else {
             return;
         };
         let b3 = b2e.msg.parent;
-        let b2_round = b2e.msg.round;
         // Require the chain b3 <- b2 <- b1 with consecutive justifications:
         // b1.justify certifies b2, b2.justify certifies b3.
         if b1e.msg.justify.block != b2 || b2e.msg.justify.block != b3 {
             return;
         }
-        let _ = (b1_round, b2_round);
         if b3.is_zero() || self.committed_set.contains(&b3) {
             return;
         }
@@ -427,35 +405,27 @@ impl<P: DataPlane> HotStuffNode<P> {
                 continue;
             }
             let (parent, digest) = (entry.msg.parent, entry.payload_digest);
-            let msg = entry.msg.clone(); // Arc bump, not a payload copy
-            let Some(txs) = self.plane.commit(ctx, parent, h, digest, &msg.payload) else {
-                break; // stalled on missing data; retried on plane progress
+            // An Arc bump, not a payload copy.
+            let block = Held::Block(entry.msg.clone());
+            // Garbage-collect deep-committed ancestors with the log: blocks
+            // executed more than the retention window ago are unreachable by
+            // the 3-chain rule and no longer served for catch-up.
+            let (blocks, committed, votes) =
+                (&mut self.blocks, &mut self.committed_set, &mut self.votes);
+            let evicted = |old: Held| {
+                if let Held::Block(old) = old {
+                    blocks.remove(&old.hash);
+                    committed.remove(&old.hash);
+                    votes.retain(|(b, _), _| *b != old.hash);
+                }
             };
-            self.executed_txs += txs.len() as u64;
-            deliver_commit(
-                ctx,
-                self.me,
-                &self.roster,
-                &self.cfg,
-                &txs,
-                &mut self.reply_scratch,
-            );
-            let entry = self.blocks.get_mut(&h).expect("exists");
-            entry.executed = true;
-            entry.kept_txs = kept_for_catch_up(txs);
-            self.exec_queue.pop_front();
-            self.executed_blocks += 1;
-            self.exec_order.push_back(h);
-            // Garbage-collect deep-committed ancestors: blocks executed
-            // more than the retention window ago are unreachable by the
-            // 3-chain rule and no longer served for catch-up.
-            while self.exec_order.len() > self.cfg.retention {
-                let old = self.exec_order.pop_front().expect("non-empty");
-                self.exec_base += 1;
-                self.blocks.remove(&old);
-                self.committed_set.remove(&old);
-                self.votes.retain(|(b, _), _| *b != old);
+            if !self.replica.execute(ctx, parent, h, digest, block, evicted) {
+                break; // stalled on missing data; retried on plane progress
             }
+            if let Some(entry) = self.blocks.get_mut(&h) {
+                entry.executed = true;
+            }
+            self.exec_queue.pop_front();
             ctx.metrics().incr("hs.blocks_executed", 1);
         }
     }
@@ -482,16 +452,13 @@ impl<P: DataPlane> HotStuffNode<P> {
 
 impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
     fn start<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
-        self.plane.init(ctx);
-        let round = self.round;
+        self.replica.plane.init(ctx);
+        let cfg = &self.replica.cfg;
         ctx.set_timer(
-            self.cfg.view_timeout,
-            TimerTag::with_a(timers::HS_PACEMAKER, round.0),
+            cfg.view_timeout,
+            TimerTag::with_a(timers::HS_PACEMAKER, self.round.0),
         );
-        ctx.set_timer(
-            self.cfg.propose_interval,
-            TimerTag::of_kind(timers::HS_PROPOSE),
-        );
+        ctx.set_timer(cfg.propose_interval, TimerTag::of_kind(timers::HS_PROPOSE));
     }
 
     fn message<M: Codec<ConsMsg>>(
@@ -500,68 +467,27 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
         from: NodeId,
         msg: ConsMsg,
     ) {
-        let outcome = self.plane.handle(ctx, from, &msg);
-        if outcome.progressed {
+        let (progressed, sender) = self.replica.offer(ctx, from, &msg);
+        if progressed {
             self.on_plane_progress(ctx);
         }
-        if outcome.consumed {
-            return;
-        }
-        let Some(sender) = self.roster.index_of(from) else {
+        let Some(sender) = sender else {
             return;
         };
         match msg {
             ConsMsg::HsProposal(block) => self.on_proposal(ctx, sender, block),
-            ConsMsg::HsVote { block, round } if self.leader_of(round.next()) == self.me => {
+            ConsMsg::HsVote { block, round } if self.leader_of(round.next()) == self.replica.me => {
                 self.on_vote(ctx, sender, block, round);
             }
-            ConsMsg::CatchUpRequest { from: start } => {
-                let mut slots = Vec::new();
-                let mut idx = start.0;
-                while slots.len() < 8 {
-                    let Some(offset) = idx.checked_sub(self.exec_base) else {
-                        break;
-                    };
-                    let Some(&h) = self.exec_order.get(offset as usize) else {
-                        break;
-                    };
-                    let Some(entry) = self.blocks.get(&h) else {
-                        break;
-                    };
-                    slots.push((
-                        SeqNum(idx),
-                        entry.msg.payload.clone(),
-                        catch_up_txs(&entry.kept_txs, &entry.msg.payload),
-                    ));
-                    idx += 1;
-                }
-                if !slots.is_empty() {
-                    ctx.send(from, ConsMsg::CatchUpResponse { slots });
-                }
-            }
             ConsMsg::CatchUpResponse { slots } => {
-                self.syncing = false;
-                let mut advanced = false;
-                for (idx, payload, txs) in slots {
-                    if idx.0 != self.executed_blocks {
-                        continue;
-                    }
-                    let id = payload.digest();
-                    let txs = self.plane.catch_up(ctx, Hash::ZERO, id, id, &payload, txs);
-                    self.executed_blocks += 1;
-                    self.executed_txs += txs.len() as u64;
-                    advanced = true;
-                    ctx.metrics().incr("hs.blocks_caught_up", 1);
-                }
-                if advanced {
+                // A caught-up payload's block is unknown: the plane gets no
+                // parent.
+                let transferred = |_, _, payload| (Hash::ZERO, Held::Transferred(payload));
+                let applied = self.replica.apply_catch_up(ctx, slots, transferred);
+                if applied > 0 {
+                    ctx.metrics().incr("hs.blocks_caught_up", applied);
                     // Keep pulling until the live pipeline overlaps.
-                    self.syncing = true;
-                    ctx.send(
-                        from,
-                        ConsMsg::CatchUpRequest {
-                            from: SeqNum(self.executed_blocks),
-                        },
-                    );
+                    self.replica.request_catch_up(ctx, from);
                 }
             }
             ConsMsg::HsNewView { round, qc } => {
@@ -570,7 +496,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                 if round > self.round {
                     // Adopt the round once a quorum is moving.
                     let votes = self.newviews.get(&round).map_or(0, VoteSet::len);
-                    if votes >= self.roster.quorum() {
+                    if votes >= self.replica.roster.quorum() {
                         self.advance_round(ctx, round);
                     }
                 }
@@ -585,7 +511,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         tag: TimerTag,
     ) {
-        if self.plane.on_timer(ctx, tag) {
+        if self.replica.plane.on_timer(ctx, tag) {
             self.try_propose(ctx);
             return;
         }
@@ -593,7 +519,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
             timers::HS_PROPOSE => {
                 self.try_propose(ctx);
                 ctx.set_timer(
-                    self.cfg.propose_interval,
+                    self.replica.cfg.propose_interval,
                     TimerTag::of_kind(timers::HS_PROPOSE),
                 );
             }
@@ -601,27 +527,29 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for HotStuffNode<P> {
                 // If the round has not moved since the timer was armed,
                 // broadcast a new-view for the next round.
                 let stalled_round = View(tag.a);
-                if !self.mute && stalled_round == self.round && self.round > View(0) {
+                if !self.replica.mute && stalled_round == self.round && self.round > View(0) {
                     let next = self.round.next();
                     ctx.metrics().incr("hs.timeouts", 1);
-                    self.newviews.entry(next).or_default().insert(self.me);
+                    self.newviews
+                        .entry(next)
+                        .or_default()
+                        .insert(self.replica.me);
                     ctx.multicast(
-                        self.roster.peers_of(self.me),
+                        self.replica.peers(),
                         ConsMsg::HsNewView {
                             round: next,
                             qc: self.generic_qc,
                         },
                     );
                     let votes = self.newviews.get(&next).map_or(0, VoteSet::len);
-                    if votes >= self.roster.quorum() {
+                    if votes >= self.replica.roster.quorum() {
                         self.advance_round(ctx, next);
                         self.try_propose(ctx);
                     }
                 }
-                let round = self.round;
                 ctx.set_timer(
-                    self.cfg.view_timeout,
-                    TimerTag::with_a(timers::HS_PACEMAKER, round.0),
+                    self.replica.cfg.view_timeout,
+                    TimerTag::with_a(timers::HS_PACEMAKER, self.round.0),
                 );
             }
             _ => {}

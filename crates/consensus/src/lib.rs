@@ -15,6 +15,12 @@
 //!
 //! plus open-loop [`ClientCore`]s and the Byzantine behaviours of Fig. 6.
 //!
+//! A shell keeps only its ordering state — PBFT its view, slot window,
+//! votes, view change and lag detector; HotStuff its round, QCs, block tree,
+//! 3-chain rule and pacemaker — and embeds one [`Replica`], which owns the
+//! rest: the plane, execution and client replies, and crash-recovery
+//! catch-up from one log of executed proposals.
+//!
 //! Actors are [`predis_sim::ProtocolCore`]s over [`ConsMsg`]; wrap them in
 //! [`predis_sim::ActorOf`] to install into a simulation (see the
 //! integration tests and the `predis` facade crate for full wiring).
@@ -30,6 +36,7 @@ pub mod msg;
 pub mod pbft;
 pub mod plane;
 pub mod planes;
+pub mod replica;
 
 pub use byzantine::{EquivocatingProducer, SilentNode};
 pub use client::{ClientCore, ClientSwarm, FlashCrowd, OpenLoop, CLIENT_LATENCY};
@@ -38,3 +45,4 @@ pub use hotstuff::HotStuffNode;
 pub use msg::{ConsMsg, HsBlockMsg, MicroBlock, Qc};
 pub use pbft::PbftNode;
 pub use plane::{DataPlane, PlaneOutcome, ProposalCheck};
+pub use replica::Replica;

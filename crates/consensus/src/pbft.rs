@@ -13,8 +13,8 @@
 //! is not a full treatment of cross-view prepared certificates; DESIGN.md
 //! records the simplification.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 
 use predis_crypto::Hash;
 use predis_sim::{Codec, NarrowContext, NodeId, ProtocolCore, TimerTag};
@@ -23,6 +23,7 @@ use predis_types::{IdMap, ProposalPayload, SeqNum, SizedPayload, Transaction, Vi
 use crate::config::{timers, ConsensusConfig, Roster, VoteSet};
 use crate::msg::ConsMsg;
 use crate::plane::{DataPlane, ProposalCheck};
+use crate::replica::Replica;
 
 /// Per-slot consensus state.
 #[derive(Debug)]
@@ -42,10 +43,6 @@ struct Slot {
     sent_commit: bool,
     committed: bool,
     executed: bool,
-    /// Executed transactions, retained (within the GC window) for serving
-    /// crash-recovery state transfer — unless they are the payload's own
-    /// batch, which is served from the payload.
-    kept_txs: Option<Vec<Transaction>>,
 }
 
 impl Slot {
@@ -61,7 +58,6 @@ impl Slot {
             sent_commit: false,
             committed: false,
             executed: false,
-            kept_txs: None,
         }
     }
 }
@@ -114,6 +110,14 @@ impl SlotWindow {
         Some(&mut self.entries[offset])
     }
 
+    /// The plane's `parent` for slot `seq`: its predecessor's digest.
+    fn parent_of(&self, seq: SeqNum) -> Hash {
+        if seq.0 <= 1 {
+            return Hash::ZERO;
+        }
+        self.get(SeqNum(seq.0 - 1)).map_or(Hash::ZERO, |s| s.digest)
+    }
+
     /// Forgets every slot below `keep_from`.
     fn drop_below(&mut self, keep_from: u64) {
         while self.base < keep_from && self.entries.pop_front().is_some() {
@@ -142,7 +146,9 @@ impl SlotWindow {
     }
 }
 
-/// A PBFT replica parameterised by its data plane.
+/// A PBFT replica parameterised by its data plane. It dereferences to its
+/// [`Replica`], which holds the plane, the execution counters and the
+/// executed log.
 ///
 /// # Examples
 ///
@@ -160,34 +166,34 @@ impl SlotWindow {
 /// ```
 #[derive(Debug)]
 pub struct PbftNode<P> {
-    me: usize,
-    roster: Roster,
-    cfg: ConsensusConfig,
-    plane: P,
+    replica: Replica<P, SizedPayload<ProposalPayload>>,
     view: View,
     next_seq: SeqNum,
-    last_exec: SeqNum,
     slots: SlotWindow,
     /// Some slot may be waiting on a deferred validation (cleared by the
     /// first plane-progress scan that finds none).
     any_deferred: bool,
     view_votes: IdMap<View, VoteSet>,
-    /// `deliver_commit`'s reusable sort buffer.
-    reply_scratch: Vec<(u32, u32)>,
     progressed: bool,
     /// Consecutive fruitless view changes (drives exponential timeout
     /// backoff, reset on execution progress).
     backoff: u32,
     /// Highest slot seen referenced by any peer message (lag detector).
     highest_seen: SeqNum,
-    /// A catch-up request is in flight (cleared when a response arrives).
-    syncing: bool,
-    /// Byzantine mute mode: track state but never propose or vote (Fig. 6).
-    mute: bool,
-    /// Total transactions this replica has executed.
-    pub executed_txs: u64,
-    /// Total proposals this replica has executed.
-    pub executed_blocks: u64,
+}
+
+impl<P> Deref for PbftNode<P> {
+    type Target = Replica<P, SizedPayload<ProposalPayload>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.replica
+    }
+}
+
+impl<P> DerefMut for PbftNode<P> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.replica
+    }
 }
 
 impl<P: DataPlane> PbftNode<P> {
@@ -197,44 +203,18 @@ impl<P: DataPlane> PbftNode<P> {
     ///
     /// Panics if `me` is out of committee range.
     pub fn new(me: usize, roster: Roster, cfg: ConsensusConfig, plane: P) -> PbftNode<P> {
-        assert!(me < roster.n(), "committee index out of range");
         PbftNode {
-            me,
-            roster,
-            cfg,
-            plane,
+            // Slots are numbered from 1.
+            replica: Replica::new(me, roster, cfg, plane, 1),
             view: View(0),
             next_seq: SeqNum(1),
-            last_exec: SeqNum(0),
             slots: SlotWindow::default(),
             any_deferred: false,
             view_votes: IdMap::default(),
-            reply_scratch: Vec::new(),
             progressed: false,
             backoff: 0,
             highest_seen: SeqNum(0),
-            syncing: false,
-            mute: false,
-            executed_txs: 0,
-            executed_blocks: 0,
         }
-    }
-
-    /// Byzantine variant: never proposes or votes (Fig. 6 "refuse to vote").
-    pub fn muted(mut self) -> Self {
-        self.mute = true;
-        self
-    }
-
-    /// The data plane (post-run inspection).
-    pub fn plane(&self) -> &P {
-        &self.plane
-    }
-
-    /// Mutable access to the data plane (composed actors drain produced
-    /// bundles through this).
-    pub fn plane_mut(&mut self) -> &mut P {
-        &mut self.plane
     }
 
     /// The replica's current view.
@@ -242,9 +222,10 @@ impl<P: DataPlane> PbftNode<P> {
         self.view
     }
 
-    /// The last executed slot.
+    /// The last executed slot: slots execute in order from 1, so it is the
+    /// execution count.
     pub fn last_exec(&self) -> SeqNum {
-        self.last_exec
+        SeqNum(self.replica.executed_blocks())
     }
 
     /// Number of slots currently retained (bounded by garbage collection
@@ -260,8 +241,9 @@ impl<P: DataPlane> PbftNode<P> {
     /// lies beyond that plus the slots in flight; a vote out there is
     /// dropped instead of growing the table to reach it.
     fn window_end(&self) -> u64 {
-        let ahead = (self.cfg.retention + 2 * self.cfg.pipeline) as u64;
-        self.last_exec.0.saturating_add(ahead).saturating_add(1)
+        let cfg = &self.replica.cfg;
+        let ahead = (cfg.retention + 2 * cfg.pipeline) as u64;
+        self.last_exec().0.saturating_add(ahead).saturating_add(1)
     }
 
     /// The entry for `seq` if the window reaches it; counts the drop if not.
@@ -278,27 +260,24 @@ impl<P: DataPlane> PbftNode<P> {
         entry
     }
 
-    fn is_leader(&self) -> bool {
-        self.roster.leader_of(self.view.0) == self.me
+    fn leader(&self) -> usize {
+        self.replica.roster.leader_of(self.view.0)
     }
 
-    fn parent_digest(&self, seq: SeqNum) -> Hash {
-        if seq.0 <= 1 {
-            return Hash::ZERO;
-        }
-        self.slots
-            .get(SeqNum(seq.0 - 1))
-            .map_or(Hash::ZERO, |s| s.digest)
+    /// True if slot `seq` lies more than two pipelines past the execution
+    /// point: this replica lags and should catch up.
+    fn behind(&self, seq: SeqNum) -> bool {
+        seq.0 > self.last_exec().0 + 2 * self.replica.cfg.pipeline as u64
     }
 
     fn try_propose<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
-        if self.mute || !self.is_leader() {
+        if self.replica.mute || self.leader() != self.replica.me {
             return;
         }
-        while self.next_seq.0 - self.last_exec.0 <= self.cfg.pipeline as u64 {
+        while self.next_seq.0 - self.last_exec().0 <= self.replica.cfg.pipeline as u64 {
             let seq = self.next_seq;
-            let parent = self.parent_digest(seq);
-            let Some(payload) = self.plane.make_proposal(ctx, parent, self.view) else {
+            let parent = self.slots.parent_of(seq);
+            let Some(payload) = self.replica.plane.make_proposal(ctx, parent, self.view) else {
                 break;
             };
             // Wrap once: the slot table and every recipient share it.
@@ -307,14 +286,14 @@ impl<P: DataPlane> PbftNode<P> {
             let mut slot = Slot::new(digest, parent);
             slot.payload = Some(payload.clone());
             slot.validated = true;
-            slot.prepares.insert(self.me);
+            slot.prepares.insert(self.replica.me);
             let end = self.window_end();
             *self
                 .slots
                 .entry(seq, end)
                 .expect("the pipeline fits the window") = Some(slot);
             ctx.multicast(
-                self.roster.peers_of(self.me),
+                self.replica.peers(),
                 ConsMsg::PrePrepare {
                     view: self.view,
                     seq,
@@ -329,20 +308,17 @@ impl<P: DataPlane> PbftNode<P> {
     fn on_preprepare<M: Codec<ConsMsg>>(
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
-        from: NodeId,
+        sender: usize,
         view: View,
         seq: SeqNum,
         payload: SizedPayload<ProposalPayload>,
     ) {
-        if view != self.view || self.roster.index_of(from) != Some(self.roster.leader_of(view.0)) {
-            return;
-        }
-        if seq <= self.last_exec {
+        let leader = self.replica.roster.leader_of(view.0);
+        if view != self.view || sender != leader || seq <= self.last_exec() {
             return;
         }
         let digest = payload.digest();
-        let parent = self.parent_digest(seq);
-        let leader = self.roster.leader_of(view.0);
+        let parent = self.slots.parent_of(seq);
         let Some(entry) = self.slot_entry(ctx, seq) else {
             return;
         };
@@ -377,19 +353,22 @@ impl<P: DataPlane> PbftNode<P> {
         };
         let parent = slot.parent;
         let id = slot.digest;
-        let proposer = self.roster.leader_of(self.view.0);
+        let proposer = self.leader();
         // A slot's digest is its payload's (memoized) digest, so it serves
         // as both the proposal id and the payload digest.
-        let check = self.plane.validate(ctx, proposer, parent, id, id, &payload);
+        let check = self
+            .replica
+            .plane
+            .validate(ctx, proposer, parent, id, id, &payload);
         let slot = self.slots.get_mut(seq).expect("exists");
         match check {
             ProposalCheck::Accept => {
                 slot.validated = true;
                 slot.deferred = false;
-                slot.prepares.insert(self.me);
-                if !self.mute {
+                slot.prepares.insert(self.replica.me);
+                if !self.replica.mute {
                     ctx.multicast(
-                        self.roster.peers_of(self.me),
+                        self.replica.peers(),
                         ConsMsg::Prepare {
                             view: self.view,
                             seq,
@@ -414,16 +393,16 @@ impl<P: DataPlane> PbftNode<P> {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         seq: SeqNum,
     ) {
-        let quorum = self.roster.quorum();
+        let quorum = self.replica.roster.quorum();
         let Some(slot) = self.slots.get_mut(seq) else {
             return;
         };
         if slot.validated && !slot.sent_commit && slot.prepares.len() >= quorum {
             slot.sent_commit = true;
-            slot.commits.insert(self.me);
-            if !self.mute {
+            slot.commits.insert(self.replica.me);
+            if !self.replica.mute {
                 ctx.multicast(
-                    self.roster.peers_of(self.me),
+                    self.replica.peers(),
                     ConsMsg::Commit {
                         view: self.view,
                         seq,
@@ -440,7 +419,7 @@ impl<P: DataPlane> PbftNode<P> {
 
     fn try_execute<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
         loop {
-            let next = self.last_exec.next();
+            let next = self.last_exec().next();
             let Some(slot) = self.slots.get(next) else {
                 break;
             };
@@ -451,29 +430,16 @@ impl<P: DataPlane> PbftNode<P> {
                 break;
             };
             let (parent, id) = (slot.parent, slot.digest);
-            let Some(txs) = self.plane.commit(ctx, parent, id, id, &payload) else {
+            if !self.replica.execute(ctx, parent, id, id, payload, drop) {
                 break; // data still missing; plane progress will retry
-            };
-            self.executed_blocks += 1;
-            self.executed_txs += txs.len() as u64;
-            deliver_commit(
-                ctx,
-                self.me,
-                &self.roster,
-                &self.cfg,
-                &txs,
-                &mut self.reply_scratch,
-            );
-            let slot = self.slots.get_mut(next).expect("checked");
-            slot.executed = true;
-            slot.kept_txs = kept_for_catch_up(txs);
-            self.last_exec = next;
+            }
+            self.slots.get_mut(next).expect("checked").executed = true;
             self.progressed = true;
             self.backoff = 0;
-            // Checkpoint-style garbage collection: keep a retention window
-            // of executed slots for crash-recovery catch-up, drop the rest.
-            self.slots
-                .drop_below(next.0.saturating_sub(self.cfg.retention as u64));
+            // Checkpoint-style garbage collection: keep the executed slots
+            // the replica's log keeps for catch-up, drop the rest.
+            let retention = self.replica.cfg.retention as u64;
+            self.slots.drop_below(next.0.saturating_sub(retention));
         }
     }
 
@@ -488,16 +454,43 @@ impl<P: DataPlane> PbftNode<P> {
         if seq > self.highest_seen {
             self.highest_seen = seq;
         }
-        let behind = seq.0 > self.last_exec.0 + 2 * self.cfg.pipeline as u64;
-        if behind && !self.syncing && !self.mute {
-            self.syncing = true;
+        if self.behind(seq) && self.replica.request_catch_up(ctx, from) {
             ctx.metrics().incr("pbft.catchup_requests", 1);
-            ctx.send(
-                from,
-                ConsMsg::CatchUpRequest {
-                    from: self.last_exec.next(),
-                },
-            );
+        }
+    }
+
+    /// State transfer from `from`: each applied slot is filed as executed.
+    fn on_catch_up<M: Codec<ConsMsg>>(
+        &mut self,
+        ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
+        from: NodeId,
+        slots: Vec<(SeqNum, ProposalPayload, Vec<Transaction>)>,
+    ) {
+        let window = &mut self.slots;
+        let applied = self
+            .replica
+            .apply_catch_up(ctx, slots, |seq, digest, payload| {
+                let payload = SizedPayload::from(payload);
+                let parent = window.parent_of(seq);
+                let slot = window
+                    .entry(seq, u64::MAX)
+                    .expect("the next slot to execute is inside the window")
+                    .get_or_insert_with(|| Slot::new(digest, parent));
+                slot.digest = digest;
+                slot.parent = parent;
+                slot.payload = Some(payload.clone());
+                slot.committed = true;
+                slot.executed = true;
+                (parent, payload)
+            });
+        if applied > 0 {
+            self.progressed = true;
+            ctx.metrics().incr("pbft.slots_caught_up", applied);
+        }
+        self.try_execute(ctx);
+        // Still behind: fetch the next window.
+        if self.behind(self.highest_seen) {
+            self.replica.request_catch_up(ctx, from);
         }
     }
 
@@ -553,17 +546,18 @@ impl<P: DataPlane> PbftNode<P> {
         &mut self,
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
     ) {
-        if self.mute {
+        if self.replica.mute {
             return;
         }
         let new_view = self.view.next();
         ctx.metrics().incr("pbft.view_changes_started", 1);
-        self.view_votes.entry(new_view).or_default().insert(self.me);
+        let me = self.replica.me;
+        self.view_votes.entry(new_view).or_default().insert(me);
         ctx.multicast(
-            self.roster.peers_of(self.me),
+            self.replica.peers(),
             ConsMsg::ViewChange {
                 new_view,
-                last_exec: self.last_exec,
+                last_exec: self.last_exec(),
             },
         );
         self.maybe_enter_view(ctx, new_view);
@@ -578,16 +572,16 @@ impl<P: DataPlane> PbftNode<P> {
             return;
         }
         let votes = self.view_votes.get(&v).map_or(0, VoteSet::len);
-        if votes < self.roster.quorum() {
+        if votes < self.replica.roster.quorum() {
             return;
         }
         self.enter_view(ctx, v);
-        if self.is_leader() && !self.mute {
+        if self.leader() == self.replica.me && !self.replica.mute {
             ctx.multicast(
-                self.roster.peers_of(self.me),
+                self.replica.peers(),
                 ConsMsg::NewView {
                     view: v,
-                    resume_from: self.last_exec.next(),
+                    resume_from: self.last_exec().next(),
                 },
             );
             self.try_propose(ctx);
@@ -605,82 +599,18 @@ impl<P: DataPlane> PbftNode<P> {
         // the new leader (Predis bundles and batch transactions survive in
         // the planes).
         self.slots.drop_unexecuted();
-        self.next_seq = self.last_exec.next();
+        self.next_seq = self.last_exec().next();
         self.progressed = true; // fresh view: give the new leader a full timeout
-    }
-}
-
-/// Sends commit metrics and client replies for an executed proposal.
-/// Shared by the PBFT and HotStuff shells; `scratch` is the calling shell's
-/// reusable buffer (its contents on entry are ignored).
-pub(crate) fn deliver_commit<M: Codec<ConsMsg>>(
-    ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
-    me: usize,
-    roster: &Roster,
-    cfg: &ConsensusConfig,
-    txs: &[Transaction],
-    scratch: &mut Vec<(u32, u32)>,
-) {
-    if me == cfg.metrics_replica {
-        ctx.metrics().incr("txs_committed", txs.len() as u64);
-        let now = ctx.now();
-        ctx.metrics().record_commit(now, txs.len() as u64);
-    }
-    // Each replica replies to the clients whose entry replica it is; with
-    // `reply_spread > 1` the next replicas also reply, so a faulty entry
-    // cannot suppress confirmations (clients deduplicate).
-    let n = roster.n();
-    let spread = cfg.reply_spread.max(1);
-    scratch.clear();
-    for (i, tx) in txs.iter().enumerate() {
-        let offset = (me + n - roster.entry_replica(tx.client)) % n;
-        if offset < spread && (tx.client.0 as usize) < roster.clients.len() {
-            scratch.push((tx.client.0, i as u32));
-        }
-    }
-    // One reply per client, clients in id order and each client's
-    // transactions in block order: the pairs are distinct, so the unstable
-    // (allocation-free) sort has exactly one outcome.
-    scratch.sort_unstable();
-    for run in scratch.chunk_by(|a, b| a.0 == b.0) {
-        let confirmed = run
-            .iter()
-            .map(|&(_, i)| (txs[i as usize].id, txs[i as usize].submitted_at_nanos))
-            .collect();
-        let dst = roster.clients[run[0].0 as usize];
-        ctx.send(dst, ConsMsg::Reply { txs: confirmed });
-    }
-}
-
-/// What a shell keeps of a plane's [`DataPlane::commit`] result to serve
-/// catch-up later: nothing when the plane executed the payload's own batch
-/// whole (borrowed), since [`catch_up_txs`] reads that off the payload.
-pub(crate) fn kept_for_catch_up(txs: Cow<'_, [Transaction]>) -> Option<Vec<Transaction>> {
-    match txs {
-        Cow::Owned(txs) => Some(txs),
-        Cow::Borrowed(_) => None,
-    }
-}
-
-/// What a catch-up response ships as an executed proposal's transactions:
-/// the inverse of [`kept_for_catch_up`].
-pub(crate) fn catch_up_txs(
-    kept: &Option<Vec<Transaction>>,
-    payload: &ProposalPayload,
-) -> Vec<Transaction> {
-    match (kept, payload) {
-        (Some(kept), _) => kept.clone(),
-        (None, ProposalPayload::Batch(txs)) => txs.clone(),
-        (None, _) => Vec::new(),
     }
 }
 
 impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
     fn start<M: Codec<ConsMsg>>(&mut self, ctx: &mut NarrowContext<'_, '_, M, ConsMsg>) {
-        self.plane.init(ctx);
-        ctx.set_timer(self.cfg.view_timeout, TimerTag::of_kind(timers::PBFT_VIEW));
+        self.replica.plane.init(ctx);
+        let cfg = &self.replica.cfg;
+        ctx.set_timer(cfg.view_timeout, TimerTag::of_kind(timers::PBFT_VIEW));
         ctx.set_timer(
-            self.cfg.propose_interval,
+            cfg.propose_interval,
             TimerTag::of_kind(timers::PBFT_PROPOSE),
         );
     }
@@ -691,19 +621,16 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
         from: NodeId,
         msg: ConsMsg,
     ) {
-        let outcome = self.plane.handle(ctx, from, &msg);
-        if outcome.progressed {
+        let (progressed, sender) = self.replica.offer(ctx, from, &msg);
+        if progressed {
             self.on_plane_progress(ctx);
         }
-        if outcome.consumed {
-            return;
-        }
-        let Some(sender) = self.roster.index_of(from) else {
+        let Some(sender) = sender else {
             return;
         };
         match msg {
             ConsMsg::PrePrepare { view, seq, payload } => {
-                self.on_preprepare(ctx, from, view, seq, payload)
+                self.on_preprepare(ctx, sender, view, seq, payload)
             }
             ConsMsg::Prepare { view, seq, digest } => {
                 self.note_peer_seq(ctx, from, seq);
@@ -713,85 +640,16 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
                 self.note_peer_seq(ctx, from, seq);
                 self.on_vote(ctx, sender, Phase::Commit, view, seq, digest)
             }
-            ConsMsg::CatchUpRequest { from: start } => {
-                let mut slots = Vec::new();
-                let mut seq = start;
-                while slots.len() < 8 {
-                    match self.slots.get(seq) {
-                        Some(s) if s.executed => {
-                            let payload = s.payload.as_ref().expect("executed slots have payloads");
-                            // Deep clone: catch-up responses ship owned
-                            // content (rare, crash-recovery only).
-                            slots.push((
-                                seq,
-                                (**payload).clone(),
-                                catch_up_txs(&s.kept_txs, payload),
-                            ));
-                            seq = seq.next();
-                        }
-                        _ => break,
-                    }
-                }
-                if !slots.is_empty() {
-                    ctx.send(from, ConsMsg::CatchUpResponse { slots });
-                }
-            }
-            ConsMsg::CatchUpResponse { slots } => {
-                self.syncing = false;
-                for (seq, payload, txs) in slots {
-                    if seq != self.last_exec.next()
-                        || self.slots.get(seq).is_some_and(|s| s.executed)
-                    {
-                        continue;
-                    }
-                    // State transfer: the quorum already executed this slot
-                    // and replied to its clients; we apply it directly and
-                    // let the plane fast-forward its internal anchors.
-                    let digest = payload.digest();
-                    let parent = self.parent_digest(seq);
-                    let txs = self
-                        .plane
-                        .catch_up(ctx, parent, digest, digest, &payload, txs);
-                    self.executed_blocks += 1;
-                    self.executed_txs += txs.len() as u64;
-                    let end = self.window_end();
-                    let slot = self
-                        .slots
-                        .entry(seq, end)
-                        .expect("the next slot to execute is inside the window")
-                        .get_or_insert_with(|| Slot::new(digest, parent));
-                    slot.digest = digest;
-                    slot.parent = parent;
-                    slot.payload = Some(payload.into());
-                    slot.committed = true;
-                    slot.executed = true;
-                    slot.kept_txs = Some(txs);
-                    self.last_exec = seq;
-                    self.progressed = true;
-                    ctx.metrics().incr("pbft.slots_caught_up", 1);
-                }
-                self.try_execute(ctx);
-                // Still behind: fetch the next window.
-                if self.highest_seen.0 > self.last_exec.0 + 2 * self.cfg.pipeline as u64 {
-                    self.syncing = true;
-                    ctx.send(
-                        from,
-                        ConsMsg::CatchUpRequest {
-                            from: self.last_exec.next(),
-                        },
-                    );
-                }
-            }
+            ConsMsg::CatchUpResponse { slots } => self.on_catch_up(ctx, from, slots),
             ConsMsg::ViewChange { new_view, .. } => {
                 self.view_votes.entry(new_view).or_default().insert(sender);
                 self.maybe_enter_view(ctx, new_view);
             }
             ConsMsg::NewView { view, resume_from }
-                if view > self.view
-                    && self.roster.index_of(from) == Some(self.roster.leader_of(view.0)) =>
+                if view > self.view && sender == self.replica.roster.leader_of(view.0) =>
             {
                 self.enter_view(ctx, view);
-                self.next_seq = resume_from.max(self.last_exec.next());
+                self.next_seq = resume_from.max(self.last_exec().next());
             }
             _ => {}
         }
@@ -802,7 +660,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
         ctx: &mut NarrowContext<'_, '_, M, ConsMsg>,
         tag: TimerTag,
     ) {
-        if self.plane.on_timer(ctx, tag) {
+        if self.replica.plane.on_timer(ctx, tag) {
             // Production may have refilled the pool; leaders try to propose.
             self.try_propose(ctx);
             return;
@@ -811,7 +669,7 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
             timers::PBFT_PROPOSE => {
                 self.try_propose(ctx);
                 ctx.set_timer(
-                    self.cfg.propose_interval,
+                    self.replica.cfg.propose_interval,
                     TimerTag::of_kind(timers::PBFT_PROPOSE),
                 );
             }
@@ -822,14 +680,14 @@ impl<P: DataPlane> ProtocolCore<ConsMsg> for PbftNode<P> {
                 // in-flight slots or unordered data in the plane (§III-D:
                 // the bundle-arrival timer).
                 let outstanding =
-                    self.slots.iter().any(|(_, s)| !s.executed) || self.plane.has_pending();
+                    self.slots.iter().any(|(_, s)| !s.executed) || self.replica.plane.has_pending();
                 if idle && outstanding {
                     self.start_view_change(ctx);
                     self.backoff = (self.backoff + 1).min(6);
                 }
                 // Exponential backoff keeps successive view changes from
                 // racing the slower replicas during long outages.
-                let timeout = self.cfg.view_timeout * (1u64 << self.backoff.min(6));
+                let timeout = self.replica.cfg.view_timeout * (1u64 << self.backoff.min(6));
                 ctx.set_timer(timeout, TimerTag::of_kind(timers::PBFT_VIEW));
             }
             _ => {}

@@ -3,7 +3,9 @@
 //! throughput-level e2e suite.
 
 use predis_consensus::planes::{AckRule, BatchPlane, MicroPlane, PredisPlane};
-use predis_consensus::{ClientCore, ConsMsg, ConsensusConfig, HotStuffNode, PbftNode, Roster};
+use predis_consensus::{
+    ClientCore, ConsMsg, ConsensusConfig, HotStuffNode, HsBlockMsg, PbftNode, Qc, Roster,
+};
 use predis_crypto::Hash;
 use predis_sim::prelude::*;
 use predis_types::{ClientId, ProposalPayload, SeqNum, SizedPayload, Transaction, TxId, View};
@@ -57,9 +59,9 @@ fn pbft_stays_in_view_zero_when_healthy_and_executes_in_order() {
         assert_eq!(node.view(), View(0), "replica {me} changed view needlessly");
         assert!(node.last_exec() > SeqNum(5), "replica {me} barely executed");
         assert!(
-            node.executed_txs > 5_000,
+            node.executed_txs() > 5_000,
             "replica {me}: {}",
-            node.executed_txs
+            node.executed_txs()
         );
     }
     // All replicas executed the same number of transactions (state machine
@@ -69,7 +71,7 @@ fn pbft_stays_in_view_zero_when_healthy_and_executes_in_order() {
             sim.actor_as::<ActorOf<PbftNode<BatchPlane>, ConsMsg>>(NodeId(me))
                 .unwrap()
                 .core()
-                .executed_txs
+                .executed_txs()
         })
         .collect();
     let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
@@ -105,7 +107,7 @@ fn hotstuff_rounds_advance_and_replicas_agree() {
             .unwrap()
             .core();
         rounds.push(node.round());
-        blocks.push(node.executed_blocks);
+        blocks.push(node.executed_blocks());
         assert!(node.high_qc().round > View(10), "replica {me} qc stalled");
     }
     // Rounds are pipelined at network speed: LAN RTT ~50 ms per round means
@@ -261,7 +263,7 @@ fn pbft_counts_votes_that_arrive_before_the_preprepare_once_each() {
     deliver(&mut sim, 9, 2, commit(1, d1));
     sim.run_until(SimTime::from_millis(10));
     assert_eq!(under_test(&sim).last_exec(), SeqNum(1));
-    assert_eq!(under_test(&sim).executed_txs, 5);
+    assert_eq!(under_test(&sim).executed_txs(), 5);
 
     // Slot 2: a full commit quorum is on record before the payload exists;
     // the slot executes the moment the pre-prepare validates.
@@ -274,7 +276,7 @@ fn pbft_counts_votes_that_arrive_before_the_preprepare_once_each() {
     sim.run_until(SimTime::from_millis(50));
     let node = under_test(&sim);
     assert_eq!(node.last_exec(), SeqNum(2));
-    assert_eq!((node.executed_blocks, node.executed_txs), (2, 12));
+    assert_eq!((node.executed_blocks(), node.executed_txs()), (2, 12));
     assert_eq!(node.view(), View(0));
     assert_eq!(sim.metrics().counter("batch.txs_executed"), 12);
     assert_eq!(sim.metrics().counter("pbft.votes_out_of_window"), 0);
@@ -370,7 +372,7 @@ fn revived_replica_catches_up_across_a_window_slide() {
                 "replica {me} retains {} slots",
                 node.retained_slots()
             );
-            (node.last_exec(), node.executed_txs)
+            (node.last_exec(), node.executed_txs())
         })
         .collect();
     assert!(sim.metrics().counter("pbft.slots_caught_up") > 0);
@@ -419,4 +421,112 @@ fn batch_queue_drains_on_every_replica_and_a_quiet_committee_keeps_its_view() {
     }
     assert_eq!(sim.metrics().counter("pbft.view_changes_started"), 0);
     assert!(sim.metrics().counter("txs_committed") > 5_500);
+}
+
+// ---- catch-up served from the executed log ----
+
+/// Keeps every catch-up response it receives.
+#[derive(Debug, Default)]
+struct Recorder(Vec<Vec<(SeqNum, ProposalPayload, Vec<Transaction>)>>);
+
+impl Actor<ConsMsg> for Recorder {
+    fn on_message(&mut self, _: &mut Context<'_, ConsMsg>, _: NodeId, msg: ConsMsg) {
+        if let ConsMsg::CatchUpResponse { slots } = msg {
+            self.0.push(slots);
+        }
+    }
+}
+
+/// The HotStuff block of `round` extending `parent`, which the block of
+/// round `justified` certified, carrying transaction `tx`.
+fn hs_block(round: u64, parent: Hash, justified: u64, tx: u64) -> SizedPayload<HsBlockMsg> {
+    let payload = ProposalPayload::Batch(vec![Transaction::new(TxId(tx), ClientId(0), 0)]);
+    let round = View(round);
+    HsBlockMsg {
+        hash: HsBlockMsg::compute_hash(parent, round, payload.digest()),
+        parent,
+        round,
+        payload,
+        justify: Qc {
+            block: parent,
+            round: View(justified),
+        },
+    }
+    .into()
+}
+
+#[test]
+fn caught_up_replica_serves_what_it_executed() {
+    // Replica 0 of four (leader of none of the injected rounds) under test;
+    // its peers record what it answers.
+    let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+    let mut sim: Sim<ConsMsg> = Sim::new(7, network);
+    let roster = Roster::new((0..4).map(NodeId).collect(), vec![NodeId(4)]);
+    let cfg = ConsensusConfig::default();
+    let node = HotStuffNode::new(0, roster, cfg.clone(), BatchPlane::new(cfg.batch_size));
+    sim.add_node(
+        LinkConfig::paper_default(),
+        Box::new(ActorOf::<_, ConsMsg>::new(node)),
+        SimTime::ZERO,
+    );
+    for _ in 1..4 {
+        sim.add_node(
+            LinkConfig::paper_default(),
+            Box::<Recorder>::default(),
+            SimTime::ZERO,
+        );
+    }
+    sim.add_node(LinkConfig::paper_default(), Box::new(Sink), SimTime::ZERO);
+    let tx = |id| vec![Transaction::new(TxId(id), ClientId(0), 0)];
+
+    // Executions 0 and 1 arrive by state transfer.
+    let transferred = vec![
+        (SeqNum(0), ProposalPayload::Batch(tx(100)), tx(100)),
+        (SeqNum(1), ProposalPayload::Batch(tx(101)), tx(101)),
+    ];
+    let response = ConsMsg::CatchUpResponse { slots: transferred };
+    sim.inject(NodeId(0), NodeId(1), response, SimTime::from_millis(1));
+    // Rounds 1-3 carry txs 1-3; rounds 5-7 certify them, so the 3-chain rule
+    // commits b1, b2, b3 as executions 2, 3, 4.
+    let mut parent = (Hash::ZERO, 0);
+    for (at, round) in [1u64, 2, 3, 5, 6, 7].into_iter().enumerate() {
+        let block = hs_block(round, parent.0, parent.1, round);
+        parent = (block.hash, round);
+        let leader = NodeId(round as u32 % 4);
+        let at = SimTime::from_millis(10 + at as u64);
+        sim.inject(NodeId(0), leader, ConsMsg::HsProposal(block), at);
+    }
+    let request = |from| ConsMsg::CatchUpRequest { from: SeqNum(from) };
+    sim.inject(NodeId(0), NodeId(2), request(0), SimTime::from_millis(30));
+    sim.inject(NodeId(0), NodeId(3), request(2), SimTime::from_millis(30));
+    sim.run_until(SimTime::from_millis(200));
+
+    let node = sim
+        .actor_as::<ActorOf<HotStuffNode<BatchPlane>, ConsMsg>>(NodeId(0))
+        .unwrap()
+        .core();
+    assert_eq!((node.executed_blocks(), node.executed_txs()), (5, 5));
+    // Execution i carried tx `executed[i]`, and that is what index i serves.
+    let executed = [100, 101, 1, 2, 3];
+    let served = |peer: u32| -> Vec<(u64, u64)> {
+        let recorder = sim.actor_as::<Recorder>(NodeId(peer)).unwrap();
+        let [slots] = recorder.0.as_slice() else {
+            panic!("peer {peer} got {} responses", recorder.0.len());
+        };
+        slots
+            .iter()
+            .map(|(index, payload, txs)| {
+                assert_eq!(payload, &ProposalPayload::Batch(txs.clone()));
+                assert_eq!(txs.len(), 1);
+                (index.0, txs[0].id.0)
+            })
+            .collect()
+    };
+    let expected = |from: usize| -> Vec<(u64, u64)> {
+        (from..executed.len())
+            .map(|i| (i as u64, executed[i]))
+            .collect()
+    };
+    assert_eq!(served(2), expected(0));
+    assert_eq!(served(3), expected(2));
 }

@@ -6,8 +6,8 @@
 
 use predis_consensus::planes::{AckRule, BatchPlane, MicroPlane, PredisPlane};
 use predis_consensus::{
-    ClientCore, ConsMsg, ConsensusConfig, EquivocatingProducer, HotStuffNode, PbftNode, Roster,
-    SilentNode, CLIENT_LATENCY,
+    ClientCore, ConsMsg, ConsensusConfig, DataPlane, EquivocatingProducer, HotStuffNode, PbftNode,
+    Roster, SilentNode, CLIENT_LATENCY,
 };
 use predis_multizone::validate_node_count;
 use predis_sim::prelude::*;
@@ -266,55 +266,52 @@ impl ThroughputSetup {
                 cfg.clone(),
             )));
         }
-        let selective = self.faults.selective.contains(&me);
-        let subset = self.n_c - roster.f() - 1;
         match self.protocol {
-            Protocol::Pbft => Box::new(ActorOf::<_, ConsMsg>::new(PbftNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                BatchPlane::new(cfg.batch_size),
-            ))),
-            Protocol::PPbft => {
+            Protocol::Pbft | Protocol::HotStuff => {
+                self.shell(me, roster, cfg, BatchPlane::new(cfg.batch_size), false)
+            }
+            Protocol::PPbft | Protocol::PHs => {
+                // Fig. 6 case 2: bundles to only `n_c − f − 1` peers, no votes.
+                let selective = self.faults.selective.contains(&me);
                 let mut plane = PredisPlane::new(me, roster.clone(), cfg.clone());
                 if selective {
-                    plane = plane.with_selective_sending(subset);
+                    plane = plane.with_selective_sending(self.n_c - roster.f() - 1);
                 }
-                let mut node = PbftNode::new(me, roster.clone(), cfg.clone(), plane);
-                if selective {
-                    node = node.muted();
-                }
-                Box::new(ActorOf::<_, ConsMsg>::new(node))
+                self.shell(me, roster, cfg, plane, selective)
             }
-            Protocol::HotStuff => Box::new(ActorOf::<_, ConsMsg>::new(HotStuffNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                BatchPlane::new(cfg.batch_size),
-            ))),
-            Protocol::PHs => {
-                let mut plane = PredisPlane::new(me, roster.clone(), cfg.clone());
-                if selective {
-                    plane = plane.with_selective_sending(subset);
-                }
-                let mut node = HotStuffNode::new(me, roster.clone(), cfg.clone(), plane);
-                if selective {
-                    node = node.muted();
-                }
-                Box::new(ActorOf::<_, ConsMsg>::new(node))
+            Protocol::Narwhal | Protocol::Stratus => {
+                let rule = match self.protocol {
+                    Protocol::Narwhal => AckRule::ReliableBroadcast,
+                    _ => AckRule::ProvablyAvailable,
+                };
+                let plane = MicroPlane::new(me, roster.clone(), cfg.clone(), rule);
+                self.shell(me, roster, cfg, plane, false)
             }
-            Protocol::Narwhal => Box::new(ActorOf::<_, ConsMsg>::new(HotStuffNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                MicroPlane::new(me, roster.clone(), cfg.clone(), AckRule::ReliableBroadcast),
-            ))),
-            Protocol::Stratus => Box::new(ActorOf::<_, ConsMsg>::new(HotStuffNode::new(
-                me,
-                roster.clone(),
-                cfg.clone(),
-                MicroPlane::new(me, roster.clone(), cfg.clone(), AckRule::ProvablyAvailable),
-            ))),
+        }
+    }
+
+    /// The protocol's consensus shell over `plane`.
+    fn shell<P: DataPlane>(
+        &self,
+        me: usize,
+        roster: &Roster,
+        cfg: &ConsensusConfig,
+        plane: P,
+        mute: bool,
+    ) -> Box<dyn Actor<ConsMsg>> {
+        let (roster, cfg) = (roster.clone(), cfg.clone());
+        if matches!(self.protocol, Protocol::Pbft | Protocol::PPbft) {
+            let mut node = PbftNode::new(me, roster, cfg, plane);
+            if mute {
+                node.mute();
+            }
+            Box::new(ActorOf::<_, ConsMsg>::new(node))
+        } else {
+            let mut node = HotStuffNode::new(me, roster, cfg, plane);
+            if mute {
+                node.mute();
+            }
+            Box::new(ActorOf::<_, ConsMsg>::new(node))
         }
     }
 }

@@ -290,7 +290,7 @@ fn pbft_equivocating_leader_cannot_split_the_committee() {
             sim.actor_as::<ActorOf<PbftNode<BatchPlane>, ConsMsg>>(NodeId(me))
                 .unwrap()
                 .core()
-                .executed_txs
+                .executed_txs()
         })
         .collect();
     let spread = execs.iter().max().unwrap() - execs.iter().min().unwrap();
@@ -313,7 +313,7 @@ fn crashed_replica_recovers_and_catches_up() {
             sim.actor_as::<ActorOf<PbftNode<PredisPlane>, ConsMsg>>(NodeId(me))
                 .unwrap()
                 .core()
-                .executed_txs
+                .executed_txs()
         })
         .collect();
     // The committee never stalled (3 of 4 suffice), so total commits are
@@ -346,7 +346,7 @@ fn crashed_hotstuff_replica_recovers_and_catches_up() {
             sim.actor_as::<ActorOf<HotStuffNode<PredisPlane>, ConsMsg>>(NodeId(me))
                 .unwrap()
                 .core()
-                .executed_txs
+                .executed_txs()
         })
         .collect();
     assert!(

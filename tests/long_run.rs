@@ -83,6 +83,9 @@ fn hotstuff_block_tree_stays_bounded() {
             "replica {me} retains {} blocks after hundreds of rounds",
             node.retained_blocks()
         );
-        assert!(node.executed_blocks > 200, "replica {me} executed too few");
+        assert!(
+            node.executed_blocks() > 200,
+            "replica {me} executed too few"
+        );
     }
 }

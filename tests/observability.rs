@@ -5,6 +5,7 @@ use std::path::Path;
 
 use predis::consensus::planes::PredisPlane;
 use predis::consensus::{ClientCore, ConsMsg, ConsensusConfig, PbftNode, Roster};
+use predis::experiments::{Protocol, Setup, ThroughputSetup, TopologySetup};
 use predis::sim::prelude::*;
 use predis::types::ClientId;
 use predis_telemetry::Json;
@@ -112,4 +113,48 @@ fn throughput_series_reflects_commit_cadence() {
         .stable_from(SimDuration::from_millis(500), SimTime::from_secs(5), 0.25)
         .expect("a fixed-rate run settles");
     assert!(stable <= 3, "stabilized late: bucket {stable}");
+}
+
+/// The profiler keys its report by actor kind name, and the repo benchmark
+/// reads the consensus kinds (`PbftNode`, `FlowConsensusNode`) out of it: a
+/// wrapper or a rename around a shell would silently drop them.
+#[test]
+fn actor_kind_names_are_pinned() {
+    let shells = [
+        (Protocol::Pbft, "ActorOf<PbftNode<BatchPlane>, ConsMsg>"),
+        (Protocol::PPbft, "ActorOf<PbftNode<PredisPlane>, ConsMsg>"),
+        (
+            Protocol::HotStuff,
+            "ActorOf<HotStuffNode<BatchPlane>, ConsMsg>",
+        ),
+        (Protocol::PHs, "ActorOf<HotStuffNode<PredisPlane>, ConsMsg>"),
+        (
+            Protocol::Narwhal,
+            "ActorOf<HotStuffNode<MicroPlane>, ConsMsg>",
+        ),
+        (
+            Protocol::Stratus,
+            "ActorOf<HotStuffNode<MicroPlane>, ConsMsg>",
+        ),
+    ];
+    for (protocol, shell) in shells {
+        let sim = ThroughputSetup {
+            protocol,
+            ..Default::default()
+        }
+        .build();
+        assert_eq!(
+            sim.kind_names(),
+            [shell, "ActorOf<ClientCore, ConsMsg>"],
+            "{protocol:?}"
+        );
+    }
+    assert_eq!(
+        TopologySetup::default().build().kind_names(),
+        [
+            "FlowConsensusNode",
+            "ActorOf<MultiZoneNode, NetMsg>",
+            "ActorOf<ClientCore, ConsMsg>"
+        ]
+    );
 }
