@@ -1,7 +1,8 @@
-//! The chaos fixture shared by the differential suites (wheel vs
-//! `ClassicHeap` in `engine.rs`; 1 vs N threads and adaptive vs fixed
-//! stride in `parallel.rs`): a workload that reaches every arm of the
-//! engine core, and the equivalence every scheduler must meet on it.
+//! The chaos fixture shared by the differential suites of `parallel.rs`
+//! (1 vs N threads, adaptive vs fixed stride, profiled and captured at 1
+//! and 2 threads): a workload that reaches every arm of the engine core,
+//! and the equivalence every scheduler must meet on it. The queue's own
+//! oracle, `ClassicHeap`, is driven at queue level in `queue.rs`.
 
 use rand::Rng;
 
@@ -154,15 +155,26 @@ impl Actor<Msg> for Chaos {
     }
 }
 
-/// Fills an empty `sim` with `nodes` chaos actors, a twice-crashing node,
-/// optional omission loss, and the revive-boundary injection.
-pub(crate) fn populate(
-    mut sim: Sim<Msg>,
+/// A sim on `threads` workers with `nodes` chaos actors, a twice-crashing
+/// node, optional jitter and omission loss, and the revive-boundary
+/// injection.
+pub(crate) fn chaos_sim(
+    seed: u64,
     nodes: u32,
     crash_node: u32,
     regional: bool,
+    jitter_ms: u64,
     omit: bool,
+    threads: usize,
 ) -> Sim<Msg> {
+    let model = if regional {
+        LatencyModel::cn_wan()
+    } else {
+        LatencyModel::lan()
+    };
+    let net = Network::new(model, SimDuration::from_millis(jitter_ms));
+    let mut sim = Sim::new(seed, net);
+    sim.set_sim_threads(threads);
     for i in 0..nodes {
         let region = Region(if regional { (i % 4) as u8 } else { 0 });
         // The last node joins late to exercise unstarted delivery.
@@ -207,27 +219,6 @@ pub(crate) fn populate(
         SimTime::from_millis(1500),
     );
     sim
-}
-
-/// A populated wheel-scheduled sim on `threads` workers.
-pub(crate) fn chaos_sim(
-    seed: u64,
-    nodes: u32,
-    crash_node: u32,
-    regional: bool,
-    jitter_ms: u64,
-    omit: bool,
-    threads: usize,
-) -> Sim<Msg> {
-    let model = if regional {
-        LatencyModel::cn_wan()
-    } else {
-        LatencyModel::lan()
-    };
-    let net = Network::new(model, SimDuration::from_millis(jitter_ms));
-    let mut sim = Sim::new(seed, net);
-    sim.set_sim_threads(threads);
-    populate(sim, nodes, crash_node, regional, omit)
 }
 
 /// Asserts that two sims which ran the same workload are in identical

@@ -1,15 +1,19 @@
-//! The engine core: the one rule for what a popped event does.
+//! The engine core: the one dispatch loop, and the one rule for what a
+//! popped event does.
 //!
 //! [`Core`] holds the state a dispatch touches — one [`NodeRecord`] per
 //! node, the [`Network`], the [`FaultPlan`], the metrics sink and the
-//! engine's counter handles, the optional capture, the pooled op buffer — and owns
-//! the crate's only `dispatch`, `run_on_start`, `apply_ops` and
-//! `record_drop`. The sequential scheduler runs it over every node; a
-//! partition worker of the parallel engine runs the same code over the
-//! records of its partition. The one thing the two disagree on — where a
-//! new event goes — is the [`Sequencer`] they hand it. How a new event is
-//! ordered is not theirs to decide: its creator fixes its key
-//! ([`order_key`]).
+//! engine's counter handles, the optional capture and dispatch profiler,
+//! the pooled op buffer — and owns the crate's only dispatch loop
+//! (`drain`), `dispatch`, `run_on_start`, `apply_ops` and `record_drop`.
+//! The sequential scheduler runs it over every node; a partition worker of
+//! the parallel engine runs the same code over the records of its
+//! partition, once per window. The one thing the two disagree on — where a
+//! new event goes, and where the next one comes from — is the
+//! [`Sequencer`] they hand it. How a new event is ordered is not theirs to
+//! decide: its creator fixes its key ([`order_key`]).
+
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 
@@ -17,6 +21,7 @@ use crate::actor::{Actor, Context, NodeId, Op, Payload};
 use crate::faults::FaultPlan;
 use crate::metrics::{CounterHandle, Labels, Metrics};
 use crate::net::{LinkConfig, Network};
+use crate::profile::{bucket_of, DispatchProfile};
 use crate::queue::{Event, EventKind, TimerSlots};
 use crate::time::SimTime;
 use crate::trace::{CanonEvent, TraceCapture, TraceDigest};
@@ -110,6 +115,18 @@ impl<M> NodeRecord<M> {
 pub(crate) trait Sequencer<M> {
     /// Files a new event, its order key already fixed by its creator.
     fn schedule(&mut self, event: Event<M>);
+    /// Pops the least filed event by `(at, seq)` if it is at or before
+    /// `horizon`.
+    fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>>;
+}
+
+/// Where an open capture's canonical events go.
+pub(crate) enum Capture {
+    /// The capture file, written as events pop.
+    File(TraceCapture),
+    /// A partition worker's pops of the current window, in its pop order;
+    /// the barrier merges every worker's buffer into the file.
+    Window(Vec<CanonEvent>),
 }
 
 /// The canonical tuple of a popped event, carrying the event's own key.
@@ -147,10 +164,15 @@ pub(crate) struct Core<M> {
     /// where the recipient's record lives — so these stay a table every
     /// core carries whole, not a field of the record.
     drops: Vec<CounterHandle>,
-    /// Optional full JSONL capture of the canonical event stream. Never on
-    /// a partition worker's core: a capture needs one total order, so a run
-    /// with one open is sequential.
-    pub(crate) capture: Option<TraceCapture>,
+    /// The open capture, if any: the file itself on the core the
+    /// sequential loop runs, a window buffer on a partition worker's.
+    pub(crate) capture: Option<Capture>,
+    /// The dispatch profiler, when on. A sink like the metrics: a worker's
+    /// core starts with an empty one, and teardown absorbs it.
+    pub(crate) profile: Option<DispatchProfile>,
+    /// Interned actor-kind index of every node, by global index: the row
+    /// the profiler charges the node's events to.
+    kind_of_node: Vec<u16>,
     /// Pooled op buffer handed to each callback and drained by
     /// `apply_ops`; its capacity survives across events.
     ops_scratch: Vec<Op<M>>,
@@ -172,16 +194,20 @@ impl<M: Payload> Core<M> {
             },
             drops: Vec::new(),
             capture: None,
+            profile: None,
+            kind_of_node: Vec::new(),
             ops_scratch: Vec::new(),
         }
     }
 
-    /// Adds a node: its link, its record, and its counter handles.
+    /// Adds a node: its link, its record, its counter handles, and its
+    /// actor-kind index `kind`.
     pub(crate) fn add_node(
         &mut self,
         link: LinkConfig,
         actor: Box<dyn Actor<M>>,
         rng: SmallRng,
+        kind: u16,
     ) -> NodeId {
         let id = self.network.add_link(link);
         debug_assert_eq!(id.index(), self.nodes.len());
@@ -192,6 +218,7 @@ impl<M: Payload> Core<M> {
             timers: CounterHandle::of("node.timers", labels),
         };
         self.drops.push(CounterHandle::of("node.drops", labels));
+        self.kind_of_node.push(kind);
         self.nodes.push(NodeRecord {
             actor: Some(actor),
             rng,
@@ -208,8 +235,9 @@ impl<M: Payload> Core<M> {
     }
 
     /// A partition worker's core: shared-read state cloned, the metrics
-    /// sink an empty fork, and room for `owned` records — the caller moves
-    /// the partition's in, in the order `local` numbers them.
+    /// sink an empty fork, an empty profile and window buffer when the
+    /// profiler and a capture are on, and room for `owned` records — the
+    /// caller moves the partition's in, in the order `local` numbers them.
     pub(crate) fn fork(&self, local: Vec<u32>, owned: usize) -> Self {
         Core {
             nodes: Vec::with_capacity(owned),
@@ -219,7 +247,9 @@ impl<M: Payload> Core<M> {
             metrics: self.metrics.fork_for_worker(),
             net_handles: self.net_handles,
             drops: self.drops.clone(),
-            capture: None,
+            capture: self.capture.as_ref().map(|_| Capture::Window(Vec::new())),
+            profile: self.profile.as_ref().map(|_| DispatchProfile::default()),
+            kind_of_node: self.kind_of_node.clone(),
             ops_scratch: Vec::new(),
         }
     }
@@ -231,17 +261,50 @@ impl<M: Payload> Core<M> {
             .map_or(node.index(), |&l| l as usize)
     }
 
+    /// Pops and dispatches every event `order` holds at or before `horizon`
+    /// and returns how many it popped: the one dispatch loop, run by the
+    /// sequential scheduler over the global wheel and by a partition worker
+    /// over its own, once per window. With the profiler on it reads the
+    /// clock once after each dispatch and charges the interval since the
+    /// previous reading — the first from the loop's start — to the cell of
+    /// the event just dispatched, so a cell absorbs the pop and the actor
+    /// callback; the loop's own time goes to `run_ns`. With the profiler
+    /// off it reads no clock.
+    pub(crate) fn drain<S: Sequencer<M>>(&mut self, order: &mut S, horizon: SimTime) -> u64 {
+        let start = self.profile.is_some().then(Instant::now);
+        let (mut last, mut popped) = (start, 0);
+        while let Some(event) = order.pop_next(horizon) {
+            popped += 1;
+            let cell = last.map(|prev| {
+                let kind = self.kind_of_node[event.node.index()] as usize;
+                (prev, kind, bucket_of(&event.kind))
+            });
+            self.dispatch(order, event);
+            if let (Some((prev, kind, bucket)), Some(p)) = (cell, &mut self.profile) {
+                let now = Instant::now();
+                p.record(kind, bucket, now.duration_since(prev).as_nanos() as u64);
+                last = Some(now);
+            }
+        }
+        if let (Some(start), Some(p)) = (start, &mut self.profile) {
+            p.add_run_ns(start.elapsed().as_nanos() as u64);
+        }
+        popped
+    }
+
     /// Dispatches one popped event: folded into its node's digest (and the
     /// capture, when one is open) before any filter — the *canonical*
     /// stream, including events a halted or unstarted node will ignore —
     /// then run.
     #[inline]
-    pub(crate) fn dispatch<S: Sequencer<M>>(&mut self, order: &mut S, event: Event<M>) {
+    fn dispatch<S: Sequencer<M>>(&mut self, order: &mut S, event: Event<M>) {
         let idx = self.slot(event.node);
         let canon = canon_of(&event);
         self.nodes[idx].digest.fold_event(&canon);
-        if let Some(cap) = &mut self.capture {
-            cap.record(&canon);
+        match &mut self.capture {
+            Some(Capture::File(cap)) => cap.record(&canon),
+            Some(Capture::Window(log)) => log.push(canon),
+            None => {}
         }
         self.react(order, idx, event);
     }

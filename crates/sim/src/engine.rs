@@ -20,28 +20,31 @@ use rand::{Rng, SeedableRng};
 
 use crate::actor::Payload;
 use crate::actor::{Actor, NodeId};
-use crate::dispatch::{order_key, Core, Sequencer, MAX_NODES};
+use crate::dispatch::{order_key, Capture, Core, Sequencer, MAX_NODES};
 use crate::faults::FaultPlan;
 use crate::metrics::Metrics;
 use crate::net::{LinkConfig, Network};
 use crate::parallel::Fallback;
 #[cfg(test)]
 use crate::parallel::WindowPolicy;
-use crate::profile::{
-    short_type_name, DispatchProfile, BUCKET_DELIVER, BUCKET_OTHER, BUCKET_START, BUCKET_TIMER,
-};
-use crate::queue::{Event, EventKind, EventQueue};
+use crate::profile::{short_type_name, DispatchProfile};
+use crate::queue::{Event, EventKind, TimerWheel};
 use crate::time::SimTime;
 use crate::trace::{TraceCapture, TraceDigest};
 use predis_telemetry::RunReport;
 use predis_types::payload_stats;
 
 /// The sequential scheduler's side of the sequencing seam: every new event
-/// goes to the one global queue.
-impl<M> Sequencer<M> for EventQueue<M> {
+/// goes to the one global wheel, and the next one comes from it.
+impl<M> Sequencer<M> for TimerWheel<M> {
     #[inline]
     fn schedule(&mut self, event: Event<M>) {
         self.push(event);
+    }
+
+    #[inline]
+    fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>> {
+        TimerWheel::pop_next(self, horizon)
     }
 }
 
@@ -52,9 +55,9 @@ impl<M> Sequencer<M> for EventQueue<M> {
 /// because a parallel session moves the records and the events into
 /// per-worker cores and wheels, and back.
 pub struct Sim<M> {
-    pub(crate) now: SimTime,
+    now: SimTime,
     pub(crate) core: Core<M>,
-    pub(crate) queue: EventQueue<M>,
+    pub(crate) queue: TimerWheel<M>,
     /// Events the driver has created (starts, injections, crash and revive
     /// bookkeeping): its order-key counter.
     driver_events: u64,
@@ -62,12 +65,9 @@ pub struct Sim<M> {
     pub(crate) events_processed: u64,
     /// Nodes whose crash event has been scheduled.
     crash_scheduled: Vec<bool>,
-    /// Optional per-actor-kind dispatch profiler.
-    pub(crate) profile: Option<DispatchProfile>,
-    /// Interned actor-kind names, indexed by the values in `kind_of_node`.
+    /// Interned actor-kind names, indexed by the core's per-node kind
+    /// index.
     kind_names: Vec<String>,
-    /// Dense actor-kind index per node, interned at `add_node`.
-    kind_of_node: Vec<u16>,
     /// Worker count requested for windowed parallel execution (seeded from
     /// `PREDIS_SIM_THREADS`, default 1 = sequential).
     pub(crate) threads: usize,
@@ -76,8 +76,8 @@ pub struct Sim<M> {
     pub(crate) partition_hint: Option<Vec<Vec<NodeId>>>,
     /// Workers actually used by the most recent `run_until` (1 = sequential).
     pub(crate) threads_used: usize,
-    /// Why the most recent `run_until` ran sequentially although more than
-    /// one thread was requested.
+    /// Why the planner sent the most recent `run_until` down the sequential
+    /// loop although more than one thread was requested.
     fallback: Option<Fallback>,
     /// Events dispatched per partition during the most recent parallel run.
     pub(crate) partition_events: Vec<u64>,
@@ -98,18 +98,7 @@ pub struct Sim<M> {
 impl<M: Payload> Sim<M> {
     /// Creates an empty simulation seeded with `seed`. The same seed, node
     /// set, and actor logic reproduce the same run exactly.
-    pub fn new(seed: u64, network: Network) -> Self {
-        Sim::with_queue(seed, network, EventQueue::wheel())
-    }
-
-    /// A simulation scheduled by the pre-wheel global heap — the ordering
-    /// oracle for differential tests.
-    #[cfg(test)]
-    pub(crate) fn new_classic(seed: u64, network: Network) -> Self {
-        Sim::with_queue(seed, network, EventQueue::classic())
-    }
-
-    fn with_queue(seed: u64, mut network: Network, queue: EventQueue<M>) -> Self {
+    pub fn new(seed: u64, mut network: Network) -> Self {
         // A new simulation opens a new accounting epoch for this thread's
         // payload counters (pool workers are reused between grid points),
         // so [`Sim::report`] sees only this run's clones.
@@ -121,14 +110,12 @@ impl<M: Payload> Sim<M> {
         Sim {
             now: SimTime::ZERO,
             core: Core::new(network),
-            queue,
+            queue: TimerWheel::new(),
             driver_events: 0,
             net_rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
             events_processed: 0,
             crash_scheduled: Vec::new(),
-            profile: None,
             kind_names: Vec::new(),
-            kind_of_node: Vec::new(),
             threads: sim_threads_from_env(),
             partition_hint: None,
             threads_used: 1,
@@ -160,14 +147,14 @@ impl<M: Payload> Sim<M> {
     /// Turns on the dispatch profiler (per-actor-kind × per-event-kind
     /// counts and wall-time attribution). See [`crate::profile`].
     pub fn enable_profiling(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(DispatchProfile::default());
-        }
+        self.core
+            .profile
+            .get_or_insert_with(DispatchProfile::default);
     }
 
     /// The dispatch profile, if profiling is enabled.
     pub fn profile(&self) -> Option<&DispatchProfile> {
-        self.profile.as_ref()
+        self.core.profile.as_ref()
     }
 
     /// Interned actor-kind names (index = the profiler's kind index).
@@ -175,12 +162,13 @@ impl<M: Payload> Sim<M> {
         &self.kind_names
     }
 
-    /// Starts streaming every canonical event to a JSONL capture at `path`.
-    /// A capture is one total order, so while it is open every run is
-    /// sequential (`engine.fallback = "capture"` when more threads were
-    /// requested); what it writes does not depend on the thread count.
+    /// Starts streaming every canonical event to a JSONL capture at `path`,
+    /// one line per event in pop order. On the parallel engine each worker
+    /// buffers its window's pops and the barrier merges the buffers into
+    /// the file (DESIGN §9), so what it writes does not depend on the
+    /// thread count.
     pub fn enable_capture(&mut self, path: impl Into<std::path::PathBuf>) -> std::io::Result<()> {
-        self.core.capture = Some(TraceCapture::create(path)?);
+        self.core.capture = Some(Capture::File(TraceCapture::create(path)?));
         Ok(())
     }
 
@@ -221,7 +209,7 @@ impl<M: Payload> Sim<M> {
     /// rather than panicking — a run's results are worth more than its
     /// trace.
     pub fn finish_observability(&mut self) {
-        if let Some(cap) = self.core.capture.take() {
+        if let Some(Capture::File(cap)) = self.core.capture.take() {
             let path = cap.path().to_path_buf();
             match cap.finish() {
                 Ok(p) => {
@@ -259,8 +247,13 @@ impl<M: Payload> Sim<M> {
     }
 
     /// The part of a [`RunReport`] every experiment shares: the metrics
-    /// snapshot, this run's payload-clone counters, the event count, and the
-    /// forensic stamps of [`Sim::stamp_observability`].
+    /// snapshot, this run's payload-clone counters and event count, and the
+    /// run's forensic identity — the `trace.fingerprint` meta key (always),
+    /// the engine path (`engine.threads`; `engine.partition_events` and
+    /// `engine.windows` when the parallel engine ran; `engine.fallback`, the
+    /// planner's reason, when more than one thread was requested and the
+    /// most recent run was sequential all the same), the `mem.*` footprint,
+    /// and the `profile` block (when profiling ran).
     pub fn report(&self, name: &str) -> RunReport {
         let mut report = self.core.metrics.run_report(name);
         let stats = payload_stats::snapshot();
@@ -268,57 +261,31 @@ impl<M: Payload> Sim<M> {
         report.set_metric("msg.bytes_cloned", stats.bytes_cloned as f64);
         report.set_metric("wire_size.computed", stats.wire_size_computed as f64);
         report.set_metric("engine.events_processed", self.events_processed as f64);
-        self.stamp_observability(&mut report);
-        report
-    }
-
-    /// Stamps the run's forensic identity onto a report: the
-    /// `trace.fingerprint` meta key (always), the parallel-engine shape
-    /// (`engine.threads`; `engine.partition_events` when a windowed
-    /// parallel run happened; `engine.fallback`, the gate condition that
-    /// failed, when more than one thread was requested and the most recent
-    /// run was sequential all the same), and the `profile` block (when
-    /// profiling ran).
-    pub fn stamp_observability(&self, report: &mut RunReport) {
-        report
-            .meta
-            .insert("trace.fingerprint".into(), self.fingerprint());
-        report
-            .meta
-            .insert("engine.threads".into(), self.threads_used.to_string());
+        let meta = &mut report.meta;
+        meta.insert("trace.fingerprint".into(), self.fingerprint());
+        meta.insert("engine.threads".into(), self.threads_used.to_string());
         if let Some(why) = self.fallback {
-            report
-                .meta
-                .insert("engine.fallback".into(), why.as_str().into());
+            meta.insert("engine.fallback".into(), why.as_str().into());
         }
         if !self.partition_events.is_empty() {
-            let counts: Vec<String> = self
-                .partition_events
-                .iter()
-                .map(|c| c.to_string())
-                .collect();
-            report
-                .meta
-                .insert("engine.partition_events".into(), counts.join(","));
+            let counts: Vec<String> = self.partition_events.iter().map(u64::to_string).collect();
+            meta.insert("engine.partition_events".into(), counts.join(","));
         }
         if self.windows > 0 {
-            report
-                .meta
-                .insert("engine.windows".into(), self.windows.to_string());
+            meta.insert("engine.windows".into(), self.windows.to_string());
         }
         if self.peak_actor_bytes > 0 && self.node_count() > 0 {
-            report.meta.insert(
+            let per_node = self.peak_actor_bytes / self.node_count() as u64;
+            meta.insert(
                 "mem.resident_bytes".into(),
                 self.peak_actor_bytes.to_string(),
             );
-            report.meta.insert(
-                "mem.bytes_per_node".into(),
-                (self.peak_actor_bytes / self.node_count() as u64).to_string(),
-            );
+            meta.insert("mem.bytes_per_node".into(), per_node.to_string());
         }
-        if let Some(p) = &self.profile {
-            p.stamp(&self.kind_names, report);
+        if let Some(p) = &self.core.profile {
+            p.stamp(&self.kind_names, &mut report);
         }
+        report
     }
 
     /// Installs a fault plan. Must be called before [`Sim::run_until`] to
@@ -330,15 +297,11 @@ impl<M: Payload> Sim<M> {
     /// Requests `threads` lookahead-window workers for subsequent
     /// [`Sim::run_until`] calls (clamped to at least 1; the construction
     /// default comes from `PREDIS_SIM_THREADS`). The engine falls back to
-    /// the sequential scheduler whenever a parallel run could perturb
-    /// determinism or cannot help: profiling enabled (its wall-clock
-    /// attribution is per-thread), a capture open (it needs one total
-    /// order), nothing queued before the horizon, fewer than two
-    /// partitions, or a zero lookahead — and stamps which as
-    /// `engine.fallback`. Network jitter and randomized message omission
-    /// run fine in parallel — their randomness comes from per-link
-    /// counter-keyed streams, not global draw order. Results are
-    /// bit-identical either way.
+    /// the sequential scheduler whenever a parallel run cannot help:
+    /// nothing queued before the horizon, fewer than two partitions, or a
+    /// zero lookahead — and stamps which as `engine.fallback`. The
+    /// profiler, a capture, network jitter and randomized message omission
+    /// all run fine in parallel. Results are bit-identical either way.
     pub fn set_sim_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -377,10 +340,10 @@ impl<M: Payload> Sim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation already holds [`MAX_NODES`] nodes: an
-    /// event's order key has 24 bits for its creator, and node `i` is
-    /// creator `i + 1`. (The setups reject a world that large as an input
-    /// error before building it.)
+    /// Panics if `start_at` is before [`Sim::now`], or if the simulation
+    /// already holds [`MAX_NODES`] nodes: an event's order key has 24 bits
+    /// for its creator, and node `i` is creator `i + 1`. (The setups reject
+    /// a world that large as an input error before building it.)
     #[track_caller]
     pub fn add_node(
         &mut self,
@@ -393,23 +356,24 @@ impl<M: Payload> Sim<M> {
             "cannot add a node: the simulation already holds {MAX_NODES}, \
              the most an event's 24-bit creator slot can name"
         );
-        let kind = short_type_name(actor.kind_name());
-        let index = self.node_count() as u64;
-        let node_seed = self.net_rng.gen::<u64>() ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d);
-        let id = self
-            .core
-            .add_node(link, actor, SmallRng::seed_from_u64(node_seed));
-        self.crash_scheduled.push(false);
+        assert!(
+            start_at >= self.now,
+            "cannot start a node in the past: {start_at} is before now, {}",
+            self.now
+        );
         // Intern the actor kind for dispatch profiling: the hot path indexes
         // by this dense id and never touches the name again.
-        let kind_idx = match self.kind_names.iter().position(|k| *k == kind) {
-            Some(i) => i as u16,
-            None => {
-                self.kind_names.push(kind);
-                (self.kind_names.len() - 1) as u16
-            }
-        };
-        self.kind_of_node.push(kind_idx);
+        let kind = short_type_name(actor.kind_name());
+        let kind_idx = self.kind_names.iter().position(|k| *k == kind);
+        let kind_idx = kind_idx.unwrap_or_else(|| {
+            self.kind_names.push(kind);
+            self.kind_names.len() - 1
+        });
+        let index = self.node_count() as u64;
+        let node_seed = self.net_rng.gen::<u64>() ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        let rng = SmallRng::seed_from_u64(node_seed);
+        let id = self.core.add_node(link, actor, rng, kind_idx as u16);
+        self.crash_scheduled.push(false);
         self.schedule_from_driver(start_at, id, EventKind::Start);
         id
     }
@@ -477,11 +441,16 @@ impl<M: Payload> Sim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the simulated past, or if `to` is not a node of
+    /// Panics if `at` is before [`Sim::now`], or if `to` is not a node of
     /// this simulation (a *sent* message to such a node is an accounted
     /// drop; an injected one is a caller bug).
+    #[track_caller]
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: M, at: SimTime) {
-        assert!(at >= self.now, "cannot inject into the past");
+        assert!(
+            at >= self.now,
+            "cannot inject into the past: {at} is before now, {}",
+            self.now
+        );
         assert!(
             to.index() < self.node_count(),
             "cannot inject to {to}: the simulation has {} nodes",
@@ -513,7 +482,19 @@ impl<M: Payload> Sim<M> {
 
     /// Runs the simulation until `horizon` (inclusive of events at exactly
     /// `horizon`); afterwards `now() == horizon`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is before [`Sim::now`]: the clock never runs
+    /// back, so nothing the driver files later can land behind an event
+    /// already dispatched.
+    #[track_caller]
     pub fn run_until(&mut self, horizon: SimTime) {
+        assert!(
+            horizon >= self.now,
+            "cannot run into the past: {horizon} is before now, {}",
+            self.now
+        );
         self.schedule_crashes();
         // More than one thread requested: the parallel engine runs the whole
         // span, or names the gate condition that sends the run back here.
@@ -524,15 +505,7 @@ impl<M: Payload> Sim<M> {
         if self.threads == 1 || self.fallback.is_some() {
             self.threads_used = 1;
             self.partition_events.clear();
-            if self.profile.is_some() {
-                self.run_events_profiled(horizon);
-            } else {
-                while let Some(event) = self.queue.pop_next(horizon) {
-                    self.now = event.at;
-                    self.events_processed += 1;
-                    self.core.dispatch(&mut self.queue, event);
-                }
-            }
+            self.events_processed += self.core.drain(&mut self.queue, horizon);
         }
         self.now = horizon;
         self.sample_memory();
@@ -558,32 +531,6 @@ impl<M: Payload> Sim<M> {
     pub fn peak_actor_bytes(&self) -> u64 {
         self.peak_actor_bytes
     }
-
-    /// The profiled twin of the dispatch loop: one `Instant` reading per
-    /// event, charging each inter-reading interval to the cell of the actor
-    /// that just ran. A cell therefore absorbs the actor callback plus the
-    /// queue pop that followed it, so the attributed total tracks the whole
-    /// loop, not just callback bodies.
-    fn run_events_profiled(&mut self, horizon: SimTime) {
-        let run_start = std::time::Instant::now();
-        let mut last = run_start;
-        while let Some(event) = self.queue.pop_next(horizon) {
-            self.now = event.at;
-            self.events_processed += 1;
-            let kind_idx = self.kind_of_node[event.node.index()] as usize;
-            let bucket = bucket_of(&event.kind);
-            self.core.dispatch(&mut self.queue, event);
-            let now = std::time::Instant::now();
-            let ns = now.duration_since(last).as_nanos() as u64;
-            last = now;
-            if let Some(p) = &mut self.profile {
-                p.record(kind_idx, bucket, ns);
-            }
-        }
-        if let Some(p) = &mut self.profile {
-            p.add_run_ns(run_start.elapsed().as_nanos() as u64);
-        }
-    }
 }
 
 /// The construction-time default worker count: `PREDIS_SIM_THREADS` when it
@@ -594,16 +541,6 @@ fn sim_threads_from_env() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// The profiler bucket an event kind is charged to.
-fn bucket_of<M>(kind: &EventKind<M>) -> usize {
-    match kind {
-        EventKind::Deliver { .. } => BUCKET_DELIVER,
-        EventKind::Timer { .. } => BUCKET_TIMER,
-        EventKind::Start | EventKind::Revive => BUCKET_START,
-        EventKind::Crash => BUCKET_OTHER,
-    }
 }
 
 impl<M> std::fmt::Debug for Sim<M> {
@@ -619,6 +556,8 @@ impl<M> std::fmt::Debug for Sim<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::Path;
+
     use super::*;
     use crate::actor::{Context, TimerTag};
     use crate::metrics::Labels;
@@ -790,6 +729,28 @@ mod tests {
     fn inject_rejects_unknown_node() {
         let mut sim = build(2, 3);
         sim.inject(NodeId(2), NodeId(1), Msg::Ping(1), SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run into the past: 1.000000s is before now, 5.000000s")]
+    fn run_until_rejects_an_earlier_horizon() {
+        let mut sim = build(2, 3);
+        sim.run_until(SimTime::from_secs(5));
+        sim.run_until(SimTime::from_secs(1));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cannot start a node in the past: 1.000000s is before now, 5.000000s"
+    )]
+    fn add_node_rejects_a_start_in_the_past() {
+        let mut sim = build(2, 3);
+        sim.run_until(SimTime::from_secs(5));
+        sim.add_node(
+            LinkConfig::paper_default(),
+            Box::new(PingPong::default()),
+            SimTime::from_secs(1),
+        );
     }
 
     /// A self-rearming ticker: counts fires; on_start arms one chain.
@@ -1067,8 +1028,7 @@ mod tests {
             p.run_ns()
         );
         assert_eq!(sim.kind_names(), &["PingPong".to_string()]);
-        let mut report = RunReport::new("profiled");
-        sim.stamp_observability(&mut report);
+        let report = sim.report("profiled");
         assert_eq!(report.meta.get("trace.fingerprint").unwrap().len(), 32);
         assert!(!report.profile.is_empty());
         assert!(report.profile.iter().all(|e| e.actor == "PingPong"));
@@ -1184,30 +1144,36 @@ mod tests {
         }
     }
 
-    /// Runs `probes` (node `i` is `probes[i]`) on the wheel, on the classic
-    /// heap and on two threads (node 0 alone in its partition), injecting
-    /// `Tag(99)` for node 0 at 25 ms once 10 ms have run, and returns what
-    /// node 0 logged under each.
+    /// Runs `probes` (node `i` is `probes[i]`) on `threads` (node 0 alone in
+    /// its partition), capturing to `capture` if given, and injecting
+    /// `Tag(99)` for node 0 at 25 ms once 10 ms have run.
+    fn probe_run(probes: Vec<Probe>, threads: usize, capture: Option<&Path>) -> Sim<Tag> {
+        let mut sim = Sim::new(1, Network::new(LatencyModel::lan(), SimDuration::ZERO));
+        sim.set_sim_threads(threads);
+        for probe in probes {
+            sim.add_node(LinkConfig::paper_default(), Box::new(probe), SimTime::ZERO);
+        }
+        let rest = (1..sim.node_count() as u32).map(NodeId).collect();
+        sim.set_partition_hint(vec![vec![NodeId(0)], rest]);
+        if let Some(path) = capture {
+            sim.enable_capture(path).expect("start capture");
+        }
+        sim.run_until(SimTime::from_millis(10));
+        assert_eq!(sim.threads_used(), threads);
+        sim.inject(NodeId(0), NodeId(0), Tag(99), SimTime::from_millis(25));
+        sim.run_until(SimTime::from_secs(1));
+        sim.finish_observability();
+        sim
+    }
+
+    /// What node 0 logged running `probes` on one thread and on two.
     fn node0_logs(probes: impl Fn() -> Vec<Probe>) -> Vec<Vec<u32>> {
-        type Build = fn(u64, Network) -> Sim<Tag>;
-        let configs: [(Build, usize); 3] = [(Sim::new, 1), (Sim::new_classic, 1), (Sim::new, 2)];
-        configs
-            .into_iter()
-            .map(|(queue, threads)| {
-                let mut sim = queue(1, Network::new(LatencyModel::lan(), SimDuration::ZERO));
-                sim.set_sim_threads(threads);
-                for probe in probes() {
-                    sim.add_node(LinkConfig::paper_default(), Box::new(probe), SimTime::ZERO);
-                }
-                let rest = (1..sim.node_count() as u32).map(NodeId).collect();
-                sim.set_partition_hint(vec![vec![NodeId(0)], rest]);
-                sim.run_until(SimTime::from_millis(10));
-                assert_eq!(sim.threads_used(), threads);
-                sim.inject(NodeId(0), NodeId(0), Tag(99), SimTime::from_millis(25));
-                sim.run_until(SimTime::from_secs(1));
+        [1, 2]
+            .map(|threads| {
+                let sim = probe_run(probes(), threads, None);
                 sim.actor_as::<Probe>(NodeId(0)).unwrap().log.clone()
             })
-            .collect()
+            .into()
     }
 
     /// At one instant the driver's events pop first — even one created
@@ -1235,66 +1201,66 @@ mod tests {
         }
     }
 
+    /// The probe world where an event keyed below the one dispatching it
+    /// pops next: node 2 and node 3 message node 0 at 25 ms, and node 0
+    /// echoes node 2's message with a zero-delay timer.
+    fn keyed_below_probes() -> Vec<Probe> {
+        vec![
+            Probe {
+                echo_on: Some(20),
+                ..Probe::default()
+            },
+            Probe::default(),
+            Probe {
+                start_sends: vec![20],
+                ..Probe::default()
+            },
+            Probe {
+                start_sends: vec![30],
+                ..Probe::default()
+            },
+        ]
+    }
+
     /// An event scheduled at `now` whose key is below the key of the event
     /// being dispatched pops next: node 0's echo timer (creator 1) comes
     /// between node 2's message that armed it (creator 3) and node 3's
     /// (creator 4), all at 25 ms.
     #[test]
     fn an_event_keyed_below_the_one_dispatching_pops_next() {
-        let probes = || {
-            vec![
-                Probe {
-                    echo_on: Some(20),
-                    ..Probe::default()
-                },
-                Probe::default(),
-                Probe {
-                    start_sends: vec![20],
-                    ..Probe::default()
-                },
-                Probe {
-                    start_sends: vec![30],
-                    ..Probe::default()
-                },
-            ]
-        };
-        for log in node0_logs(probes) {
+        for log in node0_logs(keyed_below_probes) {
             assert_eq!(log, [99, 20, 0, 30]);
         }
     }
 
-    /// The differential-determinism suite: the shared chaos workload (sends,
-    /// multicasts, timers, cancels, crashes, revivals, omission loss, strays,
-    /// a voluntary departure, every metrics store) run under the production
-    /// wheel and the classic global heap must end in identical state.
-    mod differential {
-        use super::*;
-        use crate::chaos::{assert_covers_the_rare_arms, assert_equivalent, populate};
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-            #[test]
-            fn wheel_replays_classic_heap_exactly(
-                seed in 0u64..1_000_000,
-                nodes in 2u32..6,
-                crash_node in 0u32..6,
-                omit in proptest::bool::ANY,
-            ) {
-                let net = || Network::new(LatencyModel::lan(), SimDuration::ZERO);
-                let mut wheel = populate(Sim::new(seed, net()), nodes, crash_node, false, omit);
-                let mut classic =
-                    populate(Sim::new_classic(seed, net()), nodes, crash_node, false, omit);
-                // Split the run so queue state carries across horizons.
-                for h in [1u64, 2, 4] {
-                    wheel.run_until(SimTime::from_secs(h));
-                    classic.run_until(SimTime::from_secs(h));
-                }
-                // The digest folds every popped event with its final seq, so
-                // equal fingerprints mean equal streams, event for event.
-                assert_equivalent(&wheel, &classic);
-                assert_covers_the_rare_arms(&wheel);
-            }
-        }
+    /// A capture is written in pop order, which is not `(t, seq)` order
+    /// here: the echo timer's line follows the line of the message that
+    /// armed it although its key is smaller. On two threads the barrier
+    /// merges the workers' window buffers by their heads, so the file is
+    /// the one-thread file byte for byte; a merge that sorted by `(t, seq)`
+    /// would move the timer's line up.
+    #[test]
+    fn two_thread_capture_keeps_pop_order_where_it_is_not_key_order() {
+        let dir = std::env::temp_dir().join(format!("predis-engine-pop-{}", std::process::id()));
+        let capture = |threads: usize| {
+            let path = dir.join(format!("t{threads}.trace.jsonl"));
+            let sim = probe_run(keyed_below_probes(), threads, Some(&path));
+            assert_eq!(sim.windows_run() > 0, threads > 1);
+            std::fs::read_to_string(&path).expect("capture written")
+        };
+        let one = capture(1);
+        assert!(one == capture(2), "the two captures differ");
+        let keys: Vec<(u64, u64)> = one
+            .lines()
+            .map(|line| {
+                let mut numbers = line
+                    .split(|c: char| !c.is_ascii_digit())
+                    .filter(|s| !s.is_empty())
+                    .map(|s| s.parse().expect("a number"));
+                (numbers.next().unwrap(), numbers.next().unwrap())
+            })
+            .collect();
+        assert!(keys.windows(2).any(|w| w[0] > w[1]), "lines in key order");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,12 +9,13 @@
 //! **lookahead**. Execution proceeds in lockstep windows:
 //!
 //! 1. **Window (parallel)** — each worker drains its wheel up to the shared
-//!    pop horizon. An event it creates for one of its own nodes goes
-//!    straight into its wheel; one for another partition's node goes to its
-//!    outbox.
+//!    pop horizon, in the engine's one dispatch loop. An event it creates
+//!    for one of its own nodes goes straight into its wheel; one for another
+//!    partition's node goes to its outbox.
 //! 2. **Barrier (sequential)** — the driver routes outbox events (which
 //!    provably land beyond the window) to their owners' wheels and picks the
-//!    next window. Nothing is merged or replayed.
+//!    next window. No event is merged or replayed; only an open capture's
+//!    window buffers are merged into its file.
 //!
 //! Each window closes at `min over partitions p with pending events of
 //! (p's exact next event time + p's minimum outgoing cross-partition
@@ -40,19 +41,21 @@
 //! fingerprint, same counters, at 1, 2, or 8 threads, jittered or not.
 //!
 //! Parallelism disengages (the caller falls back to the sequential loop,
-//! and the run report says why: [`Fallback`]) only when it could not be
-//! equivalent or could not help: profiling (wall-clock attribution is
-//! per-thread), a capture (one total order), nothing queued, fewer than two
-//! partitions, or zero lookahead.
+//! and the run report says why: [`Fallback`]) only when it could not help:
+//! nothing queued, fewer than two partitions, or zero lookahead. The
+//! observers are no reason: a worker's core profiles its own partition and
+//! buffers its window's pops for an open capture, and teardown and the
+//! barrier fold those back.
 
 use std::collections::BTreeMap;
 
 use crate::actor::{NodeId, Payload};
-use crate::dispatch::{Core, Sequencer};
+use crate::dispatch::{Capture, Core, Sequencer};
 use crate::engine::Sim;
 use crate::net::{LatencyModel, Region};
-use crate::queue::{Event, EventQueue, TimerWheel};
+use crate::queue::{Event, TimerWheel};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::TraceCapture;
 
 use predis_parallel::run_lockstep;
 use predis_types::payload_stats;
@@ -61,15 +64,6 @@ use predis_types::payload_stats;
 /// back to the sequential scheduler; stamped as `engine.fallback`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fallback {
-    /// The dispatch profiler is on: its wall-clock attribution is one
-    /// thread's.
-    Profiler,
-    /// A capture is open: it writes one total order, which only the
-    /// sequential loop pops.
-    Capture,
-    /// The queue is the test-only `ClassicHeap` ordering oracle, which must
-    /// stay a heap end to end.
-    ClassicQueue,
     /// Nothing is queued at or before the horizon.
     Idle,
     /// The planner found fewer than two partitions.
@@ -81,9 +75,6 @@ pub(crate) enum Fallback {
 impl Fallback {
     pub(crate) fn as_str(self) -> &'static str {
         match self {
-            Fallback::Profiler => "profiler",
-            Fallback::Capture => "capture",
-            Fallback::ClassicQueue => "classic-queue",
             Fallback::Idle => "idle",
             Fallback::OnePartition => "one-partition",
             Fallback::ZeroLookahead => "zero-lookahead",
@@ -137,10 +128,7 @@ struct WindowOrder<M> {
 impl<M: Payload> Shard<M> {
     /// Drains every event up to (and including) the window's pop horizon.
     fn run_window(&mut self) {
-        while let Some(event) = self.order.wheel.pop_next(self.pop_horizon) {
-            self.popped += 1;
-            self.core.dispatch(&mut self.order, event);
-        }
+        self.popped += self.core.drain(&mut self.order, self.pop_horizon);
     }
 }
 
@@ -154,6 +142,10 @@ impl<M> Sequencer<M> for WindowOrder<M> {
         } else {
             self.outbox.push(event);
         }
+    }
+
+    fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>> {
+        self.wheel.pop_next(horizon)
     }
 }
 
@@ -384,15 +376,6 @@ pub(crate) fn run_until_parallel<M: Payload>(
     sim: &mut Sim<M>,
     horizon: SimTime,
 ) -> Result<(), Fallback> {
-    if sim.profile.is_some() {
-        return Err(Fallback::Profiler);
-    }
-    if sim.core.capture.is_some() {
-        return Err(Fallback::Capture);
-    }
-    if !sim.queue.is_wheel() {
-        return Err(Fallback::ClassicQueue);
-    }
     match sim.queue.earliest_lower_bound() {
         Some(lb) if lb <= horizon => {}
         _ => return Err(Fallback::Idle), // the sequential loop is free
@@ -424,7 +407,7 @@ pub(crate) fn run_until_parallel<M: Payload>(
     }
     // Distribute the pending event set; the engine keeps a fresh wheel that
     // teardown refills with whatever outlives the horizon.
-    let mut old_queue = std::mem::replace(&mut sim.queue, EventQueue::wheel());
+    let mut old_queue = std::mem::replace(&mut sim.queue, TimerWheel::new());
     while let Some(event) = old_queue.pop_next(SimTime::MAX) {
         let p = plan.owner[event.node.index()] as usize;
         shards[p].order.wheel.push(event);
@@ -453,6 +436,9 @@ pub(crate) fn run_until_parallel<M: Payload>(
             |_p, shard: &mut Shard<M>| shard.run_window(),
             |shards: &mut Vec<Shard<M>>| {
                 sim.windows += 1;
+                if let Some(Capture::File(file)) = &mut sim.core.capture {
+                    merge_window_captures(shards, file);
+                }
                 route_outboxes(shards);
                 if pop_horizon == horizon {
                     return false;
@@ -495,6 +481,9 @@ pub(crate) fn run_until_parallel<M: Payload>(
             sim.queue.push(event);
         }
         sim.core.metrics.absorb_worker(core.metrics);
+        if let (Some(all), Some(part)) = (&mut sim.core.profile, core.profile) {
+            all.absorb(part);
+        }
         sim.events_processed += popped;
         counts.push(popped);
         records.push(core.nodes.into_iter());
@@ -531,6 +520,31 @@ fn route_outboxes<M>(shards: &mut [Shard<M>]) {
             shards[dest].order.wheel.push(event);
         }
         shards[p].order.outbox = outbox;
+    }
+}
+
+/// The barrier's capture step: appends the window's pops, which each
+/// worker buffered in its own pop order, to the capture file. Each step
+/// writes the least head by `(at, seq)` across the buffers. A buffer is the
+/// sequential pop order restricted to its partition, and no event of
+/// another partition can land inside the window, so the least head is the
+/// event the sequential loop pops next. This is a merge, not a sort: a
+/// dispatch that files an event at the same instant under a smaller key
+/// pops that event next, so one buffer need not be in `(at, seq)` order.
+fn merge_window_captures<M>(shards: &mut [Shard<M>], file: &mut TraceCapture) {
+    let mut logs: Vec<_> = shards
+        .iter_mut()
+        .filter_map(|shard| match &mut shard.core.capture {
+            Some(Capture::Window(log)) => Some(log.drain(..).peekable()),
+            _ => None,
+        })
+        .collect();
+    loop {
+        let least = (0..logs.len())
+            .filter_map(|i| logs[i].peek().map(|e| (e.at_nanos, e.seq, i)))
+            .min();
+        let Some((_, _, i)) = least else { return };
+        file.record(&logs[i].next().expect("peeked"));
     }
 }
 
@@ -711,20 +725,14 @@ mod tests {
 
     /// `nodes` actors that start and then never do anything, on a LAN of
     /// the given latency, with two threads requested.
-    fn inert_sim(
-        nodes: usize,
-        latency: SimDuration,
-        queue: fn(u64, Network) -> Sim<Msg>,
-    ) -> Sim<Msg> {
+    fn inert_sim(nodes: usize, latency: SimDuration) -> Sim<Msg> {
         #[derive(Debug)]
         struct Inert;
         impl Actor<Msg> for Inert {
             fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
         }
-        let mut sim = queue(
-            5,
-            Network::new(LatencyModel::Uniform(latency), SimDuration::ZERO),
-        );
+        let net = Network::new(LatencyModel::Uniform(latency), SimDuration::ZERO);
+        let mut sim = Sim::new(5, net);
         sim.set_sim_threads(2);
         for _ in 0..nodes {
             sim.add_node(LinkConfig::paper_default(), Box::new(Inert), SimTime::ZERO);
@@ -732,32 +740,36 @@ mod tests {
         sim
     }
 
+    /// The profiler rides in every worker's core: a profiled run engages
+    /// the parallel engine, and absorbing the workers' profiles gives the
+    /// one-thread cell counts (their nanoseconds are wall time, so they
+    /// differ).
     #[test]
-    fn profiler_fallback_is_stamped() {
-        let mut sim = chaos_sim(3, 4, 0, false, 0, false, 2);
-        sim.enable_profiling();
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.threads_used(), 1);
-        assert_eq!(stamped_fallback(&sim).as_deref(), Some("profiler"));
-    }
-
-    /// A capture writes one total order, so a run with one open is
-    /// sequential and says why.
-    #[test]
-    fn capture_fallback_is_stamped() {
-        let dir = capture_dir("stamp");
-        let mut sim = chaos_sim(3, 4, 0, false, 0, false, 2);
-        sim.enable_capture(dir.join("stamp.trace.jsonl"))
-            .expect("start capture");
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.threads_used(), 1);
-        assert_eq!(stamped_fallback(&sim).as_deref(), Some("capture"));
-        // Once the capture is finished, the next run engages again.
-        sim.finish_observability();
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.threads_used(), 2);
-        assert_eq!(stamped_fallback(&sim), None);
-        std::fs::remove_dir_all(&dir).ok();
+    fn profiled_runs_engage_the_parallel_engine() {
+        let run = |threads: usize| {
+            let mut sim = chaos_sim(3, 6, 0, false, 0, false, threads);
+            sim.enable_profiling();
+            for h in [1u64, 2, 4] {
+                sim.run_until(SimTime::from_secs(h));
+            }
+            sim
+        };
+        let (one, two) = (run(1), run(2));
+        assert!(two.windows_run() > 0, "the profiled run never engaged");
+        let cells = |sim: &Sim<Msg>| {
+            let report = sim.report("profiled");
+            let cells = report.profile.into_iter();
+            cells
+                .map(|e| (e.actor, e.event, e.count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(cells(&one), cells(&two));
+        assert_eq!(one.fingerprint(), two.fingerprint());
+        for sim in [&one, &two] {
+            let p = sim.profile().expect("profiling enabled");
+            assert_eq!(p.events(), sim.events_processed());
+            assert!(p.attributed_ns() <= p.run_ns());
+        }
     }
 
     /// Asking for two threads does not change a single byte of a capture.
@@ -776,6 +788,7 @@ mod tests {
         };
         let (one, one_bytes) = capture(1);
         let (two, two_bytes) = capture(2);
+        assert!(two.windows_run() > 0, "the two-thread run never engaged");
         assert!(!one_bytes.is_empty());
         assert!(one_bytes == two_bytes, "the two captures differ");
         assert_equivalent(&one, &two);
@@ -789,7 +802,7 @@ mod tests {
 
     #[test]
     fn idle_fallback_is_stamped_for_the_idle_run_only() {
-        let mut sim = inert_sim(2, SimDuration::from_millis(25), Sim::new);
+        let mut sim = inert_sim(2, SimDuration::from_millis(25));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.threads_used(), 2, "the start events run in parallel");
         assert_eq!(stamped_fallback(&sim), None);
@@ -800,18 +813,10 @@ mod tests {
 
     #[test]
     fn zero_lookahead_fallback_is_stamped() {
-        let mut sim = inert_sim(2, SimDuration::ZERO, Sim::new);
+        let mut sim = inert_sim(2, SimDuration::ZERO);
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.threads_used(), 1);
         assert_eq!(stamped_fallback(&sim).as_deref(), Some("zero-lookahead"));
-    }
-
-    #[test]
-    fn classic_queue_fallback_is_stamped() {
-        let mut sim = inert_sim(2, SimDuration::from_millis(25), Sim::new_classic);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.threads_used(), 1);
-        assert_eq!(stamped_fallback(&sim).as_deref(), Some("classic-queue"));
     }
 
     /// Region-grouped planning under the paper's WAN matrix: partitions

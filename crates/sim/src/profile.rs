@@ -2,12 +2,19 @@
 //! wall-time attribution for the engine's dispatch loop.
 //!
 //! Profiling is optional ([`crate::engine::Sim::enable_profiling`] or
-//! `PREDIS_PROFILE=1`); when off the dispatch loop pays exactly one branch.
-//! When on, the engine takes one `Instant` reading per event and charges the
-//! elapsed wall time since the previous reading to the cell of the actor
-//! kind that just ran — so a cell absorbs the actor callback *and* the
-//! queue/bookkeeping work that followed it, which is what makes the
-//! attribution cover ≥95% of the loop instead of just callback bodies.
+//! `PREDIS_PROFILE=1`); when off the dispatch loop reads no clock. When on,
+//! the engine's one dispatch loop takes one `Instant` reading after each
+//! event and charges the elapsed wall time since the previous reading to
+//! the cell of the actor kind that just ran — so a cell absorbs the actor
+//! callback *and* the queue/bookkeeping work around it, which is what makes
+//! the attribution cover ≥95% of the loop instead of just callback bodies.
+//!
+//! The profile is a sink like the metrics, so it runs on either engine
+//! path: a partition worker profiles its own partition into an empty
+//! profile that session teardown absorbs. Cells add, and [`run_ns`]
+//! becomes the workers' summed loop time rather than wall time.
+//!
+//! [`run_ns`]: DispatchProfile::run_ns
 //!
 //! Actor kinds are interned to dense indices at [`crate::engine::Sim::add_node`]
 //! time (the PR 5 handle trick): the hot path indexes a `Vec` of cells by
@@ -15,17 +22,29 @@
 
 use predis_telemetry::{ProfileEntry, RunReport};
 
+use crate::queue::EventKind;
+
 /// Event buckets a profiled dispatch is charged to.
 pub const PROFILE_EVENTS: [&str; 4] = ["deliver", "timer", "start", "other"];
 
 /// Bucket for message deliveries.
-pub(crate) const BUCKET_DELIVER: usize = 0;
+const BUCKET_DELIVER: usize = 0;
 /// Bucket for timer firings.
-pub(crate) const BUCKET_TIMER: usize = 1;
+const BUCKET_TIMER: usize = 1;
 /// Bucket for `on_start` dispatches (including revives).
-pub(crate) const BUCKET_START: usize = 2;
+const BUCKET_START: usize = 2;
 /// Bucket for everything else (crash processing, filtered events).
-pub(crate) const BUCKET_OTHER: usize = 3;
+const BUCKET_OTHER: usize = 3;
+
+/// The bucket an event of `kind` is charged to.
+pub(crate) fn bucket_of<M>(kind: &EventKind<M>) -> usize {
+    match kind {
+        EventKind::Deliver { .. } => BUCKET_DELIVER,
+        EventKind::Timer { .. } => BUCKET_TIMER,
+        EventKind::Start | EventKind::Revive => BUCKET_START,
+        EventKind::Crash => BUCKET_OTHER,
+    }
+}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Cell {
@@ -57,6 +76,21 @@ impl DispatchProfile {
     /// Adds wall time spent in the dispatch loop itself.
     pub(crate) fn add_run_ns(&mut self, ns: u64) {
         self.run_ns += ns;
+    }
+
+    /// Adds a partition worker's profile to this one: cell by cell, and
+    /// its loop time to this one's.
+    pub(crate) fn absorb(&mut self, worker: DispatchProfile) {
+        if self.cells.len() < worker.cells.len() {
+            self.cells.resize(worker.cells.len(), [Cell::default(); 4]);
+        }
+        for (row, theirs) in self.cells.iter_mut().zip(worker.cells) {
+            for (cell, their) in row.iter_mut().zip(theirs) {
+                cell.count += their.count;
+                cell.ns += their.ns;
+            }
+        }
+        self.run_ns += worker.run_ns;
     }
 
     /// Total wall time of the profiled dispatch loop, in nanoseconds.
@@ -179,6 +213,35 @@ mod tests {
         assert_eq!(report.profile.len(), 3);
         assert_eq!(report.profile_run_ns, 500);
         assert_eq!(report.profile_attributed_ns(), 185);
+    }
+
+    #[test]
+    fn absorb_adds_cells_and_loop_time() {
+        let mut main = DispatchProfile::default();
+        main.record(0, BUCKET_DELIVER, 100);
+        main.add_run_ns(150);
+        let mut worker = DispatchProfile::default();
+        worker.record(0, BUCKET_DELIVER, 40);
+        worker.record(2, BUCKET_TIMER, 5);
+        worker.add_run_ns(60);
+        main.absorb(worker);
+        assert_eq!(
+            (main.events(), main.attributed_ns(), main.run_ns()),
+            (3, 145, 210)
+        );
+        let names = ["A", "B", "C"].map(String::from);
+        let cells: Vec<_> = main
+            .entries(&names)
+            .into_iter()
+            .map(|e| (e.actor, e.event, e.count, e.ns))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ("A".into(), "deliver".into(), 2, 140),
+                ("C".into(), "timer".into(), 1, 5)
+            ]
+        );
     }
 
     #[test]

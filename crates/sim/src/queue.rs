@@ -190,8 +190,9 @@ impl<M> TimerWheel<M> {
         self.len
     }
 
-    /// Stores an event. `event.at` must not lie behind the cursor — the
-    /// engine asserts `at >= now`, and a debug build panics here. In a
+    /// Stores an event. `event.at` must not lie behind the cursor — every
+    /// engine call that files an event refuses a time before `now`, and a
+    /// debug build panics here. In a
     /// release build a past-time push is clamped to the cursor: an event of
     /// an earlier tick is ordered, checked against the horizon and reported
     /// by the `earliest_*` queries as if it fired at the first nanosecond of
@@ -418,104 +419,6 @@ impl<M> TimerWheel<M> {
     }
 }
 
-/// The old scheduler — one global `(at, seq)` heap — kept as the ordering
-/// oracle for differential tests.
-#[cfg(test)]
-pub(crate) struct ClassicHeap<M> {
-    heap: BinaryHeap<Reverse<Event<M>>>,
-}
-
-#[cfg(test)]
-impl<M> ClassicHeap<M> {
-    pub(crate) fn new() -> Self {
-        ClassicHeap {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, event: Event<M>) {
-        self.heap.push(Reverse(event));
-    }
-
-    pub(crate) fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>> {
-        match self.heap.peek() {
-            Some(Reverse(head)) if head.at <= horizon => Some(self.heap.pop().expect("peeked").0),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// The engine's pluggable future-event set. Production always runs the
-/// wheel; the classic heap exists so differential tests can replay the
-/// same workload under both and demand identical traces.
-pub(crate) enum EventQueue<M> {
-    Wheel(TimerWheel<M>),
-    #[cfg(test)]
-    Classic(ClassicHeap<M>),
-}
-
-impl<M> EventQueue<M> {
-    pub(crate) fn wheel() -> Self {
-        EventQueue::Wheel(TimerWheel::new())
-    }
-
-    #[cfg(test)]
-    pub(crate) fn classic() -> Self {
-        EventQueue::Classic(ClassicHeap::new())
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, event: Event<M>) {
-        match self {
-            EventQueue::Wheel(w) => w.push(event),
-            #[cfg(test)]
-            EventQueue::Classic(h) => h.push(event),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop_next(horizon),
-            #[cfg(test)]
-            EventQueue::Classic(h) => h.pop_next(horizon),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            #[cfg(test)]
-            EventQueue::Classic(h) => h.len(),
-        }
-    }
-
-    /// Whether this queue is the production wheel. The parallel engine
-    /// rebuilds the queue from per-shard wheels at session teardown, so it
-    /// only engages when the run started on a wheel (the classic heap is a
-    /// test-only ordering oracle and must stay a heap end to end).
-    pub(crate) fn is_wheel(&self) -> bool {
-        match self {
-            EventQueue::Wheel(_) => true,
-            #[cfg(test)]
-            EventQueue::Classic(_) => false,
-        }
-    }
-
-    /// See [`TimerWheel::earliest_lower_bound`].
-    pub(crate) fn earliest_lower_bound(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Wheel(w) => w.earliest_lower_bound(),
-            #[cfg(test)]
-            EventQueue::Classic(h) => h.heap.peek().map(|Reverse(e)| e.at),
-        }
-    }
-}
-
 /// Timer liveness via slot generations instead of a tombstone set.
 ///
 /// `arm` hands out `TimerId`s packing `(generation << 32) | slot`;
@@ -595,6 +498,37 @@ mod tests {
         }
     }
 
+    /// The old scheduler — one global `(at, seq)` heap — kept as the
+    /// ordering oracle of the differential below.
+    struct ClassicHeap<M> {
+        heap: BinaryHeap<Reverse<Event<M>>>,
+    }
+
+    impl<M> ClassicHeap<M> {
+        fn new() -> Self {
+            ClassicHeap {
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn push(&mut self, event: Event<M>) {
+            self.heap.push(Reverse(event));
+        }
+
+        fn pop_next(&mut self, horizon: SimTime) -> Option<Event<M>> {
+            match self.heap.peek() {
+                Some(Reverse(head)) if head.at <= horizon => {
+                    Some(self.heap.pop().expect("peeked").0)
+                }
+                _ => None,
+            }
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
     /// The wheel and its oracle, fed the same operations; every step
     /// compares everything the two report.
     struct Pair {
@@ -640,13 +574,15 @@ mod tests {
 
     /// Drives the wheel and the classic heap through the same random
     /// script and demands the same pops and the same answers to every
-    /// query after every step. The script does what the engines do and
-    /// more: order keys arrive shuffled, tie on `at`, and mix the driver's
-    /// slot with random and top-bit creator slots (`>= 1 << 63`); events land in the
-    /// tick being drained between two pops, before and behind what it still
-    /// holds; drains stop at horizons in the middle of a tick and the next
-    /// burst starts there. Offsets are log-uniform up to `spread_bits`, so
-    /// one script reaches the drained tick, every level, and the far heap.
+    /// query after every step. The script issues every queue operation the
+    /// engines do, and more: order keys arrive shuffled, tie on `at`, and
+    /// mix the driver's slot with random and top-bit creator slots
+    /// (`>= 1 << 63`); between two pops, events land in the tick being
+    /// drained, before and behind what it still holds, and far ahead, as a
+    /// dispatch that arms a timer or sends files them; drains stop at
+    /// horizons in the middle of a tick and the next burst starts there.
+    /// Offsets are log-uniform up to `spread_bits`, so one script reaches
+    /// the drained tick, every level, and the far heap.
     fn differential(seed: u64, spread_bits: u32) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut pair = Pair::new();
@@ -685,6 +621,9 @@ mod tests {
                 if rng.gen_bool(0.25) {
                     let tick_end = now | ((1 << TICK_BITS) - 1);
                     pair.push(rng.gen_range(now..=tick_end), mint(&mut rng));
+                }
+                if rng.gen_bool(0.25) {
+                    pair.push(now + offset(&mut rng), mint(&mut rng));
                 }
             }
             now = now.max(horizon);
