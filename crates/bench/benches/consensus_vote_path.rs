@@ -12,6 +12,10 @@
 //!   included; 714 slots, so the retention window slides throughout.
 //! * `batch_submit_50k_table`: one client `Submit` of an unseen transaction
 //!   against a plane that already tracks 50 000 proposed ones.
+//! * `batch_validate_commit_50k`: a `BatchPlane` alone (no shell) handed one
+//!   14-transaction batch per delivery, which it validates and then
+//!   commits, against a table that already tracks 50 000 executed ids — the
+//!   insert side of the same table.
 //! * `hotstuff_votes`: `HsVote`s to the next leader, five of every seven
 //!   forming a QC and advancing the round.
 //!
@@ -20,7 +24,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use predis_consensus::planes::BatchPlane;
-use predis_consensus::{ConsMsg, ConsensusConfig, HotStuffNode, PbftNode, Roster};
+use predis_consensus::{
+    ConsMsg, ConsensusConfig, DataPlane, HotStuffNode, PbftNode, ProposalCheck, Roster,
+};
 use predis_crypto::Hash;
 use predis_sim::prelude::*;
 use predis_types::{ClientId, ProposalPayload, SeqNum, Transaction, TxId, View};
@@ -134,6 +140,60 @@ fn batch_submits() -> Sim<ConsMsg> {
     sim
 }
 
+/// Client `k % 8`'s transaction `k / 8`: arrivals interleave eight
+/// clients, each minting dense ids.
+fn interleaved(k: u64) -> Transaction {
+    let client = k % 8;
+    Transaction::new(TxId((client << 40) | (k / 8)), ClientId(client as u32), 0)
+}
+
+/// A batch plane that executes 50 000 transactions when it starts, then
+/// validates and commits the batch of every pre-prepare it is handed.
+#[derive(Debug)]
+struct PlaneAlone(BatchPlane);
+
+impl Actor<ConsMsg> for PlaneAlone {
+    fn on_start(&mut self, ctx: &mut Context<'_, ConsMsg>) {
+        let txs = (0..50_000).map(interleaved).collect();
+        let payload = ProposalPayload::Batch(txs);
+        let z = Hash::ZERO;
+        self.0.commit(&mut ctx.narrow(), z, z, z, &payload);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, ConsMsg>, _: NodeId, msg: ConsMsg) {
+        let ConsMsg::PrePrepare { payload, .. } = msg else {
+            return;
+        };
+        let (ctx, z) = (&mut ctx.narrow(), Hash::ZERO);
+        let check = self.0.validate(ctx, 0, z, z, z, &payload);
+        assert_eq!(check, ProposalCheck::Accept);
+        let executed = self.0.commit(ctx, z, z, z, &payload);
+        assert_eq!(executed.map(|txs| txs.len()), Some(TXS_PER_SLOT as usize));
+    }
+}
+
+/// The plane with 50 000 executed ids, then the next batches of fresh
+/// ones in arrival order.
+fn batch_commits() -> Sim<ConsMsg> {
+    let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+    let mut sim: Sim<ConsMsg> = Sim::new(3, network);
+    let plane = PlaneAlone(BatchPlane::new(ConsensusConfig::default().batch_size));
+    let me = sim.add_node(LinkConfig::paper_default(), Box::new(plane), SimTime::ZERO);
+    sim.run_until(SimTime::from_millis(29));
+    for seq in 0..DELIVERIES {
+        let first = 50_000 + seq * TXS_PER_SLOT;
+        let txs = (first..first + TXS_PER_SLOT).map(interleaved).collect();
+        let msg = ConsMsg::PrePrepare {
+            view: View(0),
+            seq: SeqNum(seq),
+            payload: ProposalPayload::Batch(txs).into(),
+        };
+        let at = SimTime::from_nanos(30_000_000 + seq * 1_000);
+        sim.inject(me, me, msg, at);
+    }
+    sim
+}
+
 /// Votes for the blocks of rounds 8, 16, … (replica 1 leads the round
 /// after each), one from every peer.
 fn hotstuff_votes() -> Sim<ConsMsg> {
@@ -157,9 +217,10 @@ type World = fn() -> Sim<ConsMsg>;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("consensus_vote_path");
-    let cases: [(&str, World); 3] = [
+    let cases: [(&str, World); 4] = [
         ("pbft_votes_full_pipeline", pbft_votes),
         ("batch_submit_50k_table", batch_submits),
+        ("batch_validate_commit_50k", batch_commits),
         ("hotstuff_votes", hotstuff_votes),
     ];
     for (name, build) in cases {

@@ -10,15 +10,48 @@ use predis_types::{IdMap, ProposalPayload, Transaction, TxId, View};
 use crate::msg::ConsMsg;
 use crate::plane::{DataPlane, PlaneOutcome, ProposalCheck};
 
-/// What the plane knows about a transaction it has seen in a proposal.
-/// Absent from the table: never proposed anywhere (it may sit in `queue`).
-/// The order is the only way a transaction moves: `Executed` is final.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxState {
-    /// Seen in someone's proposal — do not re-propose.
-    Proposed,
-    /// Executed — never re-propose, re-execute or re-count.
-    Executed,
+/// What the plane knows about every transaction it has seen in a proposal,
+/// two bits per id: 0 absent (never proposed anywhere; it may sit in
+/// `queue`), `PROPOSED` (seen in someone's proposal: do not re-propose) or
+/// `EXECUTED` (final: never re-propose, re-execute or re-count).
+///
+/// A page is 64 bytes, a cache line's worth, holding 256 consecutive ids. Clients mint
+/// `client << 40 | seq` with `seq` dense, so a client's transactions fill
+/// pages in order and a replica's whole run fits in a few hundred of them.
+/// Only proposals create pages; a probe never does. Exact for any `u64`:
+/// sparse ids cost a page each, never a wrong answer.
+#[derive(Debug, Default)]
+struct TxTable {
+    pages: IdMap<u64, [u64; 8]>,
+}
+
+const PROPOSED: u64 = 1;
+const EXECUTED: u64 = 2;
+
+/// An id's page key, word within the page, and bit offset within the word.
+fn cell(id: TxId) -> (u64, usize, u32) {
+    let (page, slot) = (id.0 >> 8, id.0 & 255);
+    (page, slot as usize / 32, (slot % 32) as u32 * 2)
+}
+
+impl TxTable {
+    /// Whether `id` was ever proposed (or executed). Allocates nothing.
+    fn contains(&self, id: TxId) -> bool {
+        let (page, word, shift) = cell(id);
+        self.pages
+            .get(&page)
+            .is_some_and(|p| (p[word] >> shift) & 3 != 0)
+    }
+
+    /// Raises `id` to `state` and returns the state it had. States only
+    /// move up (absent, proposed, executed), so an executed id stays so.
+    fn raise(&mut self, id: TxId, state: u64) -> u64 {
+        let (page, word, shift) = cell(id);
+        let word = &mut self.pages.entry(page).or_default()[word];
+        let old = (*word >> shift) & 3;
+        *word = (*word & !(3 << shift)) | (old.max(state) << shift);
+        old
+    }
 }
 
 /// Baseline PBFT/HotStuff content strategy: the leader packs up to
@@ -36,9 +69,9 @@ pub struct BatchPlane {
     /// Submitted and, at the head, not yet proposed anywhere. Only a leader
     /// pops it to propose; everyone drops known heads when a block commits.
     queue: VecDeque<Transaction>,
-    /// One entry per transaction ever seen in a proposal, probed once per
-    /// `Submit`. Grows with the run: an executed id must be refused forever.
-    txs: IdMap<TxId, TxState>,
+    /// Every transaction ever seen in a proposal, probed once per `Submit`.
+    /// Grows with the run: an executed id must be refused forever.
+    txs: TxTable,
 }
 
 impl BatchPlane {
@@ -52,7 +85,7 @@ impl BatchPlane {
         BatchPlane {
             batch_size,
             queue: VecDeque::new(),
-            txs: IdMap::default(),
+            txs: TxTable::default(),
         }
     }
 
@@ -65,7 +98,7 @@ impl BatchPlane {
 
     fn note_proposed(&mut self, txs: &[Transaction]) {
         for tx in txs {
-            self.txs.entry(tx.id).or_insert(TxState::Proposed);
+            self.txs.raise(tx.id, PROPOSED);
         }
     }
 
@@ -75,7 +108,7 @@ impl BatchPlane {
     /// pending work (the shell's leader-suspicion trigger) forever.
     fn drop_known_heads(&mut self) {
         while let Some(tx) = self.queue.front() {
-            if !self.txs.contains_key(&tx.id) {
+            if !self.txs.contains(tx.id) {
                 break;
             }
             self.queue.pop_front();
@@ -98,7 +131,7 @@ impl DataPlane for BatchPlane {
     ) -> PlaneOutcome {
         match msg {
             ConsMsg::Submit(tx) => {
-                if !self.txs.contains_key(&tx.id) {
+                if !self.txs.contains(tx.id) {
                     self.queue.push_back(*tx);
                 }
                 PlaneOutcome::CONSUMED
@@ -126,7 +159,7 @@ impl DataPlane for BatchPlane {
             let Some(tx) = self.queue.pop_front() else {
                 break;
             };
-            if self.txs.contains_key(&tx.id) {
+            if self.txs.contains(tx.id) {
                 continue;
             }
             txs.push(tx);
@@ -173,7 +206,7 @@ impl DataPlane for BatchPlane {
         // Remember the ids so this replica's own future leadership neither
         // re-proposes nor double-counts them.
         for tx in &txs {
-            self.txs.insert(tx.id, TxState::Executed);
+            self.txs.raise(tx.id, EXECUTED);
         }
         self.drop_known_heads();
         txs
@@ -195,7 +228,7 @@ impl DataPlane for BatchPlane {
         // copy made, starting at the first transaction already executed.
         let mut filtered: Option<Vec<Transaction>> = None;
         for (i, tx) in txs.iter().enumerate() {
-            let fresh = self.txs.insert(tx.id, TxState::Executed) != Some(TxState::Executed);
+            let fresh = self.txs.raise(tx.id, EXECUTED) != EXECUTED;
             match (&mut filtered, fresh) {
                 (None, false) => filtered = Some(txs[..i].to_vec()),
                 (Some(kept), true) => kept.push(*tx),
@@ -272,5 +305,89 @@ mod tests {
     struct Idle;
     impl Actor<ConsMsg> for Idle {
         fn on_message(&mut self, _: &mut Context<'_, ConsMsg>, _: NodeId, _: ConsMsg) {}
+    }
+
+    type Body = fn(&mut NarrowContext<'_, '_, ConsMsg, ConsMsg>);
+
+    /// Runs `body` once from inside an actor callback, where a plane's
+    /// context exists.
+    #[derive(Debug)]
+    struct OnStart(Body);
+    impl Actor<ConsMsg> for OnStart {
+        fn on_start(&mut self, ctx: &mut Context<'_, ConsMsg>) {
+            (self.0)(&mut ctx.narrow());
+        }
+        fn on_message(&mut self, _: &mut Context<'_, ConsMsg>, _: NodeId, _: ConsMsg) {}
+    }
+
+    fn run(body: Body) {
+        let net = Network::new(LatencyModel::lan(), SimDuration::ZERO);
+        let mut sim: Sim<ConsMsg> = Sim::new(0, net);
+        sim.add_node(
+            LinkConfig::paper_default(),
+            Box::new(OnStart(body)),
+            SimTime::ZERO,
+        );
+        sim.run_until(SimTime::from_millis(1));
+    }
+
+    /// Per client, how many transactions the density test mints: page
+    /// edges (255, 256, 257) and long runs, 50 000 in all.
+    const PER_CLIENT: [u64; 8] = [1, 255, 256, 257, 513, 7_000, 20_000, 21_718];
+
+    /// Client `c`'s transactions `from..to`, as clients mint their ids.
+    fn minted(c: usize, from: u64, to: u64) -> Vec<Transaction> {
+        let client = ClientId(c as u32);
+        let ids = (from..to).map(move |s| TxId(((c as u64) << 40) | s));
+        ids.map(|id| Transaction::new(id, client, 0)).collect()
+    }
+
+    fn propose_then_commit(
+        ctx: &mut NarrowContext<'_, '_, ConsMsg, ConsMsg>,
+        plane: &mut BatchPlane,
+        txs: Vec<Transaction>,
+    ) {
+        let (z, len) = (Hash::ZERO, txs.len());
+        let payload = ProposalPayload::Batch(txs);
+        assert_eq!(
+            plane.validate(ctx, 0, z, z, z, &payload),
+            ProposalCheck::Accept
+        );
+        let executed = plane.commit(ctx, z, z, z, &payload).unwrap();
+        assert_eq!(executed.len(), len, "every transaction is fresh once");
+    }
+
+    #[test]
+    fn dense_ids_share_pages_and_stay_refused() {
+        run(|ctx| {
+            let mut plane = BatchPlane::new(10);
+            for (c, &n) in PER_CLIENT.iter().enumerate() {
+                propose_then_commit(ctx, &mut plane, minted(c, 0, n));
+            }
+            assert_eq!(PER_CLIENT.iter().sum::<u64>(), 50_000);
+            let pages: u64 = PER_CLIENT.iter().map(|n| n.div_ceil(256)).sum();
+            assert_eq!(plane.txs.pages.len() as u64, pages);
+            // 100 000 more, in the pages after each client's first run.
+            for (c, &n) in PER_CLIENT.iter().enumerate() {
+                propose_then_commit(ctx, &mut plane, minted(c, n, n + 12_500));
+            }
+            let pages_now = plane.txs.pages.len();
+            for (c, &n) in PER_CLIENT.iter().enumerate() {
+                let old = minted(c, 0, n);
+                for tx in &old {
+                    plane.handle(ctx, NodeId(1), &ConsMsg::Submit(*tx));
+                }
+                assert_eq!(plane.pending(), 0, "client {c}: an executed id was queued");
+                let z = Hash::ZERO;
+                let payload = ProposalPayload::Batch(old);
+                let again = plane.commit(ctx, z, z, z, &payload).unwrap();
+                assert!(again.is_empty(), "client {c}: an executed id was fresh");
+            }
+            // A submission of an unseen id in an unseen page allocates none.
+            let unseen = Transaction::new(TxId((9 << 40) | (1 << 20)), ClientId(9), 0);
+            plane.handle(ctx, NodeId(1), &ConsMsg::Submit(unseen));
+            assert_eq!(plane.pending(), 1);
+            assert_eq!(plane.txs.pages.len(), pages_now);
+        });
     }
 }

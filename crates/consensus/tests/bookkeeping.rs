@@ -60,9 +60,11 @@ impl TwoSetPlane {
     }
 }
 
-fn tx(id: u64) -> Transaction {
-    // Ids as clients mint them: the client in the bits above 40.
-    Transaction::new(TxId(((id % 3) << 40) | id), ClientId((id % 3) as u32), 0)
+/// A 64-bit mixer (SplitMix64's finalizer): random bits for one draw.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Runs a word-coded script against both planes from inside an actor
@@ -71,8 +73,39 @@ fn tx(id: u64) -> Transaction {
 #[derive(Debug)]
 struct Script {
     words: Vec<u64>,
+    /// Dense ids per client: `seq` ranges over `0..pool`.
     pool: u64,
+    /// Ids no client mints, as a Byzantine leader could propose them.
+    sparse: Vec<u64>,
     batch_size: usize,
+}
+
+impl Script {
+    /// One transaction from random bits `r`. Clients mint
+    /// `client << 40 | seq`; the table pages ids by 256, so draws land on
+    /// dense ids, on both sides of a page edge (k·256 − 1, k·256), on a few
+    /// hot ids (to repeat), or on 0, `u64::MAX` and sparse high ids.
+    fn tx(&self, r: u64) -> Transaction {
+        let (client, pick) = ((r >> 3) % 3, r >> 5);
+        let seq = match r % 8 {
+            0..=2 => pick % self.pool,
+            3..=5 => (1 + (pick >> 1) % (self.pool / 256 + 1)) * 256 - 1 + (pick & 1),
+            6 => pick % 16,
+            _ => {
+                let k = pick as usize % (2 + self.sparse.len());
+                let id = [0, u64::MAX].get(k).copied();
+                let id = id.unwrap_or_else(|| self.sparse[k - 2]);
+                return Transaction::new(TxId(id), ClientId(9), 0);
+            }
+        };
+        Transaction::new(TxId((client << 40) | seq), ClientId(client as u32), 0)
+    }
+
+    /// A proposal's batch of up to six, which may repeat an id.
+    fn batch(&self, word: u64) -> Vec<Transaction> {
+        let len = (word >> 8) % 7;
+        (0..len).map(|i| self.tx(mix(word ^ i))).collect()
+    }
 }
 
 impl Actor<ConsMsg> for Script {
@@ -82,16 +115,10 @@ impl Actor<ConsMsg> for Script {
         let mut model = TwoSetPlane::default();
         // Every batch either side has proposed or been shown.
         let mut batches: Vec<Vec<Transaction>> = Vec::new();
-        let foreign = |word: u64, pool: u64| -> Vec<Transaction> {
-            let len = (word >> 8) % 7;
-            (0..len)
-                .map(|i| tx((word >> (16 + 6 * i)) % pool))
-                .collect()
-        };
         for &word in &self.words {
             match word % 8 {
                 0..=3 => {
-                    let tx = tx((word >> 8) % self.pool);
+                    let tx = self.tx(mix(word));
                     let out = plane.handle(ctx, NodeId(1), &ConsMsg::Submit(tx));
                     assert!(out.consumed && !out.progressed);
                     model.submit(tx);
@@ -104,7 +131,7 @@ impl Actor<ConsMsg> for Script {
                 }
                 5 => {
                     // Another leader's proposal; may repeat an id.
-                    let txs = foreign(word, self.pool);
+                    let txs = self.batch(word);
                     let payload = ProposalPayload::Batch(txs.clone());
                     let check =
                         plane.validate(ctx, 0, Hash::ZERO, Hash::ZERO, Hash::ZERO, &payload);
@@ -120,7 +147,7 @@ impl Actor<ConsMsg> for Script {
                     assert_eq!(got.as_deref(), Some(&model.commit(&txs)[..]));
                 }
                 7 => {
-                    let txs = foreign(word, self.pool);
+                    let txs = self.batch(word);
                     let payload = ProposalPayload::Batch(txs.clone());
                     let got = plane.catch_up(
                         ctx,
@@ -171,12 +198,13 @@ proptest! {
     #[test]
     fn tx_table_matches_two_set_reference(
         words in proptest::collection::vec(any::<u64>(), 50..1500),
-        pool in 4u64..200,
+        pool in 256u64..4096,
+        sparse in proptest::collection::vec(any::<u64>(), 0..6),
         batch_size in 1usize..12,
     ) {
         let network = Network::new(LatencyModel::lan(), SimDuration::ZERO);
         let mut sim: Sim<ConsMsg> = Sim::new(0, network);
-        let script = Script { words, pool, batch_size };
+        let script = Script { words, pool, sparse, batch_size };
         sim.add_node(LinkConfig::paper_default(), Box::new(script), SimTime::ZERO);
         // `on_start` runs the script; a mismatch panics out of `run_until`.
         sim.run_until(SimTime::from_millis(1));

@@ -329,10 +329,11 @@ pub trait Actor<M>: std::any::Any + Send {
 
     /// The actor's kind label for dispatch profiling.
     ///
-    /// Defaults to the concrete type name; the engine shortens module paths
-    /// and interns the result to a dense index at
-    /// [`crate::engine::Sim::add_node`] time, so this is never called on the
-    /// hot path.
+    /// Defaults to the concrete type name. At [`crate::engine::Sim::add_node`]
+    /// time the engine looks the returned string up among the names it has
+    /// seen; only a new one is shortened (module paths stripped) and the
+    /// result interned to a dense index, which names that shorten alike
+    /// share. This is never called on the hot path.
     fn kind_name(&self) -> &'static str {
         std::any::type_name::<Self>()
     }

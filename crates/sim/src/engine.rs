@@ -68,6 +68,9 @@ pub struct Sim<M> {
     /// Interned actor-kind names, indexed by the core's per-node kind
     /// index.
     kind_names: Vec<String>,
+    /// Every raw [`Actor::kind_name`] seen so far with its kind index, so a
+    /// name is shortened only the first time its type is added.
+    raw_kinds: Vec<(&'static str, u16)>,
     /// Worker count requested for windowed parallel execution (seeded from
     /// `PREDIS_SIM_THREADS`, default 1 = sequential).
     pub(crate) threads: usize,
@@ -116,6 +119,7 @@ impl<M: Payload> Sim<M> {
             events_processed: 0,
             crash_scheduled: Vec::new(),
             kind_names: Vec::new(),
+            raw_kinds: Vec::new(),
             threads: sim_threads_from_env(),
             partition_hint: None,
             threads_used: 1,
@@ -361,21 +365,33 @@ impl<M: Payload> Sim<M> {
             "cannot start a node in the past: {start_at} is before now, {}",
             self.now
         );
-        // Intern the actor kind for dispatch profiling: the hot path indexes
-        // by this dense id and never touches the name again.
-        let kind = short_type_name(actor.kind_name());
-        let kind_idx = self.kind_names.iter().position(|k| *k == kind);
-        let kind_idx = kind_idx.unwrap_or_else(|| {
-            self.kind_names.push(kind);
-            self.kind_names.len() - 1
-        });
+        let kind = self.intern_kind(actor.kind_name());
         let index = self.node_count() as u64;
         let node_seed = self.net_rng.gen::<u64>() ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d);
         let rng = SmallRng::seed_from_u64(node_seed);
-        let id = self.core.add_node(link, actor, rng, kind_idx as u16);
+        let id = self.core.add_node(link, actor, rng, kind);
         self.crash_scheduled.push(false);
         self.schedule_from_driver(start_at, id, EventKind::Start);
         id
+    }
+
+    /// The dense kind index of an actor whose raw kind name is `raw`, for
+    /// dispatch profiling: the hot path indexes by it and never touches the
+    /// name again. Raw names that shorten alike share one index.
+    fn intern_kind(&mut self, raw: &'static str) -> u16 {
+        if let Some(&(_, kind)) = self.raw_kinds.iter().find(|(seen, _)| *seen == raw) {
+            return kind;
+        }
+        let short = short_type_name(raw);
+        let kind = match self.kind_names.iter().position(|k| *k == short) {
+            Some(kind) => kind,
+            None => {
+                self.kind_names.push(short);
+                self.kind_names.len() - 1
+            }
+        } as u16;
+        self.raw_kinds.push((raw, kind));
+        kind
     }
 
     /// Files an event the driver creates. Its key is creator slot 0, so at
@@ -1050,6 +1066,47 @@ mod tests {
         let mut plain = build(4, 7);
         plain.run_until(SimTime::from_secs(1));
         assert_eq!(sim.fingerprint(), plain.fingerprint());
+    }
+
+    /// Two types whose names differ only in their module path.
+    mod twin_a {
+        #[derive(Debug)]
+        pub struct Twin;
+    }
+    mod twin_b {
+        #[derive(Debug)]
+        pub struct Twin;
+    }
+    impl Actor<Msg> for twin_a::Twin {
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+    }
+    impl Actor<Msg> for twin_b::Twin {
+        fn on_message(&mut self, _: &mut Context<'_, Msg>, _: NodeId, _: Msg) {}
+    }
+
+    #[test]
+    fn raw_kinds_that_shorten_alike_share_one_kind() {
+        let mut sim = build(1, 3);
+        sim.enable_profiling();
+        let link = LinkConfig::paper_default;
+        sim.add_node(link(), Box::new(twin_a::Twin), SimTime::ZERO);
+        sim.add_node(link(), Box::new(twin_b::Twin), SimTime::ZERO);
+        sim.add_node(link(), Box::new(twin_a::Twin), SimTime::ZERO);
+        assert_eq!(sim.raw_kinds.len(), 3, "each raw name is cached once");
+        assert_eq!(
+            sim.kind_names(),
+            &["PingPong".to_string(), "Twin".to_string()]
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let report = sim.report("twins");
+        let starts = |actor: &str| {
+            let starts = report.profile.iter().filter(|e| e.event == "start");
+            starts
+                .filter(|e| e.actor == actor)
+                .map(|e| e.count)
+                .sum::<u64>()
+        };
+        assert_eq!((starts("PingPong"), starts("Twin")), (1, 3));
     }
 
     #[test]
